@@ -1,83 +1,34 @@
-"""Hot numeric kernels with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 Two inner loops dominate the toolkit's runtime: the exhaustive four-point
 hyperbolicity scan (O(n^4) quadruples over a distance matrix) and all-pairs
 shortest paths for dense graph distance matrices.  Both run on int64
-matrices obtained by exact common-denominator scaling, so the fast path
-loses no exactness.
+matrices obtained by exact common-denominator scaling, so they lose no
+exactness.
 
-The numba jit is used when importable unless BGKIT_PURE_NUMPY=1 is set in
-the environment; otherwise the vectorized numpy fallbacks run.  Both
-backends return identical results, witnesses included;
-benchmarks/bench_kernels.py compares them.
+This is the only module that imports numpy, so the CLI pays for it only
+when a kernel runs.  The plain-loop oracles the kernels are tested against
+live in tests/test_kernels.py.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 
 INF = np.int64(2 ** 60)
 
-_USE_NUMBA = os.environ.get("BGKIT_PURE_NUMPY", "") != "1"
-if _USE_NUMBA:
-    try:
-        import numba
-    except ImportError:          # pragma: no cover - environment dependent
-        _USE_NUMBA = False
 
+def four_point_scan(dist):
+    """(2*delta, i, j, k, l) maximizing the four-point difference, int64 exact.
 
-def backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def _four_point_py(dist):
-    n = dist.shape[0]
-    best = np.int64(-1)
-    wi = wj = wk = wl = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = dist[i, j]
-            for k in range(j + 1, n):
-                dik = dist[i, k]
-                djk = dist[j, k]
-                for l in range(k + 1, n):
-                    s1 = dij + dist[k, l]
-                    s2 = dik + dist[j, l]
-                    s3 = dist[i, l] + djk
-                    hi = max(s1, s2, s3)
-                    lo = min(s1, s2, s3)
-                    two_delta = 2 * hi + lo - (s1 + s2 + s3)
-                    if two_delta > best:
-                        best = two_delta
-                        wi, wj, wk, wl = i, j, k, l
-    return best, wi, wj, wk, wl
-
-
-def _floyd_warshall_py(w):
-    n = w.shape[0]
-    dist = w.copy()
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i, k]
-            if dik >= INF:
-                continue
-            for j in range(n):
-                alt = dik + dist[k, j]
-                if alt < dist[i, j]:
-                    dist[i, j] = alt
-    return dist
-
-
-if _USE_NUMBA:
-    _four_point_jit = numba.njit(cache=True)(_four_point_py)
-    _floyd_warshall_jit = numba.njit(cache=True)(_floyd_warshall_py)
-
-
-def _four_point_numpy(dist):
+    `dist` is an n x n integer matrix (array or nested lists).  The witness
+    is the lexicographically first maximizing quadruple i < j < k < l, so
+    the reports that print it are reproducible.
+    """
+    dist = np.ascontiguousarray(dist, dtype=np.int64)
     n = dist.shape[0]
     if n < 4:
         return np.int64(-1), 0, 0, 0, 0
@@ -102,40 +53,33 @@ def _four_point_numpy(dist):
         row_arg[:j, j] = arg + s
         row_best[:j, j] = val[np.arange(j), arg]
     # row-major argmax picks the first (i, j), so the witness is the
-    # lexicographically first maximizing quadruple, as in _four_point_py
+    # lexicographically first maximizing quadruple
     i, j = divmod(int(np.argmax(row_best)), n)
     p = row_arg[i, j]
     return row_best[i, j], i, j, int(kk[p]), int(ll[p])
 
 
-def four_point_scan(dist: np.ndarray):
-    """(2*delta, i, j, k, l) maximizing the four-point difference, int64 exact.
-
-    The witness is the lexicographically first maximizing quadruple
-    i < j < k < l on both backends, so reports do not depend on the backend.
-    """
-    dist = np.ascontiguousarray(dist, dtype=np.int64)
-    if _USE_NUMBA:
-        return _four_point_jit(dist)
-    return _four_point_numpy(dist)
-
-
-def _floyd_warshall_numpy(w):
-    dist = w.copy()
-    n = dist.shape[0]
-    for k in range(n):
+def floyd_warshall(weights: np.ndarray):
+    """All-pairs shortest paths of an int64 weight matrix (INF = no edge)."""
+    dist = np.array(weights, dtype=np.int64)
+    for k in range(dist.shape[0]):
         alt = dist[:, k, None] + dist[None, k, :]
         np.minimum(dist, alt, out=dist)
     np.minimum(dist, INF, out=dist)
     return dist
 
 
-def floyd_warshall(weights: np.ndarray):
-    """All-pairs shortest paths of an int64 weight matrix (INF = no edge)."""
-    w = np.ascontiguousarray(weights, dtype=np.int64)
-    if _USE_NUMBA:
-        return _floyd_warshall_jit(w)
-    return _floyd_warshall_numpy(w)
+def graph_distances(n, edges):
+    """All-pairs distances of an n-vertex graph given as (i, j, int weight)
+    edges, as nested int lists with None for unreachable pairs."""
+    mat = np.full((n, n), INF, dtype=np.int64)
+    np.fill_diagonal(mat, 0)
+    for i, j, w in edges:
+        if w < mat[i, j]:
+            mat[i, j] = mat[j, i] = w
+    inf = int(INF)
+    return [[None if cell >= inf else cell for cell in row]
+            for row in floyd_warshall(mat).tolist()]
 
 
 def scale_to_int(values):

@@ -10,6 +10,7 @@ operational errors.  --dry-run validates inputs and prints the plan only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -175,34 +176,44 @@ def _status_exit(status: str) -> int:
     return EXIT_ERROR
 
 
-def _dry_run(args, plan: str) -> int:
-    if getattr(args, "dry_run", False):
-        print(f"dry-run: {plan}", file=sys.stderr)
-        return EXIT_OK
-    return -1
+# -- operations ---------------------------------------------------------------
+# Each computes one subcommand's report content; run() does the shared steps.
 
 
-# -- subcommand handlers -----------------------------------------------------
+@dataclasses.dataclass
+class _Outcome:
+    params: dict
+    result: object
+    summary: str
+    status: str = "computed"
+    witnesses: list = dataclasses.field(default_factory=list)
+    assumptions: list = dataclasses.field(default_factory=list)
 
 
-def cmd_validate(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "validate the space description")
-    if rc >= 0:
-        return rc
+_OPERATIONS = {}
+
+
+def _operation(name, plan, inputs=True, action=False):
+    """Register the compute function of subcommand `name`.  `plan` is the
+    --dry-run text, formatted with the parsed arguments; `inputs` says
+    whether the subcommand reads a space (--space/--preset), `action`
+    whether it also needs a group action on it."""
+    def register(compute):
+        _OPERATIONS[name] = (plan, inputs, action, compute)
+        return compute
+    return register
+
+
+@_operation("validate", "validate the space description")
+def _validate(args, inp):
     diag = inp.space.validate()
     status = "ok" if diag.get("ok") else "violated"
-    rep = reports.Report(operation="validate", params={}, status=status,
-                         result=diag, seed=args.seed)
-    _emit(args, rep, f"validate: {status}")
-    return _status_exit(status)
+    return _Outcome(params={}, result=diag, summary=f"validate: {status}",
+                    status=status)
 
 
-def cmd_balls(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, f"enumerate ball of radius {args.r}")
-    if rc >= 0:
-        return rc
+@_operation("balls", "enumerate ball of radius {r}")
+def _balls(args, inp):
     x = inp.point(args.center)
     r = rational(args.r)
     ball = spaces.enumerate_ball(inp.space, x, r, closed=args.closed)
@@ -210,18 +221,14 @@ def cmd_balls(args):
     if inp.measure is not None:
         mass = measures.ball_mass(inp.measure, inp.space, x, r,
                                   closed=args.closed)
-    rep = reports.Report(
-        operation="balls",
+    return _Outcome(
         params={"center": x, "r": r, "closed": args.closed},
-        status="computed",
         result={"count": len(ball), "mass": mass,
                 "points": [p for p, _ in ball[:200]]},
-        seed=args.seed)
-    _emit(args, rep, f"ball: {len(ball)} support points, mass {mass}")
-    return EXIT_OK
+        summary=f"ball: {len(ball)} support points, mass {mass}")
 
 
-def _certificate_payload(cert):
+def _certificate_outcome(cert, params, label):
     payload = {
         "status": cert.status,
         "r_min": cert.r_min, "r_max": cert.r_max,
@@ -231,106 +238,70 @@ def _certificate_payload(cert):
         "notes": cert.notes,
         "ratio_scan": list(cert.scan_rows),
     }
-    witnesses = []
-    if cert.witness is not None:
-        witnesses.append({"kind": "worst", "radius": cert.witness.radius,
-                          "lhs": cert.witness.lhs, "rhs": cert.witness.rhs,
-                          "form": cert.witness.form})
-    if cert.first_violation is not None:
-        witnesses.append({"kind": "first",
-                          "radius": cert.first_violation.radius,
-                          "lhs": cert.first_violation.lhs,
-                          "rhs": cert.first_violation.rhs,
-                          "form": cert.first_violation.form})
-    return payload, witnesses
+    witnesses = [{"kind": kind, "radius": w.radius, "lhs": w.lhs,
+                  "rhs": w.rhs, "form": w.form}
+                 for kind, w in (("worst", cert.witness),
+                                 ("first", cert.first_violation))
+                 if w is not None]
+    return _Outcome(params=params, result=payload,
+                    summary=f"{label}: {cert.status}", status=cert.status,
+                    witnesses=witnesses)
 
 
-def cmd_certify_bg(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "scan the weak concentric-ball inequality")
-    if rc >= 0:
-        return rc
+@_operation("certify-bg", "scan the weak concentric-ball inequality")
+def _certify_bg(args, inp):
     params = curvature.BGParams(rational(args.r0), args.C, args.K)
     centers = inp.point(args.center)
     if args.all_centers:
         centers = [inp.point(raw) for raw in args.all_centers.split(";")]
     cert = curvature.check_weak_bg(inp.space, inp.measure, centers, params,
                                    rational(args.rmax))
-    payload, witnesses = _certificate_payload(cert)
-    rep = reports.Report(operation="certify-bg",
-                         params={"r0": params.r0, "C": params.C, "K": params.K,
-                                 "rmax": rational(args.rmax)},
-                         status=cert.status, result=payload,
-                         witnesses=witnesses, seed=args.seed)
-    _emit(args, rep, f"certify-bg: {cert.status}")
-    return _status_exit(cert.status)
+    return _certificate_outcome(
+        cert, {"r0": params.r0, "C": params.C, "K": params.K,
+               "rmax": rational(args.rmax)}, "certify-bg")
 
 
-def cmd_synthetic(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "scan the dimension-style growth condition")
-    if rc >= 0:
-        return rc
+@_operation("synthetic", "scan the dimension-style growth condition")
+def _synthetic(args, inp):
     params = curvature.SyntheticParams(args.N, args.K)
     cert = curvature.check_bg_synthetic(inp.space, inp.measure,
                                         inp.point(args.center), params,
                                         rational(args.rmax))
-    payload, witnesses = _certificate_payload(cert)
-    rep = reports.Report(operation="synthetic",
-                         params={"N": args.N, "K": args.K,
-                                 "rmax": rational(args.rmax)},
-                         status=cert.status, result=payload,
-                         witnesses=witnesses, seed=args.seed)
-    _emit(args, rep, f"synthetic: {cert.status}")
-    return _status_exit(cert.status)
+    return _certificate_outcome(
+        cert, {"N": args.N, "K": args.K, "rmax": rational(args.rmax)},
+        "synthetic")
 
 
-def cmd_doubling(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "compute the doubling constant on [r0/2, 5r0/2]")
-    if rc >= 0:
-        return rc
+@_operation("doubling", "compute the doubling constant on [r0/2, 5r0/2]")
+def _doubling(args, inp):
     sup, where = curvature.doubling_constant(inp.space, inp.measure,
                                              inp.point(args.center),
                                              rational(args.r0))
-    rep = reports.Report(operation="doubling",
-                         params={"r0": rational(args.r0)},
-                         status="computed",
-                         result={"C0": sup, "C0_float": float(sup),
-                                 "attained_at": where},
-                         seed=args.seed)
-    _emit(args, rep, f"doubling: C0 = {float(sup):.6g} at r = {where}")
-    return EXIT_OK
+    return _Outcome(params={"r0": rational(args.r0)},
+                    result={"C0": sup, "C0_float": float(sup),
+                            "attained_at": where},
+                    summary=f"doubling: C0 = {float(sup):.6g} at r = {where}")
 
 
-def cmd_entropy(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "sample the growth profile and estimate entropy")
-    if rc >= 0:
-        return rc
+@_operation("entropy", "sample the growth profile and estimate entropy")
+def _entropy(args, inp):
     x = inp.point(args.center)
     prof = entropy.growth_profile(inp.space, inp.measure, x,
                                   rational(args.rmax), rational(args.step))
     est = entropy.entropy_estimate(prof, tail_fraction=args.tail)
-    rep = reports.Report(
-        operation="entropy",
+    return _Outcome(
         params={"rmax": rational(args.rmax), "step": rational(args.step),
                 "tail": args.tail},
-        status="computed",
         result={"estimate": est.estimate, "window_low": est.window_low,
                 "window_high": est.window_high, "converged": est.converged,
                 "growth_profile": [(s.R, s.mass, s.h) for s in prof.samples]},
-        assumptions=est.notes, seed=args.seed)
-    _emit(args, rep, f"entropy: {est.estimate:.6g} "
-                     f"window [{est.window_low:.6g}, {est.window_high:.6g}]")
-    return EXIT_OK
+        summary=(f"entropy: {est.estimate:.6g} "
+                 f"window [{est.window_low:.6g}, {est.window_high:.6g}]"),
+        assumptions=est.notes)
 
 
-def cmd_delta(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "estimate the hyperbolicity constant")
-    if rc >= 0:
-        return rc
+@_operation("delta", "estimate the hyperbolicity constant")
+def _delta(args, inp):
     if args.thin:
         if not isinstance(inp.space, spaces.WeightedGraph):
             raise DomainError("--thin needs a graph space")
@@ -348,40 +319,27 @@ def cmd_delta(args):
         rep_h = hyperbolicity.four_point_delta(
             inp.space, points=points, mode=mode,
             count=args.samples or 2000, seed=args.seed or 0)
-    rep = reports.Report(operation="delta",
-                         params={"method": rep_h.method},
-                         status="computed",
-                         result={"delta": rep_h.delta,
-                                 "delta_float": float(rep_h.delta),
-                                 "points_used": rep_h.points_used},
-                         witnesses=[rep_h.witness], seed=args.seed)
-    _emit(args, rep, f"delta: {float(rep_h.delta):.6g} by {rep_h.method}")
-    return EXIT_OK
+    return _Outcome(params={"method": rep_h.method},
+                    result={"delta": rep_h.delta,
+                            "delta_float": float(rep_h.delta),
+                            "points_used": rep_h.points_used},
+                    summary=f"delta: {float(rep_h.delta):.6g} by {rep_h.method}",
+                    witnesses=[rep_h.witness])
 
 
-def cmd_convexity(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "scan the geodesic convexity defect")
-    if rc >= 0:
-        return rc
-    if not isinstance(inp.space, spaces.WeightedGraph):
-        raise DomainError("convexity defect needs a graph space")
+@_operation("convexity", "scan the geodesic convexity defect")
+def _convexity(args, inp):
     rep_c = hyperbolicity.convexity_defect(inp.space, grid=args.grid)
-    rep = reports.Report(operation="convexity", params={"grid": args.grid},
-                         status="computed",
-                         result={"defect": rep_c.defect,
-                                 "defect_float": float(rep_c.defect),
-                                 "samples": rep_c.samples},
-                         witnesses=[rep_c.witness], seed=args.seed)
-    _emit(args, rep, f"convexity defect: {float(rep_c.defect):.6g}")
-    return EXIT_OK
+    return _Outcome(params={"grid": args.grid},
+                    result={"defect": rep_c.defect,
+                            "defect_float": float(rep_c.defect),
+                            "samples": rep_c.samples},
+                    summary=f"convexity defect: {float(rep_c.defect):.6g}",
+                    witnesses=[rep_c.witness])
 
 
-def cmd_pack(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "compute a packing count")
-    if rc >= 0:
-        return rc
+@_operation("pack", "compute a packing count")
+def _pack(args, inp):
     x = inp.point(args.center)
     mode = "exact" if args.exact else "greedy"
     if args.orbit:
@@ -393,60 +351,36 @@ def cmd_pack(args):
     else:
         res = packing.packing_count(inp.space, x, rational(args.r),
                                     rational(args.R), mode=mode, cap=args.cap)
-    rep = reports.Report(operation="pack",
-                         params={"r": rational(args.r), "R": rational(args.R),
-                                 "mode": mode, "orbit": bool(args.orbit)},
-                         status="computed",
-                         result={"count": res.count, "method": res.method,
-                                 "candidates": res.candidates,
-                                 "centers": res.centers[:100]},
-                         seed=args.seed)
-    _emit(args, rep, f"pack: {res.count} ({res.method})")
-    return EXIT_OK
+    return _Outcome(params={"r": rational(args.r), "R": rational(args.R),
+                            "mode": mode, "orbit": bool(args.orbit)},
+                    result={"count": res.count, "method": res.method,
+                            "candidates": res.candidates,
+                            "centers": res.centers[:100]},
+                    summary=f"pack: {res.count} ({res.method})")
 
 
-def _systole_command(args, want):
-    inp = _Inputs(args)
-    rc = _dry_run(args, f"compute {want} over the sampled domain")
-    if rc >= 0:
-        return rc
-    if inp.action is None:
-        raise DomainError(f"{want} needs an action")
+@_operation("systole", "compute systole over the sampled domain", action=True)
+@_operation("diastole", "compute diastole over the sampled domain", action=True)
+def _systole(args, inp):
+    want = args.command
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
     rep_s = actions.systole(inp.action, sample, ceiling=args.ceiling)
-    rep = reports.Report(
-        operation=want,
+    headline = rep_s.systole if want == "systole" else rep_s.diastole
+    return _Outcome(
         params={"sample_size": len(sample)},
-        status="computed",
         result={"systole": rep_s.systole, "diastole": rep_s.diastole,
                 "torsion_free_systole": rep_s.torsion_free_systole,
                 "torsion_free_diastole": rep_s.torsion_free_diastole,
                 "per_point": [(p.point, p.systole, p.torsion_free_systole)
                               for p in rep_s.per_point]},
+        summary=f"{want}: {headline}",
         assumptions=(["sample-based statistics over the listed points"]
-                     + rep_s.warnings),
-        seed=args.seed)
-    headline = rep_s.systole if want == "systole" else rep_s.diastole
-    _emit(args, rep, f"{want}: {headline}")
-    return EXIT_OK
+                     + rep_s.warnings))
 
 
-def cmd_systole(args):
-    return _systole_command(args, "systole")
-
-
-def cmd_diastole(args):
-    return _systole_command(args, "diastole")
-
-
-def cmd_thin_set(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "classify the sampled thin set")
-    if rc >= 0:
-        return rc
-    if inp.action is None:
-        raise DomainError("thin-set needs an action")
+@_operation("thin-set", "classify the sampled thin set", action=True)
+def _thin_set(args, inp):
     sample = [inp.point(raw) for raw in args.sample.split(";")]
     adjacency = {p: [] for p in sample}
     for i, p in enumerate(sample):
@@ -456,66 +390,45 @@ def cmd_thin_set(args):
                 adjacency[q].append(p)
     rep_t = actions.thin_set(inp.action, rational(args.r), sample, adjacency,
                              ceiling=args.ceiling)
-    rep = reports.Report(
-        operation="thin-set",
+    return _Outcome(
         params={"r": rational(args.r), "adjacency": rational(args.adjacency)},
-        status="computed",
         result={"verdict": rep_t.verdict,
                 "torsion_free_verdict": rep_t.torsion_free_verdict,
                 "membership": [(p, m) for p, m in rep_t.membership.items()]},
-        seed=args.seed)
-    _emit(args, rep, f"thin-set: {rep_t.verdict}")
-    return EXIT_OK
+        summary=f"thin-set: {rep_t.verdict}")
 
 
-def cmd_margulis(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "scan displacement radii for nilpotency flips")
-    if rc >= 0:
-        return rc
-    if inp.action is None:
-        raise DomainError("margulis needs an action")
+@_operation("margulis", "scan displacement radii for nilpotency flips", action=True)
+def _margulis(args, inp):
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
     pts = actions.margulis_estimate(inp.action, sample,
                                     ceiling=rational(args.ceiling))
-    rep = reports.Report(
-        operation="margulis",
+    return _Outcome(
         params={"ceiling": rational(args.ceiling)},
-        status="computed",
         result={"per_point": [(p.point, p.estimate, p.attained,
                                p.provenance) for p in pts],
                 "entropy_margulis_constant": "alpha0(delta0,H0)"},
+        summary=(f"margulis: min estimate "
+                 f"{min(float(p.estimate) for p in pts):.6g}"),
         assumptions=["the entropy-Margulis constant alpha0(delta0,H0) has no "
-                     "published value and is reported symbolically only"],
-        seed=args.seed)
-    _emit(args, rep, f"margulis: min estimate "
-                     f"{min(float(p.estimate) for p in pts):.6g}")
-    return EXIT_OK
+                     "published value and is reported symbolically only"])
 
 
-def cmd_short_gens(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "greedy short generating family")
-    if rc >= 0:
-        return rc
-    if inp.action is None:
-        raise DomainError("short-gens needs an action")
+@_operation("short-gens", "greedy short generating family", action=True)
+def _short_gens(args, inp):
     res = actions.short_generators(inp.action, inp.point(args.center),
                                    rational(args.R))
     status = "ok" if (res.reach_ok and res.separation_ok) else "violated"
-    rep = reports.Report(
-        operation="short-gens",
+    return _Outcome(
         params={"R": rational(args.R)},
-        status=status,
         result={"count": len(res.elements),
                 "codiameter": res.codiameter,
                 "index_verdict": res.index_verdict, "index": res.index,
                 "orbit_points": res.orbit_points[:100]},
-        seed=args.seed)
-    _emit(args, rep, f"short-gens: {len(res.elements)} generators, "
-                     f"index {res.index} ({res.index_verdict})")
-    return _status_exit(status)
+        summary=(f"short-gens: {len(res.elements)} generators, "
+                 f"index {res.index} ({res.index_verdict})"),
+        status=status)
 
 
 def _nu_oracle(args):
@@ -531,48 +444,37 @@ def _nu_oracle(args):
     return actions.NuOracle(table)
 
 
-def cmd_bounds(args):
-    rc = _dry_run(args, f"evaluate bound formula {args.kind}")
-    if rc >= 0:
-        return rc
+@_operation("bounds", "evaluate bound formula {kind}", inputs=False)
+def _bounds(args, _inp):
     params = {}
     for name in ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r"):
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
     value = actions.evaluate_bound(args.kind, params, nu=_nu_oracle(args))
-    rep = reports.Report(operation="bounds",
-                         params={"kind": args.kind, **params},
-                         status="computed", result={"value": value},
-                         seed=args.seed)
-    _emit(args, rep, f"bounds {args.kind}: {value:.9g}")
-    return EXIT_OK
+    return _Outcome(params={"kind": args.kind, **params},
+                    result={"value": value},
+                    summary=f"bounds {args.kind}: {value:.9g}")
 
 
-def cmd_check(args):
-    rc = _dry_run(args, f"cross-check measured value against {args.kind}")
-    if rc >= 0:
-        return rc
+@_operation("check", "cross-check measured value against {kind}", inputs=False)
+def _check(args, _inp):
     params = json.loads(args.params)
     rep_c = actions.bound_cross_check(args.kind, args.measured, params,
                                       nu=_nu_oracle(args),
                                       assumptions=args.assume or [])
     status = "holds" if rep_c.holds else "violated"
-    rep = reports.Report(operation="check",
-                         params={"kind": args.kind, "measured": args.measured,
-                                 **params},
-                         status=status,
-                         result={"bound": rep_c.bound, "slack": rep_c.slack,
-                                 "direction": rep_c.direction},
-                         assumptions=rep_c.assumptions, seed=args.seed)
-    _emit(args, rep, f"check {args.kind}: {status} (slack {rep_c.slack:.6g})")
-    return _status_exit(status)
+    return _Outcome(params={"kind": args.kind, "measured": args.measured,
+                            **params},
+                    result={"bound": rep_c.bound, "slack": rep_c.slack,
+                            "direction": rep_c.direction},
+                    summary=(f"check {args.kind}: {status} "
+                             f"(slack {rep_c.slack:.6g})"),
+                    status=status, assumptions=rep_c.assumptions)
 
 
-def cmd_reproduce(args):
-    rc = _dry_run(args, f"reproduce scenario {args.scenario}")
-    if rc >= 0:
-        return rc
+@_operation("reproduce", "reproduce scenario {scenario}", inputs=False)
+def _reproduce(args, _inp):
     if args.scenario != "glued-line":
         raise DomainError(f"unknown scenario {args.scenario!r}")
     space, action, measure = presets.glued_line_instance(args.r0, args.eps)
@@ -580,48 +482,37 @@ def cmd_reproduce(args):
     params = curvature.BGParams(r0, args.C, args.K)
     cert = curvature.check_weak_bg(space, measure, space.tip(0), params,
                                    r0 + 4 * space.eps)
-    payload, witnesses = _certificate_payload(cert)
-    payload["ball_at_r0_plus_eps"] = measures.ball_mass(
+    out = _certificate_outcome(
+        cert, {"scenario": args.scenario, "r0": r0, "eps": rational(args.eps),
+               "C": args.C, "K": args.K}, f"reproduce {args.scenario}")
+    out.result["ball_at_r0_plus_eps"] = measures.ball_mass(
         measure, space, space.tip(0), r0 + space.eps, closed=False)
-    payload["ball_at_doubled"] = measures.ball_mass(
+    out.result["ball_at_doubled"] = measures.ball_mass(
         measure, space, space.tip(0), 2 * (r0 + space.eps), closed=False)
-    rep = reports.Report(operation="reproduce",
-                         params={"scenario": args.scenario, "r0": r0,
-                                 "eps": rational(args.eps), "C": args.C,
-                                 "K": args.K},
-                         status=cert.status, result=payload,
-                         witnesses=witnesses, seed=args.seed)
-    _emit(args, rep, f"reproduce {args.scenario}: {cert.status}")
-    return _status_exit(cert.status)
+    return out
 
 
-def cmd_cover(args):
-    inp = _Inputs(args)
-    rc = _dry_run(args, "materialize the universal cover window")
-    if rc >= 0:
-        return rc
+@_operation("cover", "materialize the universal cover window")
+def _cover(args, inp):
     if not isinstance(inp.space, spaces.WeightedGraph):
         raise DomainError("cover needs a graph space")
     base = inp.point(args.center, default=sorted(
         inp.space.vertices, key=spaces.point_key)[0])
     cover = covers.universal_cover(inp.space, base, rational(args.window))
-    rep = reports.Report(
-        operation="cover",
-        params={"window": rational(args.window)},
-        status="computed",
-        result={"betti": cover.betti(),
-                "vertices_materialized": len(cover.vertices),
-                "deck_rank": len(cover.generator_words)},
-        seed=args.seed)
-    _emit(args, rep, f"cover: b1 = {cover.betti()}, "
-                     f"{len(cover.vertices)} vertices in window")
-    return EXIT_OK
+    return _Outcome(params={"window": rational(args.window)},
+                    result={"betti": cover.betti(),
+                            "vertices_materialized": len(cover.vertices),
+                            "deck_rank": len(cover.generator_words)},
+                    summary=(f"cover: b1 = {cover.betti()}, "
+                             f"{len(cover.vertices)} vertices in window"))
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(sub, center=True):
+def _subcommand(subs, name, summary, center=True):
+    """A subparser with the options every space-reading subcommand takes."""
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("--space", help="space description JSON file")
     sub.add_argument("--action", help="action description JSON file")
     sub.add_argument("--measure",
@@ -629,14 +520,12 @@ def _add_common(sub, center=True):
     sub.add_argument("--preset", help="bundled instance "
                      "(lattice2, free2, atom, torusM, lineM, glued-line)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; evaluation is "
-                          "deterministic and sequential")
     sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--csv", help="also write the tabular payload to CSV")
     sub.add_argument("--dry-run", action="store_true")
     if center:
         sub.add_argument("--center", help="center point (JSON)")
+    return sub
 
 
 def build_parser():
@@ -646,96 +535,71 @@ def build_parser():
                     "metric measure spaces")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("validate", help="metric diagnostics for a space")
-    _add_common(p, center=False)
-    p.set_defaults(handler=cmd_validate)
+    _subcommand(subs, "validate", "metric diagnostics for a space", center=False)
 
-    p = subs.add_parser("balls", help="enumerate a ball and its mass")
-    _add_common(p)
+    p = _subcommand(subs, "balls", "enumerate a ball and its mass")
     p.add_argument("--r", required=True)
     p.add_argument("--closed", action="store_true")
-    p.set_defaults(handler=cmd_balls)
 
-    p = subs.add_parser("certify-bg", help="weak concentric-ball certificate")
-    _add_common(p)
+    p = _subcommand(subs, "certify-bg", "weak concentric-ball certificate")
     p.add_argument("--r0", required=True)
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--rmax", required=True)
     p.add_argument("--all-centers", dest="all_centers",
                    help="semicolon-separated center list")
-    p.set_defaults(handler=cmd_certify_bg)
 
-    p = subs.add_parser("synthetic", help="dimension-style growth certificate")
-    _add_common(p)
+    p = _subcommand(subs, "synthetic", "dimension-style growth certificate")
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--rmax", required=True)
-    p.set_defaults(handler=cmd_synthetic)
 
-    p = subs.add_parser("doubling", help="doubling constant on [r0/2, 5r0/2]")
-    _add_common(p)
+    p = _subcommand(subs, "doubling", "doubling constant on [r0/2, 5r0/2]")
     p.add_argument("--r0", required=True)
-    p.set_defaults(handler=cmd_doubling)
 
-    p = subs.add_parser("entropy", help="growth profile and entropy estimate")
-    _add_common(p)
+    p = _subcommand(subs, "entropy", "growth profile and entropy estimate")
     p.add_argument("--rmax", required=True)
     p.add_argument("--step", default="1")
     p.add_argument("--tail", type=float, default=0.3)
-    p.set_defaults(handler=cmd_entropy)
 
-    p = subs.add_parser("delta", help="hyperbolicity constants")
-    _add_common(p)
+    p = _subcommand(subs, "delta", "hyperbolicity constants")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int)
     p.add_argument("--thin", action="store_true",
                    help="thin-triangle constant along graph geodesics")
     p.add_argument("--radius", default="3",
                    help="ball radius supplying points on infinite spaces")
-    p.set_defaults(handler=cmd_delta)
 
-    p = subs.add_parser("convexity", help="geodesic convexity defect")
-    _add_common(p)
+    p = _subcommand(subs, "convexity", "geodesic convexity defect")
     p.add_argument("--grid", type=int, default=8)
-    p.set_defaults(handler=cmd_convexity)
 
-    p = subs.add_parser("pack", help="packing counts")
-    _add_common(p)
+    p = _subcommand(subs, "pack", "packing counts")
     p.add_argument("--r", required=True)
     p.add_argument("--R", required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--orbit", action="store_true",
                    help="restrict centers to the orbit of the center point")
     p.add_argument("--cap", type=int, default=packing.EXACT_CAP)
-    p.set_defaults(handler=cmd_pack)
 
-    for name, handler in (("systole", cmd_systole), ("diastole", cmd_diastole)):
-        p = subs.add_parser(name, help=f"{name} over a sampled domain")
-        _add_common(p, center=False)
+    for name in ("systole", "diastole"):
+        p = _subcommand(subs, name, f"{name} over a sampled domain", center=False)
         p.add_argument("--sample", help="semicolon-separated point list")
         p.add_argument("--ceiling")
-        p.set_defaults(handler=handler)
 
-    p = subs.add_parser("thin-set", help="thin-set membership and connectivity")
-    _add_common(p, center=False)
+    p = _subcommand(subs, "thin-set", "thin-set membership and connectivity",
+                    center=False)
     p.add_argument("--r", required=True)
     p.add_argument("--sample", required=True)
     p.add_argument("--adjacency", default="1",
                    help="sample points within this distance are adjacent")
     p.add_argument("--ceiling")
-    p.set_defaults(handler=cmd_thin_set)
 
-    p = subs.add_parser("margulis", help="nilpotency flip radii")
-    _add_common(p, center=False)
+    p = _subcommand(subs, "margulis", "nilpotency flip radii", center=False)
     p.add_argument("--sample")
     p.add_argument("--ceiling", required=True)
-    p.set_defaults(handler=cmd_margulis)
 
-    p = subs.add_parser("short-gens", help="short generating family")
-    _add_common(p)
+    p = _subcommand(subs, "short-gens", "short generating family")
     p.add_argument("--R", required=True)
-    p.set_defaults(handler=cmd_short_gens)
 
     p = subs.add_parser("bounds", help="evaluate an explicit bound formula")
     p.add_argument("kind")
@@ -747,7 +611,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--csv")
-    p.set_defaults(handler=cmd_bounds)
 
     p = subs.add_parser("check", help="measured quantity vs bound formula")
     p.add_argument("kind")
@@ -758,7 +621,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--csv")
-    p.set_defaults(handler=cmd_check)
 
     p = subs.add_parser("reproduce",
                         help="rebuild a bundled counterexample scenario")
@@ -770,12 +632,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--csv")
-    p.set_defaults(handler=cmd_reproduce)
 
-    p = subs.add_parser("cover", help="universal cover window summary")
-    _add_common(p)
+    p = _subcommand(subs, "cover", "universal cover window summary")
     p.add_argument("--window", required=True)
-    p.set_defaults(handler=cmd_cover)
 
     return parser
 
@@ -786,11 +645,21 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
+    plan, takes_inputs, needs_action, compute = _OPERATIONS[args.command]
     try:
-        return args.handler(args)
+        inp = _Inputs(args) if takes_inputs else None
+        if args.dry_run:
+            print(f"dry-run: {plan.format_map(vars(args))}", file=sys.stderr)
+            return EXIT_OK
+        if needs_action and inp.action is None:
+            raise DomainError(f"{args.command} needs an action")
+        out = compute(args, inp)
+        rep = reports.Report(operation=args.command, params=out.params,
+                             status=out.status, result=out.result,
+                             witnesses=out.witnesses,
+                             assumptions=out.assumptions, seed=args.seed)
+        _emit(args, rep, out.summary)
+        return _status_exit(out.status)
     except KeyError as exc:
         print(f"error: missing input field {exc}", file=sys.stderr)
         return EXIT_ERROR

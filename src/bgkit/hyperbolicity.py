@@ -17,9 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels, spaces
+from . import spaces
 from .exact import DomainError, rational
 
 FOUR_POINT_CAP = 150
@@ -55,7 +53,6 @@ class HyperbolicityReport:
     method: str
     witness: tuple
     points_used: int
-    backend: str = ""
 
 
 def four_point_delta(space, points=None, mode="exhaustive", count=2000,
@@ -74,6 +71,7 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
         return HyperbolicityReport(delta=Fraction(0), method=mode,
                                    witness=(), points_used=n)
     if mode == "exhaustive":
+        from . import _kernels
         if n > cap:
             raise DomainError(
                 f"{n} points exceed the exhaustive cap {cap}; use sampled mode")
@@ -89,13 +87,12 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
             dmat = [[space.distance(a, b) for b in pts] for a in pts]
         ints, scale = _kernels.scale_to_int(
             [d for row in dmat for d in row])
-        arr = np.array(ints, dtype=np.int64).reshape(n, n)
-        two_delta, i, j, k, l = _kernels.four_point_scan(arr)
+        two_delta, i, j, k, l = _kernels.four_point_scan(
+            [ints[row:row + n] for row in range(0, n * n, n)])
         delta = Fraction(max(int(two_delta), 0), 2 * scale)
         witness = (pts[i], pts[j], pts[k], pts[l])
         return HyperbolicityReport(delta=delta, method="four_point_exhaustive",
-                                   witness=witness, points_used=n,
-                                   backend=_kernels.backend())
+                                   witness=witness, points_used=n)
     if mode == "sampled":
         rng = random.Random(seed)
         best = Fraction(0)

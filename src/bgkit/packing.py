@@ -367,6 +367,7 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
     """
     from .measures import CountingOrbitMeasure
     r, R = rational(r), rational(R)
+    sup_sample = list(sup_sample)
     space = action.space
     counting = CountingOrbitMeasure(action, x)
     lower = (Fraction(ball_mass(counting, space, x, R - r, closed=True))
@@ -392,5 +393,5 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
         r=r, R=R, counting_lower=lower, pack_orbit=pack_orbit.count,
         invariant_ratio=inv_ratio, pack_all=pack_all.count,
         sup_ratio=sup_ratio, chain_holds=chain, lemma_pack_vs_orbit=lemma,
-        details={"sup_sample_size": len(list(sup_sample)),
+        details={"sup_sample_size": len(sup_sample),
                  "codiameter": D})

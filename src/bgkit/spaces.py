@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
-
-from scipy.integrate import quad
 import math
+from fractions import Fraction
 
 from .exact import DomainError, WindowError, rational, fmt_rational
 from . import groups
@@ -282,30 +280,18 @@ class WeightedGraph(Space):
         Falls back to per-source Dijkstra when the weights do not scale into
         the kernel's int64 range.  Disconnected pairs come back as None.
         """
-        import numpy as np
         from . import _kernels
-        n = len(self.vertices)
         idx = {v: i for i, v in enumerate(self.vertices)}
         try:
             ints, scale = _kernels.scale_to_int([w for _u, _v, w in self.edges])
         except OverflowError:
             return [[self._dijkstra(u).get(v) for v in self.vertices]
                     for u in self.vertices]
-        mat = np.full((n, n), _kernels.INF, dtype=np.int64)
-        np.fill_diagonal(mat, 0)
-        for (u, v, _w), iw in zip(self.edges, ints):
-            i, j = idx[u], idx[v]
-            if iw < mat[i, j]:
-                mat[i, j] = mat[j, i] = np.int64(iw)
-        dist = _kernels.floyd_warshall(mat)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                cell = int(dist[i, j])
-                row.append(None if cell >= _kernels.INF else Fraction(cell, scale))
-            out.append(row)
-        return out
+        dist = _kernels.graph_distances(
+            len(self.vertices),
+            [(idx[u], idx[v], iw) for (u, v, _w), iw in zip(self.edges, ints)])
+        return [[None if cell is None else Fraction(cell, scale) for cell in row]
+                for row in dist]
 
     def diameter(self) -> Fraction:
         best = Fraction(0)
@@ -615,6 +601,7 @@ def model_ball_volume(profile: ModelProfile, r) -> float:
     upper = r
     if profile.kappa > 0:
         upper = min(r, math.pi / math.sqrt(profile.kappa))
+    from scipy.integrate import quad
     value, _err = quad(lambda t: profile.s(t) ** exponent, 0.0, upper,
                        epsrel=1e-9, epsabs=0.0, limit=200)
     return value

@@ -57,7 +57,7 @@ def test_synthetic_preset(capsys):
     assert code == 0
 
 
-def test_balls_and_dry_run(capsys):
+def test_balls_and_dry_run(tmp_path, capsys):
     code, report, err = invoke(
         ["balls", "--preset", "free2", "--r", "3", "--closed"], capsys)
     assert code == 0
@@ -67,6 +67,17 @@ def test_balls_and_dry_run(capsys):
     assert code2 == 0
     assert captured.out == ""
     assert "dry-run" in captured.err
+    # input errors come before --dry-run, operation checks after it
+    assert run(["balls", "--preset", "nosuch", "--r", "3", "--dry-run"]) == 1
+    assert "unknown preset" in capsys.readouterr().err
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"kind": "graph", "vertices": [0, 1],
+                                "edges": [[0, 1, "1"]]}))
+    assert run(["systole", "--space", str(path), "--dry-run"]) == 0
+    assert capsys.readouterr().err == \
+        "dry-run: compute systole over the sampled domain\n"
+    assert run(["systole", "--space", str(path)]) == 1
+    assert "systole needs an action" in capsys.readouterr().err
 
 
 def test_entropy_csv_export(tmp_path, capsys):

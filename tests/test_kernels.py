@@ -1,14 +1,49 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bgkit import _kernels
-from bgkit.hyperbolicity import four_point_delta
-from bgkit.spaces import WeightedGraph
+
+
+def _four_point_py(dist):
+    """Plain quadruple loop: the oracle for four_point_scan."""
+    n = dist.shape[0]
+    best = np.int64(-1)
+    wi = wj = wk = wl = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = dist[i, j]
+            for k in range(j + 1, n):
+                dik = dist[i, k]
+                djk = dist[j, k]
+                for l in range(k + 1, n):
+                    s1 = dij + dist[k, l]
+                    s2 = dik + dist[j, l]
+                    s3 = dist[i, l] + djk
+                    hi = max(s1, s2, s3)
+                    lo = min(s1, s2, s3)
+                    two_delta = 2 * hi + lo - (s1 + s2 + s3)
+                    if two_delta > best:
+                        best = two_delta
+                        wi, wj, wk, wl = i, j, k, l
+    return best, wi, wj, wk, wl
+
+
+def _floyd_warshall_py(w):
+    """Plain triple loop: the oracle for floyd_warshall."""
+    n = w.shape[0]
+    dist = w.copy()
+    for k in range(n):
+        for i in range(n):
+            dik = dist[i, k]
+            if dik >= _kernels.INF:
+                continue
+            for j in range(n):
+                alt = dik + dist[k, j]
+                if alt < dist[i, j]:
+                    dist[i, j] = alt
+    return dist
 
 
 def random_metric_ints(n, seed):
@@ -24,12 +59,10 @@ def as_ints(scan):
 
 def test_four_point_backends_agree():
     # full (2*delta, i, j, k, l) tuples: the witness lands in the delta report,
-    # so both backends must pick the same (lexicographically first) quadruple
+    # so the kernel must pick the oracle's (lexicographically first) quadruple
     for n, seed in [(6, 1), (6, 6), (8, 6), (8, 0), (12, 1), (20, 2)]:
         d = random_metric_ints(n, seed)
-        want = as_ints(_kernels._four_point_py(d))
-        assert as_ints(_kernels.four_point_scan(d)) == want
-        assert as_ints(_kernels._four_point_numpy(d)) == want
+        assert as_ints(_kernels.four_point_scan(d)) == as_ints(_four_point_py(d))
 
 
 def test_four_point_witness_reproduces_value():
@@ -50,10 +83,7 @@ def test_floyd_warshall_backends_agree():
         if i != j:
             w[i, j] = w[j, i] = int(rng.integers(1, 20))
     got = _kernels.floyd_warshall(w)
-    want = _kernels._floyd_warshall_numpy(w)
-    assert (got == want).all()
-    pure = _kernels._floyd_warshall_py(w.copy())
-    assert (got == pure).all()
+    assert (got == _floyd_warshall_py(w)).all()
 
 
 def test_scale_to_int_exact():
@@ -63,39 +93,3 @@ def test_scale_to_int_exact():
     assert ints == [2, 3, 5]
     with pytest.raises(OverflowError):
         _kernels.scale_to_int([Fraction(1, 10 ** 30), 1])
-
-
-def run_python(code, env):
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_pure_numpy_env_flag():
-    code = ("import bgkit._kernels as k; "
-            "print(k.backend())")
-    env = {**os.environ, "BGKIT_PURE_NUMPY": "1"}
-    assert run_python(code, env) == "numpy"
-    # without the flag numba is used exactly when it imports in the same
-    # interpreter and environment
-    env.pop("BGKIT_PURE_NUMPY")
-    probe = subprocess.run([sys.executable, "-c", "import numba"], env=env,
-                           capture_output=True)
-    expected = "numba" if probe.returncode == 0 else "numpy"
-    assert run_python(code, env) == expected
-
-
-def test_fallback_matches_under_env_flag():
-    # full pipeline equality: four-point delta on C6 computed in a
-    # pure-numpy subprocess matches the in-process value (numba when importable)
-    code = (
-        "from bgkit.spaces import WeightedGraph\n"
-        "from bgkit.hyperbolicity import four_point_delta\n"
-        "g = WeightedGraph(list(range(6)), [(i, (i+1) % 6, 1) for i in range(6)])\n"
-        "print(four_point_delta(g).delta)\n")
-    env = {**os.environ, "BGKIT_PURE_NUMPY": "1"}
-    out = run_python(code, env)
-    assert out == "1"
-    g = WeightedGraph(list(range(6)), [(i, (i + 1) % 6, 1) for i in range(6)])
-    assert out == str(four_point_delta(g).delta)

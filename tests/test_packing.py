@@ -150,6 +150,12 @@ def test_sandwich_line_translation():
             rep = sandwich_check(act, mu, (0,), r, R,
                                  sup_sample=[(i,) for i in range(10)], cap=400)
             assert rep.chain_holds
+            assert rep.details["sup_sample_size"] == 10
+    # a generator sample is read once and still counted in full
+    rep = sandwich_check(act, mu, (0,), 1, 3,
+                         sup_sample=((i,) for i in range(10)), cap=400)
+    assert rep.chain_holds
+    assert rep.details["sup_sample_size"] == 10
 
 
 def test_sandwich_torus_with_lemma():
