@@ -2,8 +2,10 @@
 
 An action binds a built-in group family to one of the space variants by an
 explicit rule (left translation on a Cayley graph, lattice translation,
-glued-line shift, vertex permutation, deck transformation).  On top of the
-exhaustive orbit machinery this module implements displacement sets
+glued-line shift, vertex permutation, deck transformation).  Orbit
+displacements come out as a `measures.DistanceProfile`, from sphere sizes
+where the word metric gives them and from enumeration otherwise.  On top
+of the exhaustive orbit machinery this module implements displacement sets
 Sigma_r(x), systole/diastole statistics, thin sets, Margulis-constant
 scans, short generating families, and evaluators plus instance
 cross-checks for the explicit bound formulas of the comparison theory.
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from . import groups, packing, spaces
 from .exact import DomainError, WindowError, fmt_rational, rational
+from .measures import DistanceProfile
 
 ORBIT_BUDGET = 2_000_000
 
@@ -50,24 +53,15 @@ class GroupAction:
         out.sort(key=lambda gd: (gd[1], self.family.serialize(gd[0])))
         return out
 
-    def displacement_profile(self, base, center, upto):
-        """(distances, cumulative masses) of d(center, g*base) up to `upto`.
+    def displacement_profile(self, base, center, upto) -> DistanceProfile:
+        """Returns a `DistanceProfile` of d(center, g*base) up to `upto`.
 
         Exact; the default builds it from enumeration, subclasses override
         with closed forms where the word metric gives them.
         """
         upto = rational(upto)
         rows = self.elements_moving_near(base, center, upto)
-        tally = {}
-        for _g, _p, d in rows:
-            tally[d] = tally.get(d, 0) + 1
-        dists = sorted(tally)
-        cum = []
-        total = 0
-        for d in dists:
-            total += tally[d]
-            cum.append(Fraction(total))
-        return dists, cum
+        return DistanceProfile(((d, 1) for _g, _p, d in rows), upto)
 
     def is_free_on(self, x) -> bool:
         """No nontrivial stabilizer at x among enumerated elements."""
@@ -100,6 +94,12 @@ class GroupAction:
         raise NotImplementedError
 
 
+def _sphere_profile(spheres, step, upto) -> DistanceProfile:
+    """Profile of sphere sizes at distances 0, step, 2*step, ...; the int
+    distances and counts become Fractions once, in the constructor."""
+    return DistanceProfile(zip(itertools.count(0, step), spheres), upto)
+
+
 class LeftTranslationAction(GroupAction):
     """The family acting on its own Cayley graph by left multiplication."""
 
@@ -126,19 +126,10 @@ class LeftTranslationAction(GroupAction):
 
     def displacement_profile(self, base, center, upto):
         upto = rational(upto)
-        int_r = math.floor(upto)
-        spheres = self.family.sphere_sizes(max(int_r, 0))
+        spheres = self.family.sphere_sizes(max(math.floor(upto), 0))
         if spheres is None:
             return super().displacement_profile(base, center, upto)
-        dists, cum = [], []
-        total = 0
-        for i, count in enumerate(spheres):
-            if count == 0:
-                continue
-            total += count
-            dists.append(Fraction(i))
-            cum.append(Fraction(total))
-        return dists, cum
+        return _sphere_profile(spheres, 1, upto)
 
     def quotient_diameter(self, sample=None):
         return Fraction(0)
@@ -255,18 +246,9 @@ class LatticeTranslationAction(GroupAction):
     def displacement_profile(self, base, center, upto):
         upto = rational(upto)
         if self._scale is not None and base == center:
-            m = self._scale
-            int_r = math.floor(upto / m)
-            spheres = groups.FreeAbelianFamily(self.j).sphere_sizes(max(int_r, 0))
-            dists, cum = [], []
-            total = 0
-            for i, cnt in enumerate(spheres):
-                if cnt == 0:
-                    continue
-                total += cnt
-                dists.append(Fraction(i * m))
-                cum.append(Fraction(total))
-            return dists, cum
+            spheres = self.family.sphere_sizes(
+                max(math.floor(upto / self._scale), 0))
+            return _sphere_profile(spheres, self._scale, upto)
         return super().displacement_profile(base, center, upto)
 
     def quotient_diameter(self, sample=None):

@@ -71,6 +71,14 @@ def _weight_key(key):
         return key
 
 
+def _preset_size(name, prefix, default):
+    """The integer after `prefix` in a sized preset name like torus7."""
+    try:
+        return int(name[len(prefix):] or default)
+    except ValueError:
+        raise DomainError(f"unknown preset {name!r}") from None
+
+
 class _Inputs:
     def __init__(self, args):
         self.args = args
@@ -137,10 +145,10 @@ class _Inputs:
             self.space, self.action, self.measure = table[name]()
         elif name.startswith("torus"):
             self.space, self.action, self.measure = presets.torus_instance(
-                int(name[len("torus"):] or 5))
+                _preset_size(name, "torus", 5))
         elif name.startswith("line"):
             self.space, self.action, self.measure = \
-                presets.line_translation_instance(int(name[len("line"):] or 1))
+                presets.line_translation_instance(_preset_size(name, "line", 1))
         elif name == "glued-line":
             self.space, self.action, self.measure = presets.glued_line_instance()
         else:
@@ -155,7 +163,9 @@ class _Inputs:
             if isinstance(self.space, spaces.GluedLineSpace):
                 return self.space.tip(0)
             return self.space.support()[0]
-        return _decode_point(raw, self.space)
+        point = _decode_point(raw, self.space)
+        self.space.check_point(point)
+        return point
 
 
 def _emit(args, report: reports.Report, summary: str):

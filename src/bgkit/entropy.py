@@ -130,7 +130,6 @@ def entropy_bg_consistency(space, measure: Measure, center, certificate,
     matching factor C for which the weak inequality verifies up to r_max,
     returning the first hit.
     """
-    from . import curvature
     if certificate is not None:
         if not certificate.verified:
             raise DomainError("consistency check needs a verified certificate")
@@ -161,10 +160,12 @@ def entropy_bg_consistency(space, measure: Measure, center, certificate,
 def _search_weak_params(space, measure, center, K, r_max):
     from . import curvature
     r_max = rational(r_max)
-    for r0 in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
-        if r0 > r_max:
-            break
-        profile = measure.profile(space, center, 2 * r_max)
+    scales = [r0 for r0 in (Fraction(1, 2), Fraction(1), Fraction(2),
+                            Fraction(3)) if r0 <= r_max]
+    if not scales:
+        return None
+    profile = measure.profile(space, center, 2 * r_max)
+    for r0 in scales:
         needed = 1.0
         feasible = True
         for radius, lhs, _form in curvature._critical_checks(profile, r0, r_max):

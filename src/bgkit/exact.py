@@ -41,7 +41,8 @@ def rational(value) -> Fraction:
     """Coerce ints, Fractions, floats and 'p/q' strings to an exact Fraction.
 
     Floats convert exactly (every binary float is rational), so callers may
-    pass literals like 0.5 without losing exactness.
+    pass literals like 0.5 without losing exactness.  Strings that are no
+    rational, zero denominators included, raise DomainError.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,7 +51,10 @@ def rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 

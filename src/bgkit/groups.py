@@ -44,6 +44,10 @@ class GroupFamily:
         """Length of a in the standard generators."""
         raise NotImplementedError
 
+    def is_element(self, a) -> bool:
+        """True when `a` is an element written in its canonical form."""
+        raise NotImplementedError
+
     def sphere_sizes(self, radius: int):
         """[#{g : |g| = i} for i in 0..radius], exact; None when no closed form."""
         return None
@@ -83,6 +87,9 @@ class TrivialFamily(GroupFamily):
 
     def word_length(self, a):
         return 0
+
+    def is_element(self, a):
+        return a == ()
 
     def sphere_sizes(self, radius):
         return [1] + [0] * radius
@@ -127,6 +134,13 @@ class FreeFamily(GroupFamily):
 
     def word_length(self, a):
         return len(a)
+
+    def is_element(self, a):
+        # a reduced word over the letters +-1..+-rank
+        return (isinstance(a, tuple)
+                and all(type(x) is int and 1 <= abs(x) <= self.rank
+                        for x in a)
+                and all(x != -y for x, y in zip(a, a[1:])))
 
     def sphere_sizes(self, radius):
         # 2k(2k-1)^(i-1) reduced words of length i >= 1.
@@ -187,6 +201,10 @@ class FreeAbelianFamily(GroupFamily):
 
     def word_length(self, a):
         return sum(abs(x) for x in a)
+
+    def is_element(self, a):
+        return (isinstance(a, tuple) and len(a) == self.rank
+                and all(type(x) is int for x in a))
 
     def sphere_sizes(self, radius):
         # Counts of lattice points of given l1 norm, by convolving the
@@ -274,6 +292,10 @@ class FinitePermutationFamily(GroupFamily):
             raise DomainError("element not in the generated permutation group")
         return lengths[a]
 
+    def is_element(self, a):
+        return (isinstance(a, tuple) and all(type(x) is int for x in a)
+                and a in self._closure())
+
     def sphere_sizes(self, radius):
         sizes = [0] * (radius + 1)
         for length in self._closure().values():
@@ -322,6 +344,10 @@ class ProductFamily(GroupFamily):
 
     def word_length(self, a):
         return sum(f.word_length(x) for f, x in zip(self.factors, a))
+
+    def is_element(self, a):
+        return (isinstance(a, tuple) and len(a) == len(self.factors)
+                and all(f.is_element(x) for f, x in zip(self.factors, a)))
 
     def sphere_sizes(self, radius):
         sizes = [1] + [0] * radius

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spaces
+from .actions import PairCheck
 from .exact import DomainError, rational
 
 FOUR_POINT_CAP = 150
@@ -265,17 +266,6 @@ def convexity_defect(graph, triples=None, grid=8, origin=None,
 # -- concentric-ball bounds for actions on hyperbolic-like spaces -------------
 
 
-@dataclass
-class CocompactPair:
-    r: Fraction
-    R: Fraction
-    formula: str
-    lhs: Fraction | None
-    rhs: float | None
-    holds: bool | None
-    note: str = ""
-
-
 def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
     """Concentric-ball ratio bounds under (delta, D, K) inputs.
 
@@ -306,26 +296,26 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
                 rhs = (3.0 * math.exp(K * D_f)
                        * float(R / r) ** (25.0 / 4.0 + 6.0 * K * D_f)
                        * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(CocompactPair(r, R, "invariant(i)", lhs, rhs,
-                                         float(lhs) <= rhs * (1 + 1e-12)))
+                out.append(PairCheck(r, R, "invariant(i)", lhs, rhs,
+                                     float(lhs) <= rhs * (1 + 1e-12)))
             else:
-                out.append(CocompactPair(r, R, "invariant(i)", None, None, None,
-                                         note="skipped: r below (5/2)(7D+4delta)"))
+                out.append(PairCheck(r, R, "invariant(i)", None, None, None,
+                                     note="skipped: r below (5/2)(7D+4delta)"))
         if r >= scale_ii:
             lhs = (Fraction(ball_mass(counting, space, x, 2 * r, closed=True))
                    / ball_mass(counting, space, x, r, closed=False))
             rhs = 3.0 ** 4 * math.exp(6.5 * K * float(r))
-            out.append(CocompactPair(r, 2 * r, "counting-doubling(ii)", lhs, rhs,
-                                     float(lhs) <= rhs * (1 + 1e-12)))
+            out.append(PairCheck(r, 2 * r, "counting-doubling(ii)", lhs, rhs,
+                                 float(lhs) <= rhs * (1 + 1e-12)))
             if R >= r:
                 lhs = (Fraction(ball_mass(counting, space, x, R, closed=True))
                        / ball_mass(counting, space, x, r, closed=False))
                 rhs = (3.0 * float(R / r) ** (25.0 / 4.0)
                        * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(CocompactPair(r, R, "counting-tail(ii)", lhs, rhs,
-                                         float(lhs) <= rhs * (1 + 1e-12)))
+                out.append(PairCheck(r, R, "counting-tail(ii)", lhs, rhs,
+                                     float(lhs) <= rhs * (1 + 1e-12)))
         else:
-            out.append(CocompactPair(r, 2 * r, "counting-doubling(ii)", None,
-                                     None, None,
-                                     note="skipped: r below 10(D+delta)"))
+            out.append(PairCheck(r, 2 * r, "counting-doubling(ii)", None,
+                                 None, None,
+                                 note="skipped: r below 10(D+delta)"))
     return out

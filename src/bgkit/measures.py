@@ -2,10 +2,12 @@
 
 A measure is a lazy view: it can enumerate its support near a point up to
 an explicit safe radius and it can produce an exact *distance profile*
-(sorted distances with cumulative masses) around a center.  Profiles are
-what the curvature scans consume; counting measures of standard actions
-produce them analytically, so ball masses of word-metric balls stay exact
-far beyond anything enumerable.
+(sorted distances with cumulative masses) around a center.  Every ball
+mass is a query on one `DistanceProfile`, which the curvature scans read
+too.  Vertex measures build it from enumerated support points; counting
+measures of standard actions get it from the action, analytically where
+the word metric allows, so ball masses of word-metric balls stay exact far
+beyond anything enumerable.
 """
 
 from __future__ import annotations
@@ -18,28 +20,39 @@ from . import spaces
 
 
 class DistanceProfile:
-    """Sorted distinct distances with exact cumulative masses."""
+    """Sorted distinct distances with exact cumulative masses.
 
-    def __init__(self, distances, cumulative, upto):
-        self.distances = list(distances)
-        self.cumulative = list(cumulative)
+    Built from (distance, mass) rows in any order: masses at one distance
+    add up, and a distance whose total mass is zero is no breakpoint.
+    Distances and cumulative masses are stored as Fractions.
+    """
+
+    def __init__(self, rows, upto):
+        tally = {}
+        for d, m in rows:
+            tally[d] = tally.get(d, 0) + m
+        self.distances, self.cumulative = [], []
+        total = 0
+        for d, m in sorted(tally.items()):
+            if m:
+                total += m
+                self.distances.append(Fraction(d))
+                self.cumulative.append(Fraction(total))
         self.upto = rational(upto)
-        if len(self.distances) != len(self.cumulative):
-            raise DomainError("profile length mismatch")
 
     def mass_lt(self, r) -> Fraction:
         """Total mass at distance strictly below r (open ball)."""
         r = rational(r)
         self._check(r)
         idx = bisect.bisect_left(self.distances, r)
-        return Fraction(self.cumulative[idx - 1]) if idx else Fraction(0)
+        return self.cumulative[idx - 1] if idx else Fraction(0)
 
     def mass_le(self, r) -> Fraction:
         """Total mass at distance at most r (closed ball)."""
         r = rational(r)
         self._check(r)
         idx = bisect.bisect_right(self.distances, r)
-        return Fraction(self.cumulative[idx - 1]) if idx else Fraction(0)
+        return self.cumulative[idx - 1] if idx else Fraction(0)
 
     def _check(self, r):
         if r > self.upto:
@@ -67,18 +80,7 @@ class Measure:
 
     def profile(self, space, center, upto) -> DistanceProfile:
         rows = self.support_with_mass(space, center, rational(upto), closed=True)
-        tally = {}
-        for _p, d, m in rows:
-            tally[d] = tally.get(d, Fraction(0)) + m
-        dists = sorted(tally)
-        cum, total = [], Fraction(0)
-        for d in dists:
-            total += tally[d]
-            cum.append(total)
-        return DistanceProfile(dists, cum, upto)
-
-    def safe_radius(self, space, center):
-        return space.safe_radius(center)
+        return DistanceProfile(((d, m) for _p, d, m in rows), upto)
 
 
 class VertexMeasure(Measure):
@@ -112,7 +114,8 @@ class CountingOrbitMeasure(Measure):
     """Counting measure of the orbit of a basepoint, with multiplicity.
 
     mass(p) = #{g : g x0 = p}; for the free built-in actions this is the
-    plain orbit counting measure.
+    plain orbit counting measure.  Its profile is the action's
+    displacement profile.
     """
 
     def __init__(self, action, basepoint):
@@ -121,34 +124,13 @@ class CountingOrbitMeasure(Measure):
         self.basepoint = basepoint
         self.description = f"counting_orbit({action.rule})"
 
-    def support_with_mass(self, space, center, r, closed=False):
-        if space is not self.action.space:
-            raise DomainError("counting measure queried on a different space")
-        r = rational(r)
-        rows = self.action.elements_moving_near(self.basepoint, center, r)
-        tally = {}
-        for _g, p, d in rows:
-            key = (d, spaces.point_key(p), p)
-            tally[key] = tally.get(key, 0) + 1
-        out = []
-        for (d, _k, p), mult in sorted(tally.items(), key=lambda kv: kv[0][:2]):
-            if closed or d < r:
-                if d <= r:
-                    out.append((p, d, Fraction(mult)))
-        return out
-
     def profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.action.space:
             raise DomainError("counting measure queried on a different space")
-        dists, cum = self.action.displacement_profile(self.basepoint, center,
-                                                      rational(upto))
-        return DistanceProfile(dists, cum, upto)
-
-    def safe_radius(self, space, center):
-        return space.safe_radius(center)
+        return self.action.displacement_profile(self.basepoint, center, upto)
 
 
-class PullbackMeasure(Measure):
+class PullbackMeasure(VertexMeasure):
     """Pull-back of a base-graph measure to a windowed universal cover.
 
     The mass of a lifted vertex is the mass of its projection, which makes
@@ -156,23 +138,16 @@ class PullbackMeasure(Measure):
     """
 
     def __init__(self, cover_data, base_measure: Measure):
+        super().__init__(weight_fn=lambda p: base_measure.mass(
+            cover_data.project(p)))
         self.cover = cover_data
         self.base_measure = base_measure
         self.description = "pullback"
 
-    def mass(self, point) -> Fraction:
-        base_point = self.cover.project(point)
-        return self.base_measure.mass(base_point)
-
     def support_with_mass(self, space, center, r, closed=False):
         if space is not self.cover.space:
             raise DomainError("pull-back measure queried outside its cover")
-        out = []
-        for p, d in spaces.enumerate_ball(space, center, r, closed=closed):
-            m = self.mass(p)
-            if m:
-                out.append((p, d, m))
-        return out
+        return super().support_with_mass(space, center, r, closed=closed)
 
 
 def counting_measure(action, basepoint) -> CountingOrbitMeasure:
@@ -188,7 +163,7 @@ def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
     r = rational(r)
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    safe = measure.safe_radius(space, x)
+    safe = space.safe_radius(x)
     if safe is not None and r > safe:
         raise WindowError(
             f"ball of radius {fmt_rational(r)} exceeds safe window "

@@ -386,11 +386,8 @@ class CayleySpace(Space):
         raise WindowError("Cayley support is infinite; enumerate balls instead")
 
     def is_point(self, x):
-        try:
-            self.family.word_length(x)
-            return True
-        except Exception:
-            return False
+        # canonical elements only: distance() trusts word_length on them
+        return self.family.is_element(x)
 
     def identity(self):
         return self.family.identity()

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,15 +41,41 @@ def test_free_orbit_counts():
     assert len(orbit_within(act, (1, 2), 2)) == 17
 
 
+def _counted_profile(act, base, center, upto):
+    """Slow oracle: distinct displacements with cumulative orbit counts."""
+    tally = Counter(d for _g, _p, d in
+                    act.elements_moving_near(base, center, upto))
+    dists = sorted(tally)
+    return dists, [sum(tally[e] for e in dists if e <= d) for d in dists]
+
+
 def test_displacement_profile_matches_enumeration():
     act = lattice_action()
-    dists, cum = act.displacement_profile((0, 0), (0, 0), 6)
-    assert dists == [Fraction(i) for i in range(7)]
-    assert cum[-1] == 2 * 36 + 12 + 1
+    profile = act.displacement_profile((0, 0), (0, 0), 6)
+    assert profile.distances == [Fraction(i) for i in range(7)]
+    assert profile.cumulative[-1] == 2 * 36 + 12 + 1
     # off-orbit-center profile falls back to enumeration and stays exact
-    dists2, cum2 = act.displacement_profile((0, 0), (2, 1), 4)
+    profile2 = act.displacement_profile((0, 0), (2, 1), 4)
     rows = act.elements_moving_near((0, 0), (2, 1), 4)
-    assert cum2[-1] == len(rows)
+    assert profile2.cumulative[-1] == len(rows)
+    # every closed-form profile against the counted orbit
+    torus5 = CayleySpace(FreeAbelianFamily(2))
+    line10 = CayleySpace(FreeAbelianFamily(1))
+    cases = [(free_action(), [(), (1, -2, 1)]),
+             (lattice_action(), [(0, 0), (3, -2)]),
+             (LeftTranslationAction(TrivialFamily()), [()]),
+             (LatticeTranslationAction(torus5, [[5, 0], [0, 5]]), [(0, 0)]),
+             (LatticeTranslationAction(line10, [[10]]), [(0,)])]
+    for act, centers in cases:
+        base = act.space.identity()
+        for center in centers:
+            for upto in (0, Fraction(1, 2), 3, Fraction(7, 2), 6):
+                profile = act.displacement_profile(base, center, upto)
+                dists, cum = _counted_profile(act, base, center, upto)
+                assert profile.distances == dists
+                assert profile.cumulative == cum
+                assert all(isinstance(q, Fraction) for q in
+                           profile.distances + profile.cumulative)
 
 
 def test_sublattice_action():
@@ -59,9 +86,9 @@ def test_sublattice_action():
     assert len(rows) == 13
     assert act.quotient_diameter() == 4
     assert act.apply((1, -1), (2, 2)) == (7, -3)
-    dists, cum = act.displacement_profile((0, 0), (0, 0), 10)
-    assert dists == [0, 5, 10]
-    assert cum == [1, 5, 13]
+    profile = act.displacement_profile((0, 0), (0, 0), 10)
+    assert profile.distances == [0, 5, 10]
+    assert profile.cumulative == [1, 5, 13]
 
 
 def test_sublattice_general_matrix():

@@ -48,6 +48,12 @@ def test_certify_preset_lattice(capsys):
          "--K", "1", "--rmax", "12"], capsys)
     assert code == 0
     assert report["status"] == "verified"
+    # a center list on the free group is scanned centre by centre
+    code, report, err = invoke(
+        ["certify-bg", "--preset", "free2", "--r0", "1", "--C", "4",
+         "--K", "1.2", "--rmax", "6", "--all-centers", "[1];[2,1]"], capsys)
+    assert code == 0
+    assert report["result"]["center"] == "all sampled"
 
 
 def test_synthetic_preset(capsys):
@@ -233,3 +239,18 @@ def test_schema_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error" in err
+    # malformed numbers and preset sizes are input errors, not tracebacks
+    for argv in (["balls", "--preset", "free2", "--r", "abc"],
+                 ["balls", "--preset", "free2", "--r", "1/0"],
+                 ["systole", "--preset", "torus5", "--ceiling", "abc"],
+                 ["balls", "--preset", "torusX", "--r", "1"]):
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    # command-line points must be canonical elements of the Cayley space
+    for preset, center in (("free2", "[0"), ("free2", "[7,9]"),
+                           ("lattice2", "[1,2,3]")):
+        assert run(["balls", "--preset", preset, "--r", "1",
+                    "--center", center]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("is not a point of this cayley space\n")

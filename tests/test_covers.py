@@ -76,6 +76,15 @@ def test_pullback_measure_balls():
     # zero base measure pulls back to zero
     zero = PullbackMeasure(cover, VertexMeasure(weights={}))
     assert ball_mass(zero, cover.space, root, 2, closed=True) == 0
+    # a negative base weight is refused on the cover as on the base graph
+    graph = WeightedGraph(["a", "b"],
+                          [("a", "b", 1), ("a", "b", 1), ("a", "a", 1)])
+    signed = universal_cover(graph, "a", 4)
+    mu_signed = PullbackMeasure(signed,
+                                VertexMeasure(weights={"a": -1, "b": 2}))
+    with pytest.raises(DomainError, match="negative mass"):
+        ball_mass(mu_signed, signed.space, signed.lift_of_basepoint(), 2,
+                  closed=True)
 
 
 def test_cover_distances_match_loop_lengths():

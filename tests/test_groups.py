@@ -93,3 +93,24 @@ def test_stallings_membership():
     # index-2 subgroup: every even-a-exponent word is in
     word = f.multiply(f.multiply(b, f.multiply(a, a)), f.inverse(b))
     assert graph.contains(word)
+
+
+def test_is_element_accepts_canonical_forms_only():
+    free = FreeFamily(2)
+    assert free.is_element(()) and free.is_element((1, -2, 1))
+    for bad in ((0,), (3,), (1, -1), [1], "[0", (1.0,), (True,)):
+        assert not free.is_element(bad), bad
+    lattice = FreeAbelianFamily(2)
+    assert lattice.is_element((0, -3))
+    for bad in ((1, 2, 3), (1,), [1, 2], (1, "2"), (0.5, 0)):
+        assert not lattice.is_element(bad), bad
+    assert TrivialFamily().is_element(())
+    assert not TrivialFamily().is_element((0,))
+    perm = FinitePermutationFamily([(1, 2, 0)])
+    assert perm.is_element((2, 0, 1))
+    for bad in ((1, 0, 2), (0, 1), ((),), [0, 1, 2]):
+        assert not perm.is_element(bad), bad
+    prod = ProductFamily([free, lattice])
+    assert prod.is_element(((1,), (0, 2)))
+    for bad in (((1,), (0,)), ((1, -1), (0, 0)), ((1,),), [(), (0, 0)]):
+        assert not prod.is_element(bad), bad
