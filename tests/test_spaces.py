@@ -220,6 +220,30 @@ def test_model_volume_matches_closed_form_hyperbolic():
     assert math.isclose(got, math.cosh(1) - 1, rel_tol=1e-9)
 
 
+def test_model_volume_matches_closed_forms():
+    def close(prof, r, want):
+        got = model_ball_volume(prof, r)
+        assert math.isclose(got, want, rel_tol=1e-10), (prof.kappa, prof.n, r)
+
+    for n in (Fraction(11, 10), Fraction(3, 2), Fraction(5, 2)):
+        for r in (0.25, 1.0, 3.0):
+            close(ModelProfile(0, n), r, r ** float(n) / float(n))
+    for r in (0.25, 1.0, 3.0):
+        close(ModelProfile(-1, 2), r, math.cosh(r) - 1)
+        close(ModelProfile(-1, 3), r, (math.sinh(2 * r) - 2 * r) / 4)
+    # kappa > 0: the integral over a full period of sin^(n-1) is a beta
+    # function; half a period gives half, and radii past it are clamped
+    for kappa in (Fraction(1, 4), 1, 4):
+        period = math.pi / math.sqrt(kappa)
+        for n in (Fraction(11, 10), Fraction(3, 2), Fraction(5, 2), 7):
+            full = (math.sqrt(math.pi) * math.gamma(n / 2)
+                    / math.gamma((n + 1) / 2) / math.sqrt(kappa))
+            prof = ModelProfile(kappa, n)
+            close(prof, period / 2, full / 2)
+            close(prof, period, full)
+            close(prof, 1.5 * period, full)
+
+
 def test_model_volume_zero_radius_and_domain():
     assert model_ball_volume(ModelProfile(-1, 2), 0) == 0.0
     with pytest.raises(DomainError):
