@@ -23,6 +23,7 @@ from .exact import DomainError, WindowError, fmt_rational, rational
 from .measures import DistanceProfile
 
 ORBIT_BUDGET = 2_000_000
+COSET_BOUND = 20000
 
 
 class GroupAction:
@@ -374,8 +375,8 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
         family = groups.family_from_spec(spec["group"])
         return PermutationAction(family, space, labels=spec.get("labels"))
     if rule == "deck":
-        from . import covers
-        return covers.deck_action_from_spec(spec, space)
+        raise DomainError("deck actions are built from a cover: "
+                          "use universal_cover + deck_action")
     raise DomainError(f"unknown action rule {rule!r}")
 
 
@@ -597,13 +598,13 @@ class ShortGeneratorsResult:
     codiameter: Fraction
 
 
-def short_generators(action: GroupAction, x0, R, coset_bound=20000,
+def short_generators(action: GroupAction, x0, R,
                      codiameter=None) -> ShortGeneratorsResult:
     """Greedy maximal R-separated orbit subset within 2D+R, as group elements.
 
     Distances (i) d(x0, g x0) <= 2D+R and (ii) pairwise >= R are re-verified
     exactly on the output; finite-index evidence comes from coset closure up
-    to `coset_bound` cosets when a membership oracle exists for the family.
+    to `COSET_BOUND` cosets when a membership oracle exists for the family.
     """
     R = rational(R)
     D = rational(codiameter) if codiameter is not None else action.quotient_diameter()
@@ -622,7 +623,7 @@ def short_generators(action: GroupAction, x0, R, coset_bound=20000,
         for p, q in itertools.combinations(chosen_points, 2))
     identity = action.family.identity()
     elements = [g for g in chosen if g != identity]
-    verdict, index = _finite_index_evidence(action, elements, coset_bound)
+    verdict, index = _finite_index_evidence(action, elements)
     return ShortGeneratorsResult(elements=elements, orbit_points=chosen_points,
                                  separation_ok=separation_ok, reach_ok=reach_ok,
                                  index_verdict=verdict, index=index,
@@ -646,7 +647,7 @@ def _subgroup_membership_oracle(family, gens):
     return None
 
 
-def _finite_index_evidence(action, gens, coset_bound):
+def _finite_index_evidence(action, gens):
     family = action.family
     member = _subgroup_membership_oracle(family, gens)
     if member is None:
@@ -664,7 +665,7 @@ def _finite_index_evidence(action, gens, coset_bound):
                     continue
                 reps.append(cand)
                 nxt.append(cand)
-                if len(reps) > coset_bound:
+                if len(reps) > COSET_BOUND:
                     return "inconclusive", None
         frontier = nxt
     return "verified up to bound", len(reps)

@@ -44,14 +44,17 @@ def _coerce_point(parsed, space):
     if isinstance(space, spaces.CayleySpace):
         return _tuplify(parsed)
     if isinstance(space, spaces.GluedLineSpace):
-        kind = parsed[0]
-        if kind == "line":
-            return ("line", rational(parsed[1]))
-        if kind == "hair":
-            return ("hair", int(parsed[1]), rational(parsed[2]))
-        if kind == "tip":
-            return space.tip(int(parsed[1]))
-        raise DomainError(f"unknown glued-line point {parsed!r}")
+        try:
+            kind = parsed[0]
+            if kind == "line":
+                return ("line", rational(parsed[1]))
+            if kind == "hair":
+                return ("hair", int(parsed[1]), rational(parsed[2]))
+            if kind == "tip":
+                return space.tip(int(parsed[1]))
+        except (LookupError, TypeError, ValueError):
+            pass
+        space.check_point(parsed)   # raises the space's "not a point" error
     if isinstance(parsed, list):
         return _tuplify(parsed)
     return parsed

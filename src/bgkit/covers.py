@@ -277,11 +277,6 @@ def deck_action(cover: CoverData) -> DeckAction:
     return DeckAction(cover)
 
 
-def deck_action_from_spec(spec, space):
-    raise DomainError(
-        "deck actions are built from a cover: use universal_cover + deck_action")
-
-
 def graph_betti(graph: spaces.WeightedGraph):
     """First Betti number E - V + 1 (per component when disconnected)."""
     comps = graph.components()

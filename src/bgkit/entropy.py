@@ -21,6 +21,8 @@ from fractions import Fraction
 from .exact import DomainError, log_of_rational, rational
 from .measures import Measure
 
+MIN_SAMPLES = 10
+
 
 @dataclass
 class GrowthSample:
@@ -84,8 +86,8 @@ def growth_profile(space, measure: Measure, center, r_max, step) -> GrowthProfil
     return GrowthProfile(center=center, samples=samples)
 
 
-def entropy_estimate(profile: GrowthProfile, tail_fraction=0.3,
-                     min_samples=10) -> EntropyEstimate:
+def entropy_estimate(profile: GrowthProfile,
+                     tail_fraction=0.3) -> EntropyEstimate:
     """Tail-minimum of the growth slopes, with the tail spread as a window.
 
     `tail_fraction` of the slope samples (at least two) form the tail; a
@@ -93,9 +95,9 @@ def entropy_estimate(profile: GrowthProfile, tail_fraction=0.3,
     """
     if not 0 < tail_fraction <= 1:
         raise DomainError("tail fraction must be in (0, 1]")
-    if len(profile.samples) < min_samples:
+    if len(profile.samples) < MIN_SAMPLES:
         raise DomainError(
-            f"profile has {len(profile.samples)} samples, need {min_samples}")
+            f"profile has {len(profile.samples)} samples, need {MIN_SAMPLES}")
     slopes = profile.slopes()
     tail_len = max(2, math.ceil(len(slopes) * tail_fraction))
     tail = slopes[-tail_len:]

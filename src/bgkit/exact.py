@@ -77,13 +77,3 @@ def log_of_rational(q: Rational) -> float:
     if q <= 0:
         raise DomainError("log of nonpositive rational")
     return log(q.numerator) - log(q.denominator)
-
-
-def classify_le(lhs: Rational, rhs: float) -> str:
-    """Verdict for the claim `lhs <= rhs` with lhs exact and rhs float."""
-    lhs = float(Fraction(lhs))
-    if lhs <= rhs * (1.0 - MARGIN):
-        return VERIFIED
-    if lhs >= rhs * (1.0 + MARGIN):
-        return VIOLATED
-    return INCONCLUSIVE

@@ -94,17 +94,19 @@ class VertexMeasure(Measure):
 
     def mass(self, point) -> Fraction:
         if self.weight_fn is not None:
-            return rational(self.weight_fn(point))
-        if self.weights is not None:
-            return rational(self.weights.get(point, 0))
-        return Fraction(1)
+            m = rational(self.weight_fn(point))
+        elif self.weights is not None:
+            m = rational(self.weights.get(point, 0))
+        else:
+            return Fraction(1)
+        if m < 0:
+            raise DomainError(f"negative mass at {point!r}")
+        return m
 
     def support_with_mass(self, space, center, r, closed=False):
         out = []
         for p, d in spaces.enumerate_ball(space, center, r, closed=closed):
             m = self.mass(p)
-            if m < 0:
-                raise DomainError(f"negative mass at {p!r}")
             if m:
                 out.append((p, d, m))
         return out
@@ -152,10 +154,6 @@ class PullbackMeasure(VertexMeasure):
 
 def counting_measure(action, basepoint) -> CountingOrbitMeasure:
     return CountingOrbitMeasure(action, basepoint)
-
-
-def pullback_measure(cover_data, base_measure: Measure) -> PullbackMeasure:
-    return PullbackMeasure(cover_data, base_measure)
 
 
 def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:

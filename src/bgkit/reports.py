@@ -102,7 +102,6 @@ def write_csv(report: Report, stream) -> None:
 
 def export_csv(report: Report, path) -> None:
     """RFC 4180 CSV for tabular payloads (growth profiles, ratio scans)."""
-    rows = _tabular_rows(report)
+    _tabular_rows(report)  # refuse a non-tabular report before creating path
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, dialect="excel", lineterminator="\r\n")
-        writer.writerows(rows)
+        write_csv(report, fh)

@@ -18,6 +18,8 @@ from fractions import Fraction
 from .exact import DomainError, WindowError, rational, fmt_rational
 from . import groups
 
+ENUMERATION_BUDGET = 2_000_000
+
 
 def point_key(p) -> str:
     """Canonical total order on points of any one space (for determinism)."""
@@ -38,16 +40,12 @@ class Space:
         """Sorted [(point, distance)] over support points with d < r (d <= r)."""
         r = rational(r)
         hits = []
-        for p in self.support_near(x, r):
+        for p in self.support():
             d = self.distance(x, p)
             if (d <= r) if closed else (d < r):
                 hits.append((p, d))
         hits.sort(key=lambda pd: (pd[1], point_key(pd[0])))
         return hits
-
-    def support_near(self, x, r):
-        """Support points possibly within r of x; default scans everything."""
-        return self.support()
 
     def is_point(self, x) -> bool:
         raise NotImplementedError
@@ -374,9 +372,8 @@ class CayleySpace(Space):
 
     kind = "cayley"
 
-    def __init__(self, family: groups.GroupFamily, max_enumeration=2_000_000):
+    def __init__(self, family: groups.GroupFamily):
         self.family = family
-        self.max_enumeration = max_enumeration
 
     def distance(self, x, y):
         diff = self.family.multiply(self.family.inverse(x), y)
@@ -401,11 +398,11 @@ class CayleySpace(Space):
         if int_r < 0:
             return []
         counts = self.family.sphere_sizes(int_r)
-        if counts is not None and sum(counts) > self.max_enumeration:
+        if counts is not None and sum(counts) > ENUMERATION_BUDGET:
             raise WindowError(
                 f"ball of radius {fmt_rational(r)} holds {sum(counts)} elements, "
-                f"over the enumeration budget {self.max_enumeration}",
-                required=sum(counts), available=self.max_enumeration)
+                f"over the enumeration budget {ENUMERATION_BUDGET}",
+                required=sum(counts), available=ENUMERATION_BUDGET)
         hits = [(x, Fraction(0))]
         seen = {x}
         frontier = [x]
@@ -419,10 +416,10 @@ class CayleySpace(Space):
                         seen.add(prod)
                         nxt.append(prod)
                         hits.append((prod, Fraction(depth)))
-                        if len(seen) > self.max_enumeration:
+                        if len(seen) > ENUMERATION_BUDGET:
                             raise WindowError(
                                 "enumeration budget exceeded",
-                                required=len(seen), available=self.max_enumeration)
+                                required=len(seen), available=ENUMERATION_BUDGET)
             frontier = nxt
         hits.sort(key=lambda pd: (pd[1], point_key(pd[0])))
         return hits
@@ -586,8 +583,11 @@ class ModelProfile:
 def model_ball_volume(profile: ModelProfile, r) -> float:
     """Ratio-ready model volume: integral of s_kappa(t)^(n-1) over [0, r].
 
-    Quadrature at relative tolerance 1e-9; quotients of two values give the
-    comparison bounds for concentric balls in the model space.
+    A fixed tanh-sinh rule (Takahasi & Mori 1974): 257 nodes
+    x = tanh(pi/2 sinh(k/32)), |k/32| <= 4, mapped onto the interval.  They
+    cluster at both ends, which is where t^(n-1) and, for kappa > 0,
+    (pi/sqrt(kappa) - t)^(n-1) lose smoothness.  Quotients of two values
+    give the comparison bounds for concentric balls in the model space.
     """
     r = float(rational(r))
     if r < 0:
@@ -598,10 +598,17 @@ def model_ball_volume(profile: ModelProfile, r) -> float:
     upper = r
     if profile.kappa > 0:
         upper = min(r, math.pi / math.sqrt(profile.kappa))
-    from scipy.integrate import quad
-    value, _err = quad(lambda t: profile.s(t) ** exponent, 0.0, upper,
-                       epsrel=1e-9, epsabs=0.0, limit=200)
-    return value
+    h = 1 / 32
+    half = upper / 2
+    total = 0.0
+    for k in range(-128, 129):
+        u = k * h
+        # gap = 1 - |x| without the cancellation that would round a node
+        # onto an end; the weight dx/du is pi/2 cosh(u) (1 - x^2)
+        gap = 2 / (math.exp(math.pi * math.sinh(abs(u))) + 1)
+        t = half * gap if k < 0 else upper - half * gap
+        total += math.cosh(u) * gap * (2 - gap) * profile.s(t) ** exponent
+    return total * half * h * math.pi / 2
 
 
 def space_from_spec(spec: dict) -> Space:

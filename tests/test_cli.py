@@ -254,3 +254,10 @@ def test_schema_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.endswith("is not a point of this cayley space\n")
+    # malformed glued-line points are refused the same way
+    for center in ('["tip", "x"]', '["hair", 1]', '["line"]', '[]', '5'):
+        assert run(["balls", "--preset", "glued-line", "--r", "1",
+                    "--center", center]) == 1, center
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), center
+        assert err.endswith("is not a point of this glued_line space\n")

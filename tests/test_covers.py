@@ -76,13 +76,14 @@ def test_pullback_measure_balls():
     # zero base measure pulls back to zero
     zero = PullbackMeasure(cover, VertexMeasure(weights={}))
     assert ball_mass(zero, cover.space, root, 2, closed=True) == 0
-    # a negative base weight is refused on the cover as on the base graph
+    # a negative base weight is refused on the cover as on the base graph,
+    # naming the base vertex that carries it
     graph = WeightedGraph(["a", "b"],
                           [("a", "b", 1), ("a", "b", 1), ("a", "a", 1)])
     signed = universal_cover(graph, "a", 4)
     mu_signed = PullbackMeasure(signed,
                                 VertexMeasure(weights={"a": -1, "b": 2}))
-    with pytest.raises(DomainError, match="negative mass"):
+    with pytest.raises(DomainError, match="negative mass at 'a'"):
         ball_mass(mu_signed, signed.space, signed.lift_of_basepoint(), 2,
                   closed=True)
 

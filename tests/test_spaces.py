@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,6 +244,22 @@ def test_model_volume_matches_closed_forms():
             close(prof, period / 2, full / 2)
             close(prof, period, full)
             close(prof, 1.5 * period, full)
+
+
+def test_cli_import_and_model_volumes_need_neither_numpy_nor_scipy():
+    code = "\n".join([
+        "import math, sys",
+        "import bgkit.cli",
+        "assert 'numpy' not in sys.modules, 'numpy'",
+        "assert 'scipy' not in sys.modules, 'scipy'",
+        "sys.modules['scipy'] = None",   # any scipy import now fails
+        "from bgkit.spaces import ModelProfile, model_ball_volume",
+        "got = model_ball_volume(ModelProfile(-1, 2), 1)",
+        "assert math.isclose(got, math.cosh(1) - 1, rel_tol=1e-10), got",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_model_volume_zero_radius_and_domain():
