@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groups, packing, spaces
-from .exact import DomainError, WindowError, fmt_rational, rational
+from .exact import DomainError, WindowError, rational
 from .measures import DistanceProfile
 
 ORBIT_BUDGET = 2_000_000
@@ -41,15 +41,22 @@ class GroupAction:
     def elements_moving_near(self, base, center, radius):
         """Exhaustive [(g, g*base, d(center, g*base))] with distance <= radius.
 
-        Properness of the bundled rules makes this finite; the enumeration
-        raises WindowError when it would exceed the orbit budget or the
-        space window.
+        Properness of the bundled rules makes this finite.  Raises
+        WindowError when the radius passes the space's safe window at
+        `center`, checked here for every rule, or when the rule's
+        enumeration would exceed the orbit budget.
         """
+        return self._moving_near(
+            base, center, spaces.check_window(self.space, center, radius))
+
+    def _moving_near(self, base, center, radius):
+        """The rule's enumeration behind `elements_moving_near`; `radius` is
+        a rational within the safe window at `center`."""
         raise NotImplementedError
 
     def orbit_within(self, x, radius):
         """Sigma-style list [(g, d(x, g*x))], exhaustive, sorted."""
-        rows = self.elements_moving_near(x, x, rational(radius))
+        rows = self.elements_moving_near(x, x, radius)
         out = [(g, d) for g, _p, d in rows]
         out.sort(key=lambda gd: (gd[1], self.family.serialize(gd[0])))
         return out
@@ -60,7 +67,6 @@ class GroupAction:
         Exact; the default builds it from enumeration, subclasses override
         with closed forms where the word metric gives them.
         """
-        upto = rational(upto)
         rows = self.elements_moving_near(base, center, upto)
         return DistanceProfile(((d, 1) for _g, _p, d in rows), upto)
 
@@ -115,7 +121,7 @@ class LeftTranslationAction(GroupAction):
     def apply(self, g, point):
         return self.family.multiply(g, point)
 
-    def elements_moving_near(self, base, center, radius):
+    def _moving_near(self, base, center, radius):
         # d(center, g*base) = |center^-1 g base|; words w of length <= R are
         # in bijection with such g via g = center * w * base^-1.
         rows = []
@@ -137,7 +143,7 @@ class LeftTranslationAction(GroupAction):
 
 
 class LatticeTranslationAction(GroupAction):
-    """Z^j acting on the Z^k lattice by an injective integer matrix.
+    """Z^k acting on the Z^k lattice by an invertible integer matrix.
 
     The matrix columns are the translations of the generators; (m Z)^k is
     matrix m*I.  Displacements are l1 norms of lattice vectors.
@@ -150,57 +156,31 @@ class LatticeTranslationAction(GroupAction):
             raise DomainError("lattice translation acts on a free-abelian Cayley space")
         k = space.family.rank
         self.matrix = [tuple(int(x) for x in col) for col in matrix]
-        self.j = len(self.matrix)
         for col in self.matrix:
             if len(col) != k:
                 raise DomainError("translation vectors must live in the lattice")
-        family = groups.FreeAbelianFamily(self.j)
-        super().__init__(family, space)
+        if len(self.matrix) != k:
+            raise DomainError("non-square lattice matrices are not supported")
+        super().__init__(groups.FreeAbelianFamily(k), space)
         self.k = k
         self._scale = self._uniform_scale()
-        if self._min_expansion() == 0:
-            raise DomainError("translation matrix must be injective (proper action)")
+        self._inverse_norm = self._inverse_row_norm()
 
     def _uniform_scale(self):
         # m when the matrix is exactly m*I, else None.
-        if self.j != self.k:
-            return None
         m = self.matrix[0][0]
         for i, col in enumerate(self.matrix):
             if any(col[l] != (m if l == i else 0) for l in range(self.k)):
                 return None
         return m if m > 0 else None
 
-    def _min_expansion(self):
-        # min over unit gamma of |A gamma|_1, a properness certificate
-        best = None
-        for col in self.matrix:
-            norm = sum(abs(x) for x in col)
-            best = norm if best is None else min(best, norm)
-        if self.j > 1:
-            # crude but safe: check small combinations for near-degeneracy
-            span = range(-2, 3)
-            for combo in itertools.product(span, repeat=self.j):
-                if all(c == 0 for c in combo):
-                    continue
-                vec = self.translate(combo)
-                norm = sum(abs(x) for x in vec)
-                if norm == 0:
-                    return 0
-        return best or 0
-
-    def translate(self, g):
-        return tuple(sum(self.matrix[i][l] * g[i] for i in range(self.j))
-                     for l in range(self.k))
-
-    def _solve_box(self, bound):
-        # |A g|_1 <= bound confines |g|_inf via the exact inverse of A
-        if self.j != self.k:
-            raise DomainError("non-square lattice matrices are not supported")
-        from fractions import Fraction as F
+    def _inverse_row_norm(self):
+        # Exact Gauss-Jordan elimination: a missing pivot means A is
+        # singular, so the action is not proper.  Otherwise |A g|_1 <= b
+        # confines |g|_inf to b times the largest row l1 norm of A^-1.
         n = self.k
-        aug = [[F(self.matrix[j][i]) for j in range(n)] + [F(int(i == l)) for l in range(n)]
-               for i in range(n)]
+        aug = [[Fraction(self.matrix[j][i]) for j in range(n)]
+               + [Fraction(int(i == l)) for l in range(n)] for i in range(n)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
             if pivot is None:
@@ -212,36 +192,29 @@ class LatticeTranslationAction(GroupAction):
                 if r != col and aug[r][col] != 0:
                     factor = aug[r][col]
                     aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        row_norm = max(sum(abs(aug[r][n + c]) for c in range(n)) for r in range(n))
-        return int(rational(bound) * row_norm) + 1
+        return max(sum(abs(aug[r][n + c]) for c in range(n)) for r in range(n))
+
+    def translate(self, g):
+        return tuple(sum(self.matrix[i][l] * g[i] for i in range(self.k))
+                     for l in range(self.k))
 
     def apply(self, g, point):
         t = self.translate(g)
         return tuple(p + d for p, d in zip(point, t))
 
-    def elements_moving_near(self, base, center, radius):
-        radius = rational(radius)
+    def _moving_near(self, base, center, radius):
         offset = tuple(b - c for b, c in zip(base, center))
         # |A g + offset|_1 <= R confines g to an explicit box.
-        bound = (radius + sum(abs(o) for o in offset))
-        per_gen = [sum(abs(x) for x in col) for col in self.matrix]
+        box = int((radius + sum(abs(o) for o in offset)) * self._inverse_norm) + 1
         rows = []
-        if self._scale is not None:
-            box = int(bound // self._scale) + 1
-        else:
-            box = self._solve_box(bound)
-        ranges = [range(-box, box + 1)] * self.j
-        count = 0
-        for g in itertools.product(*ranges):
+        for g in itertools.product(range(-box, box + 1), repeat=self.k):
             vec = self.translate(g)
             d = Fraction(sum(abs(v + o) for v, o in zip(vec, offset)))
             if d <= radius:
-                point = tuple(b + v for b, v in zip(base, vec))
-                rows.append((g, point, d))
-                count += 1
-                if count > ORBIT_BUDGET:
+                rows.append((g, tuple(b + v for b, v in zip(base, vec)), d))
+                if len(rows) > ORBIT_BUDGET:
                     raise WindowError("orbit budget exceeded",
-                                      required=count, available=ORBIT_BUDGET)
+                                      required=len(rows), available=ORBIT_BUDGET)
         return rows
 
     def displacement_profile(self, base, center, upto):
@@ -275,40 +248,23 @@ class GluedLineShiftAction(GroupAction):
             return ("line", rational(point[1]) + self.space.eps * shift)
         return ("hair", point[1] + shift, point[2])
 
-    def elements_moving_near(self, base, center, radius):
-        radius = rational(radius)
-        eps = self.space.eps
+    def _moving_near(self, base, center, radius):
+        # Every image inside the window is one of these shifts, and the
+        # window check keeps each image within `radius` of `center` inside it.
+        window = self.space.window
         rows = []
-        # displacement grows like eps*|g| - const, so a finite scan suffices
-        span = int((radius + self.space.hair * 2 + eps * self.space.window) / eps) + 2
-        for shift in range(-span, span + 1):
+        for shift in range(-2 * window, 2 * window + 1):
             g = (shift,)
             p = self.apply(g, base)
-            if not self.space.is_point(p):
-                continue
-            d = self.space.distance(center, p)
-            if d <= radius:
-                rows.append((g, p, d))
+            if self.space.is_point(p):
+                d = self.space.distance(center, p)
+                if d <= radius:
+                    rows.append((g, p, d))
         return rows
 
     def quotient_diameter(self, sample=None):
         # fundamental domain: one eps-cell plus its hair
         return (self.space.eps + self.space.hair * 2) / 2
-
-    def displacement_profile(self, base, center, upto):
-        upto = rational(upto)
-        t_base, _s, _k = self.space._coords(base)
-        t_center, _s2, _k2 = self.space._coords(center)
-        # the foot of g*base sits at t_base + eps*g, so displacements below
-        # `upto` confine |g| by the feet alone
-        needed = int((upto + abs(t_base - t_center)) / self.space.eps) + 1
-        span = max(abs(t_base), abs(t_center)) / self.space.eps
-        if needed + span > self.space.window:
-            raise WindowError(
-                f"profile to {fmt_rational(upto)} needs window {needed}, "
-                f"have {self.space.window}",
-                required=needed, available=self.space.window)
-        return super().displacement_profile(base, center, upto)
 
 
 class PermutationAction(GroupAction):
@@ -327,8 +283,7 @@ class PermutationAction(GroupAction):
     def apply(self, g, point):
         return self.labels[g[self._pos[point]]]
 
-    def elements_moving_near(self, base, center, radius):
-        radius = rational(radius)
+    def _moving_near(self, base, center, radius):
         rows = []
         for g in self.family.elements():
             p = self.apply(g, base)
@@ -449,12 +404,14 @@ def _expanding_min_displacement(action, x, ceiling, keep):
 
 
 def _point_systole(action: GroupAction, x, ceiling) -> SystolePoint:
+    """Systoles at x; both None when nothing nontrivial moves x within the
+    ceiling.  WindowError when a probe passes the safe window."""
     identity = action.family.identity()
     sys_val = _expanding_min_displacement(action, x, ceiling,
                                           lambda g: g != identity)
     if sys_val is None:
-        raise WindowError(
-            f"no nontrivial displacement of {x!r} within the scan ceiling")
+        return SystolePoint(point=x, systole=None, torsion_free_systole=None,
+                            stabilized=False)
     stabilized = sys_val == 0
     family = action.family
     has_free = any(family.is_infinite_order(g) for _, g in family.generators())
@@ -473,6 +430,9 @@ def systole(action: GroupAction, sample, ceiling=None) -> SystoleReport:
     warnings = []
     for x in sample:
         sp = _point_systole(action, x, ceiling)
+        if sp.systole is None:
+            raise WindowError(
+                f"no nontrivial displacement of {x!r} within the scan ceiling")
         if sp.stabilized:
             warnings.append(f"stabilizer at {x!r}: systole 0 from a fixed point")
         per_point.append(sp)
@@ -520,14 +480,9 @@ def thin_set(action: GroupAction, r, sample, adjacency, ceiling=None) -> ThinSet
     r = rational(r)
     membership, free_membership = {}, {}
     for x in sample:
-        try:
-            sp = _point_systole(action, x,
-                                ceiling if ceiling is not None else 4 * r)
-        except WindowError:
-            # nothing moves x within the ceiling: certainly not r-thin
-            membership[x] = False
-            free_membership[x] = False
-            continue
+        # nothing moving x within the ceiling leaves both systoles None:
+        # certainly not r-thin.  A probe past the safe window raises.
+        sp = _point_systole(action, x, ceiling if ceiling is not None else 4 * r)
         membership[x] = sp.systole is not None and sp.systole < r
         free_membership[x] = (sp.torsion_free_systole is not None
                               and sp.torsion_free_systole < r)

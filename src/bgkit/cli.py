@@ -44,16 +44,19 @@ def _coerce_point(parsed, space):
     if isinstance(space, spaces.CayleySpace):
         return _tuplify(parsed)
     if isinstance(space, spaces.GluedLineSpace):
+        point = None
         try:
             kind = parsed[0]
             if kind == "line":
-                return ("line", rational(parsed[1]))
-            if kind == "hair":
-                return ("hair", int(parsed[1]), rational(parsed[2]))
-            if kind == "tip":
-                return space.tip(int(parsed[1]))
+                point = ("line", rational(parsed[1]))
+            elif kind == "hair":
+                point = ("hair", parsed[1], rational(parsed[2]))
+            elif kind == "tip":
+                point = space.tip(parsed[1])
         except (LookupError, TypeError, ValueError):
             pass
+        if point is not None and space.is_point(point):
+            return point
         space.check_point(parsed)   # raises the space's "not a point" error
     if isinstance(parsed, list):
         return _tuplify(parsed)
@@ -533,11 +536,16 @@ def _subcommand(subs, name, summary, center=True):
     sub.add_argument("--preset", help="bundled instance "
                      "(lattice2, free2, atom, torusM, lineM, glued-line)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--csv", help="also write the tabular payload to CSV")
     sub.add_argument("--dry-run", action="store_true")
     if center:
         sub.add_argument("--center", help="center point (JSON)")
+    return sub
+
+
+def _tabular(sub):
+    """The output flags of a subcommand whose report has a tabular payload."""
+    sub.add_argument("--format", choices=["json", "csv"], default="json")
+    sub.add_argument("--csv", help="also write the tabular payload to CSV")
     return sub
 
 
@@ -554,7 +562,8 @@ def build_parser():
     p.add_argument("--r", required=True)
     p.add_argument("--closed", action="store_true")
 
-    p = _subcommand(subs, "certify-bg", "weak concentric-ball certificate")
+    p = _tabular(_subcommand(subs, "certify-bg",
+                             "weak concentric-ball certificate"))
     p.add_argument("--r0", required=True)
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--K", type=float, required=True)
@@ -562,7 +571,8 @@ def build_parser():
     p.add_argument("--all-centers", dest="all_centers",
                    help="semicolon-separated center list")
 
-    p = _subcommand(subs, "synthetic", "dimension-style growth certificate")
+    p = _tabular(_subcommand(subs, "synthetic",
+                             "dimension-style growth certificate"))
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--rmax", required=True)
@@ -570,7 +580,8 @@ def build_parser():
     p = _subcommand(subs, "doubling", "doubling constant on [r0/2, 5r0/2]")
     p.add_argument("--r0", required=True)
 
-    p = _subcommand(subs, "entropy", "growth profile and entropy estimate")
+    p = _tabular(_subcommand(subs, "entropy",
+                             "growth profile and entropy estimate"))
     p.add_argument("--rmax", required=True)
     p.add_argument("--step", default="1")
     p.add_argument("--tail", type=float, default=0.3)
@@ -623,7 +634,6 @@ def build_parser():
                    help='step table as JSON, e.g. "[[10,3],[1e6,7]]"')
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--csv")
 
     p = subs.add_parser("check", help="measured quantity vs bound formula")
     p.add_argument("kind")
@@ -633,7 +643,6 @@ def build_parser():
     p.add_argument("--nu-table", dest="nu_table")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--csv")
 
     p = subs.add_parser("reproduce",
                         help="rebuild a bundled counterexample scenario")

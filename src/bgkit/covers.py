@@ -157,8 +157,7 @@ class DeckAction(GroupAction):
                 "deck image escapes the materialized window; enlarge it")
         return moved
 
-    def elements_moving_near(self, base, center, radius):
-        radius = rational(radius)
+    def _moving_near(self, base, center, radius):
         base_proj = self.cover.project(base)
         inv_base = _inverse(base)
         rows = []
@@ -169,11 +168,6 @@ class DeckAction(GroupAction):
             if d <= radius:
                 g = _reduce(v + inv_base)
                 rows.append((g, v, d))
-        # exhaustiveness needs the window to dominate the query radius
-        if radius > self.space.safe_radius(center):
-            raise WindowError(
-                f"radius {fmt_rational(radius)} exceeds the cover window",
-                required=radius, available=self.space.safe_radius(center))
         return rows
 
     def quotient_diameter(self, sample=None):

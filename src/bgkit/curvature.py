@@ -23,7 +23,9 @@ from fractions import Fraction
 
 from .exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED, VIOLATED,
                     fmt_rational, log_of_rational, rational)
-from .measures import DistanceProfile, Measure, ball_mass
+from . import spaces
+from .measures import CountingOrbitMeasure, DistanceProfile, Measure
+from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -346,26 +348,30 @@ def brute_force_recheck(space, measure: Measure, x, factor, exponent,
                         lo, hi, samples=200, seed=123):
     """Independent certificate audit from raw ball enumerations.
 
-    Recomputes mass ratios at the critical radii and at `samples` random
-    rationals in [lo, hi] using only enumerate_ball + mass summation (no
-    profile machinery).  Returns the list of (radius, lhs, rhs) violations.
+    Enumerates once to 2*hi: support points with their masses, or the orbit
+    points of a counting measure.  Recomputes mass ratios at the critical
+    radii and at `samples` random rationals in [lo, hi] by summing those
+    rows (no profile machinery).  Returns the list of (radius, lhs, rhs)
+    violations.
     """
     import random
     rng = random.Random(seed)
     lo, hi = rational(lo), rational(hi)
-    radii = set()
-    for p, d in space.ball(x, 2 * hi, closed=True):
-        for cand in (d, d / 2):
-            if lo <= cand <= hi:
-                radii.add(cand)
+    if isinstance(measure, CountingOrbitMeasure):
+        rows = [(d, 1) for _g, _p, d in measure.action.elements_moving_near(
+            measure.basepoint, x, 2 * hi)]
+    else:
+        rows = [(d, measure.mass(p)) for p, d in
+                spaces.enumerate_ball(space, x, 2 * hi, closed=True)]
+    radii = {cand for d, _m in rows for cand in (d, d / 2) if lo <= cand <= hi}
     radii.add(lo)
     for _ in range(samples):
         num = rng.randint(0, 10 ** 6)
         radii.add(lo + (hi - lo) * Fraction(num, 10 ** 6))
     bad = []
     for r in sorted(radii):
-        num = ball_mass(measure, space, x, 2 * r, closed=False)
-        den = ball_mass(measure, space, x, r, closed=False)
+        num = sum(m for d, m in rows if d < 2 * r)
+        den = sum(m for d, m in rows if d < r)
         if den == 0:
             continue
         lhs = Fraction(num) / den

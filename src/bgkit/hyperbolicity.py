@@ -76,9 +76,9 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
         if n > cap:
             raise DomainError(
                 f"{n} points exceed the exhaustive cap {cap}; use sampled mode")
-        if isinstance(space, spaces.WeightedGraph) and \
-                all(not isinstance(p, tuple) or p[0] != "edge" for p in pts) and \
-                set(pts) <= set(space.vertices):
+        if points is None and isinstance(space, spaces.WeightedGraph):
+            # every vertex: one all-pairs kernel call; a subset takes the
+            # cached per-source Dijkstra of space.distance instead
             full = space.distance_matrix()
             pos = {v: i for i, v in enumerate(space.vertices)}
             dmat = [[full[pos[a]][pos[b]] for b in pts] for a in pts]

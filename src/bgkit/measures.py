@@ -1,13 +1,13 @@
 """Measures on space supports: orbit counting, pull-backs, vertex weights.
 
-A measure is a lazy view: it can enumerate its support near a point up to
-an explicit safe radius and it can produce an exact *distance profile*
-(sorted distances with cumulative masses) around a center.  Every ball
-mass is a query on one `DistanceProfile`, which the curvature scans read
-too.  Vertex measures build it from enumerated support points; counting
-measures of standard actions get it from the action, analytically where
-the word metric allows, so ball masses of word-metric balls stay exact far
-beyond anything enumerable.
+A measure is a lazy view: it produces an exact *distance profile* (sorted
+distances with cumulative masses) around a center, up to the space's safe
+window and never past it.  Every ball mass is a query on one
+`DistanceProfile`, which the curvature scans read too.  Vertex measures
+build it from enumerated support points; counting measures of standard
+actions get it from the action, analytically where the word metric
+allows, so ball masses of word-metric balls stay exact far beyond
+anything enumerable.
 """
 
 from __future__ import annotations
@@ -74,13 +74,10 @@ class Measure:
 
     description = "abstract"
 
-    def support_with_mass(self, space, center, r, closed=False):
-        """Sorted [(point, distance, mass)] over support within r of center."""
-        raise NotImplementedError
-
     def profile(self, space, center, upto) -> DistanceProfile:
-        rows = self.support_with_mass(space, center, rational(upto), closed=True)
-        return DistanceProfile(((d, m) for _p, d, m in rows), upto)
+        """Exact profile of masses within `upto` of `center`; WindowError
+        beyond the safe window."""
+        raise NotImplementedError
 
 
 class VertexMeasure(Measure):
@@ -103,13 +100,10 @@ class VertexMeasure(Measure):
             raise DomainError(f"negative mass at {point!r}")
         return m
 
-    def support_with_mass(self, space, center, r, closed=False):
-        out = []
-        for p, d in spaces.enumerate_ball(space, center, r, closed=closed):
-            m = self.mass(p)
-            if m:
-                out.append((p, d, m))
-        return out
+    def profile(self, space, center, upto) -> DistanceProfile:
+        return DistanceProfile(
+            ((d, self.mass(p)) for p, d in
+             spaces.enumerate_ball(space, center, upto, closed=True)), upto)
 
 
 class CountingOrbitMeasure(Measure):
@@ -146,10 +140,10 @@ class PullbackMeasure(VertexMeasure):
         self.base_measure = base_measure
         self.description = "pullback"
 
-    def support_with_mass(self, space, center, r, closed=False):
+    def profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.cover.space:
             raise DomainError("pull-back measure queried outside its cover")
-        return super().support_with_mass(space, center, r, closed=closed)
+        return super().profile(space, center, upto)
 
 
 def counting_measure(action, basepoint) -> CountingOrbitMeasure:
@@ -161,11 +155,6 @@ def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
     r = rational(r)
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    safe = space.safe_radius(x)
-    if safe is not None and r > safe:
-        raise WindowError(
-            f"ball of radius {fmt_rational(r)} exceeds safe window "
-            f"{fmt_rational(safe)}", required=r, available=safe)
     profile = measure.profile(space, x, r)
     return profile.mass_le(r) if closed else profile.mass_lt(r)
 

@@ -69,17 +69,27 @@ def distance(space: Space, x, y) -> Fraction:
     return space.distance(x, y)
 
 
-def enumerate_ball(space: Space, x, r, closed=False):
-    space.check_point(x)
+def check_window(space: Space, x, r) -> Fraction:
+    """`r` as a rational; WindowError when it passes the safe window at x.
+
+    The one place a radius meets `safe_radius`: every ball enumeration and
+    every orbit scan goes through it, so none of them can truncate.
+    """
     r = rational(r)
-    if r < 0:
-        raise DomainError("ball radius must be nonnegative")
     safe = space.safe_radius(x)
     if safe is not None and r > safe:
         raise WindowError(
             f"radius {fmt_rational(r)} exceeds the safe window "
             f"{fmt_rational(safe)} of this {space.kind} space",
             required=r, available=safe)
+    return r
+
+
+def enumerate_ball(space: Space, x, r, closed=False):
+    space.check_point(x)
+    r = check_window(space, x, r)
+    if r < 0:
+        raise DomainError("ball radius must be nonnegative")
     return space.ball(x, r, closed=closed)
 
 
@@ -484,7 +494,8 @@ class GluedLineSpace(Space):
                 return abs(t) <= self.eps * self.window
             if p[0] == "hair":
                 k, s = p[1], rational(p[2])
-                return abs(k) <= self.window and 0 < s <= self.hair
+                return (type(k) is int and abs(k) <= self.window
+                        and 0 < s <= self.hair)
         except Exception:
             return False
         return False

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from bgkit import actions, covers
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
                            action_from_spec, orbit_within, sigma_r)
-from bgkit.exact import DomainError
+from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
@@ -99,6 +100,12 @@ def test_sublattice_general_matrix():
     assert len(rows) == 9
     with pytest.raises(DomainError):
         LatticeTranslationAction(space, [[1, 1], [1, 1]])
+    # singular with kernel vector (3, -2), and non-square: both refused
+    # when the action is built, not at the first query
+    with pytest.raises(DomainError, match="injective"):
+        LatticeTranslationAction(space, [[2, 2], [3, 3]])
+    with pytest.raises(DomainError, match="non-square"):
+        LatticeTranslationAction(space, [[1, 0]])
 
 
 def test_glued_line_shift():
@@ -108,6 +115,15 @@ def test_glued_line_shift():
     rows = orbit_within(act, gl.tip(0), Fraction(11, 10))
     assert [(g, d) for g, d in rows if g == (0,)] == [((0,), Fraction(0))]
     assert len(rows) == 3   # identity and the two adjacent hairs at 11/10
+    # orbit scans refuse radii past the safe window instead of truncating,
+    # and are exhaustive up to it: hairs |g| <= 39 at 49/10
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    act = GluedLineShiftAction(gl)
+    assert gl.safe_radius(gl.tip(0)) == Fraction(49, 10)
+    with pytest.raises(WindowError):
+        orbit_within(act, gl.tip(0), 10)
+    rows = orbit_within(act, gl.tip(0), Fraction(49, 10))
+    assert sorted(g[0] for g, _d in rows) == list(range(-39, 40))
     sigma = sigma_r(act, gl.tip(0), Fraction(11, 10))
     assert sigma.virtually_nilpotent is True
 
@@ -161,3 +177,12 @@ def test_action_from_spec():
                              "group": {"family": "free", "params": 2}},
                             CayleySpace(FreeFamily(2)))
     assert isinstance(act2, LeftTranslationAction)
+
+
+def test_window_check_covers_every_rule():
+    # the one window check lives on GroupAction; no rule can bypass it
+    for module in (actions, covers):
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, actions.GroupAction)
+                    and obj is not actions.GroupAction):
+                assert "elements_moving_near" not in obj.__dict__, obj

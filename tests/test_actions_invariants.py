@@ -9,7 +9,7 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            margulis_estimate, short_generators,
                            strengthened_bg_check, systole, thin_set)
 from bgkit.curvature import BGParams, check_weak_bg
-from bgkit.exact import DomainError
+from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import VertexMeasure
@@ -96,6 +96,10 @@ def test_thin_set_glued_line_pattern():
     assert not any(small.membership[t] for t in tips)    # sys(tip) = 11/10
     assert all(small.membership[b] for b in bases)       # sys(base) = 1/10
     assert small.verdict == "connected"
+    # at the edge hair the safe window is 1/2: the systole probe is refused,
+    # not read as "nothing moves x", so the point is not called thick
+    with pytest.raises(WindowError):
+        thin_set(act, 2, [gl.tip(40)], {gl.tip(40): []})
 
 
 # -- Margulis scans --------------------------------------------------------------

@@ -255,9 +255,34 @@ def test_schema_error_exit_code(tmp_path, capsys):
         assert err.startswith("error: ")
         assert err.endswith("is not a point of this cayley space\n")
     # malformed glued-line points are refused the same way
-    for center in ('["tip", "x"]', '["hair", 1]', '["line"]', '[]', '5'):
+    for center in ('["tip", "x"]', '["hair", 1]', '["line"]', '[]', '5',
+                   '["hair", 1.5, "1/2"]', '["tip", 1.5]',
+                   '["hair", true, "1/2"]'):
         assert run(["balls", "--preset", "glued-line", "--r", "1",
                     "--center", center]) == 1, center
         err = capsys.readouterr().err
         assert err.startswith("error: "), center
         assert err.endswith("is not a point of this glued_line space\n")
+
+
+def test_output_flags_only_on_tabular_subcommands(tmp_path, capsys):
+    # argparse refuses --csv/--format where no report could be tabular,
+    # before anything runs or is written
+    target = tmp_path / "x.csv"
+    for argv in (["balls", "--preset", "free2", "--r", "1", "--csv", str(target)],
+                 ["balls", "--preset", "free2", "--r", "1", "--format", "csv"],
+                 ["bounds", "generators", "--N", "2", "--K", "0", "--D", "5",
+                  "--csv", str(target)],
+                 ["check", "generators", "--measured", "13", "--params",
+                  '{"N": 2, "K": 0, "D": 6}', "--csv", str(target)]):
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert "unrecognized arguments" in err, argv
+    assert not target.exists()
+    # the tabular subcommands keep them
+    code = run(["entropy", "--preset", "free2", "--rmax", "12",
+                "--csv", str(target)])
+    capsys.readouterr()
+    assert code == 0
+    assert target.read_text().startswith("R,")

@@ -13,7 +13,7 @@ from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
                              synthetic_to_weak, weak_to_synthetic)
 from bgkit.exact import DomainError, VERIFIED, VIOLATED
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
-from bgkit.measures import counting_measure
+from bgkit.measures import DistanceProfile, VertexMeasure, counting_measure
 from bgkit.spaces import GluedLineSpace
 
 
@@ -285,17 +285,26 @@ def test_diameter_shift_all_centers_on_torus():
 # -- soundness audit ----------------------------------------------------------
 
 
-def test_brute_force_recheck_agrees():
+def test_brute_force_recheck_agrees(monkeypatch):
     space, mu, tip = glued_setup()
+    cert = check_weak_bg(space, mu, tip, BGParams(1, 4.0, 1.0), Fraction(3, 2))
+    assert cert.status == VIOLATED
+    space2, mu2 = lattice_setup()
+
+    # the audit is independent of the profile code it checks
+    def refuse(_self, _r):
+        raise AssertionError("brute_force_recheck queried a profile")
+
+    monkeypatch.setattr(DistanceProfile, "mass_lt", refuse)
+    monkeypatch.setattr(DistanceProfile, "mass_le", refuse)
     bad = curvature.brute_force_recheck(space, mu, tip, 4.0, 1.0, 1,
                                         Fraction(3, 2), samples=80)
     assert bad, "the glued-line instance must show raw violations"
-    cert = check_weak_bg(space, mu, tip, BGParams(1, 4.0, 1.0), Fraction(3, 2))
-    assert cert.status == VIOLATED
-    # verified certificates survive the raw audit
-    space2, mu2 = lattice_setup()
+    # verified certificates survive the raw audit, counted or vertex measure
     assert curvature.brute_force_recheck(space2, mu2, (0, 0), 8.0, 1.0, 1, 6,
                                          samples=60) == []
+    assert curvature.brute_force_recheck(space2, VertexMeasure(), (0, 0), 8.0,
+                                         1.0, 1, 6, samples=60) == []
 
 
 def test_scan_at_single_radius():

@@ -1,14 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_kernels import _four_point_py
 
 from bgkit.actions import LeftTranslationAction
 from bgkit.exact import DomainError
 from bgkit.groups import FreeFamily
 from bgkit.hyperbolicity import (convexity_defect, four_point_delta,
                                  gromov_tripod, thin_triangle_delta)
-from bgkit.spaces import FiniteMetricSpace, WeightedGraph, build_tripod
+from bgkit.spaces import (FiniteMetricSpace, WeightedGraph, build_tripod,
+                          point_key)
 
 
 def cycle_graph(n):
@@ -111,6 +115,34 @@ def test_four_point_cap():
     big = path_graph(40)
     with pytest.raises(DomainError):
         four_point_delta(big, cap=10)
+
+
+def test_four_point_vertex_subset_skips_all_pairs(monkeypatch):
+    # a random connected 400-vertex graph with weights in sixths
+    rng = random.Random(5)
+    n = 400
+    edges = [(rng.randrange(i), i, Fraction(rng.randint(1, 12), 6))
+             for i in range(1, n)]
+    edges += [(*rng.sample(range(n), 2), Fraction(rng.randint(1, 12), 6))
+              for _ in range(n)]
+    graph = WeightedGraph(list(range(n)), edges)
+    subset = sorted(rng.sample(range(n), 20), key=point_key)
+    # oracle distances in sixths: a numpy min-plus closure of the edges
+    dist = np.full((n, n), 10 ** 9, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    for u, v, w in edges:
+        dist[u, v] = dist[v, u] = min(dist[u, v], int(w * 6))
+    for k in range(n):
+        np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
+    two_delta, *quad = _four_point_py(dist[np.ix_(subset, subset)])
+
+    def refuse(_self):
+        raise AssertionError("a vertex subset must not build all pairs")
+
+    monkeypatch.setattr(WeightedGraph, "distance_matrix", refuse)
+    rep = four_point_delta(graph, points=subset)
+    assert rep.delta == Fraction(int(two_delta), 12)
+    assert rep.witness == tuple(subset[i] for i in quad)
 
 
 def test_thin_triangle_trees():

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit.actions import LatticeTranslationAction, LeftTranslationAction
-from bgkit.exact import DomainError
+from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
+                           LeftTranslationAction)
+from bgkit.exact import DomainError, WindowError
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import VertexMeasure
 from bgkit.packing import (gamma_packing_count, packing_condition,
                            packing_count, sandwich_check)
-from bgkit.spaces import CayleySpace
+from bgkit.spaces import CayleySpace, GluedLineSpace
 
 
 def line_space():
@@ -200,3 +201,13 @@ def test_orbit_packing_below_unrestricted():
         orbit = gamma_packing_count(act, (0, 0), r, R, mode="exact", cap=400)
         full = packing_count(space, (0, 0), r, R, mode="exact", cap=400)
         assert orbit.count <= full.count
+
+
+def test_gamma_packing_refuses_past_window():
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    act = GluedLineShiftAction(gl)
+    # candidates come from an orbit scan to R - r = 8 > 49/10
+    with pytest.raises(WindowError):
+        gamma_packing_count(act, gl.tip(0), 1, 9, mode="greedy")
+    res = gamma_packing_count(act, gl.tip(0), 1, Fraction(59, 10), mode="greedy")
+    assert res.candidates == 79

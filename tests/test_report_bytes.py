@@ -2,7 +2,8 @@
 and the sha256 of its stdout.
 
 `report_bytes.json` holds one entry per call.  It was written by running
-every argv in-process through `cli.run` with SOURCE_DATE_EPOCH=0, in a
+every argv in-process through `cli.run` with SOURCE_DATE_EPOCH=0 and
+COLUMNS=80 (argparse wraps its usage text to the terminal width), in a
 directory holding the graph spaces below.  A change that means to alter a
 call's output rewrites that entry and says so in CHANGES.md; any other
 difference is a regression of the report contract.
@@ -44,6 +45,7 @@ def test_report_bytes(case, tmp_path, monkeypatch, capsys):
     write_space_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.setenv("COLUMNS", "80")
     code = run(list(case["argv"]))
     out, err = capsys.readouterr()
     assert {"argv": case["argv"], "exit": code, "stderr": err,
