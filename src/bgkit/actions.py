@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import groups, packing, spaces
 from .exact import DomainError, WindowError, rational
-from .measures import DistanceProfile
+from .measures import DistanceProfile, sphere_profile
 
 ORBIT_BUDGET = 2_000_000
 COSET_BOUND = 20000
@@ -101,12 +101,6 @@ class GroupAction:
         raise NotImplementedError
 
 
-def _sphere_profile(spheres, step, upto) -> DistanceProfile:
-    """Profile of sphere sizes at distances 0, step, 2*step, ...; the int
-    distances and counts become Fractions once, in the constructor."""
-    return DistanceProfile(zip(itertools.count(0, step), spheres), upto)
-
-
 class LeftTranslationAction(GroupAction):
     """The family acting on its own Cayley graph by left multiplication."""
 
@@ -136,7 +130,7 @@ class LeftTranslationAction(GroupAction):
         spheres = self.family.sphere_sizes(max(math.floor(upto), 0))
         if spheres is None:
             return super().displacement_profile(base, center, upto)
-        return _sphere_profile(spheres, 1, upto)
+        return sphere_profile(spheres, 1, upto)
 
     def quotient_diameter(self, sample=None):
         return Fraction(0)
@@ -222,7 +216,7 @@ class LatticeTranslationAction(GroupAction):
         if self._scale is not None and base == center:
             spheres = self.family.sphere_sizes(
                 max(math.floor(upto / self._scale), 0))
-            return _sphere_profile(spheres, self._scale, upto)
+            return sphere_profile(spheres, self._scale, upto)
         return super().displacement_profile(base, center, upto)
 
     def quotient_diameter(self, sample=None):
@@ -389,9 +383,14 @@ def _expanding_min_displacement(action, x, ceiling, keep):
     """min d(x, g x) over elements passing `keep`, by doubling probe radii.
 
     Exact: once a qualifying element appears at distance d, every shorter
-    one lies in the (exhaustively enumerated) ball of radius d.
+    one lies in the (exhaustively enumerated) ball of radius d.  None when
+    nothing qualifies within the ceiling.  With no ceiling the search also
+    stops when every generator is the identity: the first probe has then
+    seen the whole group.
     """
     radius = rational(ceiling) if ceiling is not None else None
+    identity = action.family.identity()
+    trivial = all(g == identity for _, g in action.family.generators())
     probe = Fraction(1)
     while True:
         limit = probe if radius is None else min(probe, radius)
@@ -399,6 +398,8 @@ def _expanding_min_displacement(action, x, ceiling, keep):
         if hits:
             return min(hits)
         if radius is not None and probe >= radius:
+            return None
+        if radius is None and trivial:
             return None
         probe *= 2
 

@@ -501,10 +501,10 @@ def _reproduce(args, _inp):
     out = _certificate_outcome(
         cert, {"scenario": args.scenario, "r0": r0, "eps": rational(args.eps),
                "C": args.C, "K": args.K}, f"reproduce {args.scenario}")
-    out.result["ball_at_r0_plus_eps"] = measures.ball_mass(
-        measure, space, space.tip(0), r0 + space.eps, closed=False)
-    out.result["ball_at_doubled"] = measures.ball_mass(
-        measure, space, space.tip(0), 2 * (r0 + space.eps), closed=False)
+    radius = r0 + space.eps
+    profile = measure.profile(space, space.tip(0), 2 * radius)
+    out.result["ball_at_r0_plus_eps"] = profile.mass_lt(radius)
+    out.result["ball_at_doubled"] = profile.mass_lt(2 * radius)
     return out
 
 

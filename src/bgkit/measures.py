@@ -4,15 +4,19 @@ A measure is a lazy view: it produces an exact *distance profile* (sorted
 distances with cumulative masses) around a center, up to the space's safe
 window and never past it.  Every ball mass is a query on one
 `DistanceProfile`, which the curvature scans read too.  Vertex measures
-build it from enumerated support points; counting measures of standard
-actions get it from the action, analytically where the word metric
-allows, so ball masses of word-metric balls stay exact far beyond
-anything enumerable.
+build it from enumerated support points, except the uniform one on a
+Cayley space: it is left-invariant, so its profile at any center is the
+family's sphere profile, built analytically where the family has a closed
+form and refused past the enumeration budget as enumeration would be.
+Counting measures of standard actions get it from the action,
+analytically where the word metric allows, so ball masses of word-metric
+balls stay exact far beyond anything enumerable.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from fractions import Fraction
 
 from .exact import DomainError, WindowError, fmt_rational, rational
@@ -69,6 +73,12 @@ class DistanceProfile:
         return self.distances[i:j]
 
 
+def sphere_profile(spheres, step, upto) -> DistanceProfile:
+    """Profile of sphere sizes at distances 0, step, 2*step, ...; the int
+    distances and counts become Fractions once, in the constructor."""
+    return DistanceProfile(zip(itertools.count(0, step), spheres), upto)
+
+
 class Measure:
     """Base class; masses are nonnegative rationals."""
 
@@ -86,8 +96,9 @@ class VertexMeasure(Measure):
     def __init__(self, weights=None, weight_fn=None):
         self.weights = dict(weights) if weights is not None else None
         self.weight_fn = weight_fn
-        uniform = weights is None and weight_fn is None
-        self.description = "vertex_uniform" if uniform else "vertex_weights"
+        self.uniform = weights is None and weight_fn is None
+        self.description = ("vertex_uniform" if self.uniform
+                            else "vertex_weights")
 
     def mass(self, point) -> Fraction:
         if self.weight_fn is not None:
@@ -101,6 +112,11 @@ class VertexMeasure(Measure):
         return m
 
     def profile(self, space, center, upto) -> DistanceProfile:
+        if self.uniform and isinstance(space, spaces.CayleySpace):
+            upto = spaces.check_ball(space, center, upto)
+            spheres = space.ball_spheres(upto, closed=True)
+            if spheres is not None:
+                return sphere_profile(spheres, 1, upto)
         return DistanceProfile(
             ((d, self.mass(p)) for p, d in
              spaces.enumerate_ball(space, center, upto, closed=True)), upto)
@@ -150,11 +166,17 @@ def counting_measure(action, basepoint) -> CountingOrbitMeasure:
     return CountingOrbitMeasure(action, basepoint)
 
 
-def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
-    """Exact mass of the (open or closed) ball; errors beyond the safe window."""
+def check_radius(r) -> Fraction:
+    """`r` as a rational; DomainError when it is negative."""
     r = rational(r)
     if r < 0:
         raise DomainError("radius must be nonnegative")
+    return r
+
+
+def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
+    """Exact mass of the (open or closed) ball; errors beyond the safe window."""
+    r = check_radius(r)
     profile = measure.profile(space, x, r)
     return profile.mass_le(r) if closed else profile.mass_lt(r)
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .exact import DomainError, rational
 from . import spaces
-from .measures import ball_mass
+from .measures import CountingOrbitMeasure, check_radius
+from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
 
 EXACT_CAP = 60
 
@@ -353,6 +354,11 @@ class SandwichReport:
     details: dict = field(default_factory=dict)
 
 
+def _open_ratio(profile, big, small) -> Fraction:
+    """mu(B(c, big)) / mu(B(c, small)) for open balls at the profile's center."""
+    return Fraction(profile.mass_lt(big)) / profile.mass_lt(small)
+
+
 def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
                    codiameter=None) -> SandwichReport:
     """Exhaustively verify the packing sandwich on one instance.
@@ -365,21 +371,21 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
     Pack(x, r, R) <= Pack_orbit(x, r - D, R).  The sup runs over the finite
     `sup_sample` (a fundamental domain), recorded as a limitation.
     """
-    from .measures import CountingOrbitMeasure
     r, R = rational(r), rational(R)
     sup_sample = list(sup_sample)
     space = action.space
+    # One profile per (measure, center), built to the largest radius read
+    # from it.  The refusals of the first query, the closed R - r ball,
+    # come first, as they would from ball_mass.
     counting = CountingOrbitMeasure(action, x)
-    lower = (Fraction(ball_mass(counting, space, x, R - r, closed=True))
-             / ball_mass(counting, space, x, 2 * r, closed=False))
+    spaces.check_window(space, x, check_radius(R - r))
+    at_x = counting.profile(space, x, max(R - r, check_radius(2 * r)))
+    lower = Fraction(at_x.mass_le(R - r)) / at_x.mass_lt(2 * r)
     pack_orbit = gamma_packing_count(action, x, r, R, mode="exact", cap=cap)
-    inv_ratio = (Fraction(ball_mass(measure, space, x, R, closed=False))
-                 / ball_mass(measure, space, x, r, closed=False))
+    inv_ratio = _open_ratio(measure.profile(space, x, R), R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    sup_ratio = max(
-        Fraction(ball_mass(measure, space, y, 2 * R, closed=False))
-        / ball_mass(measure, space, y, r, closed=False)
-        for y in sup_sample)
+    sup_ratio = max(_open_ratio(measure.profile(space, y, 2 * R), 2 * R, r)
+                    for y in sup_sample)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio
              and pack_all.count <= sup_ratio)

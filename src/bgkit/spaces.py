@@ -85,12 +85,18 @@ def check_window(space: Space, x, r) -> Fraction:
     return r
 
 
-def enumerate_ball(space: Space, x, r, closed=False):
+def check_ball(space: Space, x, r) -> Fraction:
+    """`r` as a rational, after the refusals of every ball at x: a point
+    outside the space, a radius past the safe window, a negative radius."""
     space.check_point(x)
     r = check_window(space, x, r)
     if r < 0:
         raise DomainError("ball radius must be nonnegative")
-    return space.ball(x, r, closed=closed)
+    return r
+
+
+def enumerate_ball(space: Space, x, r, closed=False):
+    return space.ball(x, check_ball(space, x, r), closed=closed)
 
 
 def validate_metric(space: Space) -> dict:
@@ -371,6 +377,11 @@ class WeightedGraph(Space):
         raise DomainError("arclength exceeds path length")
 
 
+def _word_radius(r: Fraction, closed) -> int:
+    """Largest word length in the open (closed) ball of radius r."""
+    return math.floor(r) if closed else math.ceil(r) - 1
+
+
 class CayleySpace(Space):
     """Cayley graph of a built-in family with its standard generating set.
 
@@ -399,12 +410,14 @@ class CayleySpace(Space):
     def identity(self):
         return self.family.identity()
 
-    def ball(self, x, r, closed=False):
+    def ball_spheres(self, r, closed=False):
+        """[#{g : |g| = i} for i in 0..n], n the largest word length in the
+        ball of radius r, which is the same at every centre; None when the
+        family has no closed form.  WindowError when the ball holds more
+        than ENUMERATION_BUDGET elements: the one budget check of `ball` and
+        of analytic ball profiles."""
         r = rational(r)
-        if closed:
-            int_r = math.floor(r)
-        else:
-            int_r = math.ceil(r) - 1
+        int_r = _word_radius(r, closed)
         if int_r < 0:
             return []
         counts = self.family.sphere_sizes(int_r)
@@ -413,6 +426,14 @@ class CayleySpace(Space):
                 f"ball of radius {fmt_rational(r)} holds {sum(counts)} elements, "
                 f"over the enumeration budget {ENUMERATION_BUDGET}",
                 required=sum(counts), available=ENUMERATION_BUDGET)
+        return counts
+
+    def ball(self, x, r, closed=False):
+        r = rational(r)
+        self.ball_spheres(r, closed)   # refuses balls over the budget
+        int_r = _word_radius(r, closed)
+        if int_r < 0:
+            return []
         hits = [(x, Fraction(0))]
         seen = {x}
         frontier = [x]
@@ -436,8 +457,7 @@ class CayleySpace(Space):
 
     def ball_count(self, r, closed=False) -> int:
         """Exact number of elements within distance r of any point (analytic)."""
-        r = rational(r)
-        int_r = math.floor(r) if closed else math.ceil(r) - 1
+        int_r = _word_radius(rational(r), closed)
         if int_r < 0:
             return 0
         return self.family.ball_size(int_r)

@@ -176,6 +176,18 @@ def test_determinism_across_processes(tmp_path):
     assert runs2[0].stdout == runs2[1].stdout
 
 
+def test_trivial_group_systole_scan_ends():
+    # with no ceiling the probe radius used to double forever
+    for command in ("systole", "diastole"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bgkit.cli", command, "--preset", "atom"],
+            capture_output=True, env=ENV, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: no nontrivial displacement of () "
+                               b"within the scan ceiling\n")
+
+
 def test_glued_line_point_flag(capsys):
     code, report, _ = invoke(
         ["balls", "--preset", "glued-line", "--center", '["tip", 0]',

@@ -1,11 +1,15 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from bgkit import spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
+                          FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import VertexMeasure, ball_mass, counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
 
@@ -91,3 +95,91 @@ def test_gamma_invariance_sampled():
         for r in (1, 2, Fraction(5, 2)):
             assert (ball_mass(mu, act.space, center, r, closed=True)
                     == ball_mass(mu, act.space, (), r, closed=True))
+
+
+# -- analytic profiles of the uniform vertex measure -----------------------------
+
+# (family, a center other than the identity wherever the group has one)
+CAYLEY_CASES = [
+    (FreeFamily(2), (1, -2, 1)),
+    (FreeAbelianFamily(1), (3,)),
+    (FreeAbelianFamily(2), (2, -1)),
+    (FreeAbelianFamily(3), (1, 0, -2)),
+    (TrivialFamily(), ()),
+    (FinitePermutationFamily([(1, 2, 0, 3), (1, 0, 2, 3), (0, 1, 3, 2)]),
+     (2, 0, 1, 3)),
+    (ProductFamily([FreeFamily(1), FreeAbelianFamily(1),
+                    FinitePermutationFamily([(1, 0)])]), ((-1,), (2,), (1, 0))),
+]
+RADII = (0, Fraction(1, 2), 3, Fraction(7, 2))
+
+
+def _tallied(rows):
+    """(distances, cumulative masses) of enumerated rows, by plain counting."""
+    tally = Counter(d for _p, d in rows)
+    distances = sorted(tally)
+    return distances, list(itertools.accumulate(tally[d] for d in distances))
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*_args, **_kwargs):
+    raise _Refused
+
+
+@pytest.mark.parametrize("family,center", CAYLEY_CASES,
+                         ids=[f.name for f, _c in CAYLEY_CASES])
+def test_uniform_cayley_profile_matches_enumeration(family, center,
+                                                    monkeypatch):
+    space = CayleySpace(family)
+    expected = {upto: (_tallied(spaces.enumerate_ball(space, center, upto,
+                                                      closed=True)),
+                       [(r, closed, len(spaces.enumerate_ball(
+                           space, center, r, closed=closed)))
+                        for r in RADII if r <= upto
+                        for closed in (False, True)])
+                for upto in RADII}
+    # the analytic path never enumerates; other measures still do
+    monkeypatch.setattr(CayleySpace, "ball", _refuse)
+    mu = VertexMeasure()
+    for upto, (tally, masses) in expected.items():
+        profile = mu.profile(space, center, upto)
+        assert (profile.distances, profile.cumulative) == tally
+        for r, closed, count in masses:
+            assert ball_mass(mu, space, center, r, closed=closed) == count
+    with pytest.raises(_Refused):
+        VertexMeasure(weights={center: 2}).profile(space, center, 1)
+
+
+def test_uniform_profile_without_closed_form_enumerates(monkeypatch):
+    class Opaque(FreeFamily):
+        def sphere_sizes(self, radius):
+            return None
+
+    space = CayleySpace(Opaque(2))
+    assert VertexMeasure().profile(space, (1,), 2).cumulative == [1, 5, 17]
+    monkeypatch.setattr(CayleySpace, "ball", _refuse)
+    with pytest.raises(_Refused):
+        VertexMeasure().profile(space, (1,), 2)
+
+
+@pytest.mark.parametrize("center,radius", [
+    ((1, 2), 13),         # 2 * 3^13 - 1 elements, over the budget
+    ((1, -1), 2),         # not a reduced word
+    ((1, 2), -1),
+], ids=["budget", "point", "negative"])
+def test_uniform_profile_refusals_match_enumeration(center, radius):
+    space = CayleySpace(FreeFamily(2))
+    texts = []
+    for mu in (VertexMeasure(), VertexMeasure(weight_fn=lambda _p: 1)):
+        with pytest.raises((DomainError, WindowError)) as err:
+            mu.profile(space, center, radius)
+        texts.append((type(err.value), str(err.value)))
+    assert texts[0] == texts[1]
+    if radius == 13:
+        assert texts[0][1] == ("ball of radius 13 holds 3188645 elements, "
+                               "over the enumeration budget 2000000")
+        with pytest.raises(WindowError, match="holds 3188645 elements"):
+            ball_mass(VertexMeasure(), space, center, 13)

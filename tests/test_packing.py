@@ -6,7 +6,7 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
-from bgkit.measures import VertexMeasure
+from bgkit.measures import CountingOrbitMeasure, VertexMeasure
 from bgkit.packing import (gamma_packing_count, packing_condition,
                            packing_count, sandwich_check)
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -170,6 +170,29 @@ def test_sandwich_torus_with_lemma():
     assert rep.lemma_pack_vs_orbit is not None
     pack_all, pack_shrunk, holds = rep.lemma_pack_vs_orbit
     assert holds
+
+
+def test_sandwich_builds_one_profile_per_center(monkeypatch):
+    builds = []
+    for cls in (VertexMeasure, CountingOrbitMeasure):
+        def counted(self, space, center, upto, _build=cls.profile,
+                    _name=cls.__name__):
+            builds.append((_name, center))
+            return _build(self, space, center, upto)
+        monkeypatch.setattr(cls, "profile", counted)
+    space = lattice_space()
+    act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
+    sample = [(i, j) for i in range(5) for j in range(5)]
+    rep = sandwich_check(act, VertexMeasure(), (0, 0), 1, 4,
+                         sup_sample=sample, cap=600)
+    assert sorted(builds) == sorted(
+        [("CountingOrbitMeasure", (0, 0)), ("VertexMeasure", (0, 0))]
+        + [("VertexMeasure", y) for y in sample])
+    assert (rep.counting_lower, rep.pack_orbit, rep.invariant_ratio,
+            rep.pack_all, rep.sup_ratio, rep.chain_holds,
+            rep.lemma_pack_vs_orbit, rep.details) == (
+        1, 1, 25, 16, 113, True, None,
+        {"sup_sample_size": 25, "codiameter": 4})
 
 
 def test_packing_condition_atom_and_lattice():
