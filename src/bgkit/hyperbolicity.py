@@ -62,8 +62,10 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
 
     delta = max over quadruples of (L1 - L2)/2 where L1 >= L2 >= L3 are the
     three pairings d(a,b)+d(c,d), d(a,c)+d(b,d), d(a,d)+d(b,c).  Exhaustive
-    mode runs the int64 kernel over all quadruples (point sets above `cap`
-    are refused); sampled mode draws seeded quadruples and is a lower bound.
+    mode runs the exact integer kernel, whose basepoint certificate settles
+    delta = 0 in O(n^3) and whose scan covers all quadruples otherwise
+    (point sets above `cap` are refused); sampled mode draws seeded
+    quadruples and is a lower bound.
     """
     pts = list(points) if points is not None else list(space.support())
     pts.sort(key=spaces.point_key)
@@ -85,7 +87,11 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
             if any(cell is None for row in dmat for cell in row):
                 raise DomainError("four-point scan over a disconnected graph")
         else:
-            dmat = [[space.distance(a, b) for b in pts] for a in pts]
+            # one distance per unordered pair, mirrored
+            dmat = [[0] * n for _ in range(n)]
+            for i, a in enumerate(pts):
+                for j in range(i + 1, n):
+                    dmat[i][j] = dmat[j][i] = space.distance(a, pts[j])
         ints, scale = _kernels.scale_to_int(
             [d for row in dmat for d in row])
         two_delta, i, j, k, l = _kernels.four_point_scan(

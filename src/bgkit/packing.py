@@ -254,6 +254,14 @@ def _exact_mis(space, points, r):
     return sorted(chosen), method
 
 
+def packing_radii(r, R):
+    """(r, R) as rationals; DomainError unless 0 < r <= R/2."""
+    r, R = rational(r), rational(R)
+    if not 0 < r <= R / 2:
+        raise DomainError("packing needs 0 < r <= R/2")
+    return r, R
+
+
 def packing_count(space, x, r, R, mode="exact", candidates=None,
                   cap=EXACT_CAP) -> PackingResult:
     """Largest (greedy: maximal) family of disjoint radius-r balls in B(x, R).
@@ -263,9 +271,7 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
     exact solver refuses candidate sets above `cap` (raise it deliberately
     for larger certified instances).
     """
-    r, R = rational(r), rational(R)
-    if not 0 < r <= R / 2:
-        raise DomainError("packing needs 0 < r <= R/2")
+    r, R = packing_radii(r, R)
     rows = _candidate_rows(space, x, r, R, candidates)
     points = [p for _d, _k, p in rows]
     if mode == "greedy":
@@ -301,9 +307,7 @@ def _verify_packing(space, x, centers, r, R):
 
 def gamma_packing_count(action, x, r, R, mode="exact", cap=EXACT_CAP) -> PackingResult:
     """Packing count with centers restricted to the orbit of x."""
-    r, R = rational(r), rational(R)
-    if not 0 < r <= R / 2:
-        raise DomainError("packing needs 0 < r <= R/2")
+    r, R = packing_radii(r, R)
     rows = action.elements_moving_near(x, x, R - r)
     orbit_pts = sorted({(d, spaces.point_key(p)): p for _g, p, d in rows}.items())
     candidates = [p for _key, p in orbit_pts]
@@ -371,7 +375,7 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
     Pack(x, r, R) <= Pack_orbit(x, r - D, R).  The sup runs over the finite
     `sup_sample` (a fundamental domain), recorded as a limitation.
     """
-    r, R = rational(r), rational(R)
+    r, R = packing_radii(r, R)
     sup_sample = list(sup_sample)
     space = action.space
     # One profile per (measure, center), built to the largest radius read

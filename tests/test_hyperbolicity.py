@@ -70,6 +70,34 @@ def test_four_point_trees_are_zero():
     assert four_point_delta(free, points=ball).delta == 0
 
 
+def test_four_point_free2_radius5_past_the_cap():
+    # 485 points: the basepoint certificate proves delta = 0 in O(n^3), so
+    # the witness is the first four points in sorted order
+    free = LeftTranslationAction(FreeFamily(2)).space
+    ball = [p for p, _ in free.ball((), 5, closed=True)]
+    assert len(ball) == 485
+    rep = four_point_delta(free, points=ball, cap=500)
+    assert (rep.delta, rep.points_used) == (0, 485)
+    assert rep.witness == tuple(sorted(ball, key=point_key)[:4])
+
+
+def test_four_point_one_distance_per_pair(monkeypatch):
+    free = LeftTranslationAction(FreeFamily(2)).space
+    ball = [p for p, _ in free.ball((), 2, closed=True)]
+    calls = []
+    original = type(free).distance
+
+    def counted(self, x, y):
+        calls.append(frozenset((x, y)))
+        return original(self, x, y)
+
+    monkeypatch.setattr(type(free), "distance", counted)
+    rep = four_point_delta(free, points=ball)
+    n = len(ball)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    assert rep.delta == 0
+
+
 def test_four_point_cycles():
     c4 = cycle_graph(4)
     rep = four_point_delta(c4)

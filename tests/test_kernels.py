@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,19 +9,20 @@ from bgkit import _kernels
 
 def _four_point_py(dist):
     """Plain quadruple loop: the oracle for four_point_scan."""
-    n = dist.shape[0]
-    best = np.int64(-1)
+    d = np.asarray(dist).tolist()
+    n = len(d)
+    best = -1
     wi = wj = wk = wl = 0
     for i in range(n):
         for j in range(i + 1, n):
-            dij = dist[i, j]
+            dij = d[i][j]
             for k in range(j + 1, n):
-                dik = dist[i, k]
-                djk = dist[j, k]
+                dik = d[i][k]
+                djk = d[j][k]
                 for l in range(k + 1, n):
-                    s1 = dij + dist[k, l]
-                    s2 = dik + dist[j, l]
-                    s3 = dist[i, l] + djk
+                    s1 = dij + d[k][l]
+                    s2 = dik + d[j][l]
+                    s3 = d[i][l] + djk
                     hi = max(s1, s2, s3)
                     lo = min(s1, s2, s3)
                     two_delta = 2 * hi + lo - (s1 + s2 + s3)
@@ -57,12 +59,99 @@ def as_ints(scan):
     return tuple(int(x) for x in scan)
 
 
+def random_tree(n, rng):
+    """Parent links and integer weights of a random tree on 0..n-1."""
+    return [(rng.randrange(i), i, rng.randint(1, 9)) for i in range(1, n)]
+
+
+def tree_path(edges, u, v):
+    """Vertices of the tree path from u to v; each edge of `edges` runs
+    from a parent to its child."""
+    parent = {child: p for p, child, _w in edges}
+
+    def to_root(x):
+        out = [x]
+        while out[-1] in parent:
+            out.append(parent[out[-1]])
+        return out
+
+    up, down = to_root(u), to_root(v)
+    meet = next(x for x in up if x in down)
+    return up[:up.index(meet) + 1] + down[:down.index(meet)][::-1]
+
+
+def path_metric(n, edges):
+    """Shortest-path metric of integer-weighted edges, by the loop oracle."""
+    w = np.full((n, n), _kernels.INF, dtype=np.int64)
+    np.fill_diagonal(w, 0)
+    for u, v, x in edges:
+        w[u, v] = w[v, u] = min(w[u, v], x)
+    return _floyd_warshall_py(w)
+
+
+def tree_plus_edge(seed):
+    """A random tree plus one short edge closing a cycle of at least six
+    vertices that avoids vertex 0."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 30)
+    edges = random_tree(n, rng)
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n)
+             if len(tree_path(edges, u, v)) >= 6
+             and 0 not in tree_path(edges, u, v)]
+    u, v = rng.choice(pairs)
+    return path_metric(n, edges + [(u, v, rng.randint(1, 3))])
+
+
+def rescaled(d, top):
+    """d scaled by an integer and shifted off the diagonal so that its
+    largest distance is exactly `top`.  A shift by t adds 2t to every pair
+    sum, so it keeps the metric and every four-point difference."""
+    d = d * (top // int(d.max()))
+    return d + (top - int(d.max())) * (1 - np.eye(len(d), dtype=np.int64))
+
+
 def test_four_point_backends_agree():
     # full (2*delta, i, j, k, l) tuples: the witness lands in the delta report,
     # so the kernel must pick the oracle's (lexicographically first) quadruple
     for n, seed in [(6, 1), (6, 6), (8, 6), (8, 0), (12, 1), (20, 2)]:
         d = random_metric_ints(n, seed)
         assert as_ints(_kernels.four_point_scan(d)) == as_ints(_four_point_py(d))
+
+
+def test_four_point_tree_metrics_take_the_certificate():
+    # every quadruple of a tree metric scores 0: the certificate settles it
+    for n in (4, 5, 6, 7, 9, 12, 16, 21, 27, 33, 40):
+        for seed in range(2):
+            rng = random.Random(100 * n + seed)
+            d = path_metric(n, random_tree(n, rng))
+            assert _kernels.basepoint_excess(d) == 0
+            assert as_ints(_kernels.four_point_scan(d)) == \
+                as_ints(_four_point_py(d)) == (0, 0, 1, 2, 3)
+
+
+def test_four_point_cycle_off_the_basepoint():
+    # a cycle that avoids vertex 0: the quadruples through 0 score V0 > 0,
+    # yet the best quadruple elsewhere scores more, at most 2 V0
+    for seed in (3, 11, 29, 55, 137, 140, 180, 282):
+        d = tree_plus_edge(seed)
+        v0 = _kernels.basepoint_excess(d)
+        want = as_ints(_four_point_py(d))
+        assert 0 < v0 < want[0] <= 2 * v0
+        assert as_ints(_kernels.four_point_scan(d)) == want
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (2 ** 13 - 1, np.int16), (2 ** 13, np.int32),
+    (2 ** 29 - 1, np.int32), (2 ** 29, np.int64), (2 ** 40, np.int64)])
+def test_four_point_at_dtype_switch_points(top, dtype):
+    assert _kernels.scan_dtype(top) is dtype
+    tree = path_metric(9, random_tree(9, random.Random(4)))
+    cycle = tree_plus_edge(55)
+    for d in (rescaled(random_metric_ints(11, 7), top), rescaled(tree, top),
+              rescaled(cycle, top)):
+        assert int(d.max()) == top
+        assert as_ints(_kernels.four_point_scan(d)) == \
+            as_ints(_four_point_py(d))
 
 
 def test_four_point_witness_reproduces_value():
@@ -93,3 +182,21 @@ def test_scale_to_int_exact():
     assert ints == [2, 3, 5]
     with pytest.raises(OverflowError):
         _kernels.scale_to_int([Fraction(1, 10 ** 30), 1])
+
+
+def test_scale_to_int_mixed_empty_and_refused():
+    vals = [3, Fraction(1, 6), Fraction(-5, 4), 0, Fraction(7, 1), -2,
+            Fraction(9, 10)]
+    ints, scale = _kernels.scale_to_int(iter(vals))
+    assert scale == 60
+    assert ints == [180, 10, -75, 0, 420, -120, 54]
+    assert [Fraction(x, scale) for x in ints] == vals
+    assert all(type(x) is int for x in ints)
+    assert _kernels.scale_to_int([]) == ([], 1)
+    # 2**40 is the largest scaled magnitude the kernels accept
+    assert _kernels.scale_to_int([-2 ** 40, 5]) == ([-2 ** 40, 5], 1)
+    assert _kernels.scale_to_int([Fraction(2 ** 40 - 1, 2), 1]) == (
+        [2 ** 40 - 1, 2], 2)
+    for refused in ([2 ** 40 + 1], [-2 ** 40 - 1], [Fraction(1, 2), 2 ** 39 + 1]):
+        with pytest.raises(OverflowError, match="too large for the int64"):
+            _kernels.scale_to_int(refused)

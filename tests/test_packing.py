@@ -195,6 +195,20 @@ def test_sandwich_builds_one_profile_per_center(monkeypatch):
         {"sup_sample_size": 25, "codiameter": 4})
 
 
+def test_sandwich_refuses_bad_radii_before_profiles(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("no profile before the radii are checked")
+
+    for cls in (VertexMeasure, CountingOrbitMeasure):
+        monkeypatch.setattr(cls, "profile", refuse)
+    space = lattice_space()
+    act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
+    for r, R in [(0, 4), (-1, 4), (3, 4), (5, 4)]:
+        with pytest.raises(DomainError, match=r"packing needs 0 < r <= R/2"):
+            sandwich_check(act, VertexMeasure(), (0, 0), r, R,
+                           sup_sample=[(0, 0)])
+
+
 def test_packing_condition_atom_and_lattice():
     from bgkit.presets import atom_instance
     space = atom_instance()[0]
