@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groups, packing, spaces
-from .exact import DomainError, WindowError, rational
-from .measures import DistanceProfile, sphere_profile
+from .exact import (DomainError, INCONCLUSIVE, VERIFIED, WindowError,
+                    rational, verdict)
+from .measures import CountingOrbitMeasure, DistanceProfile, sphere_profile
 
 ORBIT_BUDGET = 2_000_000
 COSET_BOUND = 20000
@@ -769,8 +770,12 @@ def diastole_consistency(action: GroupAction, sample, params, nu: "NuOracle"):
         return {"holds": None, "bound": bound,
                 "note": "no torsion-free elements in the family"}
     measured = float(rep.torsion_free_diastole)
-    return {"holds": measured >= bound * (1 - 1e-12), "bound": bound,
-            "diastole": measured, "N0": n0}
+    status = verdict(bound, measured)
+    out = {"holds": None if status == INCONCLUSIVE else status == VERIFIED,
+           "bound": bound, "diastole": measured, "N0": n0}
+    if out["holds"] is None:
+        out["note"] = "inside the float margin band"
+    return out
 
 
 @dataclass
@@ -779,7 +784,7 @@ class CrossCheckReport:
     measured: float
     bound: float
     direction: str          # "measured<=bound" or "measured>=bound"
-    holds: bool
+    holds: bool | None      # None inside the margin band, noted in details
     slack: float
     assumptions: list
     details: dict = field(default_factory=dict)
@@ -798,32 +803,25 @@ def bound_cross_check(kind: str, measured, bound_params: dict,
                     "margulis_scale"}
     measured_f = float(measured)
     if kind in lower_bounds:
-        holds = bound <= measured_f * (1 + 1e-12)
+        status = verdict(bound, measured_f)
         direction = "measured>=bound"
         slack = measured_f - bound
     else:
-        holds = measured_f <= bound * (1 + 1e-12)
+        status = verdict(measured_f, bound)
         direction = "measured<=bound"
         slack = bound - measured_f
-    return CrossCheckReport(kind=kind, measured=measured_f, bound=bound,
-                            direction=direction, holds=holds, slack=slack,
-                            assumptions=list(assumptions))
+    holds = None if status == INCONCLUSIVE else status == VERIFIED
+    rep = CrossCheckReport(kind=kind, measured=measured_f, bound=bound,
+                           direction=direction, holds=holds, slack=slack,
+                           assumptions=list(assumptions))
+    if holds is None:
+        rep.details["note"] = "inside the float margin band"
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # Strengthened concentric-ball bounds under a convexity hypothesis
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PairCheck:
-    r: Fraction
-    R: Fraction
-    formula: str
-    lhs: Fraction | int | None
-    rhs: float | None
-    holds: bool | None
-    note: str = ""
 
 
 def strengthened_bg_check(action: GroupAction, x, cert, D, pairs,
@@ -836,43 +834,46 @@ def strengthened_bg_check(action: GroupAction, x, cert, D, pairs,
     every sampled pair (r, R) the applicable formulas are compared against
     exact orbit-counting ratios and exact packing counts.
     """
-    if cert.status != "verified":
+    # imported here, so that `import bgkit.actions` does not pay for
+    # building curvature's dataclasses; only this check needs them
+    from .curvature import BGParams, PairCheck, pair_check
+    if cert.status != VERIFIED:
         raise DomainError("strengthened check needs a verified certificate")
-    r0 = rational(cert.params.r0)
+    if not isinstance(cert.params, BGParams):
+        raise DomainError(
+            "strengthened check needs a weak (r0, C, K) certificate")
+    r0 = cert.params.r0
     C = float(cert.params.C)
     K = float(cert.params.K)
     D = rational(D)
     expo = math.log(C) / math.log(2.0)
-    results = []
-    from .measures import CountingOrbitMeasure, ball_mass
+    pairs = [(rational(r), rational(R)) for r, R in pairs]
     counting = measure or CountingOrbitMeasure(action, x)
+    # one profile at x, to the largest radius a checked pair reads
+    tops = [R for r, R in pairs if 0 < r <= R]
+    if tops:
+        profile = counting.profile(action.space, x, max(tops))
+    results = []
     for r, R in pairs:
-        r = rational(r)
-        R = rational(R)
         if not (0 < r <= R):
             results.append(PairCheck(r, R, "-", None, None, None,
                                      note="skipped: needs 0 < r <= R"))
             continue
         ratio_R = float(R) / float(r)
         if r >= 2 * r0:
-            lhs = (ball_mass(counting, action.space, x, R, closed=False)
-                   / ball_mass(counting, action.space, x, r, closed=False))
             rhs = (C * (1.0 + 2.0 * ratio_R) ** expo
                    * math.exp(K * (float(R) + float(r) / 2.0)))
-            results.append(PairCheck(r, R, "open-ratio(i)", lhs, rhs,
-                                     float(lhs) <= rhs * (1 + 1e-12)))
+            results.append(pair_check(r, R, "open-ratio(i)",
+                                      profile.ratio(R, r), rhs))
         else:
-            lhs = (ball_mass(counting, action.space, x, R, closed=True)
-                   / ball_mass(counting, action.space, x, r, closed=False))
             rhs = (C * ((1.0 + float(D) / float(r0)) * (1.0 + 2.0 * ratio_R)) ** expo
                    * math.exp(K * float(D + r0) * (1.0 + 2.0 * ratio_R)))
-            results.append(PairCheck(r, R, "closed-ratio(ii)", lhs, rhs,
-                                     float(lhs) <= rhs * (1 + 1e-12)))
+            results.append(pair_check(r, R, "closed-ratio(ii)",
+                                      profile.ratio(R, r, closed=True), rhs))
         if r <= r0 and r < R:
             pack = packing.packing_count(action.space, x, r, R, mode="exact",
                                          cap=pack_cap)
             rhs = (C * ((1.0 + float(D) / float(r0)) * ratio_R) ** expo
                    * math.exp(K * float(D + r0) * ratio_R))
-            results.append(PairCheck(r, R, "packing(iii)", pack.count, rhs,
-                                     pack.count <= rhs * (1 + 1e-12)))
+            results.append(pair_check(r, R, "packing(iii)", pack.count, rhs))
     return results

@@ -479,7 +479,8 @@ def _check(args, _inp):
     rep_c = actions.bound_cross_check(args.kind, args.measured, params,
                                       nu=_nu_oracle(args),
                                       assumptions=args.assume or [])
-    status = "holds" if rep_c.holds else "violated"
+    status = {True: "holds", False: "violated"}.get(rep_c.holds,
+                                                    "inconclusive")
     return _Outcome(params={"kind": args.kind, "measured": args.measured,
                             **params},
                     result={"bound": rep_c.bound, "slack": rep_c.slack,

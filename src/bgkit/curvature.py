@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED, VIOLATED,
-                    fmt_rational, log_of_rational, rational)
+from .exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
+                    fmt_rational, log_of_rational, rational, verdict)
 from . import spaces
 from .measures import CountingOrbitMeasure, DistanceProfile, Measure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
@@ -103,6 +103,31 @@ class Certificate:
         return self.status == VERIFIED
 
 
+@dataclass
+class PairCheck:
+    """One concentric ratio (or count) at radii (r, R) against a float bound.
+
+    `holds` is None when the pair was skipped or its lhs falls inside the
+    margin band; `note` says which.
+    """
+    r: Fraction
+    R: Fraction
+    formula: str
+    lhs: Fraction | int | None
+    rhs: float | None
+    holds: bool | None
+    note: str = ""
+
+
+def pair_check(r, R, formula, lhs, rhs) -> PairCheck:
+    """The record of lhs <= rhs for one pair, decided by `exact.verdict`."""
+    status = verdict(lhs, rhs)
+    if status == INCONCLUSIVE:
+        return PairCheck(r, R, formula, lhs, rhs, None,
+                         note="inside the float margin band")
+    return PairCheck(r, R, formula, lhs, rhs, status == VERIFIED)
+
+
 def _rhs(factor: float, exponent: float, r: Fraction) -> float:
     return factor * math.exp(exponent * float(r))
 
@@ -144,15 +169,15 @@ def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
                 "above it: the 0 < mass hypothesis fails on this range")
         rhs = _rhs(factor, exponent, radius)
         cert.scan_rows.append((radius, lhs, rhs))
-        f_lhs = float(lhs)
-        if f_lhs >= rhs * (1.0 + MARGIN):
+        status = verdict(lhs, rhs)
+        if status == VIOLATED:
             cert.violations += 1
             v = Violation(radius=radius, lhs=lhs, rhs=rhs, form=form)
             if cert.first_violation is None:
                 cert.first_violation = v
             if worst is None or (lhs, radius) > (worst.lhs, worst.radius):
                 worst = v
-        elif f_lhs > rhs * (1.0 - MARGIN) and cert.status == VERIFIED:
+        elif status == INCONCLUSIVE and cert.status == VERIFIED:
             cert.status = INCONCLUSIVE
             cert.notes.append(
                 f"ratio at {fmt_rational(radius)} inside the float margin band")
@@ -271,41 +296,32 @@ def classic_ratio_bound(r, R, params) -> float:
     raise DomainError("params must be weak or synthetic")
 
 
-@dataclass
-class RatioCheck:
-    r: Fraction
-    R: Fraction
-    lhs: Fraction
-    rhs: float
-    holds: bool
-    slack: float
-
-
 def check_classic_bound(space, measure: Measure, x, params, certificate,
                         pairs) -> list:
     """Measured mass ratios against the classical-form bound for (r, R) pairs.
 
-    Requires a verified certificate for `params` whose range covers the
-    largest R sampled.
+    Requires a verified certificate for `params` at `x` (or over all
+    sampled centers) whose range covers the largest R sampled.
     """
     if certificate is None or not certificate.verified:
         raise DomainError("check_classic_bound needs a verified certificate")
+    if certificate.params != params:
+        raise DomainError("the certificate was verified for other parameters")
+    if certificate.center not in (x, "all sampled"):
+        raise DomainError("the certificate was verified at another center")
     pairs = [(rational(r), rational(R)) for r, R in pairs]
     top = max(R for _r, R in pairs)
     if certificate.r_max < top:
         raise DomainError(
             f"certificate verified only to {fmt_rational(certificate.r_max)}, "
             f"pairs reach {fmt_rational(top)}")
-    profile = _profile_for(measure, space, x, top)
+    profile = measure.profile(space, x, top)
     out = []
     for r, R in pairs:
         if not r < R:
             raise DomainError(f"need r < R, got ({fmt_rational(r)}, {fmt_rational(R)})")
-        lhs = Fraction(profile.mass_lt(R)) / profile.mass_lt(r)
-        rhs = classic_ratio_bound(r, R, params)
-        out.append(RatioCheck(r=r, R=R, lhs=lhs, rhs=rhs,
-                              holds=float(lhs) <= rhs * (1 + MARGIN),
-                              slack=rhs - float(lhs)))
+        out.append(pair_check(r, R, "classic", profile.ratio(R, r),
+                              classic_ratio_bound(r, R, params)))
     return out
 
 

@@ -5,7 +5,9 @@ values; only transcendental bound formulas (exp, log, powers) are evaluated
 in double precision.  Comparing an exact left-hand side against a float
 right-hand side therefore needs an explicit safety margin: we only certify
 "verified" when lhs <= rhs*(1-MARGIN) and only certify "violated" when
-lhs >= rhs*(1+MARGIN); anything in between is "inconclusive".
+lhs >= rhs*(1+MARGIN); anything in between is "inconclusive".  `verdict`
+is the one place that rule is applied: certificate scans, concentric pair
+checks and bound cross-checks all call it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,21 @@ class WindowError(RuntimeError):
         super().__init__(message)
         self.required = required
         self.available = available
+
+
+def verdict(lhs, rhs: float) -> str:
+    """Three-way verdict on lhs <= rhs: VERIFIED at or below rhs*(1-MARGIN),
+    VIOLATED at or above rhs*(1+MARGIN), INCONCLUSIVE strictly between.
+
+    `lhs` is read as its nearest double, so an exact rational and its float
+    get the same verdict.
+    """
+    lhs = float(lhs)
+    if lhs >= rhs * (1.0 + MARGIN):
+        return VIOLATED
+    if lhs > rhs * (1.0 - MARGIN):
+        return INCONCLUSIVE
+    return VERIFIED
 
 
 def rational(value) -> Fraction:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spaces
-from .actions import PairCheck
+from .curvature import PairCheck, pair_check
 from .exact import DomainError, rational
+from .measures import CountingOrbitMeasure
 
 FOUR_POINT_CAP = 150
 
@@ -284,42 +285,42 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
     Conservative ratio convention: closed numerator over open denominator.
     Pairs below the scale threshold are skipped with a notice.
     """
-    from .measures import CountingOrbitMeasure, ball_mass
-    delta_f = float(rational(delta))
-    D_f = float(rational(D))
+    delta, D = rational(delta), rational(D)
+    D_f = float(D)
     K = float(K)
+    scale_i = Fraction(5, 2) * (7 * D + 4 * delta)
+    scale_ii = 10 * (D + delta)
+    pairs = [(rational(r), rational(R)) for r, R in pairs]
+    # one profile per measure at x, to the largest radius a checked pair reads
     counting = CountingOrbitMeasure(action, x)
     space = action.space
+    tops = [R for r, R in pairs if R > r >= scale_i]
+    if measure is not None and tops:
+        invariant = measure.profile(space, x, max(tops))
+    tops = [max(2 * r, R) for r, R in pairs if r >= scale_ii]
+    if tops:
+        orbit = counting.profile(space, x, max(tops))
     out = []
     for r, R in pairs:
-        r, R = rational(r), rational(R)
-        scale_i = Fraction(5, 2) * (7 * rational(D) + 4 * rational(delta))
-        scale_ii = 10 * (rational(D) + rational(delta))
         if measure is not None:
             if R > r >= scale_i:
-                lhs = (Fraction(ball_mass(measure, space, x, R, closed=True))
-                       / ball_mass(measure, space, x, r, closed=False))
                 rhs = (3.0 * math.exp(K * D_f)
                        * float(R / r) ** (25.0 / 4.0 + 6.0 * K * D_f)
                        * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(PairCheck(r, R, "invariant(i)", lhs, rhs,
-                                     float(lhs) <= rhs * (1 + 1e-12)))
+                out.append(pair_check(r, R, "invariant(i)",
+                                      invariant.ratio(R, r, closed=True), rhs))
             else:
                 out.append(PairCheck(r, R, "invariant(i)", None, None, None,
                                      note="skipped: r below (5/2)(7D+4delta)"))
         if r >= scale_ii:
-            lhs = (Fraction(ball_mass(counting, space, x, 2 * r, closed=True))
-                   / ball_mass(counting, space, x, r, closed=False))
             rhs = 3.0 ** 4 * math.exp(6.5 * K * float(r))
-            out.append(PairCheck(r, 2 * r, "counting-doubling(ii)", lhs, rhs,
-                                 float(lhs) <= rhs * (1 + 1e-12)))
+            out.append(pair_check(r, 2 * r, "counting-doubling(ii)",
+                                  orbit.ratio(2 * r, r, closed=True), rhs))
             if R >= r:
-                lhs = (Fraction(ball_mass(counting, space, x, R, closed=True))
-                       / ball_mass(counting, space, x, r, closed=False))
                 rhs = (3.0 * float(R / r) ** (25.0 / 4.0)
                        * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(PairCheck(r, R, "counting-tail(ii)", lhs, rhs,
-                                     float(lhs) <= rhs * (1 + 1e-12)))
+                out.append(pair_check(r, R, "counting-tail(ii)",
+                                      orbit.ratio(R, r, closed=True), rhs))
         else:
             out.append(PairCheck(r, 2 * r, "counting-doubling(ii)", None,
                                  None, None,

@@ -2,10 +2,10 @@
 
 A measure is a lazy view: it produces an exact *distance profile* (sorted
 distances with cumulative masses) around a center, up to the space's safe
-window and never past it.  Every ball mass is a query on one
-`DistanceProfile`, which the curvature scans read too.  Vertex measures
-build it from enumerated support points, except the uniform one on a
-Cayley space: it is left-invariant, so its profile at any center is the
+window and never past it.  Every ball mass, and every concentric ratio
+of two of them, is a query on one `DistanceProfile`, which the curvature
+scans read too.  Vertex measures build it from enumerated support points,
+except the uniform one on a Cayley space: it is left-invariant, so its profile at any center is the
 family's sphere profile, built analytically where the family has a closed
 form and refused past the enumeration budget as enumeration would be.
 Counting measures of standard actions get it from the action,
@@ -57,6 +57,18 @@ class DistanceProfile:
         self._check(r)
         idx = bisect.bisect_right(self.distances, r)
         return self.cumulative[idx - 1] if idx else Fraction(0)
+
+    def ratio(self, big, small, closed=False) -> Fraction:
+        """mass(B(c, big)) / mass(B(c, small)) at the profile's center: the
+        numerator ball is closed only when asked, the denominator ball is
+        always open.  DomainError when the denominator ball is empty."""
+        num = self.mass_le(big) if closed else self.mass_lt(big)
+        den = self.mass_lt(small)
+        if not den:
+            raise DomainError(
+                f"empty ball: the open ball of radius "
+                f"{fmt_rational(rational(small))} has zero mass")
+        return num / den
 
     def _check(self, r):
         if r > self.upto:

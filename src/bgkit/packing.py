@@ -358,11 +358,6 @@ class SandwichReport:
     details: dict = field(default_factory=dict)
 
 
-def _open_ratio(profile, big, small) -> Fraction:
-    """mu(B(c, big)) / mu(B(c, small)) for open balls at the profile's center."""
-    return Fraction(profile.mass_lt(big)) / profile.mass_lt(small)
-
-
 def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
                    codiameter=None) -> SandwichReport:
     """Exhaustively verify the packing sandwich on one instance.
@@ -384,11 +379,11 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
     counting = CountingOrbitMeasure(action, x)
     spaces.check_window(space, x, check_radius(R - r))
     at_x = counting.profile(space, x, max(R - r, check_radius(2 * r)))
-    lower = Fraction(at_x.mass_le(R - r)) / at_x.mass_lt(2 * r)
+    lower = at_x.ratio(R - r, 2 * r, closed=True)
     pack_orbit = gamma_packing_count(action, x, r, R, mode="exact", cap=cap)
-    inv_ratio = _open_ratio(measure.profile(space, x, R), R, r)
+    inv_ratio = measure.profile(space, x, R).ratio(R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    sup_ratio = max(_open_ratio(measure.profile(space, y, 2 * R), 2 * R, r)
+    sup_ratio = max(measure.profile(space, y, 2 * R).ratio(2 * R, r)
                     for y in sup_sample)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio
