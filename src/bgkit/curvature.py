@@ -18,6 +18,7 @@ by the verdict margin from `exact`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -138,19 +139,37 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     'at': ratio of strict masses at the radius itself.
     'above': ratio of closed masses, the constant value on the interval just
     right of the radius, whose binding comparison point is the radius.
+
+    The scan runs on int ticks of 1/S with S = 2 lcm(profile scale, lo and
+    hi denominators): lo, hi, every breakpoint and every half of one are
+    whole ticks there, so the radii are found and the balls counted by
+    comparing ints only.  Each radius and lhs is built once, as a Fraction
+    of two ints.
     """
-    breaks = set(profile.breakpoints_in(lo, hi))
-    for d in profile.breakpoints_in(2 * lo, 2 * hi):
-        half = d / 2
-        if lo <= half <= hi:
-            breaks.add(half)
-    breaks.add(lo)
+    step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
+    k = step // profile.scale
+    ticks = [t * k for t in profile.ticks]
+    low = lo.numerator * (step // lo.denominator)
+    high = hi.numerator * (step // hi.denominator)
+    breaks = set(ticks[bisect_left(ticks, low):bisect_right(ticks, high)])
+    # k is even, so half of every tick is a whole tick
+    breaks.update(t // 2 for t in ticks[bisect_left(ticks, 2 * low):
+                                        bisect_right(ticks, 2 * high)])
+    breaks.add(low)
+    totals = profile.totals
     for a in sorted(breaks):
-        num, den = profile.mass_lt(2 * a), profile.mass_lt(a)
-        yield a, (Fraction(num) / den if den > 0 else None), "at"
-        if a < hi:
-            num, den = profile.mass_le(2 * a), profile.mass_le(a)
-            yield a, (Fraction(num) / den if den > 0 else None), "above"
+        radius = Fraction(a, step)
+        yield radius, _tick_ratio(totals, bisect_left(ticks, 2 * a),
+                                  bisect_left(ticks, a)), "at"
+        if a < high:
+            yield radius, _tick_ratio(totals, bisect_right(ticks, 2 * a),
+                                      bisect_right(ticks, a)), "above"
+
+
+def _tick_ratio(totals, num, den):
+    """The mass of the first num ticks over that of the first den ticks;
+    None when the denominator ball is empty."""
+    return Fraction(totals[num - 1], totals[den - 1]) if den else None
 
 
 def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
@@ -310,6 +329,8 @@ def check_classic_bound(space, measure: Measure, x, params, certificate,
     if certificate.center not in (x, "all sampled"):
         raise DomainError("the certificate was verified at another center")
     pairs = [(rational(r), rational(R)) for r, R in pairs]
+    if not pairs:
+        return []
     top = max(R for _r, R in pairs)
     if certificate.r_max < top:
         raise DomainError(

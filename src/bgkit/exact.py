@@ -1,10 +1,13 @@
 """Exact rational arithmetic helpers and the three-way inequality verdict policy.
 
 All distances, radii and masses in this package are `fractions.Fraction`
-values; only transcendental bound formulas (exp, log, powers) are evaluated
-in double precision.  Comparing an exact left-hand side against a float
-right-hand side therefore needs an explicit safety margin: we only certify
-"verified" when lhs <= rhs*(1-MARGIN) and only certify "violated" when
+values wherever a caller sees them; only transcendental bound formulas
+(exp, log, powers) are evaluated in double precision.  Inside a
+`measures.DistanceProfile` they are kept as ints scaled by one common
+denominator, which is exact too and spares the scans Fraction compares.
+Comparing an exact left-hand side against a float right-hand side
+therefore needs an explicit safety margin: we only certify "verified"
+when lhs <= rhs*(1-MARGIN) and only certify "violated" when
 lhs >= rhs*(1+MARGIN); anything in between is "inconclusive".  `verdict`
 is the one place that rule is applied: certificate scans, concentric pair
 checks and bound cross-checks all call it.

@@ -283,7 +283,8 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
           ratio(2r vs r) <= 81 e^{(13/2) K r}
         and for R >= r the tail form 3 (R/r)^{25/4} e^{6K(R - 4r/5)}.
     Conservative ratio convention: closed numerator over open denominator.
-    Pairs below the scale threshold are skipped with a notice.
+    Pairs below the scale threshold, and invariant pairs with R <= r, are
+    skipped with a notice.
     """
     delta, D = rational(delta), rational(D)
     D_f = float(D)
@@ -310,8 +311,10 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
                 out.append(pair_check(r, R, "invariant(i)",
                                       invariant.ratio(R, r, closed=True), rhs))
             else:
+                note = ("skipped: r below (5/2)(7D+4delta)" if r < scale_i
+                        else "skipped: R <= r")
                 out.append(PairCheck(r, R, "invariant(i)", None, None, None,
-                                     note="skipped: r below (5/2)(7D+4delta)"))
+                                     note=note))
         if r >= scale_ii:
             rhs = 3.0 ** 4 * math.exp(6.5 * K * float(r))
             out.append(pair_check(r, 2 * r, "counting-doubling(ii)",

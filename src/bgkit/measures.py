@@ -4,9 +4,13 @@ A measure is a lazy view: it produces an exact *distance profile* (sorted
 distances with cumulative masses) around a center, up to the space's safe
 window and never past it.  Every ball mass, and every concentric ratio
 of two of them, is a query on one `DistanceProfile`, which the curvature
-scans read too.  Vertex measures build it from enumerated support points,
-except the uniform one on a Cayley space: it is left-invariant, so its profile at any center is the
-family's sphere profile, built analytically where the family has a closed
+scans read too.  A profile keeps its distances as int ticks on one int
+scale (the lcm of their denominators) and its cumulative masses as ints
+on one mass scale, so queries and scans compare ints; every distance and
+mass it hands out is a Fraction.  Vertex measures build it from
+enumerated support points, except the uniform one on a Cayley space: it
+is left-invariant, so its profile at any center is the family's sphere
+profile, built analytically where the family has a closed
 form and refused past the enumeration budget as enumeration would be.
 Counting measures of standard actions get it from the action,
 analytically where the word metric allows, so ball masses of word-metric
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
 from .exact import DomainError, WindowError, fmt_rational, rational
@@ -28,35 +33,65 @@ class DistanceProfile:
 
     Built from (distance, mass) rows in any order: masses at one distance
     add up, and a distance whose total mass is zero is no breakpoint.
-    Distances and cumulative masses are stored as Fractions.
+    Distances are stored as int `ticks` on one int `scale`, the lcm of the
+    rows' distance denominators, so tick t is the distance t/scale.
+    Cumulative masses are stored the same way, as int `totals` on
+    `mass_scale`.  A radius query rounds r*scale up (open ball) or down
+    (closed ball) and bisects the ticks, so it compares ints only; every
+    distance and mass it returns is a Fraction.
     """
 
     def __init__(self, rows, upto):
         tally = {}
         for d, m in rows:
             tally[d] = tally.get(d, 0) + m
-        self.distances, self.cumulative = [], []
+        tally = {d: m for d, m in tally.items() if m}
+        # sets of denominators keep lcm's argument tuples short
+        self.scale = math.lcm(*{d.denominator for d in tally})
+        self.mass_scale = math.lcm(*{m.denominator for m in tally.values()})
+        self.ticks, self.totals = [], []
         total = 0
-        for d, m in sorted(tally.items()):
-            if m:
-                total += m
-                self.distances.append(Fraction(d))
-                self.cumulative.append(Fraction(total))
+        for t, m in sorted((d.numerator * (self.scale // d.denominator), m)
+                           for d, m in tally.items()):
+            total += m.numerator * (self.mass_scale // m.denominator)
+            self.ticks.append(t)
+            self.totals.append(total)
         self.upto = rational(upto)
+
+    @property
+    def distances(self) -> list:
+        """The breakpoint distances as Fractions, ascending."""
+        return [Fraction(t, self.scale) for t in self.ticks]
+
+    @property
+    def cumulative(self) -> list:
+        """The mass within each breakpoint distance, as Fractions."""
+        return [Fraction(c, self.mass_scale) for c in self.totals]
+
+    def _ceil_tick(self, r: Fraction) -> int:
+        return -(-r.numerator * self.scale // r.denominator)
+
+    def _floor_tick(self, r: Fraction) -> int:
+        return r.numerator * self.scale // r.denominator
+
+    def _mass(self, idx) -> Fraction:
+        """The mass of the first idx ticks."""
+        if not idx:
+            return Fraction(0)
+        return Fraction(self.totals[idx - 1], self.mass_scale)
 
     def mass_lt(self, r) -> Fraction:
         """Total mass at distance strictly below r (open ball)."""
         r = rational(r)
         self._check(r)
-        idx = bisect.bisect_left(self.distances, r)
-        return self.cumulative[idx - 1] if idx else Fraction(0)
+        return self._mass(bisect.bisect_left(self.ticks, self._ceil_tick(r)))
 
     def mass_le(self, r) -> Fraction:
         """Total mass at distance at most r (closed ball)."""
         r = rational(r)
         self._check(r)
-        idx = bisect.bisect_right(self.distances, r)
-        return self.cumulative[idx - 1] if idx else Fraction(0)
+        return self._mass(bisect.bisect_right(self.ticks,
+                                              self._floor_tick(r)))
 
     def ratio(self, big, small, closed=False) -> Fraction:
         """mass(B(c, big)) / mass(B(c, small)) at the profile's center: the
@@ -80,14 +115,13 @@ class DistanceProfile:
     def breakpoints_in(self, lo, hi):
         """Profile distances d with lo <= d <= hi."""
         lo, hi = rational(lo), rational(hi)
-        i = bisect.bisect_left(self.distances, lo)
-        j = bisect.bisect_right(self.distances, hi)
-        return self.distances[i:j]
+        i = bisect.bisect_left(self.ticks, self._ceil_tick(lo))
+        j = bisect.bisect_right(self.ticks, self._floor_tick(hi))
+        return [Fraction(t, self.scale) for t in self.ticks[i:j]]
 
 
 def sphere_profile(spheres, step, upto) -> DistanceProfile:
-    """Profile of sphere sizes at distances 0, step, 2*step, ...; the int
-    distances and counts become Fractions once, in the constructor."""
+    """Profile of sphere sizes at distances 0, step, 2*step, ..."""
     return DistanceProfile(zip(itertools.count(0, step), spheres), upto)
 
 

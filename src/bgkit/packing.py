@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import DomainError, rational
+from .exact import DomainError, WindowError, rational
 from . import spaces
 from .measures import CountingOrbitMeasure, check_radius
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
@@ -358,6 +358,15 @@ class SandwichReport:
     details: dict = field(default_factory=dict)
 
 
+def _fits(space, x, r) -> bool:
+    """Whether a ball of radius r at x stays inside the safe window."""
+    try:
+        spaces.check_window(space, x, r)
+    except WindowError:
+        return False
+    return True
+
+
 def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
                    codiameter=None) -> SandwichReport:
     """Exhaustively verify the packing sandwich on one instance.
@@ -381,9 +390,14 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
     at_x = counting.profile(space, x, max(R - r, check_radius(2 * r)))
     lower = at_x.ratio(R - r, 2 * r, closed=True)
     pack_orbit = gamma_packing_count(action, x, r, R, mode="exact", cap=cap)
-    inv_ratio = measure.profile(space, x, R).ratio(R, r)
+    # When x is in the sup sample, its invariant profile is built once, to
+    # 2R, if the window allows; otherwise to R, then again for the sup.
+    wide = x in sup_sample and _fits(space, x, 2 * R)
+    inv_at_x = measure.profile(space, x, 2 * R if wide else R)
+    inv_ratio = inv_at_x.ratio(R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    sup_ratio = max(measure.profile(space, y, 2 * R).ratio(2 * R, r)
+    sup_ratio = max((inv_at_x if wide and y == x
+                     else measure.profile(space, y, 2 * R)).ratio(2 * R, r)
                     for y in sup_sample)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio

@@ -1,7 +1,9 @@
+import bisect
 import math
 from fractions import Fraction
 
 import pytest
+from test_pair_checks import _tally
 
 from bgkit import curvature
 from bgkit.actions import GluedLineShiftAction, LeftTranslationAction
@@ -14,7 +16,7 @@ from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
 from bgkit.exact import DomainError, VERIFIED, VIOLATED
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import DistanceProfile, VertexMeasure, counting_measure
-from bgkit.spaces import GluedLineSpace
+from bgkit.spaces import CayleySpace, GluedLineSpace
 
 
 def lattice_setup():
@@ -313,3 +315,86 @@ def test_scan_at_single_radius():
     cert = check_weak_bg(space, mu, (), BGParams(1, 2.0, 0.0), 1)
     assert cert.status == VERIFIED
     assert cert.critical_radii_checked == 1
+
+
+# -- the int-tick scan against the Fraction scan ------------------------------
+
+
+def _raw_profile(space, measure, x, upto):
+    """Sorted distances and cumulative masses within `upto` of x, tallied
+    from raw enumeration rows, with no profile code."""
+    tally = _tally(measure, space, x, upto)
+    dists = sorted(Fraction(d) for d, m in tally.items() if m)
+    cum, total = [], Fraction(0)
+    for d in dists:
+        total += tally[d]
+        cum.append(total)
+    return dists, cum
+
+
+def _fraction_critical_checks(dists, cum, lo, hi):
+    """The critical-radius scan on Fraction distances, with bisect over
+    Fractions and Fraction compares: the oracle for the int-tick scan."""
+    def mass(idx):
+        return cum[idx - 1] if idx else Fraction(0)
+
+    def mass_lt(r):
+        return mass(bisect.bisect_left(dists, r))
+
+    def mass_le(r):
+        return mass(bisect.bisect_right(dists, r))
+
+    def breakpoints_in(a, b):
+        return dists[bisect.bisect_left(dists, a):bisect.bisect_right(dists, b)]
+
+    breaks = set(breakpoints_in(lo, hi))
+    for d in breakpoints_in(2 * lo, 2 * hi):
+        half = d / 2
+        if lo <= half <= hi:
+            breaks.add(half)
+    breaks.add(lo)
+    for a in sorted(breaks):
+        num, den = mass_lt(2 * a), mass_lt(a)
+        yield a, (Fraction(num) / den if den > 0 else None), "at"
+        if a < hi:
+            num, den = mass_le(2 * a), mass_le(a)
+            yield a, (Fraction(num) / den if den > 0 else None), "above"
+
+
+def _torus5_weighted():
+    weights = {(i, j): Fraction(1 + (i * j) % 5, 2 + (i + j) % 3)
+               for i in range(-3, 4) for j in range(-3, 4)}
+    return (CayleySpace(FreeAbelianFamily(2)), VertexMeasure(weights=weights),
+            (0, 0))
+
+
+def _lattice2():
+    space, mu = lattice_setup()
+    return space, mu, (0, 0)
+
+
+SCAN_CASES = [
+    # hair tips sit at odd tenths such as 21/10, whose halves need S = 2 lcm
+    ("glued-tip", glued_setup, Fraction(1), Fraction(3)),
+    ("glued-tip-lo-eq-hi", glued_setup, Fraction(21, 20), Fraction(21, 20)),
+    ("glued-tip-off-grid", glued_setup, Fraction(11, 10), Fraction(13, 7)),
+    ("torus5-weighted", _torus5_weighted, Fraction(1), Fraction(4)),
+    # the support ends at distance 6, below 2 lo = 7
+    ("torus5-weighted-past-last-tick", _torus5_weighted, Fraction(7, 2),
+     Fraction(9, 2)),
+    ("lattice2", _lattice2, Fraction(137, 100), Fraction(6)),
+    ("lattice2-lo-eq-hi", _lattice2, Fraction(137, 100), Fraction(137, 100)),
+]
+
+
+@pytest.mark.parametrize("setup,lo,hi", [c[1:] for c in SCAN_CASES],
+                         ids=[c[0] for c in SCAN_CASES])
+def test_int_tick_scan_matches_fraction_scan(setup, lo, hi):
+    space, mu, x = setup()
+    profile = mu.profile(space, x, 2 * hi)
+    dists, cum = _raw_profile(space, mu, x, 2 * hi)
+    assert (profile.distances, profile.cumulative) == (dists, cum)
+    got = list(curvature._critical_checks(profile, lo, hi))
+    assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
+    assert got and all(type(radius) is Fraction and type(lhs) is Fraction
+                       for radius, lhs, _form in got)

@@ -10,7 +10,8 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
-from bgkit.measures import VertexMeasure, ball_mass, counting_measure
+from bgkit.measures import (DistanceProfile, VertexMeasure, ball_mass,
+                            counting_measure)
 from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
 
 
@@ -36,6 +37,42 @@ def test_lattice_counting_ball():
     mu = counting_measure(act, (0, 0))
     assert ball_mass(mu, act.space, (0, 0), 3, closed=False) == 13
     assert ball_mass(mu, act.space, (0, 0), 200, closed=True) == 2 * 200 ** 2 + 2 * 200 + 1
+
+
+def test_profile_queries_off_the_tick_grid():
+    # distances at multiples of 1/2, as ints and Fractions, with repeats, a
+    # zero-mass row and int and Fraction masses
+    rows = [(0, 1), (Fraction(1, 2), Fraction(2, 3)), (1, 2), (Fraction(1), 1),
+            (Fraction(3, 2), 0), (2, Fraction(1, 4)), (Fraction(5, 2), 3),
+            (Fraction(5, 2), Fraction(1, 6)), (4, 5)]
+    profile = DistanceProfile(rows, 5)
+    assert profile.scale == 2
+    tally = Counter()
+    for d, m in rows:
+        tally[Fraction(d)] += m
+    ticks = sorted(d for d, m in tally.items() if m)
+    assert profile.distances == ticks
+
+    # 1/3 and 1/5 do not divide the scale; radii on both sides of each tick
+    radii = {Fraction(1, 3), Fraction(7, 5)}
+    for d in ticks:
+        for off in (0, Fraction(1, 3), Fraction(1, 5)):
+            radii.update(r for r in (d - off, d + off) if 0 <= r <= 5)
+    for r in sorted(radii):
+        lt, le = profile.mass_lt(r), profile.mass_le(r)
+        assert lt == sum(m for d, m in tally.items() if d < r), r
+        assert le == sum(m for d, m in tally.items() if d <= r), r
+        # reports print a Fraction as "p/q" and an int as a JSON number
+        assert type(lt) is Fraction and type(le) is Fraction
+    for lo in sorted(radii):
+        for hi in sorted(radii):
+            got = profile.breakpoints_in(lo, hi)
+            assert got == [d for d in ticks if lo <= d <= hi], (lo, hi)
+            assert all(type(d) is Fraction for d in got)
+    assert all(type(q) is Fraction
+               for q in profile.distances + profile.cumulative)
+    with pytest.raises(WindowError):
+        profile.mass_lt(Fraction(16, 3))
 
 
 def test_glued_line_example_masses():

@@ -185,14 +185,40 @@ def test_sandwich_builds_one_profile_per_center(monkeypatch):
     sample = [(i, j) for i in range(5) for j in range(5)]
     rep = sandwich_check(act, VertexMeasure(), (0, 0), 1, 4,
                          sup_sample=sample, cap=600)
+    # x is in the sample: its invariant profile serves both ratios
     assert sorted(builds) == sorted(
-        [("CountingOrbitMeasure", (0, 0)), ("VertexMeasure", (0, 0))]
+        [("CountingOrbitMeasure", (0, 0))]
         + [("VertexMeasure", y) for y in sample])
     assert (rep.counting_lower, rep.pack_orbit, rep.invariant_ratio,
             rep.pack_all, rep.sup_ratio, rep.chain_holds,
             rep.lemma_pack_vs_orbit, rep.details) == (
         1, 1, 25, 16, 113, True, None,
         {"sup_sample_size": 25, "codiameter": 4})
+
+
+def test_sandwich_past_the_window_keeps_its_order(monkeypatch):
+    # R = 4 is inside the safe window 13/2 at the tip, 2R = 8 is not: the
+    # invariant profile at x is built to R, the full packing runs, and then
+    # the sup refuses
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 60)
+    act = GluedLineShiftAction(gl)
+    x = gl.tip(0)
+    events = []
+    original = VertexMeasure.profile
+
+    def counted(self, space, center, upto):
+        events.append(("profile", center, upto))
+        return original(self, space, center, upto)
+
+    def packed(*args, **kwargs):
+        events.append(("packing",))
+        return packing_count(*args, **kwargs)
+
+    monkeypatch.setattr(VertexMeasure, "profile", counted)
+    monkeypatch.setattr("bgkit.packing.packing_count", packed)
+    with pytest.raises(WindowError, match="radius 8 exceeds the safe window"):
+        sandwich_check(act, VertexMeasure(), x, 1, 4, sup_sample=[x], cap=600)
+    assert events[-3:] == [("profile", x, 4), ("packing",), ("profile", x, 8)]
 
 
 def test_sandwich_refuses_bad_radii_before_profiles(monkeypatch):

@@ -142,6 +142,31 @@ def test_strengthened_empty_ball():
                               pairs=[(Fraction(1, 2), 3)], measure=far)
 
 
+# -- skipped and empty pair lists ------------------------------------------
+
+
+def test_cocompact_names_why_an_invariant_pair_is_skipped():
+    _space, act, _mu = presets.free_instance()
+    rows = cocompact_bg_check(act, (), delta=0, D=0, K=0,
+                              pairs=[(3, 2), (3, 3)], measure=VertexMeasure())
+    skipped = [row.note for row in rows if row.formula == "invariant(i)"]
+    assert skipped == ["skipped: R <= r", "skipped: R <= r"]
+    rows = cocompact_bg_check(act, (), delta=1, D=0, K=0, pairs=[(3, 2)],
+                              measure=VertexMeasure())
+    assert rows[0].note == "skipped: r below (5/2)(7D+4delta)"
+
+
+def test_classic_bound_with_no_pairs():
+    space, _act, mu = presets.lattice_instance()
+    params = BGParams(1, 8.0, 1.0)
+    cert = check_weak_bg(space, mu, (0, 0), params, 16)
+    assert cert.status == VERIFIED
+    assert check_classic_bound(space, mu, (0, 0), params, cert, []) == []
+    # the certificate gates still come first
+    with pytest.raises(DomainError, match="another center"):
+        check_classic_bound(space, mu, (5, 5), params, cert, [])
+
+
 # -- certificate gates -----------------------------------------------------
 
 
