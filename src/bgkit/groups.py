@@ -18,6 +18,7 @@ a single element has infinite order.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .exact import DomainError
 
@@ -43,6 +44,10 @@ class GroupFamily:
     def word_length(self, a) -> int:
         """Length of a in the standard generators."""
         raise NotImplementedError
+
+    def word_distance(self, a, b) -> int:
+        """Word length of a^-1 b: the Cayley-graph distance from a to b."""
+        return self.word_length(self.multiply(self.inverse(a), b))
 
     def is_element(self, a) -> bool:
         """True when `a` is an element written in its canonical form."""
@@ -135,6 +140,15 @@ class FreeFamily(GroupFamily):
     def word_length(self, a):
         return len(a)
 
+    def word_distance(self, a, b):
+        # a^-1 b cancels exactly the common prefix of the reduced words
+        common = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            common += 1
+        return len(a) + len(b) - 2 * common
+
     def is_element(self, a):
         # a reduced word over the letters +-1..+-rank
         return (isinstance(a, tuple)
@@ -201,6 +215,9 @@ class FreeAbelianFamily(GroupFamily):
 
     def word_length(self, a):
         return sum(abs(x) for x in a)
+
+    def word_distance(self, a, b):
+        return sum(map(abs, map(operator.sub, a, b)))
 
     def is_element(self, a):
         return (isinstance(a, tuple) and len(a) == self.rank

@@ -79,24 +79,17 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
         if n > cap:
             raise DomainError(
                 f"{n} points exceed the exhaustive cap {cap}; use sampled mode")
-        if points is None and isinstance(space, spaces.WeightedGraph):
-            # every vertex: one all-pairs kernel call; a subset takes the
-            # cached per-source Dijkstra of space.distance instead
-            full = space.distance_matrix()
-            pos = {v: i for i, v in enumerate(space.vertices)}
-            dmat = [[full[pos[a]][pos[b]] for b in pts] for a in pts]
-            if any(cell is None for row in dmat for cell in row):
-                raise DomainError("four-point scan over a disconnected graph")
-        else:
-            # one distance per unordered pair, mirrored
-            dmat = [[0] * n for _ in range(n)]
-            for i, a in enumerate(pts):
-                for j in range(i + 1, n):
-                    dmat[i][j] = dmat[j][i] = space.distance(a, pts[j])
-        ints, scale = _kernels.scale_to_int(
-            [d for row in dmat for d in row])
-        two_delta, i, j, k, l = _kernels.four_point_scan(
-            [ints[row:row + n] for row in range(0, n * n, n)])
+        try:
+            scale, rows = space.scaled_distances(pts)
+        except DomainError:
+            if points is None and isinstance(space, spaces.WeightedGraph):
+                raise DomainError(
+                    "four-point scan over a disconnected graph") from None
+            raise
+        if max(max(map(abs, row)) for row in rows) > 2 ** 40:
+            raise OverflowError(
+                "scaled distances too large for the int64 kernels")
+        two_delta, i, j, k, l = _kernels.four_point_scan(rows)
         delta = Fraction(max(int(two_delta), 0), 2 * scale)
         witness = (pts[i], pts[j], pts[k], pts[l])
         return HyperbolicityReport(delta=delta, method="four_point_exhaustive",

@@ -53,12 +53,14 @@ def _candidate_rows(space, x, r, R, candidates):
 
 def _conflict_masks(space, points, r):
     """Bitset adjacency of the 'centers closer than 2r' conflict graph."""
+    scale, rows = space.scaled_distances(points)
+    # an int d on `scale` is below 2r exactly when it is below ceil(2r scale)
+    threshold = -(-2 * r.numerator * scale // r.denominator)
     n = len(points)
     masks = [0] * n
-    threshold = 2 * r
-    for i in range(n):
+    for i, row in enumerate(rows):
         for j in range(i + 1, n):
-            if space.distance(points[i], points[j]) < threshold:
+            if row[j] < threshold:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -275,11 +277,13 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
     rows = _candidate_rows(space, x, r, R, candidates)
     points = [p for _d, _k, p in rows]
     if mode == "greedy":
-        chosen = []
-        for p in points:
-            if all(space.distance(p, q) >= 2 * r for q in chosen):
-                chosen.append(p)
-        result = PackingResult(count=len(chosen), centers=chosen,
+        # first fit in candidate order, on the exact solver's conflict graph
+        chosen = 0
+        for i, mask in enumerate(_conflict_masks(space, points, r)):
+            if not mask & chosen:
+                chosen |= 1 << i
+        centers = [p for i, p in enumerate(points) if chosen >> i & 1]
+        result = PackingResult(count=len(centers), centers=centers,
                                method="greedy", candidates=len(points))
     elif mode == "exact":
         if len(points) > cap:
@@ -297,11 +301,12 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
 
 def _verify_packing(space, x, centers, r, R):
     """Post-hoc audit from raw distances; a failure is an internal bug."""
+    limit, separation = R - r, 2 * r
     for c in centers:
-        if space.distance(x, c) > R - r:
+        if space.distance(x, c) > limit:
             raise AssertionError("packing center escapes the containment radius")
     for a, b in itertools.combinations(centers, 2):
-        if space.distance(a, b) < 2 * r:
+        if space.distance(a, b) < separation:
             raise AssertionError("packing centers closer than 2r")
 
 

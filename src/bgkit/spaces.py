@@ -3,9 +3,11 @@
 Five variants: explicit finite metrics, weighted graphs (loops and multi
 edges allowed), Cayley graphs of the built-in group families, the glued
 line (a line with an interval hair attached at every eps*k), and metric
-tripods.  All distance queries return `Fraction`s; ball enumeration is
-lazy and refuses to run past the declared safe window instead of silently
-truncating.
+tripods.  Distance queries return `Fraction`s.  `scaled_distances` gives
+all pairwise distances of a finite point set as exact ints on one common
+scale, for the consumers that compare every pair (packing conflict graphs,
+the four-point scan).  Ball enumeration is lazy and refuses to run past the
+declared safe window instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ class Space:
 
     def distance(self, x, y) -> Fraction:
         raise NotImplementedError
+
+    def scaled_distances(self, points):
+        """(scale, rows): int rows with rows[i][j] / scale == d(points[i],
+        points[j]) exactly, one distance computed per unordered pair."""
+        rows = _pairwise(points, self.distance)
+        scale = math.lcm(*{d.denominator for row in rows for d in row})
+        return scale, [[d.numerator * (scale // d.denominator) for d in row]
+                       for row in rows]
 
     def support(self):
         """Iterable of the canonical countable support (may need a window)."""
@@ -61,6 +71,18 @@ class Space:
     def validate(self) -> dict:
         """Diagnostics; never raises."""
         return {"kind": self.kind, "ok": True, "issues": []}
+
+
+def _pairwise(points, metric):
+    """Square matrix of metric(a, b), one call per unordered pair, mirrored,
+    with int 0 on the diagonal."""
+    n = len(points)
+    rows = [[0] * n for _ in range(n)]
+    for i, a in enumerate(points):
+        row = rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = metric(a, points[j])
+    return rows
 
 
 def distance(space: Space, x, y) -> Fraction:
@@ -288,24 +310,52 @@ class WeightedGraph(Space):
             remaining -= comp
         return comps
 
-    def distance_matrix(self):
-        """All-pairs vertex distances, via the scaled-int shortest-path kernel.
-
-        Falls back to per-source Dijkstra when the weights do not scale into
-        the kernel's int64 range.  Disconnected pairs come back as None.
-        """
+    def _all_pairs_ints(self):
+        """(scale, rows): all-pairs vertex distances in `vertices` order from
+        the shortest-path kernel, as ints on the edge-weight scale, None for
+        unreachable pairs; None when the weights do not scale into the
+        kernel's int64 range."""
         from . import _kernels
         idx = {v: i for i, v in enumerate(self.vertices)}
         try:
             ints, scale = _kernels.scale_to_int([w for _u, _v, w in self.edges])
         except OverflowError:
-            return [[self._dijkstra(u).get(v) for v in self.vertices]
-                    for u in self.vertices]
-        dist = _kernels.graph_distances(
+            return None
+        return scale, _kernels.graph_distances(
             len(self.vertices),
             [(idx[u], idx[v], iw) for (u, v, _w), iw in zip(self.edges, ints)])
+
+    def distance_matrix(self):
+        """All-pairs vertex distances as Fractions, None for unreachable
+        pairs: the kernel's ints, or per-source Dijkstra when the weights do
+        not scale into the kernel's int64 range."""
+        pairs = self._all_pairs_ints()
+        if pairs is None:
+            return [[self._dijkstra(u).get(v) for v in self.vertices]
+                    for u in self.vertices]
+        scale, rows = pairs
         return [[None if cell is None else Fraction(cell, scale) for cell in row]
-                for row in dist]
+                for row in rows]
+
+    def scaled_distances(self, points):
+        """The kernel's ints when `points` are exactly the vertices; a strict
+        subset or an edge point takes the per-source Dijkstra of `distance`
+        instead of building all pairs."""
+        if len(points) != len(self.vertices) or set(points) != self._vset:
+            return super().scaled_distances(points)
+        pairs = self._all_pairs_ints()
+        if pairs is None:
+            return super().scaled_distances(points)
+        scale, full = pairs
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        order = [pos[p] for p in points]
+        rows = [[full[a][b] for b in order] for a in order]
+        for a, row in zip(points, rows):
+            if None in row:
+                b = points[row.index(None)]
+                raise DomainError(
+                    f"no path between {a!r} and {b!r} (disconnected graph)")
+        return scale, rows
 
     def diameter(self) -> Fraction:
         best = Fraction(0)
@@ -397,8 +447,10 @@ class CayleySpace(Space):
         self.family = family
 
     def distance(self, x, y):
-        diff = self.family.multiply(self.family.inverse(x), y)
-        return Fraction(self.family.word_length(diff))
+        return Fraction(self.family.word_distance(x, y))
+
+    def scaled_distances(self, points):
+        return 1, _pairwise(points, self.family.word_distance)
 
     def support(self):
         raise WindowError("Cayley support is infinite; enumerate balls instead")

@@ -176,6 +176,20 @@ def test_determinism_across_processes(tmp_path):
     assert runs2[0].stdout == runs2[1].stdout
 
 
+def test_exact_pack_imports_no_numpy():
+    # numpy is paid for only when a kernel runs; an exact packing on a
+    # Cayley space runs none
+    script = ("import sys\n"
+              "from bgkit import cli\n"
+              "code = cli.run(['pack', '--preset', 'lattice2', '--r', '1',"
+              " '--R', '5', '--exact'])\n"
+              "print(code, 'numpy' in sys.modules,"
+              " 'bgkit._kernels' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=ENV, timeout=60)
+    assert proc.stdout.splitlines()[-1] == b"0 False False"
+
+
 def test_trivial_group_systole_scan_ends():
     # with no ceiling the probe radius used to double forever
     for command in ("systole", "diastole"):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bgkit.exact import DomainError
@@ -69,6 +71,36 @@ def test_trivial_family():
     t = TrivialFamily()
     assert t.identity() == ()
     assert t.ball_size(5) == 1
+
+
+def _random_elements(family, rng, count=25, steps=9):
+    """Seeded random walks over the standard generators."""
+    gens = [g for _, g in family.generators()]
+    out = []
+    for _ in range(count):
+        element = family.identity()
+        for _ in range(rng.randint(0, steps) if gens else 0):
+            element = family.multiply(element, rng.choice(gens))
+        out.append(element)
+    return out
+
+
+@pytest.mark.parametrize("family", [
+    TrivialFamily(), FreeFamily(1), FreeFamily(3), FreeAbelianFamily(1),
+    FreeAbelianFamily(3),
+    FinitePermutationFamily([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    ProductFamily([FreeAbelianFamily(1), FreeFamily(2)]),
+    ProductFamily([FinitePermutationFamily([(1, 2, 0)]), FreeAbelianFamily(2),
+                   TrivialFamily()]),
+], ids=lambda f: f.name)
+def test_word_distance_is_length_of_quotient(family):
+    rng = random.Random(17)
+    elements = _random_elements(family, rng)
+    for a in elements:
+        for b in elements:
+            expected = family.word_length(family.multiply(family.inverse(a), b))
+            got = family.word_distance(a, b)
+            assert type(got) is int and got == expected
 
 
 def test_family_from_spec():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from test_kernels import _four_point_py
 
+from bgkit import _kernels
 from bgkit.actions import LeftTranslationAction
 from bgkit.exact import DomainError
 from bgkit.groups import FreeFamily
@@ -85,13 +86,13 @@ def test_four_point_one_distance_per_pair(monkeypatch):
     free = LeftTranslationAction(FreeFamily(2)).space
     ball = [p for p, _ in free.ball((), 2, closed=True)]
     calls = []
-    original = type(free).distance
+    original = FreeFamily.word_distance
 
     def counted(self, x, y):
         calls.append(frozenset((x, y)))
         return original(self, x, y)
 
-    monkeypatch.setattr(type(free), "distance", counted)
+    monkeypatch.setattr(FreeFamily, "word_distance", counted)
     rep = four_point_delta(free, points=ball)
     n = len(ball)
     assert len(calls) == len(set(calls)) == n * (n - 1) // 2
@@ -164,13 +165,52 @@ def test_four_point_vertex_subset_skips_all_pairs(monkeypatch):
         np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
     two_delta, *quad = _four_point_py(dist[np.ix_(subset, subset)])
 
-    def refuse(_self):
+    def refuse(*_args):
         raise AssertionError("a vertex subset must not build all pairs")
 
     monkeypatch.setattr(WeightedGraph, "distance_matrix", refuse)
+    monkeypatch.setattr(_kernels, "graph_distances", refuse)
     rep = four_point_delta(graph, points=subset)
     assert rep.delta == Fraction(int(two_delta), 12)
     assert rep.witness == tuple(subset[i] for i in quad)
+
+
+def test_four_point_takes_no_fraction_distances(monkeypatch):
+    graph = WeightedGraph(list(range(6)), [
+        (0, 1, Fraction(1, 2)), (1, 2, Fraction(3, 7)), (2, 3, 1),
+        (3, 4, Fraction(5, 3)), (4, 5, Fraction(2, 5)), (5, 0, 1),
+        (1, 4, Fraction(1, 3))])
+    expected = oracle_four_point(graph, graph.vertices)
+    free = LeftTranslationAction(FreeFamily(2)).space
+    ball = [p for p, _ in free.ball((), 2, closed=True)]
+
+    def refuse(*_args):
+        raise AssertionError("four_point_delta must not call space.distance")
+
+    monkeypatch.setattr(WeightedGraph, "distance", refuse)
+    monkeypatch.setattr(type(free), "distance", refuse)
+    assert four_point_delta(graph).delta == expected
+    assert four_point_delta(free, points=ball).delta == 0
+
+
+def test_four_point_disconnected_graph_texts():
+    graph = WeightedGraph(list(range(6)), [(0, 1, 1), (1, 2, 1), (2, 0, 1),
+                                           (3, 4, 1), (4, 5, 1)])
+    with pytest.raises(DomainError,
+                       match="four-point scan over a disconnected graph"):
+        four_point_delta(graph)
+    with pytest.raises(DomainError, match="no path between"):
+        four_point_delta(graph, points=[0, 1, 2, 3])
+
+
+def test_four_point_refuses_distances_past_the_kernel_range():
+    far = FiniteMetricSpace([[0 if i == j else 2 ** 40 + 1 for j in range(4)]
+                             for i in range(4)])
+    with pytest.raises(OverflowError, match="too large for the int64 kernels"):
+        four_point_delta(far)
+    near = FiniteMetricSpace([[0 if i == j else 2 ** 40 for j in range(4)]
+                              for i in range(4)])
+    assert four_point_delta(near).delta == 0
 
 
 def test_thin_triangle_trees():

@@ -58,6 +58,51 @@ def test_greedy_below_exact_and_valid():
         assert greedy.count <= exact.count
 
 
+def first_fit_oracle(space, x, r, R):
+    """The greedy packing as a plain Fraction loop: candidates in ball order,
+    each taken when it is at least 2r from every center taken so far."""
+    chosen = []
+    for p, _d in space.ball(x, R - r, closed=True):
+        if all(space.distance(p, q) >= 2 * r for q in chosen):
+            chosen.append(p)
+    return chosen
+
+
+def test_greedy_matches_first_fit_oracle():
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    cases = [(lattice_space(), (0, 0), r, R)
+             for r, R in [(1, 4), (Fraction(3, 2), 6), (2, 9),
+                          (Fraction(1, 2), 5), (Fraction(3, 4), 4)]]
+    cases += [(gl, gl.tip(0), r, R)
+              for r, R in [(Fraction(1, 2), 3), (1, 4), (Fraction(3, 4), 5),
+                           (Fraction(1, 3), 2),
+                           (Fraction(1, 20), Fraction(9, 10))]]
+    for space, x, r, R in cases:
+        res = packing_count(space, x, r, R, mode="greedy")
+        assert res.centers == first_fit_oracle(space, x, Fraction(r), R)
+        assert res.count == len(res.centers)
+        assert res.method == "greedy"
+
+
+def test_conflict_graph_takes_no_fraction_distances(monkeypatch):
+    space = lattice_space()
+    calls = []
+    original = CayleySpace.distance
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(CayleySpace, "distance", counted)
+    for r, R in [(1, 4), (Fraction(3, 2), 6)]:
+        for mode in ("exact", "greedy"):
+            del calls[:]
+            k = packing_count(space, (0, 0), r, R, mode=mode).count
+            # only the post-hoc audit reads space.distance: k containment
+            # checks and one check per pair of centers
+            assert len(calls) == k + k * (k - 1) // 2
+
+
 def test_exact_cap_guard():
     space = lattice_space()
     with pytest.raises(DomainError):

@@ -9,7 +9,8 @@ import pytest
 
 from bgkit import spaces
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import FreeAbelianFamily, FreeFamily
+from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
+                          FreeFamily, ProductFamily)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
                           ModelProfile, TripodSpace, WeightedGraph,
                           build_glued_line, build_tripod, distance,
@@ -308,3 +309,108 @@ def test_distance_matrix_kernel_matches_dijkstra():
         for j, v in enumerate(verts):
             assert matrix[i][j] == graph.vertex_distance(u, v)
     assert graph.diameter() == max(c for row in matrix for c in row)
+
+
+# -- scaled distances -------------------------------------------------------
+
+
+def assert_scaled_matches_loop(space, points):
+    """scaled_distances against a plain space.distance loop over every
+    ordered pair; returns the scale."""
+    scale, rows = space.scaled_distances(points)
+    assert type(scale) is int and scale >= 1
+    assert len(rows) == len(points)
+    for a, row in zip(points, rows):
+        assert len(row) == len(points)
+        for b, cell in zip(points, row):
+            assert type(cell) is int
+            assert Fraction(cell, scale) == space.distance(a, b)
+    return scale
+
+
+def random_weighted_graph(seed, n=12, extra=8):
+    rng = random.Random(seed)
+    verts = list(range(n))
+    edges = [(rng.randrange(i), i, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+             for i in range(1, n)]
+    for _ in range(extra):
+        u, v = rng.sample(verts, 2)
+        edges.append((u, v, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+    return WeightedGraph(verts, edges)
+
+
+def test_scaled_distances_finite_metric_with_fractions():
+    positions = [Fraction(0), Fraction(1, 2), Fraction(5, 3), Fraction(9, 4)]
+    space = FiniteMetricSpace([[abs(a - b) for b in positions]
+                               for a in positions], labels="abcd")
+    assert assert_scaled_matches_loop(space, list("dbca")) == 12
+
+
+def test_scaled_distances_whole_graph_reads_the_kernel(monkeypatch):
+    graph = random_weighted_graph(3)
+    points = list(reversed(graph.vertices))
+
+    def refuse(*_args):
+        raise AssertionError("a whole graph must not take per-pair distances")
+
+    expected = [[graph.distance(a, b) for b in points] for a in points]
+    monkeypatch.setattr(WeightedGraph, "distance", refuse)
+    monkeypatch.setattr(WeightedGraph, "vertex_distance", refuse)
+    scale, rows = graph.scaled_distances(points)
+    # the edge-weight scale, not the lcm of the distances' denominators
+    assert scale == math.lcm(*{w.denominator for _u, _v, w in graph.edges})
+    assert all(type(cell) is int for row in rows for cell in row)
+    assert [[Fraction(c, scale) for c in row] for row in rows] == expected
+
+
+def test_scaled_distances_graph_subset_and_edge_points():
+    graph = random_weighted_graph(4)
+    assert_scaled_matches_loop(graph, [7, 2, 11, 0, 5])
+    edge_points = [graph.edge_point(eid, graph.edges[eid][2] / 3)
+                   for eid in (0, 4, 9)]
+    assert_scaled_matches_loop(graph, edge_points + [1, 6])
+    # every vertex plus an edge point is not the whole vertex set
+    assert_scaled_matches_loop(graph, graph.vertices + edge_points[:1])
+
+
+def test_scaled_distances_disconnected_graph():
+    graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (2, 3, Fraction(1, 2))])
+    with pytest.raises(DomainError, match="no path between"):
+        graph.scaled_distances([0, 1, 2, 3])
+    with pytest.raises(DomainError, match="no path between"):
+        graph.scaled_distances([1, 3])
+    assert graph.scaled_distances([3, 2]) == (2, [[0, 1], [1, 0]])
+
+
+def test_scaled_distances_weight_overflow_falls_back_to_dijkstra():
+    tiny = Fraction(1, 10 ** 30)
+    graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (1, 2, tiny), (2, 3, 2),
+                                         (3, 0, Fraction(7, 3))])
+    scale = assert_scaled_matches_loop(graph, graph.vertices)
+    assert scale == 3 * 10 ** 30
+    matrix = graph.distance_matrix()
+    assert matrix == [[graph.vertex_distance(u, v) for v in graph.vertices]
+                      for u in graph.vertices]
+    assert graph.diameter() == Fraction(7, 3)
+
+
+@pytest.mark.parametrize("family", [
+    FreeFamily(2), FreeAbelianFamily(1), FreeAbelianFamily(3),
+    ProductFamily([FreeAbelianFamily(1), FreeFamily(2)]),
+    FinitePermutationFamily([(1, 0, 2, 3), (1, 2, 3, 0)]),
+], ids=lambda f: f.name)
+def test_scaled_distances_cayley(family):
+    space = CayleySpace(family)
+    ball = [p for p, _d in space.ball(family.identity(), 3, closed=True)]
+    points = random.Random(2).sample(ball, min(len(ball), 30))
+    assert assert_scaled_matches_loop(space, points) == 1
+
+
+def test_scaled_distances_glued_line_and_tripod():
+    gl = build_glued_line("1/10", "1/2", 12)
+    points = gl.support()[::3] + [("line", Fraction(1, 7)),
+                                  ("hair", 2, Fraction(1, 3))]
+    assert_scaled_matches_loop(gl, points)
+    tri = build_tripod(Fraction(3, 2), 2, Fraction(1, 3))
+    assert assert_scaled_matches_loop(tri, tri.support()) == 6
+    assert_scaled_matches_loop(tri, [])
