@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import groups, packing, spaces
+from . import groups, spaces
 from .exact import (DomainError, INCONCLUSIVE, VERIFIED, WindowError,
                     rational, verdict)
 from .measures import CountingOrbitMeasure, DistanceProfile, sphere_profile
@@ -834,8 +834,9 @@ def strengthened_bg_check(action: GroupAction, x, cert, D, pairs,
     every sampled pair (r, R) the applicable formulas are compared against
     exact orbit-counting ratios and exact packing counts.
     """
-    # imported here, so that `import bgkit.actions` does not pay for
-    # building curvature's dataclasses; only this check needs them
+    # imported here, so that `import bgkit.actions` does not load curvature
+    # and packing; only this check needs them
+    from . import packing
     from .curvature import BGParams, PairCheck, pair_check
     if cert.status != VERIFIED:
         raise DomainError("strengthened check needs a verified certificate")

@@ -5,6 +5,10 @@ one toolkit operation, prints the JSON report on stdout and a one-line
 human summary on stderr.  Exit codes: 0 success/verified, 2 a mathematical
 violation was found (so harnesses can assert expected violations), 1
 operational errors.  --dry-run validates inputs and prints the plan only.
+
+Each subcommand imports the modules it runs when it runs them, so a process
+loads only what its one subcommand needs; at import this module loads only
+`exact` and `reports`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import dataclasses
 import json
 import sys
 
-from . import (actions, covers, curvature, entropy, hyperbolicity, measures,
-               packing, presets, reports, spaces)
+from . import reports
 from .exact import DomainError, WindowError, rational
 
 EXIT_OK = 0
@@ -41,6 +44,7 @@ def _decode_point(value, space):
 
 
 def _coerce_point(parsed, space):
+    from . import spaces
     if isinstance(space, spaces.CayleySpace):
         return _tuplify(parsed)
     if isinstance(space, spaces.GluedLineSpace):
@@ -94,6 +98,7 @@ class _Inputs:
         if getattr(args, "preset", None):
             self._from_preset(args.preset)
         if getattr(args, "space", None):
+            from . import actions, measures, spaces
             spec = _load_json(args.space)
             self.space = spaces.space_from_spec(spec)
             action_spec = spec.get("action")
@@ -119,12 +124,14 @@ class _Inputs:
         if self.space is None:
             raise DomainError("no --space file and no --preset given")
         if getattr(args, "measure", None):
+            from . import measures
             self.measure = measures.measure_from_spec(
                 {"measure": args.measure}, self.space, action=self.action)
 
     def _lift_to_cover(self, spec):
         """'measure: pullback' / 'action: deck' lift the whole problem to the
         universal cover of the declared graph."""
+        from . import covers, measures, spaces
         if not isinstance(self.space, spaces.WeightedGraph):
             raise DomainError("pullback/deck specs need a graph space")
         cover_spec = spec.get("cover", {})
@@ -142,6 +149,7 @@ class _Inputs:
         self.measure = measures.PullbackMeasure(cover, base_measure)
 
     def _from_preset(self, name):
+        from . import presets
         table = {
             "lattice2": presets.lattice_instance,
             "free2": presets.free_instance,
@@ -161,6 +169,7 @@ class _Inputs:
             raise DomainError(f"unknown preset {name!r}")
 
     def point(self, raw, default=None):
+        from . import spaces
         if raw is None:
             if default is not None:
                 return default
@@ -230,6 +239,7 @@ def _validate(args, inp):
 
 @_operation("balls", "enumerate ball of radius {r}")
 def _balls(args, inp):
+    from . import measures, spaces
     x = inp.point(args.center)
     r = rational(args.r)
     ball = spaces.enumerate_ball(inp.space, x, r, closed=args.closed)
@@ -266,6 +276,7 @@ def _certificate_outcome(cert, params, label):
 
 @_operation("certify-bg", "scan the weak concentric-ball inequality")
 def _certify_bg(args, inp):
+    from . import curvature
     params = curvature.BGParams(rational(args.r0), args.C, args.K)
     centers = inp.point(args.center)
     if args.all_centers:
@@ -279,6 +290,7 @@ def _certify_bg(args, inp):
 
 @_operation("synthetic", "scan the dimension-style growth condition")
 def _synthetic(args, inp):
+    from . import curvature
     params = curvature.SyntheticParams(args.N, args.K)
     cert = curvature.check_bg_synthetic(inp.space, inp.measure,
                                         inp.point(args.center), params,
@@ -290,6 +302,7 @@ def _synthetic(args, inp):
 
 @_operation("doubling", "compute the doubling constant on [r0/2, 5r0/2]")
 def _doubling(args, inp):
+    from . import curvature
     sup, where = curvature.doubling_constant(inp.space, inp.measure,
                                              inp.point(args.center),
                                              rational(args.r0))
@@ -301,6 +314,7 @@ def _doubling(args, inp):
 
 @_operation("entropy", "sample the growth profile and estimate entropy")
 def _entropy(args, inp):
+    from . import entropy
     x = inp.point(args.center)
     prof = entropy.growth_profile(inp.space, inp.measure, x,
                                   rational(args.rmax), rational(args.step))
@@ -318,6 +332,7 @@ def _entropy(args, inp):
 
 @_operation("delta", "estimate the hyperbolicity constant")
 def _delta(args, inp):
+    from . import hyperbolicity, spaces
     if args.thin:
         if not isinstance(inp.space, spaces.WeightedGraph):
             raise DomainError("--thin needs a graph space")
@@ -345,6 +360,7 @@ def _delta(args, inp):
 
 @_operation("convexity", "scan the geodesic convexity defect")
 def _convexity(args, inp):
+    from . import hyperbolicity
     rep_c = hyperbolicity.convexity_defect(inp.space, grid=args.grid)
     return _Outcome(params={"grid": args.grid},
                     result={"defect": rep_c.defect,
@@ -356,17 +372,19 @@ def _convexity(args, inp):
 
 @_operation("pack", "compute a packing count")
 def _pack(args, inp):
+    from . import packing
     x = inp.point(args.center)
     mode = "exact" if args.exact else "greedy"
+    cap = packing.EXACT_CAP if args.cap is None else args.cap
     if args.orbit:
         if inp.action is None:
             raise DomainError("--orbit needs an action")
         res = packing.gamma_packing_count(inp.action, x, rational(args.r),
                                           rational(args.R), mode=mode,
-                                          cap=args.cap)
+                                          cap=cap)
     else:
         res = packing.packing_count(inp.space, x, rational(args.r),
-                                    rational(args.R), mode=mode, cap=args.cap)
+                                    rational(args.R), mode=mode, cap=cap)
     return _Outcome(params={"r": rational(args.r), "R": rational(args.R),
                             "mode": mode, "orbit": bool(args.orbit)},
                     result={"count": res.count, "method": res.method,
@@ -378,6 +396,7 @@ def _pack(args, inp):
 @_operation("systole", "compute systole over the sampled domain", action=True)
 @_operation("diastole", "compute diastole over the sampled domain", action=True)
 def _systole(args, inp):
+    from . import actions
     want = args.command
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
@@ -397,6 +416,7 @@ def _systole(args, inp):
 
 @_operation("thin-set", "classify the sampled thin set", action=True)
 def _thin_set(args, inp):
+    from . import actions
     sample = [inp.point(raw) for raw in args.sample.split(";")]
     adjacency = {p: [] for p in sample}
     for i, p in enumerate(sample):
@@ -416,6 +436,7 @@ def _thin_set(args, inp):
 
 @_operation("margulis", "scan displacement radii for nilpotency flips", action=True)
 def _margulis(args, inp):
+    from . import actions
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
     pts = actions.margulis_estimate(inp.action, sample,
@@ -433,6 +454,7 @@ def _margulis(args, inp):
 
 @_operation("short-gens", "greedy short generating family", action=True)
 def _short_gens(args, inp):
+    from . import actions
     res = actions.short_generators(inp.action, inp.point(args.center),
                                    rational(args.R))
     status = "ok" if (res.reach_ok and res.separation_ok) else "violated"
@@ -451,6 +473,7 @@ def _nu_oracle(args):
     raw = getattr(args, "nu_table", None)
     if not raw:
         return None
+    from . import actions
     if raw.strip().startswith("["):
         table = json.loads(raw)
     else:
@@ -462,6 +485,7 @@ def _nu_oracle(args):
 
 @_operation("bounds", "evaluate bound formula {kind}", inputs=False)
 def _bounds(args, _inp):
+    from . import actions
     params = {}
     for name in ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r"):
         value = getattr(args, name, None)
@@ -475,6 +499,7 @@ def _bounds(args, _inp):
 
 @_operation("check", "cross-check measured value against {kind}", inputs=False)
 def _check(args, _inp):
+    from . import actions
     params = json.loads(args.params)
     rep_c = actions.bound_cross_check(args.kind, args.measured, params,
                                       nu=_nu_oracle(args),
@@ -492,6 +517,7 @@ def _check(args, _inp):
 
 @_operation("reproduce", "reproduce scenario {scenario}", inputs=False)
 def _reproduce(args, _inp):
+    from . import curvature, presets
     if args.scenario != "glued-line":
         raise DomainError(f"unknown scenario {args.scenario!r}")
     space, action, measure = presets.glued_line_instance(args.r0, args.eps)
@@ -511,6 +537,7 @@ def _reproduce(args, _inp):
 
 @_operation("cover", "materialize the universal cover window")
 def _cover(args, inp):
+    from . import covers, spaces
     if not isinstance(inp.space, spaces.WeightedGraph):
         raise DomainError("cover needs a graph space")
     base = inp.point(args.center, default=sorted(
@@ -604,7 +631,7 @@ def build_parser():
     p.add_argument("--exact", action="store_true")
     p.add_argument("--orbit", action="store_true",
                    help="restrict centers to the orbit of the center point")
-    p.add_argument("--cap", type=int, default=packing.EXACT_CAP)
+    p.add_argument("--cap", type=int)
 
     for name in ("systole", "diastole"):
         p = _subcommand(subs, name, f"{name} over a sampled domain", center=False)

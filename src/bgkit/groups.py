@@ -18,6 +18,7 @@ a single element has infinite order.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .exact import DomainError
@@ -224,12 +225,15 @@ class FreeAbelianFamily(GroupFamily):
                 and all(type(x) is int for x in a))
 
     def sphere_sizes(self, radius):
-        # Counts of lattice points of given l1 norm, by convolving the
-        # 1-dimensional sphere sizes (1, 2, 2, ...) k times.
+        # #{v in Z^k : |v|_1 = n} = sum_i 2^i C(k, i) C(n - 1, i - 1) for
+        # n >= 1: choose the i nonzero coordinates, their signs, and a
+        # composition of n into i positive parts.
+        k = self.rank
         sizes = [1] + [0] * radius
-        one_dim = [1] + [2] * radius
-        for _ in range(self.rank):
-            sizes = _convolve_truncated(sizes, one_dim, radius)
+        for i in range(1, min(k, radius) + 1):
+            choices = 2 ** i * math.comb(k, i)
+            for n in range(i, radius + 1):
+                sizes[n] += choices * math.comb(n - 1, i - 1)
         return sizes
 
     def is_infinite_order(self, a):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spaces
-from .curvature import PairCheck, pair_check
 from .exact import DomainError, rational
 from .measures import CountingOrbitMeasure
 
@@ -279,6 +278,9 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
     Pairs below the scale threshold, and invariant pairs with R <= r, are
     skipped with a notice.
     """
+    # imported here, so that the four-point and convexity paths do not load
+    # curvature; only this check builds pair checks
+    from .curvature import PairCheck, pair_check
     delta, D = rational(delta), rational(D)
     D_f = float(D)
     K = float(K)

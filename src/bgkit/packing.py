@@ -51,11 +51,16 @@ def _candidate_rows(space, x, r, R, candidates):
     return rows
 
 
+def _separation(r, scale):
+    """ceil(2r scale): an int distance d on `scale` is below 2r exactly when
+    d is below this."""
+    return -(-2 * r.numerator * scale // r.denominator)
+
+
 def _conflict_masks(space, points, r):
     """Bitset adjacency of the 'centers closer than 2r' conflict graph."""
     scale, rows = space.scaled_distances(points)
-    # an int d on `scale` is below 2r exactly when it is below ceil(2r scale)
-    threshold = -(-2 * r.numerator * scale // r.denominator)
+    threshold = _separation(r, scale)
     n = len(points)
     masks = [0] * n
     for i, row in enumerate(rows):
@@ -64,6 +69,19 @@ def _conflict_masks(space, points, r):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def _first_fit(space, points, r):
+    """Greedy packing: each candidate in order is taken when it is at least
+    2r from every centre taken so far; one row of distances per candidate,
+    to the centres only, so memory stays linear in the candidates."""
+    centers = []
+    for p in points:
+        scale, row = space.scaled_distances_to(centers, p)
+        threshold = _separation(r, scale)
+        if min(row, default=threshold) >= threshold:
+            centers.append(p)
+    return centers
 
 
 def _components(masks):
@@ -277,12 +295,7 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
     rows = _candidate_rows(space, x, r, R, candidates)
     points = [p for _d, _k, p in rows]
     if mode == "greedy":
-        # first fit in candidate order, on the exact solver's conflict graph
-        chosen = 0
-        for i, mask in enumerate(_conflict_masks(space, points, r)):
-            if not mask & chosen:
-                chosen |= 1 << i
-        centers = [p for i, p in enumerate(points) if chosen >> i & 1]
+        centers = _first_fit(space, points, r)
         result = PackingResult(count=len(centers), centers=centers,
                                method="greedy", candidates=len(points))
     elif mode == "exact":

@@ -6,8 +6,10 @@ line (a line with an interval hair attached at every eps*k), and metric
 tripods.  Distance queries return `Fraction`s.  `scaled_distances` gives
 all pairwise distances of a finite point set as exact ints on one common
 scale, for the consumers that compare every pair (packing conflict graphs,
-the four-point scan).  Ball enumeration is lazy and refuses to run past the
-declared safe window instead of silently truncating.
+the four-point scan); `scaled_distances_to` gives one such row, from a
+point set to one point (greedy packing).  Ball enumeration is lazy and
+refuses to run past the declared safe window instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ class Space:
     def scaled_distances(self, points):
         """(scale, rows): int rows with rows[i][j] / scale == d(points[i],
         points[j]) exactly, one distance computed per unordered pair."""
-        rows = _pairwise(points, self.distance)
-        scale = math.lcm(*{d.denominator for row in rows for d in row})
-        return scale, [[d.numerator * (scale // d.denominator) for d in row]
-                       for row in rows]
+        return _on_one_scale(_pairwise(points, self.distance))
+
+    def scaled_distances_to(self, points, x):
+        """(scale, row): an int row with row[j] / scale == d(points[j], x)
+        exactly, one distance per point."""
+        scale, (row,) = _on_one_scale([[self.distance(p, x) for p in points]])
+        return scale, row
 
     def support(self):
         """Iterable of the canonical countable support (may need a window)."""
@@ -83,6 +88,14 @@ def _pairwise(points, metric):
         for j in range(i + 1, n):
             row[j] = rows[j][i] = metric(a, points[j])
     return rows
+
+
+def _on_one_scale(rows):
+    """(scale, int rows) of rows of rationals: the scale is the lcm of their
+    denominators, so that each int is the rational times the scale."""
+    scale = math.lcm(*{d.denominator for row in rows for d in row})
+    return scale, [[d.numerator * (scale // d.denominator) for d in row]
+                   for row in rows]
 
 
 def distance(space: Space, x, y) -> Fraction:
@@ -451,6 +464,10 @@ class CayleySpace(Space):
 
     def scaled_distances(self, points):
         return 1, _pairwise(points, self.family.word_distance)
+
+    def scaled_distances_to(self, points, x):
+        word_distance = self.family.word_distance
+        return 1, [word_distance(p, x) for p in points]
 
     def support(self):
         raise WindowError("Cayley support is infinite; enumerate balls instead")

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from bgkit.cli import run
 
@@ -176,18 +180,82 @@ def test_determinism_across_processes(tmp_path):
     assert runs2[0].stdout == runs2[1].stdout
 
 
-def test_exact_pack_imports_no_numpy():
-    # numpy is paid for only when a kernel runs; an exact packing on a
-    # Cayley space runs none
-    script = ("import sys\n"
+BASE_MODULES = {"bgkit", "bgkit.cli", "bgkit.exact", "bgkit.reports"}
+INPUT_MODULES = BASE_MODULES | {"bgkit.actions", "bgkit.groups",
+                                "bgkit.measures", "bgkit.spaces"}
+PRESET_MODULES = INPUT_MODULES | {"bgkit.presets"}
+# (argv, bgkit modules the process ends with, whether numpy is loaded);
+# argv None is a bare `import bgkit.cli`
+LOADED_MODULES = [
+    (None, BASE_MODULES, False),
+    (["bounds", "generators", "--N", "2", "--K", "0", "--D", "5"],
+     INPUT_MODULES, False),
+    (["validate", "--preset", "lattice2"], PRESET_MODULES, False),
+    (["certify-bg", "--preset", "lattice2", "--r0", "1", "--C", "8", "--K",
+      "1", "--rmax", "10"], PRESET_MODULES | {"bgkit.curvature"}, False),
+    (["reproduce", "glued-line", "--r0", "1", "--eps", "1/10", "--C", "4",
+      "--K", "1"], PRESET_MODULES | {"bgkit.curvature"}, False),
+    (["entropy", "--preset", "free2", "--rmax", "12"],
+     PRESET_MODULES | {"bgkit.entropy"}, False),
+    (["pack", "--preset", "lattice2", "--r", "1", "--R", "5", "--exact"],
+     PRESET_MODULES | {"bgkit.packing"}, False),
+    (["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
+     PRESET_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules, numpy", LOADED_MODULES,
+    ids=["import"] + [argv[0] for argv, _m, _n in LOADED_MODULES[1:]])
+def test_subcommand_loads_only_what_it_runs(argv, modules, numpy):
+    # each subcommand imports its modules when it runs them, and numpy is
+    # paid for only when a kernel runs: a fresh process ends with exactly
+    # these bgkit modules loaded
+    script = ("import io, json, sys\n"
+              "from contextlib import redirect_stderr, redirect_stdout\n"
               "from bgkit import cli\n"
-              "code = cli.run(['pack', '--preset', 'lattice2', '--r', '1',"
-              " '--R', '5', '--exact'])\n"
-              "print(code, 'numpy' in sys.modules,"
-              " 'bgkit._kernels' in sys.modules)\n")
+              f"argv = {argv!r}\n"
+              "if argv is not None:\n"
+              "    with redirect_stdout(io.StringIO()), "
+              "redirect_stderr(io.StringIO()):\n"
+              "        assert cli.run(argv) in (0, 2)\n"
+              "print(json.dumps([sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'bgkit'), 'numpy' in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=ENV, timeout=60)
-    assert proc.stdout.splitlines()[-1] == b"0 False False"
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [sorted(modules), numpy]
+
+
+HELP_CASES = json.loads(
+    Path(__file__).with_name("help_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP_CASES,
+                         ids=[case["argv"][0] for case in HELP_CASES])
+def test_help_text_unchanged(case, monkeypatch, capsys):
+    # the sha256 of every --help text at 80 columns (argparse wraps to the
+    # terminal width), as Python 3.11's argparse formats it; help must not
+    # depend on the modules a subcommand imports when it runs
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(list(case["argv"]))
+    out = capsys.readouterr().out
+    assert {"argv": case["argv"], "exit": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} == case
+
+
+def test_pack_default_cap_is_the_exact_cap(capsys):
+    # without --cap the exact solver refuses past packing.EXACT_CAP (60)
+    argv = ["pack", "--preset", "lattice2", "--r", "1", "--R", "7", "--exact"]
+    proc = subprocess.run([sys.executable, "-m", "bgkit.cli"] + argv,
+                          capture_output=True, env=ENV, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: 85 candidates exceed the exact cap 60; "
+                           b"use greedy mode or raise the cap\n")
+    code, report, _ = invoke(argv + ["--cap", "85"], capsys)
+    assert code == 0
+    assert report["result"]["candidates"] == 85
 
 
 def test_trivial_group_systole_scan_ends():

@@ -40,6 +40,28 @@ def test_abelian_family():
     assert z2.subgroup_virtually_nilpotent([(5, 0), (0, 5)]) is True
 
 
+def convolved_sphere_sizes(rank, radius):
+    """l1 sphere sizes of Z^rank by convolving the 1-dimensional sizes
+    (1, 2, 2, ...) rank times, truncated at `radius`."""
+    sizes = [1] + [0] * radius
+    for _ in range(rank):
+        sizes = [sum(sizes[i] * (1 if n == i else 2) for i in range(n + 1))
+                 for n in range(radius + 1)]
+    return sizes
+
+
+def test_abelian_sphere_sizes_match_convolution():
+    for rank in range(5):
+        family = FreeAbelianFamily(rank)
+        for radius in range(31):
+            assert family.sphere_sizes(radius) == \
+                convolved_sphere_sizes(rank, radius)
+    # a fresh list per call: a caller may mutate what it gets
+    z3 = FreeAbelianFamily(3)
+    z3.sphere_sizes(4).append(0)
+    assert z3.sphere_sizes(4) == [1, 6, 18, 38, 66]
+
+
 def test_finite_permutation_family():
     # symmetric group on 3 letters from a transposition and a 3-cycle
     s3 = FinitePermutationFamily([(1, 0, 2), (1, 2, 0)])

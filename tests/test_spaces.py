@@ -315,8 +315,9 @@ def test_distance_matrix_kernel_matches_dijkstra():
 
 
 def assert_scaled_matches_loop(space, points):
-    """scaled_distances against a plain space.distance loop over every
-    ordered pair; returns the scale."""
+    """scaled_distances, and scaled_distances_to every point, against a
+    plain space.distance loop over every ordered pair; returns the scale of
+    scaled_distances."""
     scale, rows = space.scaled_distances(points)
     assert type(scale) is int and scale >= 1
     assert len(rows) == len(points)
@@ -325,6 +326,12 @@ def assert_scaled_matches_loop(space, points):
         for b, cell in zip(points, row):
             assert type(cell) is int
             assert Fraction(cell, scale) == space.distance(a, b)
+    for x in points:
+        row_scale, row = space.scaled_distances_to(points, x)
+        assert type(row_scale) is int and row_scale >= 1
+        assert all(type(cell) is int for cell in row)
+        assert [Fraction(cell, row_scale) for cell in row] == \
+            [space.distance(p, x) for p in points]
     return scale
 
 
