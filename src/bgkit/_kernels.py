@@ -18,7 +18,24 @@ whose quadruples through one point all have hi - mid <= c has
 hi - mid <= 2c on every quadruple, so the maximum lies in [V0, 2 V0].  V0 = 0
 therefore certifies that every quadruple scores 0, as on trees and free
 group balls, and the scan is skipped.  Otherwise the Theta(n^4) scan runs
-in the narrowest integer dtype that holds its sums exactly.
+in the narrowest integer dtype that holds its sums exactly.  For each j
+and a block of rows i < j it scores the full (k, l) square over k, l > j.
+Adding the same amount to all three pair sums leaves hi - mid as it is, so
+the scan takes them less d(j,l), as broadcasts of contiguous slices:
+
+    d(i,j) + d(k,l) - d(j,l) = dist[i, j] + (dist[j+1:, j+1:] - dist[j, j+1:])
+    d(i,k)                   = dist[i, j+1:, None]
+    d(i,l) + d(j,k) - d(j,l) = dist[i, None, j+1:] + (dist[j, j+1:, None]
+                                                      - dist[j, j+1:])
+
+The two differences in parentheses are m x m, m = n - j - 1, made once
+per j.  The sums go into four buffers of about SCAN_BLOCK cells allocated
+once per call, so the scan gathers no copies of the matrix and its memory
+stays flat.  The matrix must be symmetric: a score is then symmetric in
+k <-> l, so the row-major argmax over the square meets every maximum
+first at some k < l, and the diagonal k = l is set to -1 so that it never
+wins a tie.  The square costs twice the cells of the k < l triangle, which
+contiguous access more than repays.
 
 This is the only module that imports numpy, so the CLI pays for it only
 when a kernel runs.  The plain-loop oracles the kernels are tested against
@@ -34,11 +51,15 @@ import numpy as np
 INF = np.int64(2 ** 60)
 # elements of one (max, min) block of the basepoint certificate
 CERTIFICATE_BLOCK = 2 ** 21
+# cells per buffer of one block of the four-point scan; a block holds at
+# least one row i, whose (k, l) square may be larger
+SCAN_BLOCK = 2 ** 17
 
 
 def scan_dtype(top):
     """Narrowest signed dtype that holds 4 * top, top the largest |distance|:
-    pair sums and their differences stay within 2 * top."""
+    pair sums less a distance stay within 3 * top, and differences of pair
+    sums within 4 * top."""
     if 4 * top < 2 ** 15:
         return np.int16
     if 4 * top < 2 ** 31:
@@ -66,11 +87,18 @@ def basepoint_excess(dist):
 def four_point_scan(dist):
     """(2*delta, i, j, k, l) maximizing the four-point difference, exact.
 
-    `dist` is an n x n integer metric (array or nested lists).  The witness
-    is the lexicographically first maximizing quadruple i < j < k < l, so
-    the reports that print it are reproducible.  When the basepoint
-    certificate is 0 every quadruple scores 0 and that quadruple is
-    (0, 1, 2, 3).
+    `dist` is a symmetric n x n integer metric (array or nested lists).  The
+    witness is the lexicographically first maximizing quadruple
+    i < j < k < l, so the reports that print it are reproducible.  When the
+    basepoint certificate is 0 every quadruple scores 0 and that quadruple
+    is (0, 1, 2, 3).
+
+    Each j scores the full square of (k, l), k, l > j, for a block of rows
+    i < j at a time, from contiguous broadcasts into four buffers allocated
+    once per call (see the module docstring).  A score is symmetric in
+    k <-> l because `dist` is, so the row-major argmax over the square
+    meets each maximum first at k < l; the diagonal k = l is set to -1 so
+    that it never wins a tie.
     """
     dist = np.asarray(dist, dtype=np.int64)
     n = dist.shape[0]
@@ -79,37 +107,46 @@ def four_point_scan(dist):
     dist = np.ascontiguousarray(dist, dtype=scan_dtype(int(np.abs(dist).max())))
     if basepoint_excess(dist) == 0:
         return 0, 0, 1, 2, 3
-    # pairs (k, l), k < l, in lexicographic order; those with k > j form the
-    # suffix starting at start[j + 1]
-    kk, ll = np.triu_indices(n, k=1)
-    dkl = dist[kk, ll]
-    start = np.searchsorted(kk, np.arange(n + 1))
-    # best value and first maximizing pair over k > j, per row (i, j), i < j
+    # rows i < j per block: about SCAN_BLOCK cells, at least one row
+    steps = [min(j, max(1, SCAN_BLOCK // (n - j - 1) ** 2))
+             for j in range(n - 2)]
+    size = max(steps[j] * (n - j - 1) ** 2 for j in range(1, n - 2))
+    bufs = [np.empty(size, dtype=dist.dtype) for _ in range(4)]
+    # best value and first maximizing cell k * m + l of the square, per row
+    # (i, j), i < j
     row_best = np.full((n, n), -1, dtype=dist.dtype)
     row_arg = np.zeros((n, n), dtype=np.int64)
     for j in range(1, n - 2):
-        s = start[j + 1]
-        k, l = kk[s:], ll[s:]
-        s1 = dist[:j, j, None] + dkl[None, s:]
-        s2 = dist[:j][:, k]
-        s2 += dist[j, l]
-        s3 = dist[:j][:, l]
-        s3 += dist[j, k]
-        # hi - mid, with mid = max(min(s1, s2), min(max(s1, s2), s3))
-        mid = np.minimum(s1, s2)
-        np.maximum(s1, s2, out=s1)
-        np.minimum(s1, s3, out=s2)
-        np.maximum(mid, s2, out=mid)
-        np.maximum(s1, s3, out=s1)
-        val = np.subtract(s1, mid, out=s1)
-        arg = np.argmax(val, axis=1)
-        row_arg[:j, j] = arg + s
-        row_best[:j, j] = val[np.arange(j), arg]
+        m = n - j - 1
+        # the pair sums are taken less d(j,l), which leaves hi - mid as it is
+        dj = dist[j, j + 1:]
+        tail = dist[j + 1:, j + 1:] - dj
+        cross = dj[:, None] - dj
+        for a in range(0, j, steps[j]):
+            b = min(j, a + steps[j])
+            s1, s2, s3, mid = (buf[:(b - a) * m * m].reshape(b - a, m, m)
+                               for buf in bufs)
+            rows = dist[a:b, j + 1:]
+            # d(i,j) + d(k,l), d(i,k) + d(j,l) and d(i,l) + d(j,k), less d(j,l)
+            np.add(dist[a:b, j, None, None], tail, out=s1)
+            np.copyto(s2, rows[:, :, None])
+            np.add(rows[:, None, :], cross, out=s3)
+            # hi - mid, with mid = max(min(s1, s2), min(max(s1, s2), s3))
+            np.minimum(s1, s2, out=mid)
+            np.maximum(s1, s2, out=s1)
+            np.minimum(s1, s3, out=s2)
+            np.maximum(mid, s2, out=mid)
+            np.maximum(s1, s3, out=s1)
+            val = np.subtract(s1, mid, out=s1).reshape(b - a, m * m)
+            val[:, ::m + 1] = -1
+            arg = val.argmax(axis=1)
+            row_arg[a:b, j] = arg
+            row_best[a:b, j] = val[np.arange(b - a), arg]
     # row-major argmax picks the first (i, j), so the witness is the
     # lexicographically first maximizing quadruple
     i, j = divmod(int(np.argmax(row_best)), n)
-    p = row_arg[i, j]
-    return int(row_best[i, j]), i, j, int(kk[p]), int(ll[p])
+    k, l = divmod(int(row_arg[i, j]), n - j - 1)
+    return int(row_best[i, j]), i, j, j + 1 + k, j + 1 + l
 
 
 def floyd_warshall(weights: np.ndarray):

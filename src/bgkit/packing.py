@@ -132,29 +132,31 @@ def _bipartition(masks, comp):
     return left, right
 
 
+def _augment(masks, match_r, match_l, u, visited):
+    """Extend the matching by an augmenting path from left vertex u."""
+    m = masks[u]
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        if v in visited or v not in match_r:
+            continue
+        visited.add(v)
+        if match_r[v] is None or _augment(masks, match_r, match_l,
+                                          match_r[v], visited):
+            match_r[v] = u
+            match_l[u] = v
+            return True
+    return False
+
+
 def _koenig_mis(masks, comp):
     """Max independent set of a bipartite component via max matching."""
     parts = _bipartition(masks, comp)
     left, right = parts
     match_r = {v: None for v in right}
     match_l = {u: None for u in left}
-
-    def augment(u, visited):
-        m = masks[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if v in visited or v not in match_r:
-                continue
-            visited.add(v)
-            if match_r[v] is None or augment(match_r[v], visited):
-                match_r[v] = u
-                match_l[u] = v
-                return True
-        return False
-
     for u in left:
-        augment(u, set())
+        _augment(masks, match_r, match_l, u, set())
 
     # Koenig: alternating reachability from unmatched left vertices
     reach_l, reach_r = set(), set()
@@ -219,6 +221,33 @@ def _greedy_mis_mask(masks, avail):
     return chosen
 
 
+def _bb_branch(masks, best, avail, chosen, size):
+    """Branch and bound below one node; `best` is [size, mask] so far."""
+    if not avail:
+        if size > best[0]:
+            best[0], best[1] = size, chosen
+        return
+    if size + _clique_cover_bound(masks, avail) <= best[0]:
+        return
+    # branch on a vertex of maximum conflict degree inside avail
+    m, pick, pick_deg = avail, -1, -1
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        deg = (masks[u] & avail).bit_count()
+        if deg > pick_deg:
+            pick, pick_deg = u, deg
+    if pick_deg == 0:
+        total = size + avail.bit_count()
+        if total > best[0]:
+            best[0], best[1] = total, chosen | avail
+        return
+    bit = 1 << pick
+    # take pick, then skip it
+    _bb_branch(masks, best, avail & ~bit & ~masks[pick], chosen | bit, size + 1)
+    _bb_branch(masks, best, avail & ~bit, chosen, size)
+
+
 def _bb_mis(masks, comp):
     """Branch and bound maximum independent set on one component."""
     avail0 = 0
@@ -226,31 +255,7 @@ def _bb_mis(masks, comp):
         avail0 |= 1 << u
     seed = _greedy_mis_mask(masks, avail0)
     best = [seed.bit_count(), seed]
-
-    def recurse(avail, chosen, size):
-        if not avail:
-            if size > best[0]:
-                best[0], best[1] = size, chosen
-            return
-        if size + _clique_cover_bound(masks, avail) <= best[0]:
-            return
-        # branch on a vertex of maximum conflict degree inside avail
-        m, pick, pick_deg = avail, -1, -1
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (masks[u] & avail).bit_count()
-            if deg > pick_deg:
-                pick, pick_deg = u, deg
-        if pick_deg == 0:
-            total = size + avail.bit_count()
-            if total > best[0]:
-                best[0], best[1] = total, chosen | avail
-            return
-        bit = 1 << pick
-        recurse(avail & ~bit & ~masks[pick], chosen | bit, size + 1)   # take
-        recurse(avail & ~bit, chosen, size)                            # skip
-    recurse(avail0, 0, 0)
+    _bb_branch(masks, best, avail0, 0, 0)
     chosen = best[1]
     out = []
     while chosen:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,72 @@ def test_four_point_at_dtype_switch_points(top, dtype):
         assert int(d.max()) == top
         assert as_ints(_kernels.four_point_scan(d)) == \
             as_ints(_four_point_py(d))
+
+
+@pytest.mark.parametrize("block", [1, 7, 300])
+def test_four_point_split_blocks(monkeypatch, block):
+    # at the default sizes every tested n fits one block; these split the
+    # rows i < j of the scan and of the certificate into many
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK", block)
+    monkeypatch.setattr(_kernels, "CERTIFICATE_BLOCK", block)
+    metrics = [random_metric_ints(n, n) for n in (13, 21, 30)]
+    metrics += [tree_plus_edge(seed)
+                for seed in (3, 11, 29, 55, 137, 140, 180, 282)]
+    for d in metrics:
+        assert as_ints(_kernels.four_point_scan(d)) == \
+            as_ints(_four_point_py(d))
+
+
+def grid_l1_metric(side):
+    coords = [(x, y) for x in range(side) for y in range(side)]
+    return np.array([[abs(x - u) + abs(y - v) for u, v in coords]
+                     for x, y in coords], dtype=np.int64)
+
+
+def test_four_point_tied_maxima():
+    # unit cycles and a grid: many quadruples share the maximum, so the
+    # witness pins the lex-first choice and the masked diagonal k = l
+    metrics = [path_metric(n, [(v, (v + 1) % n, 1) for v in range(n)])
+               for n in range(6, 14)]
+    metrics.append(grid_l1_metric(4))
+    for d in metrics:
+        assert _kernels.basepoint_excess(d) > 0
+        assert as_ints(_kernels.four_point_scan(d)) == \
+            as_ints(_four_point_py(d))
+    # on a metric the diagonal scores 0; off the triangle inequality, with
+    # d(0, 1) = 10 and points 2..5 at distance 0, the cell k = l = 2 ties
+    # the maximum ahead of (k, l) = (2, 3) unless it is masked
+    d = np.ones((6, 6), dtype=np.int64)
+    d[2:, 2:] = 0
+    np.fill_diagonal(d, 0)
+    d[0, 1] = d[1, 0] = 10
+    assert as_ints(_kernels.four_point_scan(d)) == \
+        as_ints(_four_point_py(d)) == (8, 0, 1, 2, 3)
+
+
+def test_four_point_scan_memory_is_flat(monkeypatch):
+    # one certificate row per block, so the certificate holds O(n^2) cells
+    # and the peak is the scan's
+    monkeypatch.setattr(_kernels, "CERTIFICATE_BLOCK", 1)
+    n = 140
+    d = random_metric_ints(n, 3)
+    itemsize = np.dtype(_kernels.scan_dtype(int(d.max()))).itemsize
+    assert _kernels.basepoint_excess(d) > 0
+    assert _kernels.SCAN_BLOCK >= (n - 2) ** 2
+    _kernels.four_point_scan(d)
+    tracemalloc.start()
+    try:
+        _kernels.four_point_scan(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the four buffers; the m x m differences, two of one j and one of the
+    # j before; the scan-dtype copy, row_best and the int64 row_arg; numpy's
+    # ufunc iteration buffers, one per operand; small arrays and objects
+    bound = (4 * _kernels.SCAN_BLOCK * itemsize + 3 * (n - 2) ** 2 * itemsize
+             + n * n * (2 * itemsize + 8) + 3 * np.getbufsize() * itemsize
+             + 2 ** 14)
+    assert peak < bound
 
 
 def test_four_point_witness_reproduces_value():

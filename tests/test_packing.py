@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,22 @@ def test_bipartite_koenig_path_on_unit_conflicts():
     # parity argument: the odd class 4+12+20+28 = 64 is independent and
     # maximum (distinct odd-parity points sit at even l1 distance >= 2)
     assert res.count == 64
+
+
+@pytest.mark.parametrize("r, method", [(1, "exact+koenig"),
+                                       (Fraction(3, 2), "exact")])
+def test_exact_packing_leaves_no_cycles(r, method):
+    # the matching and the branch and bound recurse through module-level
+    # functions: a call leaves nothing for the cyclic collector
+    space = lattice_space()
+    gc.disable()
+    try:
+        gc.collect()
+        res = packing_count(space, (0, 0), r, 6, mode="exact", cap=300)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.method == method
 
 
 def test_packing_monotonicity():
