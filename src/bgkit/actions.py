@@ -78,14 +78,14 @@ class GroupAction:
                 return False
         return True
 
-    def validate_isometry(self, sample_points, pairs=60, seed=7):
-        """Spot-check that the rule preserves distances on sampled pairs."""
+    def validate_isometry(self, sample_points):
+        """Spot-check that the rule preserves distances on 60 sampled pairs."""
         import random
-        rng = random.Random(seed)
+        rng = random.Random(7)
         pts = list(sample_points)
         gens = [g for _, g in self.family.generators()] or [self.family.identity()]
         issues = []
-        for _ in range(pairs):
+        for _ in range(60):
             a, b = rng.choice(pts), rng.choice(pts)
             g = rng.choice(gens)
             try:
@@ -97,8 +97,8 @@ class GroupAction:
                 issues.append((g, a, b, lhs, rhs))
         return issues
 
-    def quotient_diameter(self, sample=None) -> Fraction:
-        """diam of the quotient; analytic for lattice rules, else over `sample`."""
+    def quotient_diameter(self) -> Fraction:
+        """diam of the quotient, exact for each rule that has one."""
         raise NotImplementedError
 
 
@@ -129,11 +129,9 @@ class LeftTranslationAction(GroupAction):
     def displacement_profile(self, base, center, upto):
         upto = rational(upto)
         spheres = self.family.sphere_sizes(max(math.floor(upto), 0))
-        if spheres is None:
-            return super().displacement_profile(base, center, upto)
         return sphere_profile(spheres, 1, upto)
 
-    def quotient_diameter(self, sample=None):
+    def quotient_diameter(self):
         return Fraction(0)
 
 
@@ -220,13 +218,12 @@ class LatticeTranslationAction(GroupAction):
             return sphere_profile(spheres, self._scale, upto)
         return super().displacement_profile(base, center, upto)
 
-    def quotient_diameter(self, sample=None):
-        if self._scale is not None:
-            # l1 diameter of the k-torus of side m
-            return Fraction(self.k * (self._scale // 2))
-        if sample is None:
-            raise DomainError("quotient diameter of a general lattice needs a sample")
-        return _sampled_quotient_diameter(self, sample)
+    def quotient_diameter(self):
+        if self._scale is None:
+            raise DomainError(
+                "quotient diameter is exact only for lattice matrices m*I")
+        # l1 diameter of the k-torus of side m
+        return Fraction(self.k * (self._scale // 2))
 
 
 class GluedLineShiftAction(GroupAction):
@@ -257,7 +254,7 @@ class GluedLineShiftAction(GroupAction):
                     rows.append((g, p, d))
         return rows
 
-    def quotient_diameter(self, sample=None):
+    def quotient_diameter(self):
         # fundamental domain: one eps-cell plus its hair
         return (self.space.eps + self.space.hair * 2) / 2
 
@@ -287,7 +284,7 @@ class PermutationAction(GroupAction):
                 rows.append((g, p, d))
         return rows
 
-    def quotient_diameter(self, sample=None):
+    def quotient_diameter(self):
         pts = list(self.space.support())
         best = Fraction(0)
         for a in pts:
@@ -296,17 +293,6 @@ class PermutationAction(GroupAction):
                          for g in self.family.elements())
                 best = max(best, dq)
         return best
-
-
-def _sampled_quotient_diameter(action: GroupAction, sample):
-    best = Fraction(0)
-    pts = list(sample)
-    for a in pts:
-        for b in pts:
-            rows = action.elements_moving_near(b, a, best + action.space.distance(a, b))
-            dq = min(d for _g, _p, d in rows) if rows else action.space.distance(a, b)
-            best = max(best, dq)
-    return best
 
 
 def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
@@ -326,18 +312,13 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
         return PermutationAction(family, space, labels=spec.get("labels"))
     if rule == "deck":
         raise DomainError("deck actions are built from a cover: "
-                          "use universal_cover + deck_action")
+                          "use universal_cover + DeckAction")
     raise DomainError(f"unknown action rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------
 # Sigma_r, systole, thin sets, Margulis scans
 # ---------------------------------------------------------------------------
-
-
-def orbit_within(action: GroupAction, x, radius):
-    """[(element, displacement)] for all elements moving x by <= radius."""
-    return action.orbit_within(x, radius)
 
 
 @dataclass
@@ -350,7 +331,7 @@ class SigmaResult:
 
 def sigma_r(action: GroupAction, x, r) -> SigmaResult:
     """Sigma_r(x) together with the family's verdict on the generated subgroup."""
-    rows = orbit_within(action, x, r)
+    rows = action.orbit_within(x, r)
     elements = [g for g, _d in rows]
     identity = action.family.identity()
     gens = [g for g in elements if g != identity]
@@ -395,7 +376,7 @@ def _expanding_min_displacement(action, x, ceiling, keep):
     probe = Fraction(1)
     while True:
         limit = probe if radius is None else min(probe, radius)
-        hits = [d for g, d in orbit_within(action, x, limit) if keep(g)]
+        hits = [d for g, d in action.orbit_within(x, limit) if keep(g)]
         if hits:
             return min(hits)
         if radius is not None and probe >= radius:
@@ -515,7 +496,7 @@ def margulis_estimate(action: GroupAction, sample, ceiling) -> list:
     ceiling = rational(ceiling)
     out = []
     for x in sample:
-        rows = orbit_within(action, x, ceiling)
+        rows = action.orbit_within(x, ceiling)
         radii = sorted({d for _g, d in rows})
         flip = None
         unknown = False
@@ -555,8 +536,7 @@ class ShortGeneratorsResult:
     codiameter: Fraction
 
 
-def short_generators(action: GroupAction, x0, R,
-                     codiameter=None) -> ShortGeneratorsResult:
+def short_generators(action: GroupAction, x0, R) -> ShortGeneratorsResult:
     """Greedy maximal R-separated orbit subset within 2D+R, as group elements.
 
     Distances (i) d(x0, g x0) <= 2D+R and (ii) pairwise >= R are re-verified
@@ -564,9 +544,9 @@ def short_generators(action: GroupAction, x0, R,
     to `COSET_BOUND` cosets when a membership oracle exists for the family.
     """
     R = rational(R)
-    D = rational(codiameter) if codiameter is not None else action.quotient_diameter()
+    D = action.quotient_diameter()
     radius = 2 * D + R
-    rows = orbit_within(action, x0, radius)
+    rows = action.orbit_within(x0, radius)
     chosen = []
     chosen_points = []
     for g, d in rows:

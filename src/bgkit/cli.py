@@ -91,18 +91,22 @@ def _preset_size(name, prefix, default):
 
 class _Inputs:
     def __init__(self, args):
-        self.args = args
-        self.space = None
         self.action = None
         self.measure = None
-        if getattr(args, "preset", None):
+        if args.preset:
+            if args.space:
+                raise DomainError("--preset and --space are exclusive: "
+                                  "a preset brings its own space")
+            if args.action:
+                raise DomainError("--action needs a --space file: "
+                                  "a preset brings its own action")
             self._from_preset(args.preset)
-        if getattr(args, "space", None):
+        elif args.space:
             from . import actions, measures, spaces
             spec = _load_json(args.space)
             self.space = spaces.space_from_spec(spec)
             action_spec = spec.get("action")
-            if getattr(args, "action", None):
+            if args.action:
                 action_spec = _load_json(args.action)
             wants_deck = (isinstance(action_spec, dict)
                           and action_spec.get("action") == "deck")
@@ -121,9 +125,9 @@ class _Inputs:
                         spec["basepoint"], self.space)
             self.measure = measures.measure_from_spec(measure_spec, self.space,
                                                       action=self.action)
-        if self.space is None:
+        else:
             raise DomainError("no --space file and no --preset given")
-        if getattr(args, "measure", None):
+        if args.measure:
             from . import measures
             self.measure = measures.measure_from_spec(
                 {"measure": args.measure}, self.space, action=self.action)
@@ -145,7 +149,7 @@ class _Inputs:
                      for k, v in spec["weights"].items()}
             if "weights" in spec else None)
         self.space = cover.space
-        self.action = covers.deck_action(cover)
+        self.action = covers.DeckAction(cover)
         self.measure = measures.PullbackMeasure(cover, base_measure)
 
     def _from_preset(self, name):
@@ -333,18 +337,25 @@ def _entropy(args, inp):
 @_operation("delta", "estimate the hyperbolicity constant")
 def _delta(args, inp):
     from . import hyperbolicity, spaces
+    # the points are the whole support of a finite space, and a ball around
+    # --center on any other
+    whole = isinstance(inp.space, (spaces.WeightedGraph,
+                                   spaces.FiniteMetricSpace,
+                                   spaces.TripodSpace))
+    if whole and args.center is not None:
+        raise DomainError(f"--center: delta reads every point of this "
+                          f"{inp.space.kind} space, not a ball")
     if args.thin:
         if not isinstance(inp.space, spaces.WeightedGraph):
             raise DomainError("--thin needs a graph space")
-        rep_h = hyperbolicity.thin_triangle_delta(inp.space, count=args.samples,
-                                                  seed=args.seed or 0)
+        count = {} if args.samples is None else {"count": args.samples}
+        rep_h = hyperbolicity.thin_triangle_delta(inp.space,
+                                                  seed=args.seed or 0, **count)
     else:
         mode = "exhaustive" if args.exhaustive or not args.samples else "sampled"
         points = None
-        if not isinstance(inp.space, (spaces.WeightedGraph,
-                                      spaces.FiniteMetricSpace,
-                                      spaces.TripodSpace)):
-            x = inp.point(None)
+        if not whole:
+            x = inp.point(args.center)
             points = [p for p, _ in spaces.enumerate_ball(
                 inp.space, x, rational(args.radius), closed=True)]
         rep_h = hyperbolicity.four_point_delta(
@@ -361,7 +372,11 @@ def _delta(args, inp):
 @_operation("convexity", "scan the geodesic convexity defect")
 def _convexity(args, inp):
     from . import hyperbolicity
-    rep_c = hyperbolicity.convexity_defect(inp.space, grid=args.grid)
+    # without --center the origin is the repr-first vertex, not inp.point's
+    # first vertex
+    origin = None if args.center is None else inp.point(args.center)
+    rep_c = hyperbolicity.convexity_defect(inp.space, grid=args.grid,
+                                           origin=origin)
     return _Outcome(params={"grid": args.grid},
                     result={"defect": rep_c.defect,
                             "defect_float": float(rep_c.defect),

@@ -170,7 +170,7 @@ class DeckAction(GroupAction):
                 rows.append((g, v, d))
         return rows
 
-    def quotient_diameter(self, sample=None):
+    def quotient_diameter(self):
         return self.cover.base.diameter()
 
 
@@ -265,10 +265,6 @@ def universal_cover(graph: spaces.WeightedGraph, basepoint, window,
                       generator_words=generator_words)
     cover.space = CoverTreeSpace(cover)
     return cover
-
-
-def deck_action(cover: CoverData) -> DeckAction:
-    return DeckAction(cover)
 
 
 def graph_betti(graph: spaces.WeightedGraph):

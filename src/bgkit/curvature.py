@@ -263,13 +263,13 @@ def _merge_all_centers(certs, params) -> Certificate:
     return merged
 
 
-def min_exponent(space, measure: Measure, x, r0, C, r_max,
-                 tolerance=1e-6) -> float:
+def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
     """Smallest K >= 0 making the weak inequality hold on [r0, r_max].
 
     Exact up to float rounding: K* is the max over critical radii of
-    (ln lhs - ln C) / r, clamped at zero; callers should pad by `tolerance`
-    before re-certifying to stay clear of the margin band.
+    (ln lhs - ln C) / r, clamped at zero, and 0 when it is at most 1e-6;
+    callers should pad by that much before re-certifying to stay clear of
+    the margin band.
     """
     r0, r_max = rational(r0), rational(r_max)
     if not C > 1:
@@ -283,7 +283,7 @@ def min_exponent(space, measure: Measure, x, r0, C, r_max,
         if lhs > 1:
             k = (log_of_rational(lhs) - ln_c) / float(radius)
             best = max(best, k)
-    return best if best > tolerance else 0.0
+    return best if best > 1e-6 else 0.0
 
 
 def weak_to_synthetic(params: BGParams) -> SyntheticParams:
@@ -382,7 +382,7 @@ def diameter_shift(params: BGParams, D) -> BGParams:
 
 
 def brute_force_recheck(space, measure: Measure, x, factor, exponent,
-                        lo, hi, samples=200, seed=123):
+                        lo, hi, samples=200):
     """Independent certificate audit from raw ball enumerations.
 
     Enumerates once to 2*hi: support points with their masses, or the orbit
@@ -392,7 +392,7 @@ def brute_force_recheck(space, measure: Measure, x, factor, exponent,
     violations.
     """
     import random
-    rng = random.Random(seed)
+    rng = random.Random(123)
     lo, hi = rational(lo), rational(hi)
     if isinstance(measure, CountingOrbitMeasure):
         rows = [(d, 1) for _g, _p, d in measure.action.elements_moving_near(

@@ -22,6 +22,7 @@ from .exact import DomainError, log_of_rational, rational
 from .measures import Measure
 
 MIN_SAMPLES = 10
+_TOLERANCE = 0.05
 
 
 @dataclass
@@ -122,15 +123,15 @@ class ConsistencyReport:
 
 
 def entropy_bg_consistency(space, measure: Measure, center, certificate,
-                           profile: GrowthProfile, tolerance=0.05,
-                           converse_target=None, r_max=None,
-                           tail_fraction=0.3) -> ConsistencyReport:
+                           profile: GrowthProfile, converse_target=None,
+                           r_max=None) -> ConsistencyReport:
     """Entropy estimate against a verified certificate's exponent.
 
-    Asserts estimate <= K + tolerance.  When `converse_target` K' above the
-    estimate is given, searches scales r0 (over the profile radii) and the
-    matching factor C for which the weak inequality verifies up to r_max,
-    returning the first hit.
+    Asserts estimate <= K + 0.05, the estimate taken with the default tail
+    of `entropy_estimate`.  When `converse_target` K' above the estimate is
+    given, searches scales r0 (over the profile radii) and the matching
+    factor C for which the weak inequality verifies up to r_max, returning
+    the first hit.
     """
     if certificate is not None:
         if not certificate.verified:
@@ -139,9 +140,9 @@ def entropy_bg_consistency(space, measure: Measure, center, certificate,
             raise DomainError("certificate centered elsewhere")
         if profile.samples[-1].R < certificate.r_max:
             raise DomainError("profile shorter than the certificate range")
-    est = entropy_estimate(profile, tail_fraction=tail_fraction)
+    est = entropy_estimate(profile)
     bound = certificate.params.K if certificate is not None else float("inf")
-    holds = est.estimate <= bound + tolerance
+    holds = est.estimate <= bound + _TOLERANCE
     converse = None
     notes = list(est.notes)
     if converse_target is not None:
@@ -155,7 +156,7 @@ def entropy_bg_consistency(space, measure: Measure, center, certificate,
             if converse is None:
                 notes.append("no (r0, C) certificate found up to r_max")
     return ConsistencyReport(entropy=est.estimate, bound=bound, holds=holds,
-                             tolerance=tolerance, converse=converse,
+                             tolerance=_TOLERANCE, converse=converse,
                              notes=notes)
 
 

@@ -55,15 +55,12 @@ class GroupFamily:
         raise NotImplementedError
 
     def sphere_sizes(self, radius: int):
-        """[#{g : |g| = i} for i in 0..radius], exact; None when no closed form."""
-        return None
+        """[#{g : |g| = i} for i in 0..radius], exact, in closed form."""
+        raise NotImplementedError
 
     def ball_size(self, radius: int) -> int:
-        """#{g : |g| <= radius}; exact integers, analytic where possible."""
-        spheres = self.sphere_sizes(radius)
-        if spheres is None:
-            raise DomainError(f"no analytic ball counts for family {self.name}")
-        return sum(spheres)
+        """#{g : |g| <= radius}; exact integers from `sphere_sizes`."""
+        return sum(self.sphere_sizes(radius))
 
     def is_infinite_order(self, a) -> bool:
         raise NotImplementedError
@@ -373,10 +370,7 @@ class ProductFamily(GroupFamily):
     def sphere_sizes(self, radius):
         sizes = [1] + [0] * radius
         for f in self.factors:
-            fs = f.sphere_sizes(radius)
-            if fs is None:
-                return None
-            sizes = _convolve_truncated(sizes, fs, radius)
+            sizes = _convolve_truncated(sizes, f.sphere_sizes(radius), radius)
         return sizes
 
     def is_infinite_order(self, a):

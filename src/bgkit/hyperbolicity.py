@@ -149,7 +149,7 @@ def _fiber_candidates(tripod: TripodDecomposition, prefixes):
     return cands
 
 
-def thin_triangle_delta(graph, triangles=None, count=60, seed=0):
+def thin_triangle_delta(graph, count=60, seed=0):
     """Max tripod-fiber diameter over sampled geodesic triangles of a graph.
 
     Geodesics are the deterministic lexicographically-smallest shortest
@@ -159,17 +159,13 @@ def thin_triangle_delta(graph, triangles=None, count=60, seed=0):
     if not isinstance(graph, spaces.WeightedGraph):
         raise DomainError("thin-triangle scan needs a graph space")
     verts = sorted(graph.vertices, key=spaces.point_key)
-    if triangles is None:
-        triples = list(itertools.combinations(verts, 3))
-        if len(triples) > count:
-            rng = random.Random(seed)
-            triples = rng.sample(triples, count)
-            method = f"thin_triangle(sampled,count={count},seed={seed})"
-        else:
-            method = "thin_triangle(all vertex triples)"
+    triples = list(itertools.combinations(verts, 3))
+    if len(triples) > count:
+        rng = random.Random(seed)
+        triples = rng.sample(triples, count)
+        method = f"thin_triangle(sampled,count={count},seed={seed})"
     else:
-        triples = list(triangles)
-        method = "thin_triangle(supplied)"
+        method = "thin_triangle(all vertex triples)"
     best = Fraction(0)
     witness = ()
     for x, y, z in triples:
@@ -223,8 +219,8 @@ class ConvexityReport:
     samples: int
 
 
-def convexity_defect(graph, triples=None, grid=8, origin=None,
-                     endpoints=None) -> ConvexityReport:
+def convexity_defect(graph, triples=None, grid=8,
+                     origin=None) -> ConvexityReport:
     """Largest violation of d(c0(t), c1(t)) <= t d(c0(1), c1(1)) over a grid.
 
     Geodesic pairs share an origin; c(t) is the exact point at arclength
@@ -238,7 +234,9 @@ def convexity_defect(graph, triples=None, grid=8, origin=None,
     if triples is None:
         verts = sorted(graph.vertices, key=spaces.point_key)
         o = origin if origin is not None else verts[0]
-        ends = endpoints if endpoints is not None else [v for v in verts if v != o]
+        if o not in graph.vertices:
+            raise DomainError(f"convexity origin {o!r} is not a vertex")
+        ends = [v for v in verts if v != o]
         triples = [(o, a, b) for a, b in itertools.combinations(ends, 2)]
     best = Fraction(0)
     witness = ()

@@ -10,8 +10,8 @@ on one mass scale, so queries and scans compare ints; every distance and
 mass it hands out is a Fraction.  Vertex measures build it from
 enumerated support points, except the uniform one on a Cayley space: it
 is left-invariant, so its profile at any center is the family's sphere
-profile, built analytically where the family has a closed
-form and refused past the enumeration budget as enumeration would be.
+profile, built from the closed-form sphere sizes every family has and
+refused past the enumeration budget as enumeration would be.
 Counting measures of standard actions get it from the action,
 analytically where the word metric allows, so ball masses of word-metric
 balls stay exact far beyond anything enumerable.
@@ -160,9 +160,8 @@ class VertexMeasure(Measure):
     def profile(self, space, center, upto) -> DistanceProfile:
         if self.uniform and isinstance(space, spaces.CayleySpace):
             upto = spaces.check_ball(space, center, upto)
-            spheres = space.ball_spheres(upto, closed=True)
-            if spheres is not None:
-                return sphere_profile(spheres, 1, upto)
+            return sphere_profile(space.ball_spheres(upto, closed=True), 1,
+                                  upto)
         return DistanceProfile(
             ((d, self.mass(p)) for p, d in
              spaces.enumerate_ball(space, center, upto, closed=True)), upto)

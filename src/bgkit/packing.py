@@ -390,8 +390,8 @@ def _fits(space, x, r) -> bool:
     return True
 
 
-def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
-                   codiameter=None) -> SandwichReport:
+def sandwich_check(action, measure, x, r, R, sup_sample,
+                   cap=2000) -> SandwichReport:
     """Exhaustively verify the packing sandwich on one instance.
 
         counting(closed R-r) / counting(open 2r)
@@ -426,8 +426,7 @@ def sandwich_check(action, measure, x, r, R, sup_sample, cap=2000,
              and pack_orbit.count <= inv_ratio
              and pack_all.count <= sup_ratio)
     lemma = None
-    D = rational(codiameter) if codiameter is not None \
-        else action.quotient_diameter()
+    D = action.quotient_diameter()
     if D < r:
         shrunk = gamma_packing_count(action, x, r - D, R, mode="exact", cap=cap)
         lemma = (pack_all.count, shrunk.count, pack_all.count <= shrunk.count)

@@ -6,16 +6,15 @@ from . import actions, groups, measures, spaces
 from .exact import rational
 
 
-def lattice_instance(k=2):
-    """Z^k lattice with its full translation action and counting measure."""
-    action = actions.LeftTranslationAction(groups.FreeAbelianFamily(k))
-    origin = action.family.identity()
-    return action.space, action, measures.counting_measure(action, origin)
+def lattice_instance():
+    """Z^2 lattice with its full translation action and counting measure."""
+    action = actions.LeftTranslationAction(groups.FreeAbelianFamily(2))
+    return action.space, action, measures.counting_measure(action, (0, 0))
 
 
-def free_instance(k=2):
-    """Free-group Cayley tree with left translation and counting measure."""
-    action = actions.LeftTranslationAction(groups.FreeFamily(k))
+def free_instance():
+    """Rank-2 free-group Cayley tree, left translation, counting measure."""
+    action = actions.LeftTranslationAction(groups.FreeFamily(2))
     return action.space, action, measures.counting_measure(action, ())
 
 
@@ -24,16 +23,14 @@ def atom_instance():
     return action.space, action, measures.counting_measure(action, ())
 
 
-def torus_instance(m, k=2):
-    """Z^k lattice with the (m Z)^k sublattice translation action."""
-    space = spaces.CayleySpace(groups.FreeAbelianFamily(k))
-    matrix = [[m if i == j else 0 for j in range(k)] for i in range(k)]
-    action = actions.LatticeTranslationAction(space, matrix)
-    origin = (0,) * k
-    return space, action, measures.counting_measure(action, origin)
+def torus_instance(m):
+    """Z^2 lattice with the (m Z)^2 sublattice translation action."""
+    space = spaces.CayleySpace(groups.FreeAbelianFamily(2))
+    action = actions.LatticeTranslationAction(space, [[m, 0], [0, m]])
+    return space, action, measures.counting_measure(action, (0, 0))
 
 
-def glued_line_instance(r0="1", eps="1/10", window=None):
+def glued_line_instance(r0="1", eps="1/10"):
     """The hairy-line family: hair length r0/2 glued at every eps*k.
 
     This is the family whose counting measure defeats every concentric
@@ -41,9 +38,8 @@ def glued_line_instance(r0="1", eps="1/10", window=None):
     r0 + eps at a hair tip.
     """
     r0, eps = rational(r0), rational(eps)
-    if window is None:
-        # enough hairs to scan ratios out to ~3 r0 around a tip
-        window = int(4 * r0 / eps) + 4
+    # enough hairs to scan ratios out to ~3 r0 around a tip
+    window = int(4 * r0 / eps) + 4
     space = spaces.GluedLineSpace(eps, r0 / 2, window)
     action = actions.GluedLineShiftAction(space)
     measure = measures.counting_measure(action, space.tip(0))

@@ -134,10 +134,6 @@ def enumerate_ball(space: Space, x, r, closed=False):
     return space.ball(x, check_ball(space, x, r), closed=closed)
 
 
-def validate_metric(space: Space) -> dict:
-    return space.validate()
-
-
 class FiniteMetricSpace(Space):
     kind = "finite_metric"
 
@@ -481,16 +477,15 @@ class CayleySpace(Space):
 
     def ball_spheres(self, r, closed=False):
         """[#{g : |g| = i} for i in 0..n], n the largest word length in the
-        ball of radius r, which is the same at every centre; None when the
-        family has no closed form.  WindowError when the ball holds more
-        than ENUMERATION_BUDGET elements: the one budget check of `ball` and
-        of analytic ball profiles."""
+        ball of radius r, which is the same at every centre.  WindowError
+        when the ball holds more than ENUMERATION_BUDGET elements: the one
+        budget check of `ball` and of analytic ball profiles."""
         r = rational(r)
         int_r = _word_radius(r, closed)
         if int_r < 0:
             return []
         counts = self.family.sphere_sizes(int_r)
-        if counts is not None and sum(counts) > ENUMERATION_BUDGET:
+        if sum(counts) > ENUMERATION_BUDGET:
             raise WindowError(
                 f"ball of radius {fmt_rational(r)} holds {sum(counts)} elements, "
                 f"over the enumeration budget {ENUMERATION_BUDGET}",
@@ -516,10 +511,6 @@ class CayleySpace(Space):
                         seen.add(prod)
                         nxt.append(prod)
                         hits.append((prod, Fraction(depth)))
-                        if len(seen) > ENUMERATION_BUDGET:
-                            raise WindowError(
-                                "enumeration budget exceeded",
-                                required=len(seen), available=ENUMERATION_BUDGET)
             frontier = nxt
         hits.sort(key=lambda pd: (pd[1], point_key(pd[0])))
         return hits
@@ -651,14 +642,6 @@ class TripodSpace(Space):
             if length == 0:
                 issues.append(f"degenerate branch {name} (endpoint coincides with center)")
         return {"kind": self.kind, "ok": True, "issues": issues}
-
-
-def build_glued_line(eps, hair_length, window) -> GluedLineSpace:
-    return GluedLineSpace(eps, hair_length, window)
-
-
-def build_tripod(alpha, beta, gamma) -> TripodSpace:
-    return TripodSpace(alpha, beta, gamma)
 
 
 class ModelProfile:

@@ -26,7 +26,7 @@ from bgkit.curvature import (BGParams, SyntheticParams, check_bg_synthetic,
 from bgkit.groups import FreeAbelianFamily
 from bgkit.measures import (PullbackMeasure, VertexMeasure, ball_mass,
                             counting_measure)
-from bgkit.spaces import (CayleySpace, WeightedGraph, build_tripod,
+from bgkit.spaces import (CayleySpace, TripodSpace, WeightedGraph,
                           enumerate_ball)
 
 DET_ENV = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
@@ -178,7 +178,7 @@ def test_criterion_05_sandwich_inequalities():
 def test_criterion_06_hyperbolicity_constants():
     """Exact four-point and thin-triangle values on the bundled instances."""
     with budget(60.0):
-        tripod = build_tripod(3, 2, 1)
+        tripod = TripodSpace(3, 2, 1)
         assert hyperbolicity.four_point_delta(tripod).delta == 0
         star = WeightedGraph(["c", "a", "b", "d", "e"],
                              [("c", "a", 1), ("c", "b", 2), ("c", "d", 3),

@@ -6,7 +6,7 @@ import pytest
 from bgkit import actions, covers
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
-                           action_from_spec, orbit_within, sigma_r)
+                           action_from_spec, sigma_r)
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
@@ -24,22 +24,22 @@ def free_action(k=2):
 
 def test_trivial_orbit():
     act = LeftTranslationAction(TrivialFamily())
-    assert orbit_within(act, (), 5) == [((), Fraction(0))]
+    assert act.orbit_within((), 5) == [((), Fraction(0))]
 
 
 def test_lattice_orbit_counts():
     act = lattice_action()
-    rows = orbit_within(act, (0, 0), 1)
+    rows = act.orbit_within((0, 0), 1)
     assert len(rows) == 5
     assert {g for g, _ in rows} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert len(orbit_within(act, (3, -2), 2)) == 13
+    assert len(act.orbit_within((3, -2), 2)) == 13
 
 
 def test_free_orbit_counts():
     act = free_action()
-    assert len(orbit_within(act, (), 2)) == 17
+    assert len(act.orbit_within((), 2)) == 17
     # orbit counts are center-independent for left translation
-    assert len(orbit_within(act, (1, 2), 2)) == 17
+    assert len(act.orbit_within((1, 2), 2)) == 17
 
 
 def _counted_profile(act, base, center, upto):
@@ -82,8 +82,8 @@ def test_displacement_profile_matches_enumeration():
 def test_sublattice_action():
     space = CayleySpace(FreeAbelianFamily(2))
     act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
-    assert len(orbit_within(act, (0, 0), 9)) == 5
-    rows = orbit_within(act, (0, 0), 10)
+    assert len(act.orbit_within((0, 0), 9)) == 5
+    rows = act.orbit_within((0, 0), 10)
     assert len(rows) == 13
     assert act.quotient_diameter() == 4
     assert act.apply((1, -1), (2, 2)) == (7, -3)
@@ -95,7 +95,7 @@ def test_sublattice_action():
 def test_sublattice_general_matrix():
     space = CayleySpace(FreeAbelianFamily(2))
     act = LatticeTranslationAction(space, [[1, 1], [1, -1]])
-    rows = orbit_within(act, (0, 0), 2)
+    rows = act.orbit_within((0, 0), 2)
     # even sublattice: e plus the eight lattice points of norm 2
     assert len(rows) == 9
     with pytest.raises(DomainError):
@@ -112,7 +112,9 @@ def test_glued_line_shift():
     gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 30)
     act = GluedLineShiftAction(gl)
     assert act.apply((3,), gl.tip(0)) == gl.tip(3)
-    rows = orbit_within(act, gl.tip(0), Fraction(11, 10))
+    # one eps-cell plus its hair: (eps + 2 hair) / 2
+    assert act.quotient_diameter() == Fraction(11, 20)
+    rows = act.orbit_within(gl.tip(0), Fraction(11, 10))
     assert [(g, d) for g, d in rows if g == (0,)] == [((0,), Fraction(0))]
     assert len(rows) == 3   # identity and the two adjacent hairs at 11/10
     # orbit scans refuse radii past the safe window instead of truncating,
@@ -121,8 +123,8 @@ def test_glued_line_shift():
     act = GluedLineShiftAction(gl)
     assert gl.safe_radius(gl.tip(0)) == Fraction(49, 10)
     with pytest.raises(WindowError):
-        orbit_within(act, gl.tip(0), 10)
-    rows = orbit_within(act, gl.tip(0), Fraction(49, 10))
+        act.orbit_within(gl.tip(0), 10)
+    rows = act.orbit_within(gl.tip(0), Fraction(49, 10))
     assert sorted(g[0] for g, _d in rows) == list(range(-39, 40))
     sigma = sigma_r(act, gl.tip(0), Fraction(11, 10))
     assert sigma.virtually_nilpotent is True
@@ -134,14 +136,14 @@ def test_permutation_action_and_stabilizer():
     cycle = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
     act = PermutationAction(rot, cycle, labels=[0, 1, 2, 3])
     assert act.validate_isometry([0, 1, 2, 3]) == []
-    rows = orbit_within(act, 0, 2)
+    rows = act.orbit_within(0, 2)
     assert len(rows) == 4
     assert act.quotient_diameter() == 0
     # a transposition fixing point 2: stabilizer shows up as displacement 0
     fix = FinitePermutationFamily([(1, 0, 2)])
     metric = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]], labels=[0, 1, 2])
     act2 = PermutationAction(fix, metric, labels=[0, 1, 2])
-    rows2 = orbit_within(act2, 2, 0)
+    rows2 = act2.orbit_within(2, 0)
     assert any(g != (0, 1, 2) and d == 0 for g, d in rows2)
     assert not act2.is_free_on(2)
 
@@ -162,7 +164,7 @@ def test_product_diagonal_action():
     prod = ProductFamily([FreeAbelianFamily(1), FreeFamily(2)])
     act = LeftTranslationAction(prod)
     e = prod.identity()
-    rows = orbit_within(act, e, 1)
+    rows = act.orbit_within(e, 1)
     assert len(rows) == 7    # identity, +-1 in Z, four letters in F2
     sig = sigma_r(act, e, 1)
     assert sig.virtually_nilpotent is False

@@ -154,6 +154,15 @@ def test_short_generators_torus():
     assert res.index_verdict == "verified up to bound"
 
 
+def test_short_generators_general_lattice_refused():
+    # only the lattices m*I have an exact quotient diameter, so the search
+    # radius 2D + R is unknown on any other
+    act = LatticeTranslationAction(CayleySpace(FreeAbelianFamily(2)),
+                                   [[2, 1], [0, 3]])
+    with pytest.raises(DomainError, match=r"lattice matrices m\*I"):
+        short_generators(act, (0, 0), 2)
+
+
 def test_short_generators_free_group_membership():
     act = LeftTranslationAction(FreeFamily(2))
     res = short_generators(act, (), 1)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_report_bytes import CASES, write_space_files
 
+from bgkit import cli
 from bgkit.cli import run
 
 ENV = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
@@ -380,3 +383,79 @@ def test_output_flags_only_on_tabular_subcommands(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().startswith("R,")
+
+
+def test_delta_center(tmp_path, capsys):
+    # on an infinite space the points are the ball around --center
+    code, report, _ = invoke(
+        ["delta", "--preset", "lattice2", "--radius", "2", "--exhaustive",
+         "--center", "[5,5]"], capsys)
+    assert code == 0
+    assert report["result"]["points_used"] == 13
+    for x, y in report["witnesses"][0]:
+        assert abs(x - 5) + abs(y - 5) <= 2
+    # a finite space gives every point, so a --center there is refused
+    write_space_files(tmp_path)
+    assert run(["delta", "--space", str(tmp_path / "c4.json"),
+                "--center", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --center: delta reads every point of this graph space, "
+        "not a ball\n")
+
+
+def test_convexity_center(tmp_path, capsys):
+    write_space_files(tmp_path)
+    c4 = str(tmp_path / "c4.json")
+    for argv, origin in ((["--center", "2"], 2), ([], 0)):
+        code, report, _ = invoke(["convexity", "--space", c4] + argv, capsys)
+        assert code == 0
+        assert report["witnesses"][0][0] == origin
+    assert run(["convexity", "--space", c4, "--center",
+                '["edge", 0, "1/2"]']) == 1
+    assert capsys.readouterr().err == (
+        "error: convexity origin ('edge', 0, '1/2') is not a vertex\n")
+
+
+def test_every_option_is_read(tmp_path, monkeypatch, capsys):
+    # a flag that no call of its subcommand reads does nothing: every golden
+    # call that runs to a report parses into a namespace that records the
+    # attributes read after parsing
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    build = cli.build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            args = parse(argv, namespace=Recorder())
+            reads.clear()     # argparse itself reads while filling defaults
+            return args
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    write_space_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    read_by = {}
+    for case in CASES:
+        if case["exit"] not in (0, 2) or "--dry-run" in case["argv"]:
+            continue
+        assert run(list(case["argv"])) == case["exit"], case["argv"]
+        capsys.readouterr()
+        read_by.setdefault(case["argv"][0], set()).update(reads)
+    (subparsers,) = [a for a in build()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        missing = dests - read_by.get(name, set())
+        if missing:
+            unread[name] = sorted(missing)
+    assert unread == {}

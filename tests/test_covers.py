@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit.covers import deck_action, graph_betti, universal_cover
+from bgkit.covers import DeckAction, graph_betti, universal_cover
 from bgkit.exact import DomainError, WindowError
 from bgkit.hyperbolicity import four_point_delta
 from bgkit.measures import PullbackMeasure, VertexMeasure, ball_mass
@@ -91,7 +91,7 @@ def test_pullback_measure_balls():
 def test_cover_distances_match_loop_lengths():
     graph = cycle_graph(4)
     cover = universal_cover(graph, 0, 12)
-    act = deck_action(cover)
+    act = DeckAction(cover)
     root = cover.lift_of_basepoint()
     rows = act.elements_moving_near(root, root, 12)
     for g, v, d in rows:
@@ -101,7 +101,7 @@ def test_cover_distances_match_loop_lengths():
 
 def test_deck_action_free_and_proper():
     cover = universal_cover(figure_eight(), "v", 4)
-    act = deck_action(cover)
+    act = DeckAction(cover)
     root = ()
     rows = act.elements_moving_near(root, root, 3)
     nontrivial = [g for g, _v, d in rows if d == 0 and g != ()]
@@ -117,7 +117,7 @@ def test_cover_tree_is_zero_hyperbolic():
 
 def test_cover_window_guard():
     cover = universal_cover(figure_eight(), "v", 3)
-    act = deck_action(cover)
+    act = DeckAction(cover)
     with pytest.raises(WindowError):
         act.elements_moving_near((), (), 10)
     with pytest.raises(DomainError):
@@ -126,7 +126,7 @@ def test_cover_window_guard():
 
 def test_deck_classification():
     cover = universal_cover(figure_eight(), "v", 6)
-    fam = deck_action(cover).family
+    fam = DeckAction(cover).family
     g1, g2 = cover.generator_words
     assert fam.subgroup_virtually_nilpotent([g1]) is True
     assert fam.subgroup_virtually_nilpotent([g1, g2]) is False
@@ -136,7 +136,7 @@ def test_deck_classification():
 def test_pullback_deck_invariance_sampled():
     cover = universal_cover(figure_eight(), "v", 5)
     mu = PullbackMeasure(cover, VertexMeasure())
-    act = deck_action(cover)
+    act = DeckAction(cover)
     root = ()
     for g in cover.generator_words:
         moved = act.apply(g, root)

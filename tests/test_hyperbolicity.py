@@ -12,7 +12,7 @@ from bgkit.exact import DomainError
 from bgkit.groups import FreeFamily
 from bgkit.hyperbolicity import (convexity_defect, four_point_delta,
                                  gromov_tripod, thin_triangle_delta)
-from bgkit.spaces import (FiniteMetricSpace, WeightedGraph, build_tripod,
+from bgkit.spaces import (FiniteMetricSpace, TripodSpace, WeightedGraph,
                           point_key)
 
 
@@ -62,7 +62,7 @@ def test_gromov_tripod_degenerate_and_invalid():
 
 
 def test_four_point_trees_are_zero():
-    tripod = build_tripod(3, 2, 1)
+    tripod = TripodSpace(3, 2, 1)
     assert four_point_delta(tripod).delta == 0
     tree = star_tree()
     assert four_point_delta(tree).delta == 0

@@ -190,18 +190,6 @@ def test_uniform_cayley_profile_matches_enumeration(family, center,
         VertexMeasure(weights={center: 2}).profile(space, center, 1)
 
 
-def test_uniform_profile_without_closed_form_enumerates(monkeypatch):
-    class Opaque(FreeFamily):
-        def sphere_sizes(self, radius):
-            return None
-
-    space = CayleySpace(Opaque(2))
-    assert VertexMeasure().profile(space, (1,), 2).cumulative == [1, 5, 17]
-    monkeypatch.setattr(CayleySpace, "ball", _refuse)
-    with pytest.raises(_Refused):
-        VertexMeasure().profile(space, (1,), 2)
-
-
 @pytest.mark.parametrize("center,radius", [
     ((1, 2), 13),         # 2 * 3^13 - 1 elements, over the budget
     ((1, -1), 2),         # not a reduced word

@@ -12,9 +12,8 @@ from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
-                          ModelProfile, TripodSpace, WeightedGraph,
-                          build_glued_line, build_tripod, distance,
-                          enumerate_ball, model_ball_volume, validate_metric)
+                          ModelProfile, TripodSpace, WeightedGraph, distance,
+                          enumerate_ball, model_ball_volume)
 
 
 def lattice(k=2):
@@ -46,8 +45,8 @@ def cycle_graph(n, weight=1):
 
 
 def test_distance_identity_everywhere():
-    gl = build_glued_line("1/10", "1/2", 30)
-    tri = build_tripod(3, 2, 1)
+    gl = GluedLineSpace("1/10", "1/2", 30)
+    tri = TripodSpace(3, 2, 1)
     grid = grid_graph(4)
     for space, pt in [(gl, gl.tip(3)), (tri, "y"), (grid, (2, 1)),
                       (lattice(), (0, 0)), (free_cayley(), (1, 2))]:
@@ -55,7 +54,7 @@ def test_distance_identity_everywhere():
 
 
 def test_glued_line_tip_distances():
-    gl = build_glued_line("1/10", "1/2", 30)
+    gl = GluedLineSpace("1/10", "1/2", 30)
     # tip to tip crosses both hairs and the base segment
     assert distance(gl, gl.tip(0), gl.tip(3)) == Fraction(13, 10)
     assert distance(gl, gl.tip(0), gl.tip(1)) == Fraction(11, 10)
@@ -63,7 +62,7 @@ def test_glued_line_tip_distances():
 
 
 def test_glued_line_matches_discretized_graph():
-    gl = build_glued_line("1/10", "1/2", 12)
+    gl = GluedLineSpace("1/10", "1/2", 12)
     graph = gl.discretized_graph()
     for k, l in itertools.combinations(range(-12, 13), 2):
         direct = gl.distance(gl.tip(k), gl.tip(l))
@@ -72,29 +71,29 @@ def test_glued_line_matches_discretized_graph():
 
 
 def test_tripod_distances():
-    tri = build_tripod(3, 2, 1)
+    tri = TripodSpace(3, 2, 1)
     assert distance(tri, "x", "y") == 5
     assert distance(tri, "c", "x") == 3
-    equi = build_tripod(1, 1, 1)
+    equi = TripodSpace(1, 1, 1)
     assert {distance(equi, a, b) for a, b in [("x", "y"), ("y", "z"), ("x", "z")]} == {2}
-    degenerate = build_tripod(0, 0, 0)
+    degenerate = TripodSpace(0, 0, 0)
     assert distance(degenerate, "x", "z") == 0
     assert degenerate.validate()["issues"]   # degeneracy is reported
 
 
 def test_build_validations():
     with pytest.raises(DomainError):
-        build_glued_line(0, 1, 5)
+        GluedLineSpace(0, 1, 5)
     with pytest.raises(DomainError):
-        build_glued_line(1, -1, 5)
+        GluedLineSpace(1, -1, 5)
     with pytest.raises(DomainError):
-        build_tripod(-1, 0, 0)
+        TripodSpace(-1, 0, 0)
 
 
 def test_metric_axioms_on_sampled_triples():
     rng = random.Random(42)
-    gl = build_glued_line("1/10", "1/2", 10)
-    tri = build_tripod(3, 2, 1)
+    gl = GluedLineSpace("1/10", "1/2", 10)
+    tri = TripodSpace(3, 2, 1)
     grid = grid_graph(4)
     cay = lattice()
     candidates = {
@@ -153,7 +152,7 @@ def test_open_ball_equals_closed_at_previous_support_distance():
 
 
 def test_glued_line_window_guard():
-    gl = build_glued_line(1, 1, 3)
+    gl = GluedLineSpace(1, 1, 3)
     with pytest.raises(WindowError):
         enumerate_ball(gl, gl.base(0), 10, closed=True)
 
@@ -163,15 +162,15 @@ def test_cayley_support_is_guarded():
         lattice().support()
 
 
-# -- validate_metric ---------------------------------------------------------
+# -- validate ---------------------------------------------------------------
 
 
 def test_validate_finite_metric():
     good = FiniteMetricSpace([[0, 5, 4], [5, 0, 3], [4, 3, 0]], labels="abc")
-    assert validate_metric(good)["ok"]
+    assert good.validate()["ok"]
     bad = FiniteMetricSpace([[0, 10, 1], [10, 0, 1], [1, 1, 0]], labels="abc",
                             validate=False)
-    report = validate_metric(bad)
+    report = bad.validate()
     assert not report["ok"]
     assert any("triangle" in issue for issue in report["issues"])
     with pytest.raises(DomainError):
@@ -180,7 +179,7 @@ def test_validate_finite_metric():
 
 def test_validate_disconnected_graph():
     graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (2, 3, 1)])
-    report = validate_metric(graph)
+    report = graph.validate()
     assert not report["ok"]
     assert any("disconnected" in issue for issue in report["issues"])
     with pytest.raises(DomainError):
@@ -414,10 +413,10 @@ def test_scaled_distances_cayley(family):
 
 
 def test_scaled_distances_glued_line_and_tripod():
-    gl = build_glued_line("1/10", "1/2", 12)
+    gl = GluedLineSpace("1/10", "1/2", 12)
     points = gl.support()[::3] + [("line", Fraction(1, 7)),
                                   ("hair", 2, Fraction(1, 3))]
     assert_scaled_matches_loop(gl, points)
-    tri = build_tripod(Fraction(3, 2), 2, Fraction(1, 3))
+    tri = TripodSpace(Fraction(3, 2), 2, Fraction(1, 3))
     assert assert_scaled_matches_loop(tri, tri.support()) == 6
     assert_scaled_matches_loop(tri, [])
