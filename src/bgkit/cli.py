@@ -102,7 +102,7 @@ class _Inputs:
                                   "a preset brings its own action")
             self._from_preset(args.preset)
         elif args.space:
-            from . import actions, measures, spaces
+            from . import spaces
             spec = _load_json(args.space)
             self.space = spaces.space_from_spec(spec)
             action_spec = spec.get("action")
@@ -112,25 +112,29 @@ class _Inputs:
                           and action_spec.get("action") == "deck")
             if spec.get("measure") == "pullback" or wants_deck:
                 self._lift_to_cover(spec)
-                return
-            if action_spec:
-                self.action = actions.action_from_spec(action_spec, self.space)
-            measure_spec = spec.get("measure_spec", {"measure": "vertex_uniform"})
-            if "measure" in spec:
-                measure_spec = {"measure": spec["measure"]}
-                if "weights" in spec:
-                    measure_spec["weights"] = spec["weights"]
-                if "basepoint" in spec:
-                    measure_spec["basepoint"] = _coerce_point(
-                        spec["basepoint"], self.space)
-            self.measure = measures.measure_from_spec(measure_spec, self.space,
-                                                      action=self.action)
+            else:
+                self._from_spec(spec, action_spec)
         else:
             raise DomainError("no --space file and no --preset given")
         if args.measure:
             from . import measures
             self.measure = measures.measure_from_spec(
                 {"measure": args.measure}, self.space, action=self.action)
+
+    def _from_spec(self, spec, action_spec):
+        from . import actions, measures
+        if action_spec:
+            self.action = actions.action_from_spec(action_spec, self.space)
+        measure_spec = spec.get("measure_spec", {"measure": "vertex_uniform"})
+        if "measure" in spec:
+            measure_spec = {"measure": spec["measure"]}
+            if "weights" in spec:
+                measure_spec["weights"] = spec["weights"]
+            if "basepoint" in spec:
+                measure_spec["basepoint"] = _coerce_point(
+                    spec["basepoint"], self.space)
+        self.measure = measures.measure_from_spec(measure_spec, self.space,
+                                                  action=self.action)
 
     def _lift_to_cover(self, spec):
         """'measure: pullback' / 'action: deck' lift the whole problem to the

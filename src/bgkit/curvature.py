@@ -11,8 +11,9 @@ each profile breakpoint a (a support distance or half of one) contributes
 two checks, the ratio exactly at r = a (strict masses) and the limiting
 ratio just after a (closed masses, still compared against the right-hand
 side at a); together these decide the inequality on the whole continuum.
-Left-hand sides stay exact rationals; right-hand sides are floats guarded
-by the verdict margin from `exact`.
+Left-hand sides stay exact, as int (num, den) mass pairs that become
+Fractions only where a certificate reports them; right-hand sides are
+floats guarded by the verdict margin from `exact`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
-                    fmt_rational, log_of_rational, rational, verdict)
+                    fmt_rational, rational, verdict)
 from . import spaces
 from .measures import CountingOrbitMeasure, DistanceProfile, Measure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
@@ -97,11 +98,20 @@ class Certificate:
     critical_radii_checked: int = 0
     violations: int = 0
     notes: list = field(default_factory=list)
-    scan_rows: list = field(default_factory=list)   # (radius, lhs, rhs)
+    step: int = 1                                # tick scale of `rows`
+    rows: list = field(default_factory=list)     # (a, num, den, rhs)
 
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED
+
+    @property
+    def scan_rows(self) -> list:
+        """(radius, lhs, rhs) for every checked critical radius, with the
+        radius a/step and the lhs num/den built as Fractions here."""
+        step = self.step
+        return [(Fraction(a, step), Fraction(num, den), rhs)
+                for a, num, den, rhs in self.rows]
 
 
 @dataclass
@@ -129,12 +139,14 @@ def pair_check(r, R, formula, lhs, rhs) -> PairCheck:
     return PairCheck(r, R, formula, lhs, rhs, status == VERIFIED)
 
 
-def _rhs(factor: float, exponent: float, r: Fraction) -> float:
-    return factor * math.exp(exponent * float(r))
+def _rhs(factor: float, exponent: float, r: float) -> float:
+    return factor * math.exp(exponent * r)
 
 
 def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
-    """Yield (radius, lhs, form) pairs deciding the inequality on [lo, hi].
+    """The tick scale `step` and the rows (a, num, den, form) deciding the
+    inequality on [lo, hi], all ints but the form: the radius is a/step and
+    the lhs num/den, with den == 0 when the denominator ball is empty.
 
     'at': ratio of strict masses at the radius itself.
     'above': ratio of closed masses, the constant value on the interval just
@@ -143,8 +155,8 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     The scan runs on int ticks of 1/S with S = 2 lcm(profile scale, lo and
     hi denominators): lo, hi, every breakpoint and every half of one are
     whole ticks there, so the radii are found and the balls counted by
-    comparing ints only.  Each radius and lhs is built once, as a Fraction
-    of two ints.
+    comparing ints only.  num and den are masses on the profile's one mass
+    scale; callers build a Fraction only for what they report.
     """
     step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
     k = step // profile.scale
@@ -156,54 +168,65 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     breaks.update(t // 2 for t in ticks[bisect_left(ticks, 2 * low):
                                         bisect_right(ticks, 2 * high)])
     breaks.add(low)
-    totals = profile.totals
+    mass = [0, *profile.totals]      # mass[i]: the mass of the first i ticks
+    rows = []
     for a in sorted(breaks):
-        radius = Fraction(a, step)
-        yield radius, _tick_ratio(totals, bisect_left(ticks, 2 * a),
-                                  bisect_left(ticks, a)), "at"
+        rows.append((a, mass[bisect_left(ticks, 2 * a)],
+                     mass[bisect_left(ticks, a)], "at"))
         if a < high:
-            yield radius, _tick_ratio(totals, bisect_right(ticks, 2 * a),
-                                      bisect_right(ticks, a)), "above"
-
-
-def _tick_ratio(totals, num, den):
-    """The mass of the first num ticks over that of the first den ticks;
-    None when the denominator ball is empty."""
-    return Fraction(totals[num - 1], totals[den - 1]) if den else None
+            rows.append((a, mass[bisect_right(ticks, 2 * a)],
+                         mass[bisect_right(ticks, a)], "above"))
+    return step, rows
 
 
 def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
           factor: float, exponent: float, params, center) -> Certificate:
+    """Decide the inequality at every critical radius of [lo, hi].
+
+    Verdicts read the lhs as num / den and the radius as a / step: int true
+    division is correctly rounded, as `Fraction.__float__` is, so they are
+    the floats of the exact rationals.  Fractions are built only for what
+    the certificate reports: witnesses, notes and errors.
+    """
     if hi < lo:
         raise DomainError(
             f"r_max {fmt_rational(hi)} below the scale {fmt_rational(lo)}")
+    step, checks = _critical_checks(profile, lo, hi)
     cert = Certificate(params=params, center=center, r_min=lo, r_max=hi,
-                       status=VERIFIED)
-    worst = None
-    for radius, lhs, form in _critical_checks(profile, lo, hi):
-        cert.critical_radii_checked += 1
-        if lhs is None:
+                       status=VERIFIED, critical_radii_checked=len(checks),
+                       step=step)
+    rows = cert.rows
+    first = worst = None
+    for a, num, den, form in checks:
+        if not den:
             raise DomainError(
-                f"zero mass ball at radius {fmt_rational(radius)} with mass "
-                "above it: the 0 < mass hypothesis fails on this range")
-        rhs = _rhs(factor, exponent, radius)
-        cert.scan_rows.append((radius, lhs, rhs))
-        status = verdict(lhs, rhs)
+                f"zero mass ball at radius {fmt_rational(Fraction(a, step))} "
+                "with mass above it: the 0 < mass hypothesis fails on this "
+                "range")
+        rhs = _rhs(factor, exponent, a / step)
+        rows.append((a, num, den, rhs))
+        status = verdict(num / den, rhs)
         if status == VIOLATED:
             cert.violations += 1
-            v = Violation(radius=radius, lhs=lhs, rhs=rhs, form=form)
-            if cert.first_violation is None:
-                cert.first_violation = v
-            if worst is None or (lhs, radius) > (worst.lhs, worst.radius):
-                worst = v
+            if first is None:
+                first = worst = (a, num, den, rhs, form)
+            # the largest lhs wins, and the larger radius among equal ones
+            elif (num * worst[2], a) > (worst[1] * den, worst[0]):
+                worst = (a, num, den, rhs, form)
         elif status == INCONCLUSIVE and cert.status == VERIFIED:
             cert.status = INCONCLUSIVE
-            cert.notes.append(
-                f"ratio at {fmt_rational(radius)} inside the float margin band")
+            cert.notes.append(f"ratio at {fmt_rational(Fraction(a, step))} "
+                              "inside the float margin band")
     if worst is not None:
         cert.status = VIOLATED
-        cert.witness = worst
+        cert.first_violation = _violation(step, *first)
+        cert.witness = _violation(step, *worst)
     return cert
+
+
+def _violation(step, a, num, den, rhs, form) -> Violation:
+    return Violation(radius=Fraction(a, step), lhs=Fraction(num, den),
+                     rhs=rhs, form=form)
 
 
 def _profile_for(measure: Measure, space, x, r_max):
@@ -277,11 +300,14 @@ def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
     profile = _profile_for(measure, space, x, r_max)
     ln_c = math.log(C)
     best = 0.0
-    for radius, lhs, _form in _critical_checks(profile, r0, r_max):
-        if lhs is None:
+    step, rows = _critical_checks(profile, r0, r_max)
+    for a, num, den, _form in rows:
+        if not den:
             raise DomainError("zero-mass ball inside the scan range")
-        if lhs > 1:
-            k = (log_of_rational(lhs) - ln_c) / float(radius)
+        if num > den:
+            # the logs of the reduced terms, as `log_of_rational` takes them
+            g = math.gcd(num, den)
+            k = (math.log(num // g) - math.log(den // g) - ln_c) / (a / step)
             best = max(best, k)
     return best if best > 1e-6 else 0.0
 
@@ -354,13 +380,15 @@ def doubling_constant(space, measure: Measure, x, r0) -> tuple:
     r0 = rational(r0)
     lo, hi = r0 / 2, 5 * r0 / 2
     profile = _profile_for(measure, space, x, hi)
-    best, best_r = None, None
-    for radius, lhs, _form in _critical_checks(profile, lo, hi):
-        if lhs is None:
+    step, rows = _critical_checks(profile, lo, hi)
+    best = None
+    for a, num, den, _form in rows:
+        if not den:
             raise DomainError("zero-mass ball inside the doubling range")
-        if best is None or lhs > best:
-            best, best_r = lhs, radius
-    return best, best_r
+        if best is None or num * best[2] > best[1] * den:
+            best = (a, num, den)
+    a, num, den = best
+    return Fraction(num, den), Fraction(a, step)
 
 
 def doubling_to_bg_bound(params: DoublingParams, r) -> float:
@@ -412,7 +440,7 @@ def brute_force_recheck(space, measure: Measure, x, factor, exponent,
         if den == 0:
             continue
         lhs = Fraction(num) / den
-        rhs = _rhs(factor, exponent, r)
+        rhs = _rhs(factor, exponent, float(r))
         if float(lhs) > rhs * (1 + 1e-12):
             bad.append((r, lhs, rhs))
     return bad

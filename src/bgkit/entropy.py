@@ -171,11 +171,12 @@ def _search_weak_params(space, measure, center, K, r_max):
     for r0 in scales:
         needed = 1.0
         feasible = True
-        for radius, lhs, _form in curvature._critical_checks(profile, r0, r_max):
-            if lhs is None:
+        step, rows = curvature._critical_checks(profile, r0, r_max)
+        for a, num, den, _form in rows:
+            if not den:
                 feasible = False
                 break
-            needed = max(needed, float(lhs) / math.exp(K * float(radius)))
+            needed = max(needed, num / den / math.exp(K * (a / step)))
         if not feasible:
             continue
         C = needed * (1 + 1e-6) + 1e-9

@@ -4,7 +4,9 @@ All distances, radii and masses in this package are `fractions.Fraction`
 values wherever a caller sees them; only transcendental bound formulas
 (exp, log, powers) are evaluated in double precision.  Inside a
 `measures.DistanceProfile` they are kept as ints scaled by one common
-denominator, which is exact too and spares the scans Fraction compares.
+denominator, which is exact too, and the critical-radius scans compare
+those ints: a ratio is an int (num, den) pair, and a Fraction is built
+only for what a report prints.
 Comparing an exact left-hand side against a float right-hand side
 therefore needs an explicit safety margin: we only certify "verified"
 when lhs <= rhs*(1-MARGIN) and only certify "violated" when
@@ -47,7 +49,8 @@ def verdict(lhs, rhs: float) -> str:
     VIOLATED at or above rhs*(1+MARGIN), INCONCLUSIVE strictly between.
 
     `lhs` is read as its nearest double, so an exact rational and its float
-    get the same verdict.
+    get the same verdict; so does num / den of two ints, which Python
+    rounds correctly, as it does `float(Fraction(num, den))`.
     """
     lhs = float(lhs)
     if lhs >= rhs * (1.0 + MARGIN):

@@ -286,9 +286,9 @@ def test_criterion_10_systole_lower_bound():
             r_max = 3 * D + r0
             sup = Fraction(0)
             profile = mu.profile(space, (0, 0), 2 * r_max)
-            for radius, lhs, _form in curvature._critical_checks(
-                    profile, r0 / 2, r_max):
-                sup = max(sup, lhs)
+            _step, rows = curvature._critical_checks(profile, r0 / 2, r_max)
+            for _a, num, den, _form in rows:
+                sup = max(sup, Fraction(num, den))
             C = float(sup) * (1 + 1e-9)
             cert = check_weak_bg(space, mu, (0, 0), BGParams(r0 / 2, C, 0.0),
                                  r_max)
@@ -308,9 +308,9 @@ def test_criterion_11_strengthened_bounds_torus5():
         r_max = Fraction(16)
         profile = mu.profile(space, (0, 0), 2 * r_max)
         sup = Fraction(0)
-        for _radius, lhs, _form in curvature._critical_checks(
-                profile, 1, r_max):
-            sup = max(sup, lhs)
+        _step, rows = curvature._critical_checks(profile, 1, r_max)
+        for _a, num, den, _form in rows:
+            sup = max(sup, Fraction(num, den))
         cert = check_weak_bg(space, mu, (0, 0),
                              BGParams(1, float(sup) * (1 + 1e-9), 0.0), r_max)
         assert cert.verified

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 from test_pair_checks import _tally
 
-from bgkit import curvature
+from bgkit import curvature, entropy
 from bgkit.actions import GluedLineShiftAction, LeftTranslationAction
 from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
-                             check_bg_synthetic, check_classic_bound,
-                             check_weak_bg, classic_ratio_bound,
-                             diameter_shift, doubling_constant,
-                             doubling_to_bg_bound, min_exponent,
-                             synthetic_to_weak, weak_to_synthetic)
-from bgkit.exact import DomainError, VERIFIED, VIOLATED
+                             Violation, check_bg_synthetic,
+                             check_classic_bound, check_weak_bg,
+                             classic_ratio_bound, diameter_shift,
+                             doubling_constant, doubling_to_bg_bound,
+                             min_exponent, synthetic_to_weak,
+                             weak_to_synthetic)
+from bgkit.exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
+                         fmt_rational, log_of_rational, verdict)
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import DistanceProfile, VertexMeasure, counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -384,17 +386,145 @@ SCAN_CASES = [
      Fraction(9, 2)),
     ("lattice2", _lattice2, Fraction(137, 100), Fraction(6)),
     ("lattice2-lo-eq-hi", _lattice2, Fraction(137, 100), Fraction(137, 100)),
+    # the one lhs is 85/25, and ln 85 - ln 25 differs from ln 17 - ln 5 in
+    # the last bit: min_exponent must take the logs of the reduced ratio
+    ("lattice2-shared-factor", _lattice2, Fraction(7, 2), Fraction(7, 2)),
 ]
 
+scan_cases = pytest.mark.parametrize(
+    "setup,lo,hi", [c[1:] for c in SCAN_CASES], ids=[c[0] for c in SCAN_CASES])
 
-@pytest.mark.parametrize("setup,lo,hi", [c[1:] for c in SCAN_CASES],
-                         ids=[c[0] for c in SCAN_CASES])
+
+@scan_cases
 def test_int_tick_scan_matches_fraction_scan(setup, lo, hi):
     space, mu, x = setup()
     profile = mu.profile(space, x, 2 * hi)
     dists, cum = _raw_profile(space, mu, x, 2 * hi)
     assert (profile.distances, profile.cumulative) == (dists, cum)
-    got = list(curvature._critical_checks(profile, lo, hi))
+    step, rows = curvature._critical_checks(profile, lo, hi)
+    assert rows and all(type(v) is int for row in rows for v in row[:3])
+    got = [(Fraction(a, step), Fraction(num, den), form)
+           for a, num, den, form in rows]
     assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
-    assert got and all(type(radius) is Fraction and type(lhs) is Fraction
-                       for radius, lhs, _form in got)
+
+
+def _fraction_scan(dists, cum, lo, hi, factor, exponent):
+    """The certificate scan on Fraction radii and lhs, with Fraction
+    compares for the worst violation: the oracle for `curvature._scan`."""
+    out = {"status": VERIFIED, "witness": None, "first_violation": None,
+           "critical_radii_checked": 0, "violations": 0, "notes": [],
+           "scan_rows": []}
+    worst = None
+    for radius, lhs, form in _fraction_critical_checks(dists, cum, lo, hi):
+        out["critical_radii_checked"] += 1
+        rhs = factor * math.exp(exponent * float(radius))
+        out["scan_rows"].append((radius, lhs, rhs))
+        status = verdict(lhs, rhs)
+        if status == VIOLATED:
+            out["violations"] += 1
+            v = Violation(radius=radius, lhs=lhs, rhs=rhs, form=form)
+            if out["first_violation"] is None:
+                out["first_violation"] = v
+            if worst is None or (lhs, radius) > (worst.lhs, worst.radius):
+                worst = v
+        elif status == INCONCLUSIVE and out["status"] == VERIFIED:
+            out["status"] = INCONCLUSIVE
+            out["notes"].append(f"ratio at {fmt_rational(radius)} inside "
+                                "the float margin band")
+    if worst is not None:
+        out["status"] = VIOLATED
+        out["witness"] = worst
+    return out
+
+
+def _certificate_fields(cert):
+    rows = list(cert.scan_rows)
+    assert all(type(r) is Fraction and type(lhs) is Fraction
+               and type(rhs) is float for r, lhs, rhs in rows)
+    return {"status": cert.status, "witness": cert.witness,
+            "first_violation": cert.first_violation,
+            "critical_radii_checked": cert.critical_radii_checked,
+            "violations": cert.violations, "notes": cert.notes,
+            "scan_rows": rows}
+
+
+@scan_cases
+def test_scan_matches_fraction_scan(setup, lo, hi):
+    space, mu, x = setup()
+    dists, cum = _raw_profile(space, mu, x, 2 * hi)
+    sup = max(lhs for _r, lhs, _form
+              in _fraction_critical_checks(dists, cum, lo, hi))
+    # with K = 0 a factor of float(sup) puts the sup on the margin band, and
+    # a factor below it violates
+    statuses = []
+    for C, K in ((4.0, 1.0), (float(sup), 0.0), ((1 + float(sup)) / 2, 0.0)):
+        cert = check_weak_bg(space, mu, x, BGParams(lo, C, K), hi)
+        assert _certificate_fields(cert) == _fraction_scan(dists, cum, lo, hi,
+                                                           C, K)
+        statuses.append(cert.status)
+    assert statuses[1:] == [INCONCLUSIVE, VIOLATED]
+    # N/K is lo exactly: both are lo's terms over a power of two
+    N, K = lo.numerator / 64, lo.denominator / 64
+    cert = check_bg_synthetic(space, mu, x, SyntheticParams(N, K), hi)
+    assert cert.r_min == lo
+    assert _certificate_fields(cert) == _fraction_scan(dists, cum, lo, hi,
+                                                       2.0 ** N, K)
+
+
+def test_scans_refuse_an_empty_denominator_ball():
+    # no mass within distance 2 of the center: the ball of radius 1 is empty
+    space, _mu = lattice_setup()
+    mu = VertexMeasure(weight_fn=lambda p: int(abs(p[0]) + abs(p[1]) >= 2))
+    with pytest.raises(DomainError, match="zero mass ball at radius 1 with"):
+        check_weak_bg(space, mu, (0, 0), BGParams(1, 4.0, 1.0), 3)
+    with pytest.raises(DomainError, match="zero-mass ball inside the scan"):
+        min_exponent(space, mu, (0, 0), 1, 4.0, 3)
+    with pytest.raises(DomainError, match="zero-mass ball inside the doubl"):
+        doubling_constant(space, mu, (0, 0), 2)
+
+
+def _fraction_min_exponent(dists, cum, r0, C, r_max):
+    best = 0.0
+    for radius, lhs, _form in _fraction_critical_checks(dists, cum, r0, r_max):
+        if lhs > 1:
+            k = (log_of_rational(lhs) - math.log(C)) / float(radius)
+            best = max(best, k)
+    return best if best > 1e-6 else 0.0
+
+
+def _fraction_doubling_constant(dists, cum, r0):
+    best, best_r = None, None
+    for radius, lhs, _form in _fraction_critical_checks(dists, cum, r0 / 2,
+                                                        5 * r0 / 2):
+        if best is None or lhs > best:
+            best, best_r = lhs, radius
+    return best, best_r
+
+
+def _fraction_search_weak_params(dists, cum, K, r_max):
+    for r0 in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+        if r0 > r_max:
+            break
+        needed = 1.0
+        for radius, lhs, _form in _fraction_critical_checks(dists, cum, r0,
+                                                            r_max):
+            needed = max(needed, float(lhs) / math.exp(K * float(radius)))
+        C = needed * (1 + 1e-6) + 1e-9
+        if _fraction_scan(dists, cum, r0, r_max, C, K)["status"] == VERIFIED:
+            return (r0, C)
+    return None
+
+
+@scan_cases
+def test_scan_callers_match_fraction_formulas(setup, lo, hi):
+    space, mu, x = setup()
+    dists, cum = _raw_profile(space, mu, x, 2 * hi)
+    for C in (1.5, 2.0, 4.0):
+        assert (min_exponent(space, mu, x, lo, C, hi)
+                == _fraction_min_exponent(dists, cum, lo, C, hi))
+    sup, where = doubling_constant(space, mu, x, 2 * hi / 5)
+    assert type(sup) is Fraction and type(where) is Fraction
+    assert (sup, where) == _fraction_doubling_constant(dists, cum, 2 * hi / 5)
+    for K in (0.0, 0.5, 1.0):
+        assert (entropy._search_weak_params(space, mu, x, K, hi)
+                == _fraction_search_weak_params(dists, cum, K, hi))
