@@ -180,8 +180,6 @@ def _search_weak_params(space, measure, center, K, r_max):
         if not feasible:
             continue
         C = needed * (1 + 1e-6) + 1e-9
-        if C <= 1:
-            C = 1.0 + 1e-6
         cert = curvature.check_weak_bg(space, measure, center,
                                        curvature.BGParams(r0, C, K), r_max)
         if cert.verified:

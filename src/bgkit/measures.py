@@ -20,7 +20,6 @@ balls stay exact far beyond anything enumerable.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
 
@@ -121,8 +120,21 @@ class DistanceProfile:
 
 
 def sphere_profile(spheres, step, upto) -> DistanceProfile:
-    """Profile of sphere sizes at distances 0, step, 2*step, ..."""
-    return DistanceProfile(zip(itertools.count(0, step), spheres), upto)
+    """Profile of int sphere sizes at distances 0, step, 2*step, ... for an
+    int step.  Its distances and masses are ints, so both scales are 1 and
+    the ticks and totals are the nonzero sizes' distances and running sums:
+    the same profile as `DistanceProfile` builds from these rows."""
+    profile = DistanceProfile.__new__(DistanceProfile)
+    profile.scale = profile.mass_scale = 1
+    profile.ticks, profile.totals = [], []
+    total = 0
+    for i, size in enumerate(spheres):
+        if size:
+            total += size
+            profile.ticks.append(i * step)
+            profile.totals.append(total)
+    profile.upto = rational(upto)
+    return profile
 
 
 class Measure:

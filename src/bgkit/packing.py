@@ -9,7 +9,8 @@ center distance >= 2r, which is exact on the graph-like supports we pack.
 Exact counts are maximum independent sets of the conflict graph (centers
 at distance < 2r conflict).  Components are solved separately; bipartite
 components go through Koenig's theorem (max matching), the rest through a
-branch-and-bound with a greedy clique-cover bound on bitset adjacency.
+branch-and-bound on bitset adjacency, pruned by a degree-ordered greedy
+clique cover (Tomita and Kameda's MCQ order on the complement graph).
 """
 
 from __future__ import annotations
@@ -183,22 +184,31 @@ def _koenig_mis(masks, comp):
 
 
 def _clique_cover_bound(masks, avail):
-    """Greedy clique cover size: an upper bound for the independence number."""
+    """Greedy clique cover size: an upper bound for the independence number.
+
+    The vertices of avail are ordered once by (degree inside avail, index):
+    fewest conflicts first, which is the descending-degree order of Tomita
+    and Kameda's MCQ colouring on the complement graph.  Each clique starts
+    at the first vertex in that order still uncovered and grows by the
+    lowest-index common neighbour left."""
+    order = []
+    m = avail
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        order.append(((masks[v] & avail).bit_count(), v))
+    order.sort()
     remaining = avail
     cliques = 0
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        clique = 1 << v
-        closed = masks[v] & remaining
+    for _deg, v in order:
+        if not (remaining >> v) & 1:
+            continue
         remaining &= ~(1 << v)
-        cand = closed
+        cand = masks[v] & remaining
         while cand:
             u = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if (clique & ~masks[u]) == 0 and (remaining >> u) & 1:
-                clique |= 1 << u
-                remaining &= ~(1 << u)
-                cand &= masks[u]
+            remaining &= ~(1 << u)
+            cand &= masks[u] & remaining
         cliques += 1
     return cliques
 
@@ -318,13 +328,20 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
 
 
 def _verify_packing(space, x, centers, r, R):
-    """Post-hoc audit from raw distances; a failure is an internal bug."""
+    """Post-hoc audit from raw distances; a failure is an internal bug.
+
+    Each distance is compared with R - r and 2r by int cross-multiplication
+    of numerators and denominators."""
     limit, separation = R - r, 2 * r
+    ln, ld = limit.numerator, limit.denominator
+    sn, sd = separation.numerator, separation.denominator
     for c in centers:
-        if space.distance(x, c) > limit:
+        d = space.distance(x, c)
+        if d.numerator * ld > ln * d.denominator:
             raise AssertionError("packing center escapes the containment radius")
     for a, b in itertools.combinations(centers, 2):
-        if space.distance(a, b) < separation:
+        d = space.distance(a, b)
+        if d.numerator * sd < sn * d.denominator:
             raise AssertionError("packing centers closer than 2r")
 
 

@@ -11,7 +11,7 @@ from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import (DistanceProfile, VertexMeasure, ball_mass,
-                            counting_measure)
+                            counting_measure, sphere_profile)
 from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
 
 
@@ -188,6 +188,26 @@ def test_uniform_cayley_profile_matches_enumeration(family, center,
             assert ball_mass(mu, space, center, r, closed=closed) == count
     with pytest.raises(_Refused):
         VertexMeasure(weights={center: 2}).profile(space, center, 1)
+
+
+@pytest.mark.parametrize("family", [f for f, _c in CAYLEY_CASES],
+                         ids=[f.name for f, _c in CAYLEY_CASES])
+def test_sphere_profile_matches_row_profile(family):
+    # radius 8 passes the permutation group's diameter, so its sizes end in
+    # zeros; step 5 is the sphere step of the 5Z x 5Z translation action
+    for radius in (0, 1, 8):
+        sizes = family.sphere_sizes(radius)
+        for step in (1, 5):
+            for upto in (radius * step, Fraction(2 * radius * step + 1, 2)):
+                got = sphere_profile(sizes, step, upto)
+                rows = DistanceProfile(zip(itertools.count(0, step), sizes),
+                                       upto)
+                assert vars(got) == vars(rows)
+                assert [type(v) for v in vars(got).values()] == [
+                    type(v) for v in vars(rows).values()]
+                assert all(type(t) is int for t in got.ticks + got.totals)
+    if isinstance(family, FinitePermutationFamily):
+        assert sizes[-1] == 0
 
 
 @pytest.mark.parametrize("center,radius", [

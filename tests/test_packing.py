@@ -1,8 +1,10 @@
 import gc
+import random
 from fractions import Fraction
 
 import pytest
 
+from bgkit import packing
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
@@ -102,6 +104,20 @@ def test_conflict_graph_takes_no_fraction_distances(monkeypatch):
             # only the post-hoc audit reads space.distance: k containment
             # checks and one check per pair of centers
             assert len(calls) == k + k * (k - 1) // 2
+
+
+def test_audit_compares_fraction_distances_exactly():
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    # hair tips: d(x, y) = 11/10 and d(x, z) = 6/5
+    x, y, z = gl.tip(0), gl.tip(1), gl.tip(2)
+    r, R = Fraction(11, 20), Fraction(33, 20)   # 2r = R - r = 11/10
+    packing._verify_packing(gl, x, [x, y], r, R)
+    with pytest.raises(AssertionError, match="escapes the containment radius"):
+        packing._verify_packing(gl, x, [x, z], r, R)
+    # 2r = R - r = 6/5
+    packing._verify_packing(gl, x, [x, z], Fraction(3, 5), Fraction(9, 5))
+    with pytest.raises(AssertionError, match="centers closer than 2r"):
+        packing._verify_packing(gl, x, [x, y], Fraction(3, 5), Fraction(9, 5))
 
 
 def test_exact_cap_guard():
@@ -221,7 +237,16 @@ def test_sandwich_line_translation():
     assert rep.details["sup_sample_size"] == 10
 
 
-def test_sandwich_torus_with_lemma():
+def test_sandwich_torus_with_lemma(monkeypatch):
+    nodes = []
+    branch = packing._bb_branch
+
+    def counted(*args):
+        nodes.append(None)
+        return branch(*args)
+
+    # the recursion looks _bb_branch up in the module, so every node counts
+    monkeypatch.setattr(packing, "_bb_branch", counted)
     space = lattice_space()
     act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
     mu = VertexMeasure()
@@ -232,6 +257,9 @@ def test_sandwich_torus_with_lemma():
     assert rep.lemma_pack_vs_orbit is not None
     pack_all, pack_shrunk, holds = rep.lemma_pack_vs_orbit
     assert holds
+    # the clique-cover bound closes each branch-and-bound component at or
+    # near the root
+    assert 0 < len(nodes) <= 100
 
 
 def test_sandwich_builds_one_profile_per_center(monkeypatch):
@@ -336,3 +364,124 @@ def test_gamma_packing_refuses_past_window():
         gamma_packing_count(act, gl.tip(0), 1, 9, mode="greedy")
     res = gamma_packing_count(act, gl.tip(0), 1, Fraction(59, 10), mode="greedy")
     assert res.candidates == 79
+
+
+# -- the branch-and-bound bound and witness --------------------------------------
+
+def _random_masks(rng, n, density):
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def _alpha_by_subsets(masks, avail):
+    """Independence number of the graph induced on avail, over all subsets:
+    a subset is independent when it is so without its lowest vertex and
+    that vertex has no neighbour in it."""
+    verts = [v for v in range(len(masks)) if (avail >> v) & 1]
+    local = [sum(1 << j for j, w in enumerate(verts) if (masks[v] >> w) & 1)
+             for v in verts]
+    independent = bytearray(1 << len(verts))
+    independent[0] = 1
+    alpha = 0
+    for subset in range(1, 1 << len(verts)):
+        low = (subset & -subset).bit_length() - 1
+        rest = subset & (subset - 1)
+        if independent[rest] and not local[low] & rest:
+            independent[subset] = 1
+            alpha = max(alpha, subset.bit_count())
+    return alpha
+
+
+def test_clique_cover_bound_is_at_least_alpha():
+    rng = random.Random(17)
+    for density in (0.1, 0.3, 0.5, 0.8):
+        for n in range(1, 15):
+            masks = _random_masks(rng, n, density)
+            full = (1 << n) - 1
+            for avail in (full, rng.getrandbits(n) & full):
+                bound = packing._clique_cover_bound(masks, avail)
+                assert _alpha_by_subsets(masks, avail) <= bound
+                assert bound <= avail.bit_count()
+
+
+def _unpruned_mis(masks, comp):
+    """The set the unpruned DFS of `_bb_branch` keeps: the same greedy seed,
+    branching vertex and take-before-skip order, and no bound.  With strict
+    improvement that is the first leaf of largest size when it beats the
+    seed.  The leaves below a node depend only on its available set, so the
+    first largest one is memoised on that set."""
+    avail0 = sum(1 << u for u in comp)
+    seed = packing._greedy_mis_mask(masks, avail0)
+    memo = {}
+
+    def first_largest(avail):
+        if not avail:
+            return 0, 0
+        if avail not in memo:
+            # maximum degree inside avail, lowest index on ties
+            pick = max((v for v in comp if (avail >> v) & 1),
+                       key=lambda v: ((masks[v] & avail).bit_count(), -v))
+            if not masks[pick] & avail:
+                memo[avail] = avail.bit_count(), avail
+            else:
+                bit = 1 << pick
+                took, took_mask = first_largest(avail & ~bit & ~masks[pick])
+                skipped, skipped_mask = first_largest(avail & ~bit)
+                if took + 1 >= skipped:
+                    memo[avail] = took + 1, took_mask | bit
+                else:
+                    memo[avail] = skipped, skipped_mask
+        return memo[avail]
+
+    size, chosen = first_largest(avail0)
+    if size <= seed.bit_count():
+        chosen = seed
+    return [u for u in comp if (chosen >> u) & 1]
+
+
+def test_bb_mis_matches_unpruned_dfs_on_random_graphs():
+    rng = random.Random(23)
+    for density in (0.1, 0.2, 0.35, 0.5, 0.7):
+        for n in (3, 8, 13, 20, 28, 36):
+            masks = _random_masks(rng, n, density)
+            for comp in packing._components(masks):
+                assert packing._bb_mis(masks, comp) == _unpruned_mis(masks,
+                                                                     comp)
+
+
+def test_bb_mis_matches_unpruned_dfs_on_pack_instances(monkeypatch):
+    solved = []
+    bb_mis = packing._bb_mis
+
+    def recorded(masks, comp):
+        chosen = bb_mis(masks, comp)
+        solved.append((masks, comp, chosen))
+        return chosen
+
+    monkeypatch.setattr(packing, "_bb_mis", recorded)
+    lattice = LatticeTranslationAction(lattice_space(), [[5, 0], [0, 5]])
+    line = LatticeTranslationAction(line_space(), [[10]])
+    free = CayleySpace(FreeFamily(2))
+    runs = [lambda r, R: packing_count(lattice.space, (0, 0), r, R),
+            lambda r, R: packing_count(free, (), r, R),
+            lambda r, R: packing_count(line.space, (0,), r, R),
+            lambda r, R: gamma_packing_count(lattice, (0, 0), r, R),
+            lambda r, R: gamma_packing_count(line, (0,), r, R)]
+    for run in runs:
+        for r in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+            R = 2 * r
+            while R <= 6 * r:
+                try:
+                    run(r, R)
+                except DomainError:   # past the exact cap of 60 candidates
+                    break
+                R += 1
+    assert len(solved) > 100
+    assert max(len(comp) for _m, comp, _c in solved) > 40
+    for masks, comp, chosen in solved:
+        assert chosen == _unpruned_mis(masks, comp)
