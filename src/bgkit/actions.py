@@ -742,8 +742,8 @@ def diastole_consistency(action: GroupAction, sample, params, nu: "NuOracle"):
     """
     if nu is None:
         raise DomainError("diastole consistency needs a nu oracle")
-    n0 = 0.5 * nu(params.C ** 3 * math.exp(15.0 * params.K * float(params.r0))
-                  + 1.0)
+    n0 = evaluate_bound("margulis_scale",
+                        {"C": params.C, "K": params.K, "r0": params.r0}, nu=nu)
     bound = float(params.r0) / n0
     rep = systole(action, sample)
     if rep.torsion_free_diastole is None:

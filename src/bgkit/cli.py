@@ -31,68 +31,12 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _decode_point(value, space):
-    """JSON point -> canonical point of the space."""
-    if isinstance(value, str):
-        try:
-            parsed = json.loads(value)
-        except json.JSONDecodeError:
-            parsed = value
-    else:
-        parsed = value
-    return _coerce_point(parsed, space)
-
-
-def _coerce_point(parsed, space):
-    from . import spaces
-    if isinstance(space, spaces.CayleySpace):
-        return _tuplify(parsed)
-    if isinstance(space, spaces.GluedLineSpace):
-        point = None
-        try:
-            kind = parsed[0]
-            if kind == "line":
-                point = ("line", rational(parsed[1]))
-            elif kind == "hair":
-                point = ("hair", parsed[1], rational(parsed[2]))
-            elif kind == "tip":
-                point = space.tip(parsed[1])
-        except (LookupError, TypeError, ValueError):
-            pass
-        if point is not None and space.is_point(point):
-            return point
-        space.check_point(parsed)   # raises the space's "not a point" error
-    if isinstance(parsed, list):
-        return _tuplify(parsed)
-    return parsed
-
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def _weight_key(key):
-    """JSON object keys are strings; decode vertex labels where possible."""
-    try:
-        return _tuplify(json.loads(key))
-    except (json.JSONDecodeError, TypeError):
-        return key
-
-
-def _preset_size(name, prefix, default):
-    """The integer after `prefix` in a sized preset name like torus7."""
-    try:
-        return int(name[len(prefix):] or default)
-    except ValueError:
-        raise DomainError(f"unknown preset {name!r}") from None
-
-
 class _Inputs:
+    """The space, action and measure of a --space file or a preset, both
+    built by `presets.instance`, with --measure applied on top."""
+
     def __init__(self, args):
-        self.action = None
-        self.measure = None
+        from . import presets
         if args.preset:
             if args.space:
                 raise DomainError("--preset and --space are exclusive: "
@@ -100,95 +44,27 @@ class _Inputs:
             if args.action:
                 raise DomainError("--action needs a --space file: "
                                   "a preset brings its own action")
-            self._from_preset(args.preset)
+            spec = presets.spec(args.preset)
         elif args.space:
-            from . import spaces
             spec = _load_json(args.space)
-            self.space = spaces.space_from_spec(spec)
-            action_spec = spec.get("action")
             if args.action:
-                action_spec = _load_json(args.action)
-            wants_deck = (isinstance(action_spec, dict)
-                          and action_spec.get("action") == "deck")
-            if spec.get("measure") == "pullback" or wants_deck:
-                self._lift_to_cover(spec)
-            else:
-                self._from_spec(spec, action_spec)
+                spec["action"] = _load_json(args.action)
         else:
             raise DomainError("no --space file and no --preset given")
+        self.space, self.action, self.measure = presets.instance(spec)
         if args.measure:
             from . import measures
             self.measure = measures.measure_from_spec(
                 {"measure": args.measure}, self.space, action=self.action)
 
-    def _from_spec(self, spec, action_spec):
-        from . import actions, measures
-        if action_spec:
-            self.action = actions.action_from_spec(action_spec, self.space)
-        measure_spec = spec.get("measure_spec", {"measure": "vertex_uniform"})
-        if "measure" in spec:
-            measure_spec = {"measure": spec["measure"]}
-            if "weights" in spec:
-                measure_spec["weights"] = spec["weights"]
-            if "basepoint" in spec:
-                measure_spec["basepoint"] = _coerce_point(
-                    spec["basepoint"], self.space)
-        self.measure = measures.measure_from_spec(measure_spec, self.space,
-                                                  action=self.action)
-
-    def _lift_to_cover(self, spec):
-        """'measure: pullback' / 'action: deck' lift the whole problem to the
-        universal cover of the declared graph."""
-        from . import covers, measures, spaces
-        if not isinstance(self.space, spaces.WeightedGraph):
-            raise DomainError("pullback/deck specs need a graph space")
-        cover_spec = spec.get("cover", {})
-        basepoint = cover_spec.get(
-            "basepoint",
-            sorted(self.space.vertices, key=spaces.point_key)[0])
-        window = rational(cover_spec.get("window", 8))
-        cover = covers.universal_cover(self.space, basepoint, window)
-        base_measure = measures.VertexMeasure(
-            weights={_weight_key(k): rational(v)
-                     for k, v in spec["weights"].items()}
-            if "weights" in spec else None)
-        self.space = cover.space
-        self.action = covers.DeckAction(cover)
-        self.measure = measures.PullbackMeasure(cover, base_measure)
-
-    def _from_preset(self, name):
-        from . import presets
-        table = {
-            "lattice2": presets.lattice_instance,
-            "free2": presets.free_instance,
-            "atom": presets.atom_instance,
-        }
-        if name in table:
-            self.space, self.action, self.measure = table[name]()
-        elif name.startswith("torus"):
-            self.space, self.action, self.measure = presets.torus_instance(
-                _preset_size(name, "torus", 5))
-        elif name.startswith("line"):
-            self.space, self.action, self.measure = \
-                presets.line_translation_instance(_preset_size(name, "line", 1))
-        elif name == "glued-line":
-            self.space, self.action, self.measure = presets.glued_line_instance()
-        else:
-            raise DomainError(f"unknown preset {name!r}")
-
     def point(self, raw, default=None):
         from . import spaces
-        if raw is None:
-            if default is not None:
-                return default
-            if isinstance(self.space, spaces.CayleySpace):
-                return self.space.identity()
-            if isinstance(self.space, spaces.GluedLineSpace):
-                return self.space.tip(0)
-            return self.space.support()[0]
-        point = _decode_point(raw, self.space)
-        self.space.check_point(point)
-        return point
+        if raw is not None:
+            return spaces.read_point(raw, self.space)
+        if default is not None:
+            return default
+        point = self.space.default_point()
+        return self.space.support()[0] if point is None else point
 
 
 def _emit(args, report: reports.Report, summary: str):

@@ -229,10 +229,6 @@ def _violation(step, a, num, den, rhs, form) -> Violation:
                      rhs=rhs, form=form)
 
 
-def _profile_for(measure: Measure, space, x, r_max):
-    return measure.profile(space, x, 2 * rational(r_max))
-
-
 def check_weak_bg(space, measure: Measure, center, params: BGParams,
                   r_max) -> Certificate:
     """Scan the weak inequality at scale r0 on [r0, r_max] for one center,
@@ -241,7 +237,7 @@ def check_weak_bg(space, measure: Measure, center, params: BGParams,
     if isinstance(center, (list, tuple)) and not _is_single_point(space, center):
         certs = [check_weak_bg(space, measure, c, params, r_max) for c in center]
         return _merge_all_centers(certs, params)
-    profile = _profile_for(measure, space, center, r_max)
+    profile = measure.profile(space, center, 2 * r_max)
     return _scan(profile, params.r0, r_max, params.C, params.K, params, center)
 
 
@@ -253,7 +249,7 @@ def check_bg_synthetic(space, measure: Measure, center, params: SyntheticParams,
         raise DomainError(
             f"r_max {fmt_rational(r_max)} is below the threshold N/K = "
             f"{fmt_rational(params.scale)}")
-    profile = _profile_for(measure, space, center, r_max)
+    profile = measure.profile(space, center, 2 * r_max)
     return _scan(profile, params.scale, r_max, 2.0 ** params.N, params.K,
                  params, center)
 
@@ -297,7 +293,7 @@ def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
     r0, r_max = rational(r0), rational(r_max)
     if not C > 1:
         raise DomainError("factor C must be > 1")
-    profile = _profile_for(measure, space, x, r_max)
+    profile = measure.profile(space, x, 2 * r_max)
     ln_c = math.log(C)
     best = 0.0
     step, rows = _critical_checks(profile, r0, r_max)
@@ -379,7 +375,7 @@ def doubling_constant(space, measure: Measure, x, r0) -> tuple:
     """
     r0 = rational(r0)
     lo, hi = r0 / 2, 5 * r0 / 2
-    profile = _profile_for(measure, space, x, hi)
+    profile = measure.profile(space, x, 2 * hi)
     step, rows = _critical_checks(profile, lo, hi)
     best = None
     for a, num, den, _form in rows:

@@ -239,29 +239,28 @@ def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
 
 
 def measure_from_spec(spec, space, action=None) -> Measure:
-    """Measure from the JSON fragment; see the schema notes in the README."""
+    """Measure from the "measure", "weights" and "basepoint" keys of a space
+    file; see the schema notes in the README.  Weights keys and the
+    basepoint are read as points of `space` by `spaces.read_point`."""
     kind = spec.get("measure", "vertex_uniform")
     if kind == "vertex_uniform":
         return VertexMeasure()
     if kind == "vertex_weights":
-        return VertexMeasure(weights=
-                             {k: rational(v) for k, v in spec["weights"].items()})
+        return VertexMeasure(weights={spaces.read_point(k, space): rational(v)
+                                      for k, v in spec["weights"].items()})
     if kind == "counting_orbit":
         if action is None:
             raise DomainError("counting_orbit measure needs an action")
         basepoint = spec.get("basepoint")
+        basepoint = (space.default_point() if basepoint is None
+                     else spaces.read_point(basepoint, space))
         if basepoint is None:
-            if isinstance(space, spaces.CayleySpace):
-                basepoint = space.identity()
-            elif isinstance(space, spaces.GluedLineSpace):
-                basepoint = space.tip(0)
-            else:
-                raise DomainError("counting_orbit needs an explicit basepoint")
+            raise DomainError("counting_orbit needs an explicit basepoint")
         return CountingOrbitMeasure(action, basepoint)
     if kind == "pullback":
         raise DomainError(
             "pullback measures live on a cover: declare a graph space with "
-            'measure "pullback" plus a "cover" block (the CLI lifts the '
-            "problem), or build one via covers.universal_cover + "
+            'measure "pullback" plus a "cover" block (`presets.instance` '
+            "lifts the problem), or build one via covers.universal_cover + "
             "PullbackMeasure")
     raise DomainError(f"unknown measure spec {kind!r}")

@@ -307,6 +307,11 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
     for larger certified instances).
     """
     r, R = packing_radii(r, R)
+    if (mode == "exact" and candidates is None
+            and isinstance(space, spaces.CayleySpace)):
+        # the closed-form ball size refuses an over-cap ball unenumerated
+        spaces.check_ball(space, x, R - r)
+        _check_cap(sum(space.ball_spheres(R - r, closed=True)), cap)
     rows = _candidate_rows(space, x, r, R, candidates)
     points = [p for _d, _k, p in rows]
     if mode == "greedy":
@@ -314,10 +319,7 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
         result = PackingResult(count=len(centers), centers=centers,
                                method="greedy", candidates=len(points))
     elif mode == "exact":
-        if len(points) > cap:
-            raise DomainError(
-                f"{len(points)} candidates exceed the exact cap {cap}; "
-                "use greedy mode or raise the cap")
+        _check_cap(len(points), cap)
         idx, method = _exact_mis(space, points, r)
         result = PackingResult(count=len(idx), centers=[points[i] for i in idx],
                                method=method, candidates=len(points))
@@ -325,6 +327,12 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
         raise DomainError(f"unknown packing mode {mode!r}")
     _verify_packing(space, x, result.centers, r, R)
     return result
+
+
+def _check_cap(count, cap):
+    if count > cap:
+        raise DomainError(f"{count} candidates exceed the exact cap {cap}; "
+                          "use greedy mode or raise the cap")
 
 
 def _verify_packing(space, x, centers, r, R):

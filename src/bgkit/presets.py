@@ -1,33 +1,99 @@
-"""Bundled example instances shared by the CLI and the verification suite."""
+"""Bundled example instances, and the one builder of every input.
+
+A preset is an ordinary space-file spec (`spec`), and `instance` turns any
+spec, a `--space` file or a preset, into (space, action, measure).
+"""
 
 from __future__ import annotations
 
-from . import actions, groups, measures, spaces
-from .exact import rational
+from . import actions, measures, spaces
+from .exact import DomainError, rational
+
+_LEFT_TRANSLATION = {"lattice2": ("free_abelian", 2), "free2": ("free", 2),
+                     "atom": ("trivial", None)}
+
+
+def _cayley(group, action):
+    return {"kind": "cayley", "group": group, "action": action,
+            "measure": "counting_orbit"}
+
+
+def _glued_line(r0, eps):
+    r0, eps = rational(r0), rational(eps)
+    # enough hairs to scan ratios out to ~3 r0 around a tip
+    return {"kind": "glued_line", "eps": str(eps), "hair_length": str(r0 / 2),
+            "window": int(4 * r0 / eps) + 4,
+            "action": {"action": "glued_line_shift"},
+            "measure": "counting_orbit"}
+
+
+def spec(name) -> dict:
+    """The space-file spec of preset `name`: lattice2, free2, atom, torusM
+    (M = 5 when omitted), lineM (M = 1 when omitted) or glued-line."""
+    if name in _LEFT_TRANSLATION:
+        family, params = _LEFT_TRANSLATION[name]
+        group = {"family": family, "params": params}
+        return _cayley(group, {"action": "left_translation", "group": group})
+    for prefix, rank, default in (("torus", 2, 5), ("line", 1, 1)):
+        if name.startswith(prefix):
+            try:
+                m = int(name[len(prefix):] or default)
+            except ValueError:
+                break
+            matrix = [[m * (i == j) for j in range(rank)] for i in range(rank)]
+            return _cayley({"family": "free_abelian", "params": rank},
+                           {"action": "lattice_translation", "matrix": matrix})
+    if name == "glued-line":
+        return _glued_line("1", "1/10")
+    raise DomainError(f"unknown preset {name!r}")
+
+
+def instance(spec):
+    """(space, action, measure) of a space-file spec; the action is None
+    when the spec has none.  Measure "pullback" or a deck action lifts the
+    whole problem to the universal cover of the declared graph."""
+    space = spaces.space_from_spec(spec)
+    action_spec = spec.get("action")
+    if spec.get("measure") == "pullback" or (
+            isinstance(action_spec, dict) and action_spec.get("action") == "deck"):
+        return _lift_to_cover(space, spec)
+    action = actions.action_from_spec(action_spec, space) if action_spec else None
+    return space, action, measures.measure_from_spec(spec, space, action=action)
+
+
+def _lift_to_cover(graph, spec):
+    from . import covers
+    if not isinstance(graph, spaces.WeightedGraph):
+        raise DomainError("pullback/deck specs need a graph space")
+    cover_spec = spec.get("cover", {})
+    basepoint = cover_spec.get(
+        "basepoint", sorted(graph.vertices, key=spaces.point_key)[0])
+    cover = covers.universal_cover(graph, basepoint,
+                                   rational(cover_spec.get("window", 8)))
+    base = measures.measure_from_spec(
+        {**spec, "measure": "vertex_weights"} if "weights" in spec else {},
+        graph)
+    return (cover.space, covers.DeckAction(cover),
+            measures.PullbackMeasure(cover, base))
 
 
 def lattice_instance():
     """Z^2 lattice with its full translation action and counting measure."""
-    action = actions.LeftTranslationAction(groups.FreeAbelianFamily(2))
-    return action.space, action, measures.counting_measure(action, (0, 0))
+    return instance(spec("lattice2"))
 
 
 def free_instance():
     """Rank-2 free-group Cayley tree, left translation, counting measure."""
-    action = actions.LeftTranslationAction(groups.FreeFamily(2))
-    return action.space, action, measures.counting_measure(action, ())
+    return instance(spec("free2"))
 
 
 def atom_instance():
-    action = actions.LeftTranslationAction(groups.TrivialFamily())
-    return action.space, action, measures.counting_measure(action, ())
+    return instance(spec("atom"))
 
 
 def torus_instance(m):
     """Z^2 lattice with the (m Z)^2 sublattice translation action."""
-    space = spaces.CayleySpace(groups.FreeAbelianFamily(2))
-    action = actions.LatticeTranslationAction(space, [[m, 0], [0, m]])
-    return space, action, measures.counting_measure(action, (0, 0))
+    return instance(spec(f"torus{m}"))
 
 
 def glued_line_instance(r0="1", eps="1/10"):
@@ -37,17 +103,9 @@ def glued_line_instance(r0="1", eps="1/10"):
     growth bound as eps shrinks; the natural first radius to probe is
     r0 + eps at a hair tip.
     """
-    r0, eps = rational(r0), rational(eps)
-    # enough hairs to scan ratios out to ~3 r0 around a tip
-    window = int(4 * r0 / eps) + 4
-    space = spaces.GluedLineSpace(eps, r0 / 2, window)
-    action = actions.GluedLineShiftAction(space)
-    measure = measures.counting_measure(action, space.tip(0))
-    return space, action, measure
+    return instance(_glued_line(r0, eps))
 
 
 def line_translation_instance(m):
     """Z acting on the integer line by translation by m."""
-    space = spaces.CayleySpace(groups.FreeAbelianFamily(1))
-    action = actions.LatticeTranslationAction(space, [[m]])
-    return space, action, measures.counting_measure(action, (0,))
+    return instance(spec(f"line{m}"))

@@ -69,6 +69,15 @@ class Space:
         if not self.is_point(x):
             raise DomainError(f"{x!r} is not a point of this {self.kind} space")
 
+    def from_json(self, value):
+        """The point a parsed JSON value names: JSON lists become tuples."""
+        return _tuplify(value)
+
+    def default_point(self):
+        """The point a command reads when it is given none, or None when the
+        space has no such point."""
+        return None
+
     def safe_radius(self, x) -> Fraction | None:
         """Largest radius for which ball enumeration at x is exhaustive."""
         return None
@@ -96,6 +105,29 @@ def _on_one_scale(rows):
     scale = math.lcm(*{d.denominator for row in rows for d in row})
     return scale, [[d.numerator * (scale // d.denominator) for d in row]
                    for row in rows]
+
+
+def _tuplify(value):
+    if isinstance(value, list):
+        return tuple(_tuplify(v) for v in value)
+    return value
+
+
+def read_point(value, space: Space):
+    """The point of `space` that a JSON value names, or DomainError.
+
+    A string that is a point stays as it is, so string vertices keep
+    working; any other string is read as JSON text first, the way command
+    line points and the keys of a "weights" object are written."""
+    if isinstance(value, str) and not space.is_point(value):
+        import json
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+    point = space.from_json(value)
+    space.check_point(point)
+    return point
 
 
 def distance(space: Space, x, y) -> Fraction:
@@ -475,6 +507,9 @@ class CayleySpace(Space):
     def identity(self):
         return self.family.identity()
 
+    def default_point(self):
+        return self.family.identity()
+
     def ball_spheres(self, r, closed=False):
         """[#{g : |g| = i} for i in 0..n], n the largest word length in the
         ball of radius r, which is the same at every centre.  WindowError
@@ -551,6 +586,26 @@ class GluedLineSpace(Space):
 
     def base(self, k: int):
         return ("line", self.eps * k)
+
+    def default_point(self):
+        return self.tip(0)
+
+    def from_json(self, value):
+        """["line", t], ["hair", k, s] or ["tip", k] as a canonical point
+        with exact coordinates; any other value is returned as it is."""
+        try:
+            kind = value[0]
+            if kind == "line":
+                point = ("line", rational(value[1]))
+            elif kind == "hair":
+                point = ("hair", value[1], rational(value[2]))
+            elif kind == "tip":
+                point = self.tip(value[1])
+            else:
+                return value
+        except (LookupError, TypeError, ValueError):
+            return value
+        return point if self.is_point(point) else value
 
     def _coords(self, p):
         """(line position of the foot, arclength up the hair)."""

@@ -253,6 +253,13 @@ def test_diastole_consistency_with_nu():
     assert rep["diastole"] == 5.0
     with pytest.raises(DomainError):
         diastole_consistency(act, [(0, 0)], params, None)
+    # N0 = nu(C^3 e^{15 K r0} + 1) / 2 and the bound r0 / N0, to the bit
+    nu = NuOracle([[10, 2], [1e3, 4], [1e9, 8], [1e300, 16]])
+    for r0, C, K in [(1, 5.0, 0.1), (Fraction(3, 7), 2.5, 0.0),
+                     (Fraction(1, 3), 9.0, 0.7)]:
+        rep = diastole_consistency(act, [(0, 0)], BGParams(r0, C, K), nu)
+        n0 = 0.5 * nu(C ** 3 * math.exp(15.0 * K * float(r0)) + 1.0)
+        assert rep["N0"] == n0 and rep["bound"] == float(r0) / n0
 
 
 def test_weak_certificate_monotone_in_parameters():

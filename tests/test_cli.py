@@ -5,13 +5,19 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_report_bytes import CASES, write_space_files
+from test_report_bytes import CASES, SPACE_FILES, write_space_files
 
-from bgkit import cli
+from bgkit import cli, presets
+from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
+                           LeftTranslationAction)
 from bgkit.cli import run
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.measures import counting_measure
+from bgkit.spaces import CayleySpace, GluedLineSpace
 
 ENV = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
 
@@ -166,6 +172,112 @@ def test_space_file_roundtrip(tmp_path, capsys):
     assert report["result"]["betti"] == 1
 
 
+def test_weights_keys_name_points(tmp_path, capsys):
+    # JSON object keys are strings; the int vertex 0 gets the weight of the
+    # key "0", on a plain graph and on the base graph of a pull-back
+    write_space_files(tmp_path)
+    code, report, _ = invoke(["balls", "--space", str(tmp_path / "w.json"),
+                              "--center", "0", "--r", "2", "--closed"], capsys)
+    assert code == 0
+    assert report["result"]["mass"] == "5"
+    # string vertices are points as they are written
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({
+        "kind": "graph", "vertices": ["0", "1"],
+        "edges": [["0", "0", "1"], ["0", "1", "1"]], "measure": "pullback",
+        "weights": {"0": "3", "1": "1/2"}, "cover": {"window": 3}}))
+    code, report, _ = invoke(["balls", "--space", str(path), "--r", "1"],
+                             capsys)
+    assert code == 0
+    assert report["result"]["mass"] == "3"
+    path.write_text(json.dumps({**SPACE_FILES["w.json"], "weights": {"4": "1"}}))
+    code, report, err = invoke(["balls", "--space", str(path), "--r", "1"],
+                               capsys)
+    assert code == 1
+    assert err == "error: 4 is not a point of this graph space\n"
+
+
+def _direct_action(name):
+    """Each preset's action built from its classes, apart from any spec."""
+    lattice = CayleySpace(FreeAbelianFamily(2))
+    line = CayleySpace(FreeAbelianFamily(1))
+    return {
+        "lattice2": LeftTranslationAction(FreeAbelianFamily(2)),
+        "free2": LeftTranslationAction(FreeFamily(2)),
+        "atom": LeftTranslationAction(TrivialFamily()),
+        "torus": LatticeTranslationAction(lattice, [[5, 0], [0, 5]]),
+        "torus5": LatticeTranslationAction(lattice, [[5, 0], [0, 5]]),
+        "torus7": LatticeTranslationAction(lattice, [[7, 0], [0, 7]]),
+        "line": LatticeTranslationAction(line, [[1]]),
+        "line10": LatticeTranslationAction(line, [[10]]),
+        "glued-line": GluedLineShiftAction(
+            GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)),
+    }[name]
+
+
+def _assert_same_instance(got, action):
+    space, got_action, measure = got
+    basepoint = (action.space.tip(0)
+                 if isinstance(action, GluedLineShiftAction)
+                 else action.family.identity())
+    want = (action.space, action, counting_measure(action, basepoint))
+    assert [type(o) for o in got] == [type(o) for o in want]
+    assert got_action.space is space and measure.action is got_action
+    assert got_action.family.name == action.family.name
+    assert space.validate() == action.space.validate()
+    assert getattr(got_action, "matrix", None) == getattr(action, "matrix", None)
+    assert measure.basepoint == basepoint
+    assert measure.description == want[2].description
+    # the window of the glued line ends before radius 6 at the tip
+    upto = min(6, space.safe_radius(basepoint) or 6)
+    got_profile = measure.profile(space, basepoint, upto)
+    want_profile = want[2].profile(action.space, basepoint, upto)
+    assert vars(got_profile) == vars(want_profile)
+
+
+@pytest.mark.parametrize("name", ["lattice2", "free2", "atom", "torus",
+                                  "torus5", "torus7", "line", "line10",
+                                  "glued-line"])
+def test_preset_spec_builds_the_direct_instance(name):
+    _assert_same_instance(presets.instance(presets.spec(name)),
+                          _direct_action(name))
+
+
+def test_instance_functions_build_the_direct_instances():
+    for got, name in [(presets.lattice_instance(), "lattice2"),
+                      (presets.free_instance(), "free2"),
+                      (presets.atom_instance(), "atom"),
+                      (presets.torus_instance(7), "torus7"),
+                      (presets.line_translation_instance(10), "line10"),
+                      (presets.glued_line_instance(), "glued-line")]:
+        _assert_same_instance(got, _direct_action(name))
+    # other scales keep the window rule int(4 r0 / eps) + 4
+    space = presets.glued_line_instance("3/2", "1/4")[0]
+    assert (space.eps, space.hair, space.window) == (Fraction(1, 4),
+                                                     Fraction(3, 4), 28)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("lattice2", ["balls", "--r", "3", "--closed"]),
+    ("free2", ["certify-bg", "--r0", "1", "--C", "4", "--K", "1.2",
+               "--rmax", "5"]),
+    ("atom", ["synthetic", "--N", "2", "--K", "1", "--rmax", "8"]),
+    ("torus5", ["pack", "--r", "1", "--R", "12", "--orbit"]),
+    ("line10", ["balls", "--r", "25", "--center", "[3]"]),
+    ("glued-line", ["balls", "--r", "2", "--closed"]),
+])
+def test_preset_spec_as_space_file(name, argv, tmp_path, monkeypatch,
+                                   capsys):
+    # a preset is a space-file spec: written to a file, it reads the same
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")   # fixes the timestamp
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(presets.spec(name)))
+    by_preset = run(argv + ["--preset", name]), capsys.readouterr()
+    assert (run(argv + ["--space", str(path)]),
+            capsys.readouterr()) == by_preset
+    assert by_preset[1].out
+
+
 def test_determinism_across_processes(tmp_path):
     cmd = [sys.executable, "-m", "bgkit.cli", "reproduce", "glued-line",
            "--r0", "1", "--eps", "1/10", "--C", "4", "--K", "1",
@@ -204,16 +316,22 @@ LOADED_MODULES = [
      PRESET_MODULES | {"bgkit.packing"}, False),
     (["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
      PRESET_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+    # a space file goes through the same builder as a preset
+    (["validate", "--space", "c4.json"], PRESET_MODULES, False),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, modules, numpy", LOADED_MODULES,
-    ids=["import"] + [argv[0] for argv, _m, _n in LOADED_MODULES[1:]])
-def test_subcommand_loads_only_what_it_runs(argv, modules, numpy):
+    ids=["import"] + [argv[0] + "-space" * ("--space" in argv)
+                      for argv, _m, _n in LOADED_MODULES[1:]])
+def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
     # each subcommand imports its modules when it runs them, and numpy is
     # paid for only when a kernel runs: a fresh process ends with exactly
     # these bgkit modules loaded
+    write_space_files(tmp_path)
+    if argv is not None:
+        argv = [str(tmp_path / a) if a in SPACE_FILES else a for a in argv]
     script = ("import io, json, sys\n"
               "from contextlib import redirect_stderr, redirect_stdout\n"
               "from bgkit import cli\n"

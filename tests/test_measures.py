@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import (DistanceProfile, VertexMeasure, ball_mass,
-                            counting_measure, sphere_profile)
+                            counting_measure, measure_from_spec,
+                            sphere_profile)
 from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
 
 
@@ -114,6 +116,50 @@ def test_vertex_measure_weights_and_errors():
     assert ball_mass(weighted, graph, 1, 1, closed=True) == Fraction(5, 2)
     with pytest.raises(DomainError):
         ball_mass(uniform, graph, 0, -1)
+
+
+def test_weights_keys_name_points():
+    # JSON object keys are strings: a key that is a point stays as it is,
+    # any other key is read as JSON text, and a key naming no point is
+    # refused with the space's error
+    def weights(space, table):
+        spec = {"measure": "vertex_weights", "weights": table}
+        return measure_from_spec(spec, space).weights
+
+    ints = WeightedGraph([0, 1, 2], [(0, 1, 1), (1, 2, 1)])
+    assert weights(ints, {"0": "2", "2": "1/2"}) == {0: 2, 2: Fraction(1, 2)}
+    labels = WeightedGraph(["0", "a"], [("0", "a", 1)])
+    assert weights(labels, {"0": "3", '"a"': "1"}) == {"0": 3, "a": 1}
+    lattice = CayleySpace(FreeAbelianFamily(2))
+    assert weights(lattice, {"[0,0]": "2", "[1, -1]": "1"}) == {(0, 0): 2,
+                                                              (1, -1): 1}
+    glued = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 4)
+    assert weights(glued, {'["tip", 0]': "2"}) == {glued.tip(0): 2}
+    for space, key, shown in [(ints, "5", "5"), (ints, "a", "'a'"),
+                              (lattice, "[0]", "(0,)"),
+                              (glued, '["tip", 9]', "['tip', 9]")]:
+        with pytest.raises(DomainError, match=rf"^{re.escape(shown)} is not "
+                           rf"a point of this {space.kind} space$"):
+            weights(space, {key: "1"})
+
+
+def test_counting_orbit_basepoint_from_spec():
+    # a JSON basepoint is read as a point; without one, the space's default
+    # point is used, the trivial group's falsy identity () included
+    spec = {"measure": "counting_orbit"}
+    lattice = LeftTranslationAction(FreeAbelianFamily(2))
+    assert measure_from_spec({**spec, "basepoint": [1, -2]}, lattice.space,
+                             action=lattice).basepoint == (1, -2)
+    atom = LeftTranslationAction(TrivialFamily())
+    assert measure_from_spec(spec, atom.space, action=atom).basepoint == ()
+    glued = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 4)
+    shift = GluedLineShiftAction(glued)
+    assert measure_from_spec(spec, glued, action=shift).basepoint == glued.tip(0)
+    assert measure_from_spec({**spec, "basepoint": ["line", "1/5"]}, glued,
+                             action=shift).basepoint == ("line", Fraction(1, 5))
+    graph = WeightedGraph([0, 1], [(0, 1, 1)])
+    with pytest.raises(DomainError, match="needs an explicit basepoint"):
+        measure_from_spec(spec, graph, action=shift)
 
 
 def test_window_guard_on_measure():

@@ -126,6 +126,29 @@ def test_exact_cap_guard():
         packing_count(space, (0, 0), 1, 8, mode="exact", cap=10)
 
 
+def test_exact_cap_refuses_cayley_balls_before_enumerating(monkeypatch):
+    # on a Cayley space the closed-form ball size is checked against the
+    # cap, so an over-cap ball is refused without being enumerated, with
+    # the refusals and messages of the enumerating path in the same order
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("over-cap ball enumerated")
+
+    monkeypatch.setattr(CayleySpace, "ball", refuse)
+    free = CayleySpace(FreeFamily(2))
+    with pytest.raises(DomainError, match=r"^118097 candidates exceed the "
+                       r"exact cap 60; use greedy mode or raise the cap$"):
+        packing_count(free, (), 2, 12, mode="exact")
+    with pytest.raises(DomainError, match=r"^13 candidates exceed the exact "
+                       r"cap 12"):
+        packing_count(lattice_space(), (5, 5), 1, 3, mode="exact", cap=12)
+    with pytest.raises(DomainError, match="is not a point"):
+        packing_count(free, (1, -1), 2, 12, mode="exact")
+    with pytest.raises(WindowError, match="over the enumeration budget"):
+        packing_count(free, (), 1, 16, mode="exact")
+    with pytest.raises(DomainError, match="packing needs"):
+        packing_count(free, (1, -1), 3, 4, mode="exact")
+
+
 def test_bipartite_koenig_path_on_unit_conflicts():
     # r = 1 on the lattice: conflict graph is the grid adjacency (bipartite)
     space = lattice_space()

@@ -30,6 +30,11 @@ SPACE_FILES = {
                    "edges": [["v", "v", "1"], ["v", "v", "1"]],
                    "measure": "pullback",
                    "cover": {"basepoint": "v", "window": 5}},
+    "w.json": {"kind": "graph", "vertices": [0, 1, 2, 3],
+               "edges": [[0, 1, "1"], [1, 2, "1"], [2, 3, "1"],
+                         [3, 0, "1"]],
+               "measure": "vertex_weights",
+               "weights": {"0": "2", "1": "1", "2": "1", "3": "1"}},
 }
 
 
