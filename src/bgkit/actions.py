@@ -300,9 +300,16 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
     rule = spec.get("action")
     if rule == "left_translation":
         family = groups.family_from_spec(spec["group"])
-        if isinstance(space, spaces.CayleySpace):
-            return LeftTranslationAction(space.family, space)
-        return LeftTranslationAction(family)
+        if not isinstance(space, spaces.CayleySpace):
+            return LeftTranslationAction(family)
+        if ((family.name, family.generators())
+                != (space.family.name, space.family.generators())):
+            other = (" (other generators)" if family.name == space.family.name
+                     else "")
+            raise DomainError(
+                f"left_translation group {family.name} is not the group "
+                f"{space.family.name} of the Cayley space it acts on{other}")
+        return LeftTranslationAction(space.family, space)
     if rule == "lattice_translation":
         return LatticeTranslationAction(space, spec["matrix"])
     if rule == "glued_line_shift":

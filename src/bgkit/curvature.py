@@ -18,6 +18,7 @@ floats guarded by the verdict margin from `exact`.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -60,8 +61,10 @@ class SyntheticParams:
             raise DomainError(
                 "exponent K must be positive (the N/K threshold degenerates at 0)")
 
-    @property
+    @functools.cached_property
     def scale(self) -> Fraction:
+        """N/K, computed once per instance; not a field, so equality, hashing
+        and `asdict` see only N and K."""
         return rational(self.N) / rational(self.K)
 
 

@@ -15,6 +15,12 @@ refused past the enumeration budget as enumeration would be.
 Counting measures of standard actions get it from the action,
 analytically where the word metric allows, so ball masses of word-metric
 balls stay exact far beyond anything enumerable.
+
+A measure whose profile is the same at every center says so
+(`Measure.center_free_profile`; only the uniform vertex measure on a
+Cayley space), so a caller reading many centers, like the sandwich sup,
+builds one profile for all of them.  A ratio of two ball masses divides
+two int totals on the one mass scale, which cancels, into one Fraction.
 """
 
 from __future__ import annotations
@@ -67,42 +73,50 @@ class DistanceProfile:
         """The mass within each breakpoint distance, as Fractions."""
         return [Fraction(c, self.mass_scale) for c in self.totals]
 
-    def _ceil_tick(self, r: Fraction) -> int:
-        return -(-r.numerator * self.scale // r.denominator)
+    def _count_lt(self, r: Fraction) -> int:
+        """The number of ticks below r: r*scale rounded up, bisected."""
+        return bisect.bisect_left(
+            self.ticks, -(-r.numerator * self.scale // r.denominator))
 
-    def _floor_tick(self, r: Fraction) -> int:
-        return r.numerator * self.scale // r.denominator
+    def _count_le(self, r: Fraction) -> int:
+        """The number of ticks at most r: r*scale rounded down, bisected."""
+        return bisect.bisect_right(
+            self.ticks, r.numerator * self.scale // r.denominator)
 
-    def _mass(self, idx) -> Fraction:
-        """The mass of the first idx ticks."""
-        if not idx:
-            return Fraction(0)
-        return Fraction(self.totals[idx - 1], self.mass_scale)
+    def _total(self, idx) -> int:
+        """The mass of the first idx ticks, on the mass scale."""
+        return self.totals[idx - 1] if idx else 0
 
     def mass_lt(self, r) -> Fraction:
         """Total mass at distance strictly below r (open ball)."""
         r = rational(r)
         self._check(r)
-        return self._mass(bisect.bisect_left(self.ticks, self._ceil_tick(r)))
+        return Fraction(self._total(self._count_lt(r)), self.mass_scale)
 
     def mass_le(self, r) -> Fraction:
         """Total mass at distance at most r (closed ball)."""
         r = rational(r)
         self._check(r)
-        return self._mass(bisect.bisect_right(self.ticks,
-                                              self._floor_tick(r)))
+        return Fraction(self._total(self._count_le(r)), self.mass_scale)
 
     def ratio(self, big, small, closed=False) -> Fraction:
         """mass(B(c, big)) / mass(B(c, small)) at the profile's center: the
         numerator ball is closed only when asked, the denominator ball is
-        always open.  DomainError when the denominator ball is empty."""
-        num = self.mass_le(big) if closed else self.mass_lt(big)
-        den = self.mass_lt(small)
+        always open.  DomainError when the denominator ball is empty.
+
+        Both masses are int totals on the one mass scale, which cancels, so
+        the ratio is one Fraction of two ints."""
+        big = rational(big)
+        self._check(big)
+        small = rational(small)
+        self._check(small)
+        den = self._total(self._count_lt(small))
         if not den:
             raise DomainError(
                 f"empty ball: the open ball of radius "
-                f"{fmt_rational(rational(small))} has zero mass")
-        return num / den
+                f"{fmt_rational(small)} has zero mass")
+        num = self._count_le(big) if closed else self._count_lt(big)
+        return Fraction(self._total(num), den)
 
     def _check(self, r):
         if r > self.upto:
@@ -114,9 +128,8 @@ class DistanceProfile:
     def breakpoints_in(self, lo, hi):
         """Profile distances d with lo <= d <= hi."""
         lo, hi = rational(lo), rational(hi)
-        i = bisect.bisect_left(self.ticks, self._ceil_tick(lo))
-        j = bisect.bisect_right(self.ticks, self._floor_tick(hi))
-        return [Fraction(t, self.scale) for t in self.ticks[i:j]]
+        return [Fraction(t, self.scale)
+                for t in self.ticks[self._count_lt(lo):self._count_le(hi)]]
 
 
 def sphere_profile(spheres, step, upto) -> DistanceProfile:
@@ -147,6 +160,12 @@ class Measure:
         beyond the safe window."""
         raise NotImplementedError
 
+    def center_free_profile(self, space, center, upto) -> DistanceProfile | None:
+        """The profile within `upto` of `center`, after the ball checks at
+        `center`, when it is the same at every center of `space`; None,
+        before any check, otherwise."""
+        return None
+
 
 class VertexMeasure(Measure):
     """Unit (or explicitly weighted) mass on the space's own support points."""
@@ -170,13 +189,20 @@ class VertexMeasure(Measure):
         return m
 
     def profile(self, space, center, upto) -> DistanceProfile:
-        if self.uniform and isinstance(space, spaces.CayleySpace):
-            upto = spaces.check_ball(space, center, upto)
-            return sphere_profile(space.ball_spheres(upto, closed=True), 1,
-                                  upto)
+        profile = self.center_free_profile(space, center, upto)
+        if profile is not None:
+            return profile
         return DistanceProfile(
             ((d, self.mass(p)) for p, d in
              spaces.enumerate_ball(space, center, upto, closed=True)), upto)
+
+    def center_free_profile(self, space, center, upto) -> DistanceProfile | None:
+        """The uniform measure on a Cayley space is left-invariant: its
+        profile at every center is the family's sphere profile."""
+        if not (self.uniform and isinstance(space, spaces.CayleySpace)):
+            return None
+        upto = spaces.check_ball(space, center, upto)
+        return sphere_profile(space.ball_spheres(upto, closed=True), 1, upto)
 
 
 class CountingOrbitMeasure(Measure):

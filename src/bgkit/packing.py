@@ -11,11 +11,15 @@ at distance < 2r conflict).  Components are solved separately; bipartite
 components go through Koenig's theorem (max matching), the rest through a
 branch-and-bound on bitset adjacency, pruned by a degree-ordered greedy
 clique cover (Tomita and Kameda's MCQ order on the complement graph).
+
+Packing reads distances as ints on one scale and builds no Fraction
+distance: candidates keep the ball's (distance, key) order, explicit
+candidates are read through one `scaled_distances_to` row, and the
+conflict graph, first fit and the post-hoc audit compare int rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,19 +41,20 @@ class PackingResult:
 
 
 def _candidate_rows(space, x, r, R, candidates):
-    """Sorted (distance-to-x, key, point) rows of admissible centers."""
+    """Admissible centers (within R - r of x) in (distance-to-x, key) order.
+
+    A ball is already in that order; explicit candidates are read through
+    one int row of distances to x, compared with floor((R - r) scale)."""
     limit = R - r
-    rows = []
     if candidates is None:
-        for p, d in spaces.enumerate_ball(space, x, limit, closed=True):
-            rows.append((d, spaces.point_key(p), p))
-    else:
-        for p in candidates:
-            d = space.distance(x, p)
-            if d <= limit:
-                rows.append((d, spaces.point_key(p), p))
+        return [p for p, _d in spaces.enumerate_ball(space, x, limit,
+                                                     closed=True)]
+    scale, row = space.scaled_distances_to(candidates, x)
+    bound = limit.numerator * scale // limit.denominator
+    rows = [(d, spaces.point_key(p), p) for d, p in zip(row, candidates)
+            if d <= bound]
     rows.sort(key=lambda t: t[:2])
-    return rows
+    return [p for _d, _k, p in rows]
 
 
 def _separation(r, scale):
@@ -312,8 +317,7 @@ def packing_count(space, x, r, R, mode="exact", candidates=None,
         # the closed-form ball size refuses an over-cap ball unenumerated
         spaces.check_ball(space, x, R - r)
         _check_cap(sum(space.ball_spheres(R - r, closed=True)), cap)
-    rows = _candidate_rows(space, x, r, R, candidates)
-    points = [p for _d, _k, p in rows]
+    points = _candidate_rows(space, x, r, R, candidates)
     if mode == "greedy":
         centers = _first_fit(space, points, r)
         result = PackingResult(count=len(centers), centers=centers,
@@ -338,27 +342,30 @@ def _check_cap(count, cap):
 def _verify_packing(space, x, centers, r, R):
     """Post-hoc audit from raw distances; a failure is an internal bug.
 
-    Each distance is compared with R - r and 2r by int cross-multiplication
-    of numerators and denominators."""
+    Distances are read as int rows (`scaled_distances_to`): one from the
+    centers to x, then one per center to the centers before it, so memory
+    stays linear in the centers.  Each int is compared with R - r and 2r
+    by cross-multiplication with the row's scale."""
     limit, separation = R - r, 2 * r
     ln, ld = limit.numerator, limit.denominator
     sn, sd = separation.numerator, separation.denominator
-    for c in centers:
-        d = space.distance(x, c)
-        if d.numerator * ld > ln * d.denominator:
+    scale, row = space.scaled_distances_to(centers, x)
+    for d in row:
+        if d * ld > ln * scale:
             raise AssertionError("packing center escapes the containment radius")
-    for a, b in itertools.combinations(centers, 2):
-        d = space.distance(a, b)
-        if d.numerator * sd < sn * d.denominator:
-            raise AssertionError("packing centers closer than 2r")
+    for i, c in enumerate(centers):
+        scale, row = space.scaled_distances_to(centers[:i], c)
+        for d in row:
+            if d * sd < sn * scale:
+                raise AssertionError("packing centers closer than 2r")
 
 
 def gamma_packing_count(action, x, r, R, mode="exact", cap=EXACT_CAP) -> PackingResult:
     """Packing count with centers restricted to the orbit of x."""
     r, R = packing_radii(r, R)
     rows = action.elements_moving_near(x, x, R - r)
-    orbit_pts = sorted({(d, spaces.point_key(p)): p for _g, p, d in rows}.items())
-    candidates = [p for _key, p in orbit_pts]
+    # one candidate per orbit point; `_candidate_rows` puts them in order
+    candidates = list({spaces.point_key(p): p for _g, p, _d in rows}.values())
     result = packing_count(action.space, x, r, R, mode=mode,
                            candidates=candidates, cap=cap)
     result.note = "centers restricted to the orbit"
@@ -444,9 +451,21 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
     inv_at_x = measure.profile(space, x, 2 * R if wide else R)
     inv_ratio = inv_at_x.ratio(R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    sup_ratio = max((inv_at_x if wide and y == x
-                     else measure.profile(space, y, 2 * R)).ratio(2 * R, r)
-                    for y in sup_sample)
+    # A center-free measure has one profile for the whole sup, built at the
+    # first point that reads it; every later point only has its ball checked.
+    free = None
+    ratios = []
+    for y in sup_sample:
+        if wide and y == x:
+            profile = inv_at_x
+        elif free is not None:
+            spaces.check_ball(space, y, 2 * R)
+            profile = free
+        else:
+            free = measure.center_free_profile(space, y, 2 * R)
+            profile = measure.profile(space, y, 2 * R) if free is None else free
+        ratios.append(profile.ratio(2 * R, r))
+    sup_ratio = max(ratios)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio
              and pack_all.count <= sup_ratio)

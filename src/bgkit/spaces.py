@@ -545,9 +545,12 @@ class CayleySpace(Space):
                     if prod not in seen:
                         seen.add(prod)
                         nxt.append(prod)
-                        hits.append((prod, Fraction(depth)))
+            # spheres come in distance order: sorting each by key gives the
+            # (distance, key) order of `Space.ball`
+            nxt.sort(key=point_key)
+            d = Fraction(depth)
+            hits.extend((p, d) for p in nxt)
             frontier = nxt
-        hits.sort(key=lambda pd: (pd[1], point_key(pd[0])))
         return hits
 
     def ball_count(self, r, closed=False) -> int:
@@ -758,8 +761,11 @@ def space_from_spec(spec: dict) -> Space:
             labels=spec.get("labels"),
             validate=spec.get("validate", True))
     if kind == "graph":
-        edges = [(u, v, rational(w)) for u, v, w in spec["edges"]]
-        return WeightedGraph(spec["vertices"], edges)
+        # vertices are read as points are (`Space.from_json`): JSON lists
+        # become tuples, so they hash
+        edges = [(_tuplify(u), _tuplify(v), rational(w))
+                 for u, v, w in spec["edges"]]
+        return WeightedGraph([_tuplify(v) for v in spec["vertices"]], edges)
     if kind == "cayley":
         family = groups.family_from_spec(spec["group"])
         return CayleySpace(family)

@@ -179,6 +179,17 @@ def test_action_from_spec():
                              "group": {"family": "free", "params": 2}},
                             CayleySpace(FreeFamily(2)))
     assert isinstance(act2, LeftTranslationAction)
+    with pytest.raises(DomainError, match=r"free_abelian\(2\) is not the "
+                       r"group free\(2\)"):
+        action_from_spec({"action": "left_translation",
+                          "group": {"family": "free_abelian", "params": 2}},
+                         CayleySpace(FreeFamily(2)))
+    # same degree, other generators: another group
+    with pytest.raises(DomainError, match=r"acts on \(other generators\)$"):
+        action_from_spec({"action": "left_translation",
+                          "group": {"family": "finite_permutation",
+                                    "params": [[1, 0, 2]]}},
+                         CayleySpace(FinitePermutationFamily([[0, 2, 1]])))
 
 
 def test_window_check_covers_every_rule():

@@ -197,6 +197,26 @@ def test_weights_keys_name_points(tmp_path, capsys):
     assert err == "error: 4 is not a point of this graph space\n"
 
 
+def test_space_file_group_and_list_vertices(tmp_path, monkeypatch, capsys):
+    write_space_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    # an action declaring another group than its Cayley space is refused,
+    # not run as the space's group (the free-group ball has mass 17)
+    code, report, err = invoke(["balls", "--space", "f.json", "--r", "2",
+                                "--closed"], capsys)
+    assert (code, report) == (1, None)
+    assert err == ("error: left_translation group free_abelian(2) is not "
+                   "the group free(2) of the Cayley space it acts on\n")
+    # JSON lists as graph vertices are points, as on the command line
+    code, report, _ = invoke(["validate", "--space", "pts.json"], capsys)
+    assert code == 0 and report["result"]["ok"]
+    code, report, _ = invoke(["balls", "--space", "pts.json", "--center",
+                              "[0,0]", "--r", "3/2", "--closed"], capsys)
+    assert code == 0
+    assert report["result"]["points"] == [[0, 0], [0, 1], [1, 1]]
+    assert report["result"]["mass"] == "3"
+
+
 def _direct_action(name):
     """Each preset's action built from its classes, apart from any spec."""
     lattice = CayleySpace(FreeAbelianFamily(2))

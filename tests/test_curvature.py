@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -73,6 +74,18 @@ def test_glued_line_fine_hairs_break_synthetic():
     assert cert.status == VIOLATED
     assert cert.witness.radius == Fraction(101, 100)
     assert cert.witness.lhs == 203     # 2*floor(r0/eps) + 3
+
+
+def test_synthetic_scale_is_computed_once_and_is_no_field():
+    params = SyntheticParams(N=2.5, K=0.5)
+    assert params.scale == 5 and type(params.scale) is Fraction
+    assert params.scale is params.scale
+    # the cached value is not a field: equality, hashing, repr and asdict
+    # see N and K only
+    fresh = SyntheticParams(N=2.5, K=0.5)
+    assert params == fresh and hash(params) == hash(fresh)
+    assert repr(params) == repr(fresh) == "SyntheticParams(N=2.5, K=0.5)"
+    assert dataclasses.asdict(params) == {"N": 2.5, "K": 0.5}
 
 
 def test_atom_always_verifies():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from bgkit import spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
-from bgkit.exact import DomainError, WindowError
+from bgkit.exact import DomainError, WindowError, fmt_rational
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import (DistanceProfile, VertexMeasure, ball_mass,
@@ -75,6 +76,60 @@ def test_profile_queries_off_the_tick_grid():
                for q in profile.distances + profile.cumulative)
     with pytest.raises(WindowError):
         profile.mass_lt(Fraction(16, 3))
+
+
+def _ratio_by_masses(profile, big, small, closed):
+    """The ratio as Fraction division of two mass queries, or the exception
+    the queries raise first."""
+    try:
+        num = profile.mass_le(big) if closed else profile.mass_lt(big)
+        den = profile.mass_lt(small)
+    except WindowError as err:
+        return type(err), str(err)
+    if not den:
+        return DomainError, (f"empty ball: the open ball of radius "
+                             f"{fmt_rational(Fraction(small))} has zero mass")
+    return num / den
+
+
+def test_ratio_matches_fraction_division():
+    rng = random.Random(5)
+    for _ in range(40):
+        # distances on scales up to 12, masses on mass scales up to 30,
+        # zero-mass rows, and no mass at all below the first distance
+        rows = [(Fraction(rng.randint(1, 40), rng.choice((1, 2, 3, 4, 6, 12))),
+                 Fraction(rng.randint(0, 9), rng.choice((1, 2, 5, 6, 10, 15))))
+                for _ in range(rng.randint(0, 12))]
+        upto = Fraction(rng.randint(0, 30), rng.choice((1, 2, 3)))
+        profile = DistanceProfile(rows, upto)
+        radii = [Fraction(0), upto, upto + Fraction(1, 7)]
+        radii += [d + off for d, _m in rows for off in (0, Fraction(1, 5))]
+        radii += [Fraction(rng.randint(0, 90), rng.choice((1, 5, 7)))
+                  for _ in range(6)]
+        for big in radii:
+            for small in radii:
+                for closed in (False, True):
+                    want = _ratio_by_masses(profile, big, small, closed)
+                    try:
+                        got = profile.ratio(big, small, closed=closed)
+                    except (WindowError, DomainError) as err:
+                        got = type(err), str(err)
+                    assert got == want, (rows, upto, big, small, closed)
+                    assert type(got) is type(want)
+
+
+def test_ratio_refusals_come_in_order():
+    profile = DistanceProfile([(Fraction(1, 2), Fraction(2, 3)),
+                               (Fraction(3, 2), Fraction(1, 6))], 2)
+    # big past the window first, then small, then the empty ball
+    with pytest.raises(WindowError, match="asked for 3"):
+        profile.ratio(3, 5)
+    with pytest.raises(WindowError, match="asked for 5"):
+        profile.ratio(2, 5)
+    with pytest.raises(DomainError, match="open ball of radius 1/2 has zero"):
+        profile.ratio(2, Fraction(1, 2))
+    assert profile.ratio(2, 1, closed=True) == 5 / Fraction(4)
+    assert type(profile.ratio(2, 1)) is Fraction
 
 
 def test_glued_line_example_masses():
@@ -234,6 +289,28 @@ def test_uniform_cayley_profile_matches_enumeration(family, center,
             assert ball_mass(mu, space, center, r, closed=closed) == count
     with pytest.raises(_Refused):
         VertexMeasure(weights={center: 2}).profile(space, center, 1)
+
+
+@pytest.mark.parametrize("family,center", CAYLEY_CASES,
+                         ids=[f.name for f, _c in CAYLEY_CASES])
+def test_cayley_ball_matches_sorted_word_distances(family, center):
+    # every element within word length 4 of the center, by closing under
+    # the generators, then filtered and sorted by (distance, key)
+    space = CayleySpace(family)
+    gens = [g for _name, g in family.generators()]
+    near = {center}
+    for _ in range(4):
+        near |= {family.multiply(p, g) for p in near for g in gens}
+    for r in (0, Fraction(1, 2), 1, 3, Fraction(7, 2), 4):
+        for closed in (False, True):
+            rows = [(Fraction(family.word_distance(center, p)), p)
+                    for p in near]
+            want = sorted(((p, d) for d, p in rows
+                           if (d <= r if closed else d < r)),
+                          key=lambda pd: (pd[1], spaces.point_key(pd[0])))
+            got = space.ball(center, r, closed=closed)
+            assert got == want, (r, closed)
+            assert all(type(d) is Fraction for _p, d in got)
 
 
 @pytest.mark.parametrize("family", [f for f, _c in CAYLEY_CASES],

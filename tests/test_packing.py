@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import packing
+from bgkit import packing, presets, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
@@ -97,13 +97,13 @@ def test_conflict_graph_takes_no_fraction_distances(monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(CayleySpace, "distance", counted)
+    act = LatticeTranslationAction(space, [[2, 0], [0, 2]])
     for r, R in [(1, 4), (Fraction(3, 2), 6)]:
         for mode in ("exact", "greedy"):
-            del calls[:]
-            k = packing_count(space, (0, 0), r, R, mode=mode).count
-            # only the post-hoc audit reads space.distance: k containment
-            # checks and one check per pair of centers
-            assert len(calls) == k + k * (k - 1) // 2
+            # candidates, conflict graph, first fit and audit all read ints
+            assert packing_count(space, (0, 0), r, R, mode=mode).count
+            assert gamma_packing_count(act, (0, 0), r, R, mode=mode).count
+            assert calls == []
 
 
 def test_audit_compares_fraction_distances_exactly():
@@ -118,6 +118,26 @@ def test_audit_compares_fraction_distances_exactly():
     packing._verify_packing(gl, x, [x, z], Fraction(3, 5), Fraction(9, 5))
     with pytest.raises(AssertionError, match="centers closer than 2r"):
         packing._verify_packing(gl, x, [x, y], Fraction(3, 5), Fraction(9, 5))
+
+
+def test_candidate_rows_on_the_glued_line_scale():
+    # distances from the tip are on scale 10, and R - r = 23/20 is off that
+    # grid: tip 1 at 11/10 is in, tip 2 at 6/5 out (floor, not ceil)
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    x = gl.tip(0)
+    for r, R in [(Fraction(23, 40), Fraction(69, 40)),    # 2r = R - r = 23/20
+                 (Fraction(11, 20), Fraction(33, 20))]:   # 2r = R - r = 11/10
+        cands = [gl.tip(k) for k in (3, -2, 2, 1, -1, 0)]
+        cands += [gl.base(k) for k in (7, -6, 6, 0)]
+        want = sorted((p for p in cands if gl.distance(x, p) <= R - r),
+                      key=lambda p: (gl.distance(x, p), spaces.point_key(p)))
+        assert packing._candidate_rows(gl, x, r, R, cands) == want
+        assert packing._candidate_rows(gl, x, r, R, None) == [
+            p for p, _d in gl.ball(x, R - r, closed=True)]
+        centers = packing_count(gl, x, r, R, mode="exact").centers
+        assert all(gl.distance(x, c) <= R - r for c in centers)
+        assert all(gl.distance(a, b) >= 2 * r
+                   for i, a in enumerate(centers) for b in centers[:i])
 
 
 def test_exact_cap_guard():
@@ -285,7 +305,9 @@ def test_sandwich_torus_with_lemma(monkeypatch):
     assert 0 < len(nodes) <= 100
 
 
-def test_sandwich_builds_one_profile_per_center(monkeypatch):
+def _count_profile_builds(monkeypatch):
+    """Record (kind, center) of every profile and center-free profile the
+    sandwich builds."""
     builds = []
     for cls in (VertexMeasure, CountingOrbitMeasure):
         def counted(self, space, center, upto, _build=cls.profile,
@@ -293,20 +315,75 @@ def test_sandwich_builds_one_profile_per_center(monkeypatch):
             builds.append((_name, center))
             return _build(self, space, center, upto)
         monkeypatch.setattr(cls, "profile", counted)
+    free = VertexMeasure.center_free_profile
+
+    def counted_free(self, space, center, upto):
+        profile = free(self, space, center, upto)
+        if profile is not None:
+            builds.append(("center_free", center))
+        return profile
+
+    monkeypatch.setattr(VertexMeasure, "center_free_profile", counted_free)
+    return builds
+
+
+TORUS_REPORT = (1, 1, 25, 16, 113, True, None,
+                {"sup_sample_size": 25, "codiameter": 4})
+
+
+def _torus_sandwich(measure):
     space = lattice_space()
     act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
     sample = [(i, j) for i in range(5) for j in range(5)]
-    rep = sandwich_check(act, VertexMeasure(), (0, 0), 1, 4,
-                         sup_sample=sample, cap=600)
-    # x is in the sample: its invariant profile serves both ratios
-    assert sorted(builds) == sorted(
-        [("CountingOrbitMeasure", (0, 0))]
-        + [("VertexMeasure", y) for y in sample])
+    rep = sandwich_check(act, measure, (0, 0), 1, 4, sup_sample=sample,
+                         cap=600)
     assert (rep.counting_lower, rep.pack_orbit, rep.invariant_ratio,
             rep.pack_all, rep.sup_ratio, rep.chain_holds,
-            rep.lemma_pack_vs_orbit, rep.details) == (
-        1, 1, 25, 16, 113, True, None,
-        {"sup_sample_size": 25, "codiameter": 4})
+            rep.lemma_pack_vs_orbit, rep.details) == TORUS_REPORT
+    return sample
+
+
+def test_sandwich_builds_one_profile_per_center(monkeypatch):
+    builds = _count_profile_builds(monkeypatch)
+    sample = _torus_sandwich(VertexMeasure())
+    # x is in the sample: its invariant profile serves both ratios; the
+    # uniform measure is center-free, so the sup builds one more profile,
+    # at the first other sample point, and reuses it
+    assert builds == [("CountingOrbitMeasure", (0, 0)),
+                      ("VertexMeasure", (0, 0)), ("center_free", (0, 0)),
+                      ("center_free", sample[1])]
+
+
+def test_sandwich_builds_per_center_without_a_center_free_profile(
+        monkeypatch):
+    # the same unit masses as weights: not center-free, so every sample
+    # point but x gets its own profile, with the same report values
+    builds = _count_profile_builds(monkeypatch)
+    sample = _torus_sandwich(VertexMeasure(weight_fn=lambda _p: 1))
+    assert builds == ([("CountingOrbitMeasure", (0, 0)),
+                       ("VertexMeasure", (0, 0))]
+                      + [("VertexMeasure", y) for y in sample[1:]])
+
+
+@pytest.mark.parametrize("name", ["line10", "torus5", "lattice2"])
+def test_sandwich_sup_matches_per_center_counts(name):
+    # sup over the sample of #B(y, 2R) / #B(y, r), open balls counted by
+    # enumeration at each y, for the center-free uniform measure and for
+    # the same unit masses as weights
+    space, act, _measure = presets.instance(presets.spec(name))
+    sample = {"line10": [(i,) for i in range(10)],
+              "torus5": [(i, j) for i in range(5) for j in range(5)],
+              "lattice2": [(0, 0), (3, -1), (-2, 5)]}[name]
+    x = sample[0]
+    for r, R in [(1, 2), (1, 4), (2, 5)]:
+        for sup_sample in (sample, sample[1:]):
+            want = max(Fraction(len(space.ball(y, 2 * R)),
+                                len(space.ball(y, r))) for y in sup_sample)
+            for measure in (VertexMeasure(),
+                            VertexMeasure(weight_fn=lambda _p: 1)):
+                rep = sandwich_check(act, measure, x, r, R,
+                                     sup_sample=sup_sample, cap=600)
+                assert rep.sup_ratio == want, (r, R)
 
 
 def test_sandwich_past_the_window_keeps_its_order(monkeypatch):

@@ -35,6 +35,12 @@ SPACE_FILES = {
                          [3, 0, "1"]],
                "measure": "vertex_weights",
                "weights": {"0": "2", "1": "1", "2": "1", "3": "1"}},
+    "f.json": {"kind": "cayley", "group": {"family": "free", "params": 2},
+               "measure": "counting_orbit",
+               "action": {"action": "left_translation",
+                          "group": {"family": "free_abelian", "params": 2}}},
+    "pts.json": {"kind": "graph", "vertices": [[0, 0], [0, 1], [1, 1]],
+                 "edges": [[[0, 0], [0, 1], "1"], [[0, 1], [1, 1], "1/2"]]},
 }
 
 
