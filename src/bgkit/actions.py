@@ -7,8 +7,9 @@ displacements come out as a `measures.DistanceProfile`, from sphere sizes
 where the word metric gives them and from enumeration otherwise.  On top
 of the exhaustive orbit machinery this module implements displacement sets
 Sigma_r(x), systole/diastole statistics, thin sets, Margulis-constant
-scans, short generating families, and evaluators plus instance
-cross-checks for the explicit bound formulas of the comparison theory.
+scans, short generating families, the diastole against its Margulis-scale
+bound, and the strengthened concentric-ball checks.  The bound formulas
+themselves live in `bounds`.
 """
 
 from __future__ import annotations
@@ -651,102 +652,19 @@ def _in_integer_span(basis, vec):
 
 
 # ---------------------------------------------------------------------------
-# Bound formula evaluators and instance cross-checks
+# Diastole against the Margulis-scale bound
 # ---------------------------------------------------------------------------
 
 
-class NuOracle:
-    """User-supplied monotone step table C -> nu(C); required because the
-    underlying approximate-group constant has no explicit published form."""
-
-    def __init__(self, table):
-        rows = sorted((float(c), int(n)) for c, n in table)
-        if not rows:
-            raise DomainError("empty nu table")
-        last = 0
-        for c, n in rows:
-            if n < 1:
-                raise DomainError("nu values must be positive integers")
-            if n < last:
-                raise DomainError("nu table must be monotone nondecreasing")
-            last = n
-        self.rows = rows
-
-    def __call__(self, C: float) -> int:
-        for c, n in self.rows:
-            if C <= c:
-                return n
-        raise DomainError(
-            f"nu oracle table does not cover C = {C:.6g} "
-            f"(max covered {self.rows[-1][0]:.6g})")
-
-
-def evaluate_bound(kind: str, params: dict, nu: NuOracle | None = None) -> float:
-    """Double-precision value of one of the explicit bound formulas.
-
-    Floors are applied exactly where the source statements bracket the
-    quantity.  Kinds needing the non-explicit nu function raise unless an
-    oracle is configured.
-    """
-    p = dict(params)
-
-    def need(*names):
-        missing = [n for n in names if n not in p]
-        if missing:
-            raise DomainError(f"bound {kind!r} needs parameters {missing}")
-        return [float(p[n]) for n in names]
-
-    def need_nu():
-        if nu is None:
-            raise DomainError(
-                "nu oracle required (the function C -> nu(C) is not explicit)")
-        return nu
-
-    if kind == "generators" or kind == "betti_simply_connected":
-        N, K, D = need("N", "K", "D")
-        return float(math.floor(121.0 ** N * math.exp(3.0 * K * D)))
-    if kind == "generator_count":
-        C, D, K, eps = need("C", "D", "K", "eps0")
-        return (C * (1.0 + 4.0 * D / eps) ** (math.log(C) / math.log(2.0))
-                * math.exp(K * (2.0 * D + eps / 2.0)))
-    if kind == "betti_hyperbolic":
-        K, D, delta = need("K", "D", "delta")
-        return 3.0 ** 6 * math.exp(13.0 * K * (16.0 * D + 15.0 * delta))
-    if kind == "systole_lower":
-        D, C, K, r0 = need("D", "C", "K", "r0")
-        return ((D / C) * (1.0 + 6.0 * D / r0) ** (-math.log(C) / math.log(2.0))
-                * math.exp(-K * (3.0 * D + r0 / 2.0)))
-    if kind == "systole_lower_eps1":
-        D, C, K = need("D", "C", "K")
-        eps1 = D / need_nu()(C ** 3 * math.exp(15.0 * K * D) + 1.0)
-        return ((D / C) * (1.0 + 3.0 * D / eps1) ** (-math.log(C) / math.log(2.0))
-                * math.exp(-K * (3.0 * D + eps1)))
-    if kind == "margulis_scale":
-        if "N" in p and "C" not in p:
-            (N,) = need("N")
-            return 0.5 * need_nu()(300.0 ** (3.0 * N))
-        C, K, r0 = need("C", "K", "r0")
-        return 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0)
-    if kind == "systole_busemann":
-        D, C, K, r0 = need("D", "C", "K", "r0")
-        N0 = 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0)
-        expo = math.log(C) / math.log(2.0)
-        blow = 1.0 + 4.0 * N0 * D / r0
-        return (C ** (-2.6) * D * ((1.0 + D / r0) * blow) ** (-expo)
-                * math.exp(-3.0 * K * (D + r0) * blow))
-    if kind == "doubling_to_bg":
-        C0, r0, r = need("C0", "r0", "r")
-        return C0 ** 5 * math.exp(4.5 * (r / r0) * math.log(C0))
-    raise DomainError(f"unknown bound kind {kind!r}")
-
-
-def diastole_consistency(action: GroupAction, sample, params, nu: "NuOracle"):
+def diastole_consistency(action: GroupAction, sample, params, nu):
     """Torsion-free diastole over the sample against the r0/N0 lower bound.
 
-    Runs only when a nu oracle is configured, since N0 = nu(C^3 e^{15 K r0}
-    + 1)/2 has no explicit form; the sampled diastole is a lower bound for
-    the true one, so a pass here is genuine evidence.
+    Runs only when a nu oracle (a `bounds.NuOracle`) is configured, since
+    N0 = nu(C^3 e^{15 K r0} + 1)/2 has no explicit form; the sampled
+    diastole is a lower bound for the true one, so a pass here is genuine
+    evidence.
     """
+    from .bounds import evaluate_bound
     if nu is None:
         raise DomainError("diastole consistency needs a nu oracle")
     n0 = evaluate_bound("margulis_scale",
@@ -763,47 +681,6 @@ def diastole_consistency(action: GroupAction, sample, params, nu: "NuOracle"):
     if out["holds"] is None:
         out["note"] = "inside the float margin band"
     return out
-
-
-@dataclass
-class CrossCheckReport:
-    kind: str
-    measured: float
-    bound: float
-    direction: str          # "measured<=bound" or "measured>=bound"
-    holds: bool | None      # None inside the margin band, noted in details
-    slack: float
-    assumptions: list
-    details: dict = field(default_factory=dict)
-
-
-def bound_cross_check(kind: str, measured, bound_params: dict,
-                      nu: NuOracle | None = None,
-                      assumptions=()) -> CrossCheckReport:
-    """Assert one measured quantity against its bound formula on an instance.
-
-    This is instance consistency, not a proof: the report carries the list
-    of hypotheses that were established upstream vs merely assumed.
-    """
-    bound = evaluate_bound(kind, bound_params, nu=nu)
-    lower_bounds = {"systole_lower", "systole_lower_eps1", "systole_busemann",
-                    "margulis_scale"}
-    measured_f = float(measured)
-    if kind in lower_bounds:
-        status = verdict(bound, measured_f)
-        direction = "measured>=bound"
-        slack = measured_f - bound
-    else:
-        status = verdict(measured_f, bound)
-        direction = "measured<=bound"
-        slack = bound - measured_f
-    holds = None if status == INCONCLUSIVE else status == VERIFIED
-    rep = CrossCheckReport(kind=kind, measured=measured_f, bound=bound,
-                           direction=direction, holds=holds, slack=slack,
-                           assumptions=list(assumptions))
-    if holds is None:
-        rep.details["note"] = "inside the float margin band"
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -31,40 +31,35 @@ def _load_json(path):
         return json.load(fh)
 
 
-class _Inputs:
-    """The space, action and measure of a --space file or a preset, both
-    built by `presets.instance`, with --measure applied on top."""
-
-    def __init__(self, args):
-        from . import presets
-        if args.preset:
-            if args.space:
-                raise DomainError("--preset and --space are exclusive: "
-                                  "a preset brings its own space")
-            if args.action:
-                raise DomainError("--action needs a --space file: "
-                                  "a preset brings its own action")
-            spec = presets.spec(args.preset)
-        elif args.space:
-            spec = _load_json(args.space)
-            if args.action:
-                spec["action"] = _load_json(args.action)
-        else:
-            raise DomainError("no --space file and no --preset given")
-        self.space, self.action, self.measure = presets.instance(spec)
-        if args.measure:
-            from . import measures
-            self.measure = measures.measure_from_spec(
-                {"measure": args.measure}, self.space, action=self.action)
-
-    def point(self, raw, default=None):
-        from . import spaces
-        if raw is not None:
-            return spaces.read_point(raw, self.space)
-        if default is not None:
-            return default
-        point = self.space.default_point()
-        return self.space.support()[0] if point is None else point
+def _inputs(args, whole=False):
+    """The `presets.Instance` of a --space file or a preset: its space is
+    built at once, its action and measure when first read.  An explicit
+    --measure is applied at once, so every subcommand reads it; `whole`
+    builds the action and measure at once as well, so that every input the
+    builder refuses is refused."""
+    from . import presets
+    if args.preset:
+        if args.space:
+            raise DomainError("--preset and --space are exclusive: "
+                              "a preset brings its own space")
+        if args.action:
+            raise DomainError("--action needs a --space file: "
+                              "a preset brings its own action")
+        spec = presets.spec(args.preset)
+    elif args.space:
+        spec = _load_json(args.space)
+        if args.action:
+            spec["action"] = _load_json(args.action)
+    else:
+        raise DomainError("no --space file and no --preset given")
+    inp = presets.Instance(spec)
+    if whole:
+        inp.build()
+    if args.measure:
+        from . import measures
+        inp.measure = measures.measure_from_spec(
+            {"measure": args.measure}, inp.space, action=inp.action)
+    return inp
 
 
 def _emit(args, report: reports.Report, summary: str):
@@ -102,18 +97,20 @@ class _Outcome:
 _OPERATIONS = {}
 
 
-def _operation(name, plan, inputs=True, action=False):
+def _operation(name, plan, inputs=True, action=False, whole=False):
     """Register the compute function of subcommand `name`.  `plan` is the
     --dry-run text, formatted with the parsed arguments; `inputs` says
     whether the subcommand reads a space (--space/--preset), `action`
-    whether it also needs a group action on it."""
+    whether it also needs a group action on it, and `whole` whether it
+    builds the action and measure of every input, read or not."""
     def register(compute):
-        _OPERATIONS[name] = (plan, inputs, action, compute)
+        _OPERATIONS[name] = (plan, inputs, action, whole, compute)
         return compute
     return register
 
 
-@_operation("validate", "validate the space description")
+# validate refuses every input that the builder refuses
+@_operation("validate", "validate the space description", whole=True)
 def _validate(args, inp):
     diag = inp.space.validate()
     status = "ok" if diag.get("ok") else "violated"
@@ -368,25 +365,25 @@ def _nu_oracle(args):
     raw = getattr(args, "nu_table", None)
     if not raw:
         return None
-    from . import actions
+    from . import bounds
     if raw.strip().startswith("["):
         table = json.loads(raw)
     else:
         table = _load_json(raw)
         if isinstance(table, dict):
             table = table["nu_table"]
-    return actions.NuOracle(table)
+    return bounds.NuOracle(table)
 
 
 @_operation("bounds", "evaluate bound formula {kind}", inputs=False)
 def _bounds(args, _inp):
-    from . import actions
+    from . import bounds
     params = {}
     for name in ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r"):
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
-    value = actions.evaluate_bound(args.kind, params, nu=_nu_oracle(args))
+    value = bounds.evaluate_bound(args.kind, params, nu=_nu_oracle(args))
     return _Outcome(params={"kind": args.kind, **params},
                     result={"value": value},
                     summary=f"bounds {args.kind}: {value:.9g}")
@@ -394,11 +391,11 @@ def _bounds(args, _inp):
 
 @_operation("check", "cross-check measured value against {kind}", inputs=False)
 def _check(args, _inp):
-    from . import actions
+    from . import bounds
     params = json.loads(args.params)
-    rep_c = actions.bound_cross_check(args.kind, args.measured, params,
-                                      nu=_nu_oracle(args),
-                                      assumptions=args.assume or [])
+    rep_c = bounds.bound_cross_check(args.kind, args.measured, params,
+                                     nu=_nu_oracle(args),
+                                     assumptions=args.assume or [])
     status = {True: "holds", False: "violated"}.get(rep_c.holds,
                                                     "inconclusive")
     return _Outcome(params={"kind": args.kind, "measured": args.measured,
@@ -590,9 +587,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    plan, takes_inputs, needs_action, compute = _OPERATIONS[args.command]
+    plan, takes_inputs, needs_action, whole, compute = _OPERATIONS[args.command]
     try:
-        inp = _Inputs(args) if takes_inputs else None
+        # a dry run validates every input, as validate does
+        inp = (_inputs(args, whole=whole or args.dry_run) if takes_inputs
+               else None)
         if args.dry_run:
             print(f"dry-run: {plan.format_map(vars(args))}", file=sys.stderr)
             return EXIT_OK

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import spaces
 from .exact import DomainError, rational
-from .measures import CountingOrbitMeasure
 
 FOUR_POINT_CAP = 150
 
@@ -277,8 +276,9 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
     skipped with a notice.
     """
     # imported here, so that the four-point and convexity paths do not load
-    # curvature; only this check builds pair checks
+    # curvature and measures; only this check builds pair checks
     from .curvature import PairCheck, pair_check
+    from .measures import CountingOrbitMeasure
     delta, D = rational(delta), rational(D)
     D_f = float(D)
     K = float(K)

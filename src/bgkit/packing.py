@@ -448,12 +448,17 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
     # When x is in the sup sample, its invariant profile is built once, to
     # 2R, if the window allows; otherwise to R, then again for the sup.
     wide = x in sup_sample and _fits(space, x, 2 * R)
-    inv_at_x = measure.profile(space, x, 2 * R if wide else R)
+    at = 2 * R if wide else R
+    free = measure.center_free_profile(space, x, at)
+    inv_at_x = measure.profile(space, x, at) if free is None else free
     inv_ratio = inv_at_x.ratio(R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    # A center-free measure has one profile for the whole sup, built at the
-    # first point that reads it; every later point only has its ball checked.
-    free = None
+    # A center-free measure has one profile, and one ratio, for the whole
+    # sup: the one at x when it reaches 2R, else the one built at the first
+    # point that reads it.  Every other point only has its ball checked.
+    if not wide:
+        free = None
+    free_ratio = None
     ratios = []
     for y in sup_sample:
         if wide and y == x:
@@ -464,7 +469,12 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
         else:
             free = measure.center_free_profile(space, y, 2 * R)
             profile = measure.profile(space, y, 2 * R) if free is None else free
-        ratios.append(profile.ratio(2 * R, r))
+        if profile is not free:
+            ratios.append(profile.ratio(2 * R, r))
+            continue
+        if free_ratio is None:
+            free_ratio = free.ratio(2 * R, r)
+        ratios.append(free_ratio)
     sup_ratio = max(ratios)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio

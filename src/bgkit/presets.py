@@ -1,12 +1,16 @@
 """Bundled example instances, and the one builder of every input.
 
-A preset is an ordinary space-file spec (`spec`), and `instance` turns any
-spec, a `--space` file or a preset, into (space, action, measure).
+A preset is an ordinary space-file spec (`spec`), and `Instance` turns any
+spec, a `--space` file or a preset, into (space, action, measure).  It
+builds the action and measure only when they are read, and `actions` and
+`measures` are imported only by the code that builds them.
 """
 
 from __future__ import annotations
 
-from . import actions, measures, spaces
+import functools
+
+from . import spaces
 from .exact import DomainError, rational
 
 _LEFT_TRANSLATION = {"lattice2": ("free_abelian", 2), "free2": ("free", 2),
@@ -48,21 +52,63 @@ def spec(name) -> dict:
     raise DomainError(f"unknown preset {name!r}")
 
 
+class Instance:
+    """The space, action and measure of a space-file spec.  The space is
+    built at once, the action and measure when first read, so a command
+    that reads only the space builds nothing else.  Measure "pullback" or a
+    deck action lifts the whole problem to the universal cover of the
+    declared graph; the cover replaces the space, so all three are built
+    at once."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.space = spaces.space_from_spec(spec)
+        action_spec = spec.get("action")
+        if spec.get("measure") == "pullback" or (
+                isinstance(action_spec, dict)
+                and action_spec.get("action") == "deck"):
+            self.space, self.action, self.measure = _lift_to_cover(
+                self.space, spec)
+
+    @functools.cached_property
+    def action(self):
+        """The spec's action on the space; None when the spec has none."""
+        action_spec = self.spec.get("action")
+        if not action_spec:
+            return None
+        from . import actions
+        return actions.action_from_spec(action_spec, self.space)
+
+    @functools.cached_property
+    def measure(self):
+        from . import measures
+        return measures.measure_from_spec(self.spec, self.space,
+                                          action=self.action)
+
+    def build(self):
+        """(space, action, measure), the action and measure built now."""
+        return self.space, self.action, self.measure
+
+    def point(self, raw, default=None):
+        """The point a command reads: `raw` (JSON or JSON text) read by
+        `spaces.read_point`, else `default`, else the space's default
+        point, else its first support point."""
+        if raw is not None:
+            return spaces.read_point(raw, self.space)
+        if default is not None:
+            return default
+        point = self.space.default_point()
+        return self.space.support()[0] if point is None else point
+
+
 def instance(spec):
     """(space, action, measure) of a space-file spec; the action is None
-    when the spec has none.  Measure "pullback" or a deck action lifts the
-    whole problem to the universal cover of the declared graph."""
-    space = spaces.space_from_spec(spec)
-    action_spec = spec.get("action")
-    if spec.get("measure") == "pullback" or (
-            isinstance(action_spec, dict) and action_spec.get("action") == "deck"):
-        return _lift_to_cover(space, spec)
-    action = actions.action_from_spec(action_spec, space) if action_spec else None
-    return space, action, measures.measure_from_spec(spec, space, action=action)
+    when the spec has none."""
+    return Instance(spec).build()
 
 
 def _lift_to_cover(graph, spec):
-    from . import covers
+    from . import covers, measures
     if not isinstance(graph, spaces.WeightedGraph):
         raise DomainError("pullback/deck specs need a graph space")
     cover_spec = spec.get("cover", {})

@@ -8,7 +8,6 @@ convention) so pinned environments produce pinned bytes.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import datetime
 import json
@@ -96,6 +95,8 @@ def _tabular_rows(report: Report):
 
 
 def write_csv(report: Report, stream) -> None:
+    # imported here, so that a JSON-only process does not load csv
+    import csv
     writer = csv.writer(stream, dialect="excel", lineterminator="\r\n")
     writer.writerows(_tabular_rows(report))
 

@@ -18,8 +18,9 @@ import time
 from fractions import Fraction
 
 from bgkit import cli, covers, curvature, entropy, hyperbolicity, packing, presets
-from bgkit.actions import (LeftTranslationAction, bound_cross_check,
-                           sigma_r, strengthened_bg_check, systole)
+from bgkit.actions import (LeftTranslationAction, sigma_r,
+                           strengthened_bg_check, systole)
+from bgkit.bounds import bound_cross_check
 from bgkit.curvature import (BGParams, SyntheticParams, check_bg_synthetic,
                              check_weak_bg, check_classic_bound, min_exponent,
                              synthetic_to_weak, weak_to_synthetic)

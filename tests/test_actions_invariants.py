@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
-                           LeftTranslationAction, NuOracle, PermutationAction,
-                           bound_cross_check, evaluate_bound,
+                           LeftTranslationAction, PermutationAction,
                            margulis_estimate, short_generators,
                            strengthened_bg_check, systole, thin_set)
+from bgkit.bounds import NuOracle, bound_cross_check, evaluate_bound
 from bgkit.curvature import BGParams, check_weak_bg
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,

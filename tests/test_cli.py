@@ -316,15 +316,19 @@ def test_determinism_across_processes(tmp_path):
 
 
 BASE_MODULES = {"bgkit", "bgkit.cli", "bgkit.exact", "bgkit.reports"}
-INPUT_MODULES = BASE_MODULES | {"bgkit.actions", "bgkit.groups",
-                                "bgkit.measures", "bgkit.spaces"}
-PRESET_MODULES = INPUT_MODULES | {"bgkit.presets"}
+# the builder and the space it builds at once; the action and measure are
+# built, and their modules loaded, only when a subcommand reads them
+SPACE_MODULES = BASE_MODULES | {"bgkit.presets", "bgkit.spaces",
+                                "bgkit.groups"}
+PRESET_MODULES = SPACE_MODULES | {"bgkit.actions", "bgkit.measures"}
 # (argv, bgkit modules the process ends with, whether numpy is loaded);
 # argv None is a bare `import bgkit.cli`
 LOADED_MODULES = [
     (None, BASE_MODULES, False),
     (["bounds", "generators", "--N", "2", "--K", "0", "--D", "5"],
-     INPUT_MODULES, False),
+     BASE_MODULES | {"bgkit.bounds"}, False),
+    (["check", "generators", "--measured", "13", "--params",
+      '{"N": 2, "K": 0, "D": 5}'], BASE_MODULES | {"bgkit.bounds"}, False),
     (["validate", "--preset", "lattice2"], PRESET_MODULES, False),
     (["certify-bg", "--preset", "lattice2", "--r0", "1", "--C", "8", "--K",
       "1", "--rmax", "10"], PRESET_MODULES | {"bgkit.curvature"}, False),
@@ -332,23 +336,33 @@ LOADED_MODULES = [
       "--K", "1"], PRESET_MODULES | {"bgkit.curvature"}, False),
     (["entropy", "--preset", "free2", "--rmax", "12"],
      PRESET_MODULES | {"bgkit.entropy"}, False),
+    (["entropy", "--preset", "free2", "--rmax", "12", "--format", "csv"],
+     PRESET_MODULES | {"bgkit.entropy"}, False),
     (["pack", "--preset", "lattice2", "--r", "1", "--R", "5", "--exact"],
+     SPACE_MODULES | {"bgkit.measures", "bgkit.packing"}, False),
+    (["pack", "--preset", "torus5", "--r", "1", "--R", "12", "--orbit"],
      PRESET_MODULES | {"bgkit.packing"}, False),
     (["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
-     PRESET_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
-    # a space file goes through the same builder as a preset
-    (["validate", "--space", "c4.json"], PRESET_MODULES, False),
+     SPACE_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+    # a space file goes through the same builder as a preset; c4.json
+    # declares no action, so none is built
+    (["validate", "--space", "c4.json"], SPACE_MODULES | {"bgkit.measures"},
+     False),
+    (["delta", "--space", "c4.json", "--exhaustive"],
+     SPACE_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, modules, numpy", LOADED_MODULES,
     ids=["import"] + [argv[0] + "-space" * ("--space" in argv)
+                      + "-orbit" * ("--orbit" in argv)
+                      + "-csv" * ("csv" in argv)
                       for argv, _m, _n in LOADED_MODULES[1:]])
 def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
-    # each subcommand imports its modules when it runs them, and numpy is
-    # paid for only when a kernel runs: a fresh process ends with exactly
-    # these bgkit modules loaded
+    # each subcommand imports its modules when it runs them, numpy is paid
+    # for only when a kernel runs, and csv only when a report is written as
+    # CSV: a fresh process ends with exactly these bgkit modules loaded
     write_space_files(tmp_path)
     if argv is not None:
         argv = [str(tmp_path / a) if a in SPACE_FILES else a for a in argv]
@@ -361,11 +375,13 @@ def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
               "redirect_stderr(io.StringIO()):\n"
               "        assert cli.run(argv) in (0, 2)\n"
               "print(json.dumps([sorted(m for m in sys.modules"
-              " if m.split('.')[0] == 'bgkit'), 'numpy' in sys.modules]))\n")
+              " if m.split('.')[0] == 'bgkit'), 'numpy' in sys.modules,"
+              " 'csv' in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [sorted(modules), numpy]
+    csv = argv is not None and "csv" in argv
+    assert json.loads(proc.stdout) == [sorted(modules), numpy, csv]
 
 
 HELP_CASES = json.loads(
@@ -455,6 +471,60 @@ def test_measure_override_flag(capsys):
          "--r", "2", "--closed"], capsys)
     assert code == 0
     assert report["result"]["mass"] == "13"   # uniform, not orbit counting
+
+
+REFUSED_GROUP = ("error: left_translation group free_abelian(2) is not the "
+                 "group free(2) of the Cayley space it acts on\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["balls", "--space", "f.json", "--r", "2", "--closed"],
+    ["certify-bg", "--space", "f.json", "--r0", "1", "--C", "8", "--K", "1",
+     "--rmax", "3"],
+    ["pack", "--space", "f.json", "--r", "1", "--R", "3", "--orbit"],
+    # validate and a dry run build the action and measure they never read
+    ["validate", "--space", "f.json"],
+    ["balls", "--space", "f.json", "--r", "2", "--dry-run"],
+    ["delta", "--space", "f.json", "--radius", "2", "--dry-run"],
+    # an explicit --measure is built at once, on the action
+    ["delta", "--space", "f.json", "--radius", "2", "--measure",
+     "vertex_uniform"],
+])
+def test_refused_action_is_refused_where_read(argv, tmp_path, monkeypatch,
+                                              capsys):
+    write_space_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert invoke(argv, capsys) == (1, None, REFUSED_GROUP)
+
+
+def test_space_only_commands_build_no_action(tmp_path, monkeypatch, capsys):
+    # f.json's action is refused, but delta and pack without --orbit read
+    # only the space, so they run as they do on the same space without it
+    write_space_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "free.json").write_text(json.dumps(
+        {"kind": "cayley", "group": {"family": "free", "params": 2}}))
+    for argv in (["delta", "--radius", "2", "--exhaustive"],
+                 ["pack", "--r", "1", "--R", "3"]):
+        code, report, err = invoke(argv + ["--space", "f.json"], capsys)
+        assert code == 0
+        assert (code, report, err) == invoke(argv + ["--space", "free.json"],
+                                             capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--preset", "lattice2"],
+    ["validate", "--space", "c4.json"],
+    ["delta", "--preset", "free2", "--radius", "2"],
+    ["delta", "--space", "c4.json", "--exhaustive"],
+])
+def test_measure_flag_is_read_by_every_command(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # an explicit --measure is applied at once, also where it is not read
+    write_space_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert invoke(argv + ["--measure", "bogus"], capsys) == (
+        1, None, "error: unknown measure spec 'bogus'\n")
 
 
 def test_nu_table_file(tmp_path, capsys):

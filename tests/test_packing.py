@@ -9,7 +9,8 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
-from bgkit.measures import CountingOrbitMeasure, VertexMeasure
+from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
+                            VertexMeasure)
 from bgkit.packing import (gamma_packing_count, packing_condition,
                            packing_count, sandwich_check)
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -345,13 +346,29 @@ def _torus_sandwich(measure):
 
 def test_sandwich_builds_one_profile_per_center(monkeypatch):
     builds = _count_profile_builds(monkeypatch)
-    sample = _torus_sandwich(VertexMeasure())
-    # x is in the sample: its invariant profile serves both ratios; the
-    # uniform measure is center-free, so the sup builds one more profile,
-    # at the first other sample point, and reuses it
+    _torus_sandwich(VertexMeasure())
+    # x is in the sample and the uniform measure is center-free: its one
+    # profile, built at x to 2R, serves both ratios and the whole sup
     assert builds == [("CountingOrbitMeasure", (0, 0)),
-                      ("VertexMeasure", (0, 0)), ("center_free", (0, 0)),
-                      ("center_free", sample[1])]
+                      ("center_free", (0, 0))]
+
+
+@pytest.mark.parametrize("measure, sup_ratios", [
+    (VertexMeasure(), 1), (VertexMeasure(weight_fn=lambda _p: 1), 25)])
+def test_sandwich_reads_one_sup_ratio_per_profile(measure, sup_ratios,
+                                                  monkeypatch):
+    # the lower and invariant ratios, then one sup ratio per distinct
+    # profile: one for the center-free measure, one per point otherwise
+    calls = []
+    ratio = DistanceProfile.ratio
+
+    def counted(self, big, small, closed=False):
+        calls.append((big, small))
+        return ratio(self, big, small, closed=closed)
+
+    monkeypatch.setattr(DistanceProfile, "ratio", counted)
+    _torus_sandwich(measure)
+    assert calls == [(3, 2), (4, 1)] + [(8, 1)] * sup_ratios
 
 
 def test_sandwich_builds_per_center_without_a_center_free_profile(
@@ -363,6 +380,18 @@ def test_sandwich_builds_per_center_without_a_center_free_profile(
     assert builds == ([("CountingOrbitMeasure", (0, 0)),
                        ("VertexMeasure", (0, 0))]
                       + [("VertexMeasure", y) for y in sample[1:]])
+
+
+@pytest.mark.parametrize("measure", [
+    VertexMeasure(), VertexMeasure(weight_fn=lambda _p: 1)])
+def test_sandwich_checks_every_sup_point(measure):
+    # the one center-free profile is not read at a later point until its
+    # ball is checked there, so both measures refuse the same point
+    space, act, _measure = presets.instance(presets.spec("torus5"))
+    with pytest.raises(DomainError,
+                       match=r"\(0, 0, 0\) is not a point of this cayley"):
+        sandwich_check(act, measure, (0, 0), 1, 4,
+                       sup_sample=[(0, 0), (1, 1), (0, 0, 0)], cap=600)
 
 
 @pytest.mark.parametrize("name", ["line10", "torus5", "lattice2"])

@@ -17,8 +17,8 @@ from test_packing import oracle_pack
 
 import bgkit
 from bgkit import measures, presets
-from bgkit.actions import (NuOracle, bound_cross_check, diastole_consistency,
-                           strengthened_bg_check)
+from bgkit.actions import diastole_consistency, strengthened_bg_check
+from bgkit.bounds import NuOracle, bound_cross_check
 from bgkit.cli import run
 from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
                              check_bg_synthetic, check_classic_bound,
