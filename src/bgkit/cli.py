@@ -415,13 +415,14 @@ def _reproduce(args, _inp):
     space, action, measure = presets.glued_line_instance(args.r0, args.eps)
     r0 = rational(args.r0)
     params = curvature.BGParams(r0, args.C, args.K)
-    cert = curvature.check_weak_bg(space, measure, space.tip(0), params,
-                                   r0 + 4 * space.eps)
+    r_max = r0 + 4 * space.eps
+    cert = curvature.check_weak_bg(space, measure, space.tip(0), params, r_max)
     out = _certificate_outcome(
         cert, {"scenario": args.scenario, "r0": r0, "eps": rational(args.eps),
                "C": args.C, "K": args.K}, f"reproduce {args.scenario}")
+    # the scan's own profile, to 2 r_max, holds both balls
+    profile = measure.profile(space, space.tip(0), 2 * r_max)
     radius = r0 + space.eps
-    profile = measure.profile(space, space.tip(0), 2 * radius)
     out.result["ball_at_r0_plus_eps"] = profile.mass_lt(radius)
     out.result["ball_at_doubled"] = profile.mass_lt(2 * radius)
     return out

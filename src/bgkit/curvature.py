@@ -13,14 +13,23 @@ ratio just after a (closed masses, still compared against the right-hand
 side at a); together these decide the inequality on the whole continuum.
 Left-hand sides stay exact, as int (num, den) mass pairs that become
 Fractions only where a certificate reports them; right-hand sides are
-floats guarded by the verdict margin from `exact`.
+floats guarded by the verdict margin from `exact`, one `math.exp` per
+radius.
+
+A profile builds the table of its critical radii up to a scan end hi once
+(`DistanceProfile.critical_table`), and a scan on [lo, hi] is one bisect
+into it, plus lo when lo is no critical radius.  With the measure's
+one-profile memo, every scan of one (measure, center, radius) — the weak
+and synthetic scans, `min_exponent`, `doubling_constant` and the
+parameter search in `entropy` — reads one profile and one table, with the
+same rows, radii and report bytes as a scan that derived them afresh.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,30 +164,32 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     'above': ratio of closed masses, the constant value on the interval just
     right of the radius, whose binding comparison point is the radius.
 
-    The scan runs on int ticks of 1/S with S = 2 lcm(profile scale, lo and
-    hi denominators): lo, hi, every breakpoint and every half of one are
-    whole ticks there, so the radii are found and the balls counted by
-    comparing ints only.  num and den are masses on the profile's one mass
-    scale; callers build a Fraction only for what they report.
+    The radii are lo and the profile's critical radii in [lo, hi], read from
+    its `critical_table(hi)` by one bisect and rescaled to ticks of 1/S with
+    S = 2 lcm(profile scale, lo and hi denominators), on which lo, hi and
+    every critical radius are whole ticks.  num and den are masses on the
+    profile's one mass scale; callers build a Fraction only for what they
+    report.
     """
+    tick, radii, table = profile.critical_table(hi)
     step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
-    k = step // profile.scale
-    ticks = [t * k for t in profile.ticks]
+    k = step // tick
     low = lo.numerator * (step // lo.denominator)
     high = hi.numerator * (step // hi.denominator)
-    breaks = set(ticks[bisect_left(ticks, low):bisect_right(ticks, high)])
-    # k is even, so half of every tick is a whole tick
-    breaks.update(t // 2 for t in ticks[bisect_left(ticks, 2 * low):
-                                        bisect_right(ticks, 2 * high)])
-    breaks.add(low)
-    mass = [0, *profile.totals]      # mass[i]: the mass of the first i ticks
+    i = bisect_left(radii, -(-low // k))
     rows = []
-    for a in sorted(breaks):
-        rows.append((a, mass[bisect_left(ticks, 2 * a)],
-                     mass[bisect_left(ticks, a)], "at"))
+    if i == len(radii) or radii[i] * k != low:
+        # lo is no critical radius, so its open and closed balls agree
+        num = profile._total(profile._count_lt(2 * lo))
+        den = profile._total(profile._count_lt(lo))
+        rows.append((low, num, den, "at"))
+        if low < high:
+            rows.append((low, num, den, "above"))
+    for a, lt_2a, lt_a, le_2a, le_a in table[i:]:
+        a *= k
+        rows.append((a, lt_2a, lt_a, "at"))
         if a < high:
-            rows.append((a, mass[bisect_right(ticks, 2 * a)],
-                         mass[bisect_right(ticks, a)], "above"))
+            rows.append((a, le_2a, le_a, "above"))
     return step, rows
 
 
@@ -200,13 +211,16 @@ def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
                        step=step)
     rows = cert.rows
     first = worst = None
+    last = None
     for a, num, den, form in checks:
         if not den:
             raise DomainError(
                 f"zero mass ball at radius {fmt_rational(Fraction(a, step))} "
                 "with mass above it: the 0 < mass hypothesis fails on this "
                 "range")
-        rhs = _rhs(factor, exponent, a / step)
+        if a != last:        # the 'at' and 'above' rows share their rhs
+            rhs = _rhs(factor, exponent, a / step)
+            last = a
         rows.append((a, num, den, rhs))
         status = verdict(num / den, rhs)
         if status == VIOLATED:

@@ -21,6 +21,16 @@ A measure whose profile is the same at every center says so
 Cayley space), so a caller reading many centers, like the sandwich sup,
 builds one profile for all of them.  A ratio of two ball masses divides
 two int totals on the one mass scale, which cancels, into one Fraction.
+
+A measure keeps the last profile it built (`Measure.profile`): a call on
+the same space object with an equal center and upto returns that very
+profile, so the scans of one (measure, center, radius), like the
+certificate round trip, share it; a refusal keeps nothing.  A profile
+never changes after it is built (its ticks and totals are tuples), so it
+keeps, per scan end hi, the table of its critical radii with their ball
+masses (`DistanceProfile.critical_table`) that every scan up to hi reads;
+the table holds exactly the ints a scan would derive afresh, so a shared
+table changes no report by a byte.
 """
 
 from __future__ import annotations
@@ -52,16 +62,26 @@ class DistanceProfile:
             tally[d] = tally.get(d, 0) + m
         tally = {d: m for d, m in tally.items() if m}
         # sets of denominators keep lcm's argument tuples short
-        self.scale = math.lcm(*{d.denominator for d in tally})
-        self.mass_scale = math.lcm(*{m.denominator for m in tally.values()})
-        self.ticks, self.totals = [], []
+        scale = math.lcm(*{d.denominator for d in tally})
+        mass_scale = math.lcm(*{m.denominator for m in tally.values()})
+        ticks, totals = [], []
         total = 0
-        for t, m in sorted((d.numerator * (self.scale // d.denominator), m)
+        for t, m in sorted((d.numerator * (scale // d.denominator), m)
                            for d, m in tally.items()):
-            total += m.numerator * (self.mass_scale // m.denominator)
-            self.ticks.append(t)
-            self.totals.append(total)
+            total += m.numerator * (mass_scale // m.denominator)
+            ticks.append(t)
+            totals.append(total)
+        self._set(scale, mass_scale, ticks, totals, upto)
+
+    def _set(self, scale, mass_scale, ticks, totals, upto):
+        """Every attribute, in one order for both constructors; ticks and
+        totals become tuples, since one profile may serve many callers."""
+        self.scale = scale
+        self.mass_scale = mass_scale
+        self.ticks = tuple(ticks)
+        self.totals = tuple(totals)
         self.upto = rational(upto)
+        self._tables = {}        # hi -> critical_table(hi)
 
     @property
     def distances(self) -> list:
@@ -131,22 +151,53 @@ class DistanceProfile:
         return [Fraction(t, self.scale)
                 for t in self.ticks[self._count_lt(lo):self._count_le(hi)]]
 
+    def critical_table(self, hi) -> tuple:
+        """(step, radii, rows) for every critical radius a <= hi of the
+        concentric ratio: the breakpoints and the halves of breakpoints.
+
+        Radii are int ticks of 1/step with step = 2 lcm(scale, hi's
+        denominator), so hi and every half of a breakpoint are whole ticks.
+        The row of radius a is (a, open 2a, open a, closed 2a, closed a):
+        the masses of those four balls, as ints on the mass scale.  Built
+        once per hi and kept: a profile never changes, so neither do its
+        rows, and `curvature._critical_checks` only bisects them.
+        """
+        table = self._tables.get(hi)
+        if table is None:
+            table = self._tables[hi] = self._critical_table(rational(hi))
+        return table
+
+    def _critical_table(self, hi: Fraction) -> tuple:
+        step = 2 * math.lcm(self.scale, hi.denominator)
+        k = step // self.scale
+        ticks = [t * k for t in self.ticks]
+        high = hi.numerator * (step // hi.denominator)
+        # k is even, so half of every tick is a whole tick
+        radii = sorted({*ticks[:bisect.bisect_right(ticks, high)],
+                        *(t // 2 for t in
+                          ticks[:bisect.bisect_right(ticks, 2 * high)])})
+        mass = (0, *self.totals)     # mass[i]: the mass of the first i ticks
+        lt, le = bisect.bisect_left, bisect.bisect_right
+        rows = tuple((a, mass[lt(ticks, 2 * a)], mass[lt(ticks, a)],
+                      mass[le(ticks, 2 * a)], mass[le(ticks, a)])
+                     for a in radii)
+        return step, tuple(radii), rows
+
 
 def sphere_profile(spheres, step, upto) -> DistanceProfile:
     """Profile of int sphere sizes at distances 0, step, 2*step, ... for an
     int step.  Its distances and masses are ints, so both scales are 1 and
     the ticks and totals are the nonzero sizes' distances and running sums:
     the same profile as `DistanceProfile` builds from these rows."""
-    profile = DistanceProfile.__new__(DistanceProfile)
-    profile.scale = profile.mass_scale = 1
-    profile.ticks, profile.totals = [], []
+    ticks, totals = [], []
     total = 0
     for i, size in enumerate(spheres):
         if size:
             total += size
-            profile.ticks.append(i * step)
-            profile.totals.append(total)
-    profile.upto = rational(upto)
+            ticks.append(i * step)
+            totals.append(total)
+    profile = DistanceProfile.__new__(DistanceProfile)
+    profile._set(1, 1, ticks, totals, upto)
     return profile
 
 
@@ -154,10 +205,25 @@ class Measure:
     """Base class; masses are nonnegative rationals."""
 
     description = "abstract"
+    _last = None         # (space, center, upto, profile) of the last build
 
     def profile(self, space, center, upto) -> DistanceProfile:
         """Exact profile of masses within `upto` of `center`; WindowError
-        beyond the safe window."""
+        beyond the safe window.
+
+        The last profile built is kept: a call on the same space object
+        with an equal center and upto returns that very profile, and any
+        other call builds a fresh one in its place.  A refusal keeps
+        nothing, so it is raised again on every call."""
+        last = self._last
+        if (last is not None and last[0] is space and last[2] == upto
+                and last[1] == center):
+            return last[3]
+        profile = self._build_profile(space, center, upto)
+        self._last = (space, center, upto, profile)
+        return profile
+
+    def _build_profile(self, space, center, upto) -> DistanceProfile:
         raise NotImplementedError
 
     def center_free_profile(self, space, center, upto) -> DistanceProfile | None:
@@ -188,7 +254,7 @@ class VertexMeasure(Measure):
             raise DomainError(f"negative mass at {point!r}")
         return m
 
-    def profile(self, space, center, upto) -> DistanceProfile:
+    def _build_profile(self, space, center, upto) -> DistanceProfile:
         profile = self.center_free_profile(space, center, upto)
         if profile is not None:
             return profile
@@ -219,7 +285,7 @@ class CountingOrbitMeasure(Measure):
         self.basepoint = basepoint
         self.description = f"counting_orbit({action.rule})"
 
-    def profile(self, space, center, upto) -> DistanceProfile:
+    def _build_profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.action.space:
             raise DomainError("counting measure queried on a different space")
         return self.action.displacement_profile(self.basepoint, center, upto)
@@ -239,10 +305,10 @@ class PullbackMeasure(VertexMeasure):
         self.base_measure = base_measure
         self.description = "pullback"
 
-    def profile(self, space, center, upto) -> DistanceProfile:
+    def _build_profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.cover.space:
             raise DomainError("pull-back measure queried outside its cover")
-        return super().profile(space, center, upto)
+        return super()._build_profile(space, center, upto)
 
 
 def counting_measure(action, basepoint) -> CountingOrbitMeasure:

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,47 @@ def test_int_tick_scan_matches_fraction_scan(setup, lo, hi):
     got = [(Fraction(a, step), Fraction(num, den), form)
            for a, num, den, form in rows]
     assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
+
+
+SHARED_CASES = [("glued-tip", glued_setup, Fraction(3)),
+                ("torus5-weighted", _torus5_weighted, Fraction(4)),
+                ("lattice2", _lattice2, Fraction(6))]
+
+
+@pytest.mark.parametrize("setup,top", [c[1:] for c in SHARED_CASES],
+                         ids=[c[0] for c in SHARED_CASES])
+def test_one_profile_serves_many_scans(setup, top):
+    # one profile object, scanned over a shuffled list of (lo, hi) with two
+    # hi, each scan against the Fraction scan on a fresh raw enumeration
+    space, mu, x = setup()
+    profile = mu.profile(space, x, 2 * top)
+    dists, cum = _raw_profile(space, mu, x, 2 * top)
+    cases = []
+    for hi in (top, top * 3 / 4 + Fraction(1, 13)):
+        on = next(d for d in dists if hi / 3 < d < hi)
+        off = on + Fraction(1, 997)
+        assert off not in dists and 2 * off not in dists
+        float_scale = SyntheticParams(float(hi) / 2, 1.1).scale
+        assert float_scale.denominator > 2 ** 40
+        cases += [(lo, hi) for lo in (on, on / 2, off, hi, float_scale)]
+    random.Random(21).shuffle(cases)
+    for lo, hi in cases * 2:
+        step, rows = curvature._critical_checks(profile, lo, hi)
+        assert step == 2 * math.lcm(profile.scale, lo.denominator,
+                                    hi.denominator)
+        got = [(Fraction(a, step), Fraction(num, den), form)
+               for a, num, den, form in rows]
+        assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
+    # min_exponent and doubling_constant hit the measure's memo, so they
+    # read the same profile and its table for hi = top
+    table = profile.critical_table(top)
+    for C in (1.5, 4.0):
+        assert (min_exponent(space, mu, x, dists[1], C, top)
+                == _fraction_min_exponent(dists, cum, dists[1], C, top))
+    assert (doubling_constant(space, mu, x, 2 * top / 5)
+            == _fraction_doubling_constant(dists, cum, 2 * top / 5))
+    assert mu.profile(space, x, 2 * top) is profile
+    assert profile.critical_table(top) is table
 
 
 def _fraction_scan(dists, cum, lo, hi, factor, exponent):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import spaces
+from bgkit import curvature, presets, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError, fmt_rational
@@ -351,3 +351,97 @@ def test_uniform_profile_refusals_match_enumeration(center, radius):
                                "over the enumeration budget 2000000")
         with pytest.raises(WindowError, match="holds 3188645 elements"):
             ball_mass(VertexMeasure(), space, center, 13)
+
+
+# -- the one-entry profile memo ----------------------------------------------------
+
+PRESETS = ["lattice2", "free2", "atom", "torus5", "line10", "glued-line"]
+MEASURE_KINDS = ["counting_orbit", "vertex_uniform"]
+
+
+def _preset_instance(name, kind):
+    return presets.Instance({**presets.spec(name), "measure": kind})
+
+
+def _profile_fields(profile):
+    return (profile.scale, profile.mass_scale, profile.ticks, profile.totals,
+            profile.upto)
+
+
+@pytest.mark.parametrize("kind", MEASURE_KINDS)
+@pytest.mark.parametrize("name", PRESETS)
+def test_profile_memo_matches_fresh_builds(name, kind):
+    inst = _preset_instance(name, kind)
+    space, mu = inst.space, inst.measure
+    c0 = inst.point(None)
+    centers = [c0] + [p for p, _d in spaces.enumerate_ball(space, c0, 1,
+                                                           closed=True)
+                      if p != c0][:1]
+    args = [(c, upto) for c in centers for upto in (2, Fraction(7, 2))]
+    calls = [args[i % len(args)] for i in (0, 0, 1, 2, 2, 2, 0, 3, 1, 1, 3, 0)]
+    last = last_args = None
+    for center, upto in calls:
+        got = mu.profile(space, center, upto)
+        fresh = _preset_instance(name, kind)
+        want = fresh.measure.profile(fresh.space, center, upto)
+        assert _profile_fields(got) == _profile_fields(want)
+        assert type(got.ticks) is tuple and type(got.totals) is tuple
+        # the same arguments return the very profile; any other call
+        # builds a fresh one in its place
+        assert (got is last) == ((center, upto) == last_args)
+        last, last_args = got, (center, upto)
+    # a profile built on another, equal space is not the memo's
+    other = _preset_instance(name, kind).space
+    if kind == "vertex_uniform":
+        assert mu.profile(other, c0, 2) is not mu.profile(space, c0, 2)
+    else:
+        with pytest.raises(DomainError, match="on a different space"):
+            mu.profile(other, c0, 2)
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("free2", "vertex_uniform"), ("glued-line", "counting_orbit"),
+    ("glued-line", "vertex_uniform")])
+def test_profile_memo_keeps_no_refusal(name, kind):
+    inst = _preset_instance(name, kind)
+    space, mu, c0 = inst.space, inst.measure, inst.point(None)
+    kept = mu.profile(space, c0, 2)
+    refusals = []
+    for _ in range(3):
+        with pytest.raises(WindowError) as err:
+            mu.profile(space, c0, 13)
+        refusals.append((str(err.value), err.value.required,
+                         err.value.available))
+        # the refused call replaced nothing
+        assert mu.profile(space, c0, 2) is kept
+    assert "radius 13 " in refusals[0][0]
+    assert refusals == refusals[:1] * 3
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_round_trip_builds_one_profile(name, monkeypatch):
+    # weak scan, weak -> synthetic and its scan, the direct synthetic scan,
+    # synthetic -> weak and its scan, and min_exponent: one profile
+    inst = _preset_instance(name, "counting_orbit")
+    space, action, mu = inst.build()
+    x = inst.point(None)
+    cls = type(action)
+    build = cls.displacement_profile
+    builds = []
+
+    def counted(self, base, center, upto):
+        builds.append((center, upto))
+        return build(self, base, center, upto)
+
+    monkeypatch.setattr(cls, "displacement_profile", counted)
+    r_max = Fraction(3, 2) if name == "glued-line" else Fraction(4)
+    params = curvature.BGParams(Fraction(1, 2), 2.0, 1.0)
+    syn = curvature.SyntheticParams(0.5, 1.25)
+    curvature.check_weak_bg(space, mu, x, params, r_max)
+    curvature.check_bg_synthetic(
+        space, mu, x, curvature.weak_to_synthetic(params), r_max)
+    curvature.check_bg_synthetic(space, mu, x, syn, r_max)
+    curvature.check_weak_bg(space, mu, x,
+                            curvature.synthetic_to_weak(syn), r_max)
+    curvature.min_exponent(space, mu, x, params.r0, params.C, r_max)
+    assert builds == [(x, 2 * r_max)]
