@@ -172,16 +172,18 @@ def graph_distances(n, edges):
             for row in floyd_warshall(mat).tolist()]
 
 
+def check_range(ints):
+    """OverflowError when an int's magnitude passes 2**40, beyond which the
+    kernels' integer arithmetic could overflow: the one home of that bound."""
+    if max(map(abs, ints), default=0) > 2 ** 40:
+        raise OverflowError("scaled distances too large for the int64 kernels")
+
+
 def scale_to_int(values):
     """Common-denominator scaling of rationals (ints or Fractions) ->
-    (ints, scale), exact.
-
-    Raises OverflowError when a scaled magnitude passes 2**40, beyond which
-    the kernels' integer arithmetic could overflow.
-    """
+    (ints, scale), exact; `check_range` refuses them past 2**40."""
     values = list(values)
     scale = math.lcm(*{v.denominator for v in values})
     ints = [v.numerator * (scale // v.denominator) for v in values]
-    if ints and max(map(abs, ints)) > 2 ** 40:
-        raise OverflowError("scaled distances too large for the int64 kernels")
+    check_range(ints)
     return ints, scale

@@ -500,31 +500,28 @@ def margulis_estimate(action: GroupAction, sample, ceiling) -> list:
     Scans the exact displacement spectrum up to `ceiling`; the classification
     comes from the family rule, never from generic group computation.  When
     the family cannot decide the result is reported as provenance "unknown".
+    One enumeration per point: Sigma_r(x) at each radius r of the spectrum
+    is the prefix, up to r, of the sorted rows `sigma_r` would enumerate.
     """
     ceiling = rational(ceiling)
+    identity = action.family.identity()
     out = []
     for x in sample:
         rows = action.orbit_within(x, ceiling)
-        radii = sorted({d for _g, d in rows})
-        flip = None
-        unknown = False
-        for rad in radii:
-            verdict = sigma_r(action, x, rad).virtually_nilpotent
+        gens, flip, provenance = [], None, "family rule"
+        for rad, ring in itertools.groupby(rows, key=lambda gd: gd[1]):
+            gens += [g for g, _d in ring if g != identity]
+            verdict = action.family.subgroup_virtually_nilpotent(gens)
             if verdict is None:
-                unknown = True
+                provenance = "unknown"
                 break
             if not verdict:
                 flip = rad
                 break
-        if unknown:
-            out.append(MargulisPoint(point=x, estimate=ceiling, attained=False,
-                                     hit_ceiling=True, provenance="unknown"))
-        elif flip is None:
-            out.append(MargulisPoint(point=x, estimate=ceiling, attained=True,
-                                     hit_ceiling=True, provenance="family rule"))
-        else:
-            out.append(MargulisPoint(point=x, estimate=flip, attained=False,
-                                     hit_ceiling=False, provenance="family rule"))
+        out.append(MargulisPoint(
+            point=x, estimate=ceiling if flip is None else flip,
+            attained=flip is None and provenance != "unknown",
+            hit_ceiling=flip is None, provenance=provenance))
     return out
 
 

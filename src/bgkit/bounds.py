@@ -55,7 +55,10 @@ def evaluate_bound(kind: str, params: dict, nu: NuOracle | None = None) -> float
         missing = [n for n in names if n not in p]
         if missing:
             raise DomainError(f"bound {kind!r} needs parameters {missing}")
-        return [float(p[n]) for n in names]
+        values = [float(p[n]) for n in names]
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"bound {kind!r} needs finite parameters {values}")
+        return values
 
     def need_nu():
         if nu is None:
@@ -125,6 +128,8 @@ def bound_cross_check(kind: str, measured, bound_params: dict,
     lower_bounds = {"systole_lower", "systole_lower_eps1", "systole_busemann",
                     "margulis_scale"}
     measured_f = float(measured)
+    if not math.isfinite(measured_f):
+        raise DomainError(f"measured value must be finite, got {measured_f}")
     if kind in lower_bounds:
         status = verdict(bound, measured_f)
         direction = "measured>=bound"

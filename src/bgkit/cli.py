@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import reports
@@ -447,6 +448,20 @@ def _cover(args, inp):
 # -- parser -------------------------------------------------------------------
 
 
+def _real(text) -> float:
+    """The type of every float flag: a finite decimal or p/q, as the nearest
+    double.  A decimal goes straight to `float`, which rounds it as its
+    rational would round, without building a power of ten for its exponent."""
+    try:
+        value = float(rational(text) if "/" in text else text)
+    except (ValueError, OverflowError):      # DomainError is a ValueError
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite decimal or p/q")
+    return value
+
+
 def _subcommand(subs, name, summary, center=True):
     """A subparser with the options every space-reading subcommand takes."""
     sub = subs.add_parser(name, help=summary)
@@ -486,16 +501,16 @@ def build_parser():
     p = _tabular(_subcommand(subs, "certify-bg",
                              "weak concentric-ball certificate"))
     p.add_argument("--r0", required=True)
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
+    p.add_argument("--C", type=_real, required=True)
+    p.add_argument("--K", type=_real, required=True)
     p.add_argument("--rmax", required=True)
     p.add_argument("--all-centers", dest="all_centers",
                    help="semicolon-separated center list")
 
     p = _tabular(_subcommand(subs, "synthetic",
                              "dimension-style growth certificate"))
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
+    p.add_argument("--N", type=_real, required=True)
+    p.add_argument("--K", type=_real, required=True)
     p.add_argument("--rmax", required=True)
 
     p = _subcommand(subs, "doubling", "doubling constant on [r0/2, 5r0/2]")
@@ -505,7 +520,7 @@ def build_parser():
                              "growth profile and entropy estimate"))
     p.add_argument("--rmax", required=True)
     p.add_argument("--step", default="1")
-    p.add_argument("--tail", type=float, default=0.3)
+    p.add_argument("--tail", type=_real, default=0.3)
 
     p = _subcommand(subs, "delta", "hyperbolicity constants")
     p.add_argument("--exhaustive", action="store_true")
@@ -550,7 +565,7 @@ def build_parser():
     p.add_argument("kind")
     for flag in ("--N", "--K", "--D", "--C", "--r0", "--delta", "--eps0",
                  "--C0", "--r"):
-        p.add_argument(flag, type=float, dest=flag.lstrip("-"))
+        p.add_argument(flag, type=_real, dest=flag.lstrip("-"))
     p.add_argument("--nu-table", dest="nu_table",
                    help='step table as JSON, e.g. "[[10,3],[1e6,7]]"')
     p.add_argument("--seed", type=int, default=0)
@@ -558,7 +573,7 @@ def build_parser():
 
     p = subs.add_parser("check", help="measured quantity vs bound formula")
     p.add_argument("kind")
-    p.add_argument("--measured", type=float, required=True)
+    p.add_argument("--measured", type=_real, required=True)
     p.add_argument("--params", required=True, help="bound parameters as JSON")
     p.add_argument("--assume", action="append")
     p.add_argument("--nu-table", dest="nu_table")
@@ -570,8 +585,8 @@ def build_parser():
     p.add_argument("scenario", help="glued-line")
     p.add_argument("--r0", default="1")
     p.add_argument("--eps", default="1/10")
-    p.add_argument("--C", type=float, default=4.0)
-    p.add_argument("--K", type=float, default=1.0)
+    p.add_argument("--C", type=_real, default=4.0)
+    p.add_argument("--K", type=_real, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--csv")

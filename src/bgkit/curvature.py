@@ -51,10 +51,10 @@ class BGParams:
         object.__setattr__(self, "r0", rational(self.r0))
         if self.r0 <= 0:
             raise DomainError("scale r0 must be positive")
-        if not self.C > 1:
-            raise DomainError("factor C must be > 1")
-        if self.K < 0:
-            raise DomainError("exponent K must be >= 0")
+        if not (self.C > 1 and math.isfinite(self.C)):
+            raise DomainError("factor C must be finite and > 1")
+        if not (self.K >= 0 and math.isfinite(self.K)):
+            raise DomainError("exponent K must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class SyntheticParams:
     K: float
 
     def __post_init__(self):
-        if not self.N > 0:
-            raise DomainError("dimension N must be positive")
-        if not self.K > 0:
-            raise DomainError(
-                "exponent K must be positive (the N/K threshold degenerates at 0)")
+        if not (self.N > 0 and math.isfinite(self.N)):
+            raise DomainError("dimension N must be finite and positive")
+        if not (self.K > 0 and math.isfinite(self.K)):
+            raise DomainError("exponent K must be finite and positive "
+                              "(the N/K threshold degenerates at 0)")
 
     @functools.cached_property
     def scale(self) -> Fraction:
@@ -84,8 +84,8 @@ class DoublingParams:
 
     def __post_init__(self):
         object.__setattr__(self, "r0", rational(self.r0))
-        if not self.C0 > 1:
-            raise DomainError("doubling constant must be > 1")
+        if not (self.C0 > 1 and math.isfinite(self.C0)):
+            raise DomainError("doubling constant must be finite and > 1")
         if self.r0 <= 0:
             raise DomainError("doubling scale must be positive")
 
@@ -308,8 +308,8 @@ def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
     the margin band.
     """
     r0, r_max = rational(r0), rational(r_max)
-    if not C > 1:
-        raise DomainError("factor C must be > 1")
+    if not (C > 1 and math.isfinite(C)):
+        raise DomainError("factor C must be finite and > 1")
     profile = measure.profile(space, x, 2 * r_max)
     ln_c = math.log(C)
     best = 0.0

@@ -18,7 +18,7 @@ checks and bound cross-checks all call it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import isfinite, log
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -63,15 +63,13 @@ def verdict(lhs, rhs: float) -> str:
 def rational(value) -> Fraction:
     """Coerce ints, Fractions, floats and 'p/q' strings to an exact Fraction.
 
-    Floats convert exactly (every binary float is rational), so callers may
-    pass literals like 0.5 without losing exactness.  Strings that are no
+    Finite floats convert exactly, so callers may pass literals like 0.5
+    without losing exactness.  NaN, infinities and strings that are no
     rational, zero denominators included, raise DomainError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, int) or isinstance(value, float) and isfinite(value):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -84,9 +84,7 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
                 raise DomainError(
                     "four-point scan over a disconnected graph") from None
             raise
-        if max(max(map(abs, row)) for row in rows) > 2 ** 40:
-            raise OverflowError(
-                "scaled distances too large for the int64 kernels")
+        _kernels.check_range(itertools.chain.from_iterable(rows))
         two_delta, i, j, k, l = _kernels.four_point_scan(rows)
         delta = Fraction(max(int(two_delta), 0), 2 * scale)
         witness = (pts[i], pts[j], pts[k], pts[l])
@@ -282,6 +280,8 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
     delta, D = rational(delta), rational(D)
     D_f = float(D)
     K = float(K)
+    if not math.isfinite(K):
+        raise DomainError("exponent K must be finite")
     scale_i = Fraction(5, 2) * (7 * D + 4 * delta)
     scale_ii = 10 * (D + delta)
     pairs = [(rational(r), rational(R)) for r, R in pairs]

@@ -14,23 +14,20 @@ profile, built from the closed-form sphere sizes every family has and
 refused past the enumeration budget as enumeration would be.
 Counting measures of standard actions get it from the action,
 analytically where the word metric allows, so ball masses of word-metric
-balls stay exact far beyond anything enumerable.
+balls stay exact far beyond anything enumerable.  A ratio of two ball
+masses divides two int totals on the one mass scale, which cancels, into
+one Fraction.
 
-A measure whose profile is the same at every center says so
-(`Measure.center_free_profile`; only the uniform vertex measure on a
-Cayley space), so a caller reading many centers, like the sandwich sup,
-builds one profile for all of them.  A ratio of two ball masses divides
-two int totals on the one mass scale, which cancels, into one Fraction.
-
-A measure keeps the last profile it built (`Measure.profile`): a call on
-the same space object with an equal center and upto returns that very
-profile, so the scans of one (measure, center, radius), like the
-certificate round trip, share it; a refusal keeps nothing.  A profile
-never changes after it is built (its ticks and totals are tuples), so it
-keeps, per scan end hi, the table of its critical radii with their ball
-masses (`DistanceProfile.critical_table`) that every scan up to hi reads;
-the table holds exactly the ints a scan would derive afresh, so a shared
-table changes no report by a byte.
+A measure keeps the last profile it built, and its memo in
+`Measure.profile` is the one place that decides when a profile is shared:
+the scans of one (measure, center, radius), like the certificate round
+trip, share one, and so do all the centers of a sandwich sup when the
+measure is the same at every center.  A profile never changes after it is
+built (its ticks and totals are tuples), so it keeps, per scan end hi,
+the table of its critical radii with their ball masses
+(`DistanceProfile.critical_table`) that every scan up to hi reads; the
+table holds exactly the ints a scan would derive afresh, so a shared table
+changes no report by a byte.
 """
 
 from __future__ import annotations
@@ -209,16 +206,18 @@ class Measure:
 
     def profile(self, space, center, upto) -> DistanceProfile:
         """Exact profile of masses within `upto` of `center`; WindowError
-        beyond the safe window.
-
-        The last profile built is kept: a call on the same space object
-        with an equal center and upto returns that very profile, and any
-        other call builds a fresh one in its place.  A refusal keeps
-        nothing, so it is raised again on every call."""
+        beyond the safe window.  The last profile built is kept and returned
+        again for the same space object and an equal upto, when the center
+        is equal or when the measure is center-free on the space and the
+        ball at the new center passes its checks.  Any other call builds a
+        fresh one in its place; a refusal keeps nothing."""
         last = self._last
-        if (last is not None and last[0] is space and last[2] == upto
-                and last[1] == center):
-            return last[3]
+        if last is not None and last[0] is space and last[2] == upto:
+            if last[1] == center:
+                return last[3]
+            if self._center_free(space):
+                spaces.check_ball(space, center, upto)
+                return last[3]
         profile = self._build_profile(space, center, upto)
         self._last = (space, center, upto, profile)
         return profile
@@ -226,11 +225,9 @@ class Measure:
     def _build_profile(self, space, center, upto) -> DistanceProfile:
         raise NotImplementedError
 
-    def center_free_profile(self, space, center, upto) -> DistanceProfile | None:
-        """The profile within `upto` of `center`, after the ball checks at
-        `center`, when it is the same at every center of `space`; None,
-        before any check, otherwise."""
-        return None
+    def _center_free(self, space) -> bool:
+        """Whether the profile is the same at every center of `space`."""
+        return False
 
 
 class VertexMeasure(Measure):
@@ -255,20 +252,18 @@ class VertexMeasure(Measure):
         return m
 
     def _build_profile(self, space, center, upto) -> DistanceProfile:
-        profile = self.center_free_profile(space, center, upto)
-        if profile is not None:
-            return profile
+        if self._center_free(space):
+            upto = spaces.check_ball(space, center, upto)
+            return sphere_profile(space.ball_spheres(upto, closed=True), 1,
+                                  upto)
         return DistanceProfile(
             ((d, self.mass(p)) for p, d in
              spaces.enumerate_ball(space, center, upto, closed=True)), upto)
 
-    def center_free_profile(self, space, center, upto) -> DistanceProfile | None:
+    def _center_free(self, space) -> bool:
         """The uniform measure on a Cayley space is left-invariant: its
         profile at every center is the family's sphere profile."""
-        if not (self.uniform and isinstance(space, spaces.CayleySpace)):
-            return None
-        upto = spaces.check_ball(space, center, upto)
-        return sphere_profile(space.ball_spheres(upto, closed=True), 1, upto)
+        return self.uniform and isinstance(space, spaces.CayleySpace)
 
 
 class CountingOrbitMeasure(Measure):

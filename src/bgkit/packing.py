@@ -448,33 +448,19 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
     # When x is in the sup sample, its invariant profile is built once, to
     # 2R, if the window allows; otherwise to R, then again for the sup.
     wide = x in sup_sample and _fits(space, x, 2 * R)
-    at = 2 * R if wide else R
-    free = measure.center_free_profile(space, x, at)
-    inv_at_x = measure.profile(space, x, at) if free is None else free
+    inv_at_x = measure.profile(space, x, 2 * R if wide else R)
     inv_ratio = inv_at_x.ratio(R, r)
     pack_all = packing_count(space, x, r, R, mode="exact", cap=cap)
-    # A center-free measure has one profile, and one ratio, for the whole
-    # sup: the one at x when it reaches 2R, else the one built at the first
-    # point that reads it.  Every other point only has its ball checked.
-    if not wide:
-        free = None
-    free_ratio = None
-    ratios = []
+    # Every sup point reads its profile through the measure, whose memo
+    # hands a center-free measure's one profile to every point after its
+    # ball checks there; a ratio is computed only when the profile changes.
+    ratios, profile = [], None
     for y in sup_sample:
-        if wide and y == x:
-            profile = inv_at_x
-        elif free is not None:
-            spaces.check_ball(space, y, 2 * R)
-            profile = free
-        else:
-            free = measure.center_free_profile(space, y, 2 * R)
-            profile = measure.profile(space, y, 2 * R) if free is None else free
-        if profile is not free:
+        at_y = (inv_at_x if wide and y == x
+                else measure.profile(space, y, 2 * R))
+        if at_y is not profile:
+            profile = at_y
             ratios.append(profile.ratio(2 * R, r))
-            continue
-        if free_ratio is None:
-            free_ratio = free.ratio(2 * R, r)
-        ratios.append(free_ratio)
     sup_ratio = max(ratios)
     chain = (lower <= pack_orbit.count
              and pack_orbit.count <= inv_ratio

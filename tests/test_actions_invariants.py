@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from bgkit import presets
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
-                           margulis_estimate, short_generators,
+                           margulis_estimate, short_generators, sigma_r,
                            strengthened_bg_check, systole, thin_set)
 from bgkit.bounds import NuOracle, bound_cross_check, evaluate_bound
+from bgkit.covers import DeckAction, universal_cover
 from bgkit.curvature import BGParams, check_weak_bg
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import VertexMeasure
-from bgkit.spaces import CayleySpace, FiniteMetricSpace, GluedLineSpace
+from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
+                          WeightedGraph)
 
 
 def torus_action(m):
@@ -126,6 +129,69 @@ def test_margulis_product_componentwise():
     assert pts[0].provenance == "family rule"
 
 
+def _sigma_r_estimate(action, x, ceiling):
+    """(estimate, attained, hit_ceiling, provenance) at x from one `sigma_r`
+    enumeration per radius of the displacement spectrum."""
+    ceiling = Fraction(ceiling)
+    for rad in sorted({d for _g, d in action.orbit_within(x, ceiling)}):
+        verdict = sigma_r(action, x, rad).virtually_nilpotent
+        if verdict is None:
+            return ceiling, False, True, "unknown"
+        if not verdict:
+            return rad, False, False, "family rule"
+    return ceiling, True, True, "family rule"
+
+
+def _margulis_cases():
+    def preset(name, sample, ceiling):
+        inst = presets.Instance(presets.spec(name))
+        return name, inst.build()[1], sample, ceiling
+
+    prod = ProductFamily([FreeAbelianFamily(1), FreeFamily(2)])
+    eight = WeightedGraph(["v"], [("v", "v", 1), ("v", "v", 1)])
+    loop = WeightedGraph([0, 1, 2], [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    return [
+        preset("free2", [(), (1,), (2, -1)], 4),
+        preset("lattice2", [(0, 0), (2, -1)], 5),
+        preset("torus5", [(0, 0), (1, 3)], 11),
+        ("product", LeftTranslationAction(prod),
+         [prod.identity(), ((1,), (2,))], 3),
+        ("deck-eight", DeckAction(universal_cover(eight, "v", 5)), [()], 4),
+        ("deck-loop", DeckAction(universal_cover(loop, 0, 12)), [()], 10),
+    ]
+
+
+@pytest.mark.parametrize("late", ["rule", None, False],
+                         ids=["rule", "undecided", "flip"])
+@pytest.mark.parametrize("name, act, sample, ceiling", _margulis_cases(),
+                         ids=[case[0] for case in _margulis_cases()])
+def test_margulis_matches_per_radius_sigma_r(name, act, sample, ceiling,
+                                             late, monkeypatch):
+    if late != "rule":
+        # from five nontrivial elements on, the family answers `late`, so
+        # the verdict turns at a radius past the first
+        classify = type(act.family).subgroup_virtually_nilpotent
+        monkeypatch.setattr(
+            type(act.family), "subgroup_virtually_nilpotent",
+            lambda self, gens: (late if len(gens) >= 5
+                                else classify(self, gens)))
+    want = [_sigma_r_estimate(act, x, ceiling) for x in sample]
+    calls = []
+    enumerate_orbit = act.elements_moving_near
+
+    def counted(base, center, radius):
+        calls.append(center)
+        return enumerate_orbit(base, center, radius)
+
+    monkeypatch.setattr(act, "elements_moving_near", counted)
+    got = margulis_estimate(act, sample, ceiling)
+    assert [(p.estimate, p.attained, p.hit_ceiling, p.provenance)
+            for p in got] == want
+    assert [p.point for p in got] == sample
+    # one enumeration per point, to the ceiling
+    assert calls == sample
+
+
 # -- short generating families ----------------------------------------------------
 
 
@@ -206,6 +272,15 @@ def test_bound_cross_check_directions():
     assert rep.holds and rep.direction == "measured>=bound"
     rep = bound_cross_check("generators", 1e9, {"N": 1, "K": 0, "D": 0})
     assert not rep.holds
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bounds_refuse_non_finite_values(bad):
+    with pytest.raises(DomainError,
+                       match="bound 'generators' needs finite parameters"):
+        evaluate_bound("generators", {"N": 2, "K": bad, "D": 5})
+    with pytest.raises(DomainError, match="measured value must be finite"):
+        bound_cross_check("generators", bad, {"N": 2, "K": 0, "D": 5})
 
 
 # -- strengthened bounds -------------------------------------------------------------

@@ -49,6 +49,39 @@ def test_bounds_generators(capsys):
     assert report["result"]["value"] == 14641
 
 
+REAL_FLAG_CALLS = [
+    ["certify-bg", "--preset", "lattice2", "--r0", "1", "--rmax", "4",
+     "--C", "8", "--K={}"],
+    ["synthetic", "--preset", "lattice2", "--rmax", "4", "--K", "1",
+     "--N={}"],
+    ["entropy", "--preset", "lattice2", "--rmax", "12", "--tail={}"],
+    ["bounds", "generators", "--N", "2", "--D", "5", "--K={}"],
+    ["check", "generators", "--params", '{{"N": 2, "K": 0, "D": 5}}',
+     "--measured={}"],
+    ["reproduce", "glued-line", "--K={}"],
+]
+
+
+@pytest.mark.parametrize("argv", REAL_FLAG_CALLS,
+                         ids=[argv[0] for argv in REAL_FLAG_CALLS])
+def test_float_flags_read_p_over_q_and_refuse_non_finite(argv, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+
+    def call(value):
+        code = run([a.format(value) for a in argv])
+        return code, capsys.readouterr()
+
+    # p/q is read as its nearest double, the same value as its decimal;
+    # "=" keeps argparse from reading "-inf" as an option
+    quarter = call("1/4")
+    assert quarter == call("0.25") and quarter[1][0]
+    for bad in ("nan", "inf", "-inf", "1e400", "1/0", "1/3e2", "x"):
+        code, (out, err) = call(bad)
+        assert (code, out) == (1, ""), bad
+        assert f"{bad!r} is not a finite decimal or p/q" in err, bad
+
+
 def test_unknown_subcommand(capsys):
     code = run(["frobnicate"])
     capsys.readouterr()

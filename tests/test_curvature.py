@@ -271,6 +271,44 @@ def test_doubling_to_bg_bound_values():
         doubling_to_bg_bound(DoublingParams(2.0, 4), 1)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_bg_params_refuse_non_finite_values(bad):
+    # NaN passes every `<` test, so an unchecked K = NaN would give NaN
+    # right-hand sides that verdict reads as "verified"
+    with pytest.raises(DomainError, match="factor C must be finite and > 1"):
+        BGParams(1, bad, 1.0)
+    with pytest.raises(DomainError,
+                       match="exponent K must be finite and >= 0"):
+        BGParams(1, 2.0, bad)
+    with pytest.raises(DomainError, match="cannot interpret"):
+        BGParams(bad, 2.0, 1.0)
+    space, mu = lattice_setup()
+    with pytest.raises(DomainError, match="factor C must be finite and > 1"):
+        min_exponent(space, mu, (0, 0), 1, bad, 4)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_synthetic_params_refuse_non_finite_values(bad):
+    with pytest.raises(DomainError,
+                       match="dimension N must be finite and positive"):
+        SyntheticParams(bad, 1.0)
+    with pytest.raises(DomainError,
+                       match="exponent K must be finite and positive"):
+        SyntheticParams(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_doubling_params_refuse_non_finite_values(bad):
+    with pytest.raises(DomainError,
+                       match="doubling constant must be finite and > 1"):
+        DoublingParams(bad, 1)
+    with pytest.raises(DomainError, match="cannot interpret"):
+        DoublingParams(2.0, bad)
+
+
 def test_diameter_shift():
     out = diameter_shift(BGParams(1, 2.0, 1.0), 2)
     assert (out.r0, out.C, out.K) == (6, 4.0, 2.0)

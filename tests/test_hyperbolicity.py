@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ from bgkit import _kernels
 from bgkit.actions import LeftTranslationAction
 from bgkit.exact import DomainError
 from bgkit.groups import FreeFamily
-from bgkit.hyperbolicity import (convexity_defect, four_point_delta,
-                                 gromov_tripod, thin_triangle_delta)
+from bgkit.hyperbolicity import (cocompact_bg_check, convexity_defect,
+                                 four_point_delta, gromov_tripod,
+                                 thin_triangle_delta)
 from bgkit.spaces import (FiniteMetricSpace, TripodSpace, WeightedGraph,
                           point_key)
 
@@ -211,6 +213,16 @@ def test_four_point_refuses_distances_past_the_kernel_range():
     near = FiniteMetricSpace([[0 if i == j else 2 ** 40 for j in range(4)]
                               for i in range(4)])
     assert four_point_delta(near).delta == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cocompact_bg_check_refuses_non_finite_values(bad):
+    # a NaN right-hand side would read as "verified" in every pair
+    act = LeftTranslationAction(FreeFamily(2))
+    with pytest.raises(DomainError, match="exponent K must be finite"):
+        cocompact_bg_check(act, (), delta=0, D=0, K=bad, pairs=[(1, 2)])
+    with pytest.raises(DomainError, match="cannot interpret"):
+        cocompact_bg_check(act, (), delta=bad, D=0, K=1, pairs=[(1, 2)])
 
 
 def test_thin_triangle_trees():

@@ -386,9 +386,12 @@ def test_profile_memo_matches_fresh_builds(name, kind):
         want = fresh.measure.profile(fresh.space, center, upto)
         assert _profile_fields(got) == _profile_fields(want)
         assert type(got.ticks) is tuple and type(got.totals) is tuple
-        # the same arguments return the very profile; any other call
-        # builds a fresh one in its place
-        assert (got is last) == ((center, upto) == last_args)
+        # the same arguments return the very profile, and so does a new
+        # center with the same upto when the measure is center-free; any
+        # other call builds a fresh one in its place
+        repeat = last_args is not None and upto == last_args[1] and (
+            center == last_args[0] or mu._center_free(space))
+        assert (got is last) == repeat
         last, last_args = got, (center, upto)
     # a profile built on another, equal space is not the memo's
     other = _preset_instance(name, kind).space
@@ -416,6 +419,22 @@ def test_profile_memo_keeps_no_refusal(name, kind):
         assert mu.profile(space, c0, 2) is kept
     assert "radius 13 " in refusals[0][0]
     assert refusals == refusals[:1] * 3
+
+
+def test_profile_memo_checks_a_new_center(monkeypatch):
+    # a memo hit at a new center of a center-free measure builds nothing
+    # but still runs the ball checks there: a non-point is refused, and
+    # the refusal replaces nothing
+    space = CayleySpace(FreeFamily(2))
+    mu = VertexMeasure()
+    kept = mu.profile(space, (), 2)
+    monkeypatch.setattr(VertexMeasure, "_build_profile", _refuse)
+    assert mu.profile(space, (1, 2), 2) is kept
+    for _ in range(2):
+        with pytest.raises(DomainError,
+                           match=r"\(1, -1\) is not a point of this cayley"):
+            mu.profile(space, (1, -1), 2)
+        assert mu.profile(space, (-2,), 2) is kept
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -307,24 +307,16 @@ def test_sandwich_torus_with_lemma(monkeypatch):
 
 
 def _count_profile_builds(monkeypatch):
-    """Record (kind, center) of every profile and center-free profile the
-    sandwich builds."""
+    """Record (kind, center) of every profile the sandwich builds, a
+    center-free one as "center_free"; memo hits build nothing."""
     builds = []
     for cls in (VertexMeasure, CountingOrbitMeasure):
-        def counted(self, space, center, upto, _build=cls.profile,
+        def counted(self, space, center, upto, _build=cls._build_profile,
                     _name=cls.__name__):
-            builds.append((_name, center))
+            builds.append(("center_free" if self._center_free(space)
+                           else _name, center))
             return _build(self, space, center, upto)
-        monkeypatch.setattr(cls, "profile", counted)
-    free = VertexMeasure.center_free_profile
-
-    def counted_free(self, space, center, upto):
-        profile = free(self, space, center, upto)
-        if profile is not None:
-            builds.append(("center_free", center))
-        return profile
-
-    monkeypatch.setattr(VertexMeasure, "center_free_profile", counted_free)
+        monkeypatch.setattr(cls, "_build_profile", counted)
     return builds
 
 
