@@ -369,50 +369,42 @@ class SystoleReport:
     warnings: list = field(default_factory=list)
 
 
-def _expanding_min_displacement(action, x, ceiling, keep):
-    """min d(x, g x) over elements passing `keep`, by doubling probe radii.
+def _point_systole(action: GroupAction, x, ceiling) -> SystolePoint:
+    """Systoles at x, both read from one sequence of doubling probe radii;
+    both None when nothing nontrivial moves x within the ceiling.
 
-    Exact: once a qualifying element appears at distance d, every shorter
-    one lies in the (exhaustively enumerated) ball of radius d.  None when
-    nothing qualifies within the ceiling.  With no ceiling the search also
-    stops when every generator is the identity: the first probe has then
-    seen the whole group.
+    Exact: a probe enumerates its ball exhaustively and sorted, so the
+    first nontrivial row (of infinite order, for the torsion-free systole)
+    of the first probe holding one is the minimum.  The probes stop once
+    the systole is found, and the torsion-free one too when a generator has
+    infinite order; at the ceiling; and, with no ceiling, after the first
+    probe when every generator is the identity, as it has then seen the
+    whole group.  WindowError when a probe passes the safe window.
     """
+    family = action.family
+    identity = family.identity()
+    gens = [g for _, g in family.generators()]
+    has_free = any(family.is_infinite_order(g) for g in gens)
+    trivial = all(g == identity for g in gens)
     radius = rational(ceiling) if ceiling is not None else None
-    identity = action.family.identity()
-    trivial = all(g == identity for _, g in action.family.generators())
+    sys_val = sys_free = None
     probe = Fraction(1)
     while True:
         limit = probe if radius is None else min(probe, radius)
-        hits = [d for g, d in action.orbit_within(x, limit) if keep(g)]
-        if hits:
-            return min(hits)
-        if radius is not None and probe >= radius:
-            return None
-        if radius is None and trivial:
-            return None
+        for g, d in action.orbit_within(x, limit):
+            if g != identity:
+                if sys_val is None:
+                    sys_val = d
+                if has_free and family.is_infinite_order(g):
+                    sys_free = d
+                    break
+        if sys_val is not None and (sys_free is not None or not has_free):
+            break
+        if radius is not None and probe >= radius or radius is None and trivial:
+            break
         probe *= 2
-
-
-def _point_systole(action: GroupAction, x, ceiling) -> SystolePoint:
-    """Systoles at x; both None when nothing nontrivial moves x within the
-    ceiling.  WindowError when a probe passes the safe window."""
-    identity = action.family.identity()
-    sys_val = _expanding_min_displacement(action, x, ceiling,
-                                          lambda g: g != identity)
-    if sys_val is None:
-        return SystolePoint(point=x, systole=None, torsion_free_systole=None,
-                            stabilized=False)
-    stabilized = sys_val == 0
-    family = action.family
-    has_free = any(family.is_infinite_order(g) for _, g in family.generators())
-    sys_free = None
-    if has_free:
-        sys_free = _expanding_min_displacement(
-            action, x, ceiling,
-            lambda g: g != identity and family.is_infinite_order(g))
-    return SystolePoint(point=x, systole=sys_val,
-                        torsion_free_systole=sys_free, stabilized=stabilized)
+    return SystolePoint(point=x, systole=sys_val, torsion_free_systole=sys_free,
+                        stabilized=sys_val == 0)
 
 
 def systole(action: GroupAction, sample, ceiling=None) -> SystoleReport:

@@ -151,11 +151,8 @@ def pair_check(r, R, formula, lhs, rhs) -> PairCheck:
     return PairCheck(r, R, formula, lhs, rhs, status == VERIFIED)
 
 
-def _rhs(factor: float, exponent: float, r: float) -> float:
-    return factor * math.exp(exponent * r)
-
-
-def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
+def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
+                     step: int | None = None):
     """The tick scale `step` and the rows (a, num, den, form) deciding the
     inequality on [lo, hi], all ints but the form: the radius is a/step and
     the lhs num/den, with den == 0 when the denominator ball is empty.
@@ -165,14 +162,15 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     right of the radius, whose binding comparison point is the radius.
 
     The radii are lo and the profile's critical radii in [lo, hi], read from
-    its `critical_table(hi)` by one bisect and rescaled to ticks of 1/S with
-    S = 2 lcm(profile scale, lo and hi denominators), on which lo, hi and
-    every critical radius are whole ticks.  num and den are masses on the
-    profile's one mass scale; callers build a Fraction only for what they
-    report.
+    its `critical_table(hi)` by one bisect and rescaled to ticks of 1/step,
+    by default S = 2 lcm(profile scale, lo and hi denominators), on which
+    lo, hi and every critical radius are whole ticks; a given step is a
+    multiple of S.  num and den are masses on the profile's one mass scale;
+    callers build a Fraction only for what they report.
     """
     tick, radii, table = profile.critical_table(hi)
-    step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
+    if step is None:
+        step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
     k = step // tick
     low = lo.numerator * (step // lo.denominator)
     high = hi.numerator * (step // hi.denominator)
@@ -193,9 +191,13 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction):
     return step, rows
 
 
-def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
-          factor: float, exponent: float, params, center) -> Certificate:
-    """Decide the inequality at every critical radius of [lo, hi].
+def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
+          exponent: float, params, center) -> Certificate:
+    """Decide the inequality at every critical radius of [lo, hi] for the
+    profile of each center in turn, in one loop, on the one tick scale
+    2 lcm(every profile's scale, lo and hi denominators): a single profile
+    keeps the step and rows of its `_critical_checks`.  Each center notes
+    its first row inside the margin band.
 
     Verdicts read the lhs as num / den and the radius as a / step: int true
     division is correctly rounded, as `Fraction.__float__` is, so they are
@@ -205,35 +207,41 @@ def _scan(profile: DistanceProfile, lo: Fraction, hi: Fraction,
     if hi < lo:
         raise DomainError(
             f"r_max {fmt_rational(hi)} below the scale {fmt_rational(lo)}")
-    step, checks = _critical_checks(profile, lo, hi)
+    step = math.lcm(lo.denominator, hi.denominator)
+    for profile in profiles:
+        step = math.lcm(step, profile.scale)
+    step *= 2
     cert = Certificate(params=params, center=center, r_min=lo, r_max=hi,
-                       status=VERIFIED, critical_radii_checked=len(checks),
-                       step=step)
+                       status=VERIFIED, step=step)
     rows = cert.rows
     first = worst = None
     last = None
-    for a, num, den, form in checks:
-        if not den:
-            raise DomainError(
-                f"zero mass ball at radius {fmt_rational(Fraction(a, step))} "
-                "with mass above it: the 0 < mass hypothesis fails on this "
-                "range")
-        if a != last:        # the 'at' and 'above' rows share their rhs
-            rhs = _rhs(factor, exponent, a / step)
-            last = a
-        rows.append((a, num, den, rhs))
-        status = verdict(num / den, rhs)
-        if status == VIOLATED:
-            cert.violations += 1
-            if first is None:
-                first = worst = (a, num, den, rhs, form)
-            # the largest lhs wins, and the larger radius among equal ones
-            elif (num * worst[2], a) > (worst[1] * den, worst[0]):
-                worst = (a, num, den, rhs, form)
-        elif status == INCONCLUSIVE and cert.status == VERIFIED:
-            cert.status = INCONCLUSIVE
-            cert.notes.append(f"ratio at {fmt_rational(Fraction(a, step))} "
-                              "inside the float margin band")
+    for profile in profiles:
+        noted = False
+        for a, num, den, form in _critical_checks(profile, lo, hi, step)[1]:
+            if not den:
+                radius = fmt_rational(Fraction(a, step))
+                raise DomainError(
+                    f"zero mass ball at radius {radius} with mass above it: "
+                    "the 0 < mass hypothesis fails on this range")
+            if a != last:    # the 'at' and 'above' rows share their rhs
+                rhs = factor * math.exp(exponent * (a / step))
+                last = a
+            rows.append((a, num, den, rhs))
+            status = verdict(num / den, rhs)
+            if status == VIOLATED:
+                cert.violations += 1
+                if first is None:
+                    first = worst = (a, num, den, rhs, form)
+                # the largest lhs wins, and the larger radius among equal ones
+                elif (num * worst[2], a) > (worst[1] * den, worst[0]):
+                    worst = (a, num, den, rhs, form)
+            elif status == INCONCLUSIVE and not noted:
+                noted = True
+                cert.status = INCONCLUSIVE
+                cert.notes.append(f"ratio at {fmt_rational(Fraction(a, step))}"
+                                  " inside the float margin band")
+    cert.critical_radii_checked = len(rows)
     if worst is not None:
         cert.status = VIOLATED
         cert.first_violation = _violation(step, *first)
@@ -249,13 +257,18 @@ def _violation(step, a, num, den, rhs, form) -> Violation:
 def check_weak_bg(space, measure: Measure, center, params: BGParams,
                   r_max) -> Certificate:
     """Scan the weak inequality at scale r0 on [r0, r_max] for one center,
-    or for every center of an iterable (worst certificate wins)."""
+    or in one pass for every center of a list or tuple of them, whose
+    certificate has the center "all sampled" and every center's rows in
+    center order."""
     r_max = rational(r_max)
     if isinstance(center, (list, tuple)) and not _is_single_point(space, center):
-        certs = [check_weak_bg(space, measure, c, params, r_max) for c in center]
-        return _merge_all_centers(certs, params)
-    profile = measure.profile(space, center, 2 * r_max)
-    return _scan(profile, params.r0, r_max, params.C, params.K, params, center)
+        if not center:
+            raise DomainError("no centers to scan")
+        profiles = [measure.profile(space, c, 2 * r_max) for c in center]
+        center = "all sampled"
+    else:
+        profiles = [measure.profile(space, center, 2 * r_max)]
+    return _scan(profiles, params.r0, r_max, params.C, params.K, params, center)
 
 
 def check_bg_synthetic(space, measure: Measure, center, params: SyntheticParams,
@@ -267,7 +280,7 @@ def check_bg_synthetic(space, measure: Measure, center, params: SyntheticParams,
             f"r_max {fmt_rational(r_max)} is below the threshold N/K = "
             f"{fmt_rational(params.scale)}")
     profile = measure.profile(space, center, 2 * r_max)
-    return _scan(profile, params.scale, r_max, 2.0 ** params.N, params.K,
+    return _scan([profile], params.scale, r_max, 2.0 ** params.N, params.K,
                  params, center)
 
 
@@ -276,27 +289,6 @@ def _is_single_point(space, candidate):
         return space.is_point(candidate)
     except Exception:
         return False
-
-
-def _merge_all_centers(certs, params) -> Certificate:
-    merged = Certificate(params=params, center="all sampled",
-                         r_min=certs[0].r_min, r_max=certs[0].r_max,
-                         status=VERIFIED)
-    for c in certs:
-        merged.critical_radii_checked += c.critical_radii_checked
-        merged.violations += c.violations
-        if c.first_violation and merged.first_violation is None:
-            merged.first_violation = c.first_violation
-        if c.status == VIOLATED:
-            merged.status = VIOLATED
-            if (merged.witness is None
-                    or (c.witness.lhs, c.witness.radius)
-                    > (merged.witness.lhs, merged.witness.radius)):
-                merged.witness = c.witness
-        elif c.status == INCONCLUSIVE and merged.status == VERIFIED:
-            merged.status = INCONCLUSIVE
-        merged.notes.extend(c.notes)
-    return merged
 
 
 def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
@@ -453,7 +445,7 @@ def brute_force_recheck(space, measure: Measure, x, factor, exponent,
         if den == 0:
             continue
         lhs = Fraction(num) / den
-        rhs = _rhs(factor, exponent, float(r))
+        rhs = factor * math.exp(exponent * float(r))
         if float(lhs) > rhs * (1 + 1e-12):
             bad.append((r, lhs, rhs))
     return bad

@@ -17,6 +17,7 @@ checks and bound cross-checks all call it.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isfinite, log
 from typing import Union
@@ -65,15 +66,22 @@ def rational(value) -> Fraction:
 
     Finite floats convert exactly, so callers may pass literals like 0.5
     without losing exactness.  NaN, infinities and strings that are no
-    rational, zero denominators included, raise DomainError.
+    rational, zero denominators included, raise DomainError, as does a
+    decimal exponent above `sys.int_info.default_max_str_digits` in
+    magnitude (CPython's digit limit for int strings), before any power of
+    ten is built.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) or isinstance(value, float) and isfinite(value):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        _mantissa, e, exponent = text.lower().partition("e")
+        limit = sys.int_info.default_max_str_digits
         try:
-            return Fraction(value.strip())
+            if not e or abs(int(exponent)) <= limit:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
     raise DomainError(f"cannot interpret {value!r} as a rational")

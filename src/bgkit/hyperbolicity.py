@@ -117,8 +117,7 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
 def _prefix_lengths(graph, path):
     out = [Fraction(0)]
     for a, b in zip(path, path[1:]):
-        w = min(w for vv, w, _ in graph.adj[a] if vv == b)
-        out.append(out[-1] + w)
+        out.append(out[-1] + graph.lightest_edge(a, b)[0])
     return out
 
 

@@ -155,10 +155,9 @@ def _augment(masks, match_r, match_l, u, visited):
     return False
 
 
-def _koenig_mis(masks, comp):
-    """Max independent set of a bipartite component via max matching."""
-    parts = _bipartition(masks, comp)
-    left, right = parts
+def _koenig_mis(masks, comp, left, right):
+    """Max independent set of a bipartite component, with parts left and
+    right, via max matching."""
     match_r = {v: None for v in right}
     match_l = {u: None for u in left}
     for u in left:
@@ -285,8 +284,9 @@ def _exact_mis(space, points, r):
     chosen = []
     bipartite_used = False
     for comp in _components(masks):
-        if len(comp) > 2 and _bipartition(masks, comp) is not None:
-            chosen.extend(_koenig_mis(masks, comp))
+        parts = _bipartition(masks, comp) if len(comp) > 2 else None
+        if parts is not None:
+            chosen.extend(_koenig_mis(masks, comp, *parts))
             bipartite_used = True
         else:
             chosen.extend(_bb_mis(masks, comp))

@@ -436,23 +436,23 @@ class WeightedGraph(Space):
             path.append(u)
         return path
 
+    def lightest_edge(self, a, b):
+        """(weight, edge id) of the lightest a-b edge, the lowest id among
+        equally light ones."""
+        return min((w, eid) for v, w, eid in self.adj[a] if v == b)
+
     def path_length(self, path):
-        total = Fraction(0)
-        for u, v in zip(path, path[1:]):
-            w = min(w for vv, w, _ in self.adj[u] if vv == v)
-            total += w
-        return total
+        return sum((self.lightest_edge(u, v)[0]
+                    for u, v in zip(path, path[1:])), Fraction(0))
 
     def point_along(self, path, arclength):
         """Exact point (vertex or mid-edge) at `arclength` along `path`."""
         arclength = rational(arclength)
         if arclength < 0:
             raise DomainError("negative arclength")
-        u = path[0]
         remaining = arclength
         for a, b in zip(path, path[1:]):
-            w = min(w for vv, w, _ in self.adj[a] if vv == b)
-            eid = min(eid for vv, w2, eid in self.adj[a] if vv == b and w2 == w)
+            w, eid = self.lightest_edge(a, b)
             if remaining <= w:
                 eu, ev, ew = self.edges[eid]
                 if remaining == 0:
@@ -462,7 +462,6 @@ class WeightedGraph(Space):
                 off = remaining if eu == a else ew - remaining
                 return self.edge_point(eid, off)
             remaining -= w
-            u = b
         if remaining == 0:
             return path[-1]
         raise DomainError("arclength exceeds path length")

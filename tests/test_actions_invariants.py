@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import presets
+from bgkit import actions, presets
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
                            margulis_estimate, short_generators, sigma_r,
@@ -64,6 +64,131 @@ def test_systole_glued_line():
     by_point = {p.point: p for p in rep.per_point}
     assert by_point[gl.tip(0)].systole == Fraction(11, 10)
     assert by_point[gl.base(0)].systole == Fraction(1, 10)
+
+
+def _two_loop_systole(action, x, ceiling):
+    """(systole, torsion-free systole, probes) at x from two doubling
+    searches, one per systole, each enumerating the orbit afresh: the
+    oracle for `actions._point_systole`.  `probes` counts the probes of the
+    longer search."""
+    family = action.family
+    identity = family.identity()
+    radius = None if ceiling is None else Fraction(ceiling)
+    trivial = all(g == identity for _, g in family.generators())
+
+    def search(keep):
+        probe, probes = Fraction(1), 0
+        while True:
+            probes += 1
+            limit = probe if radius is None else min(probe, radius)
+            hits = [d for g, d in action.orbit_within(x, limit) if keep(g)]
+            if hits:
+                return min(hits), probes
+            if radius is not None and probe >= radius:
+                return None, probes
+            if radius is None and trivial:
+                return None, probes
+            probe *= 2
+
+    sys_val, probes = search(lambda g: g != identity)
+    sys_free = None
+    if sys_val is not None and any(family.is_infinite_order(g)
+                                   for _, g in family.generators()):
+        sys_free, more = search(
+            lambda g: g != identity and family.is_infinite_order(g))
+        probes = max(probes, more)
+    return sys_val, sys_free, probes
+
+
+def _systole_cases():
+    def preset(name, sample):
+        return name, presets.Instance(presets.spec(name)).build()[1], sample
+
+    gl = presets.Instance(presets.spec("glued-line")).build()[0]
+    prod = ProductFamily([FreeAbelianFamily(1),
+                          FinitePermutationFamily([(1, 0)])])
+    fix = FinitePermutationFamily([(1, 0, 2)])
+    metric = FiniteMetricSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                               labels=[0, 1, 2])
+    return [
+        preset("lattice2", [(0, 0), (2, -1)]),
+        preset("free2", [(), (1,), (2, -1)]),
+        preset("atom", [()]),
+        preset("torus5", [(0, 0), (1, 3)]),
+        preset("line10", [(0,), (4,)]),
+        # the edge hair's safe window is 1/2: a probe of 1 is refused there
+        preset("glued-line", [gl.tip(0), gl.base(0), gl.tip(44)]),
+        ("product", LeftTranslationAction(prod), [prod.identity()]),
+        ("stabilizer", PermutationAction(fix, metric, labels=[0, 1, 2]),
+         [2, 0]),
+        # e2 alone counts as of infinite order, so the torsion-free systole
+        # 5 is found two probes after the systole 2
+        ("late-free", LatticeTranslationAction(
+            CayleySpace(FreeAbelianFamily(2)), [[2, 0], [0, 5]]),
+         [(0, 0), (1, 1)]),
+    ]
+
+
+@pytest.mark.parametrize("ceiling", [None, Fraction(1, 2), 3, 100])
+@pytest.mark.parametrize("name, act, sample", _systole_cases(),
+                         ids=[case[0] for case in _systole_cases()])
+def test_point_systole_matches_two_searches(name, act, sample, ceiling,
+                                            monkeypatch):
+    if name == "late-free":
+        monkeypatch.setattr(act.family, "is_infinite_order",
+                            lambda g: g[1] != 0)
+    want = {}
+    for x in sample:
+        try:
+            want[x] = _two_loop_systole(act, x, ceiling)
+        except WindowError as err:
+            want[x] = err
+    radii = _count_probes(act, monkeypatch)
+    for x in sample:
+        radii.clear()
+        if isinstance(want[x], WindowError):
+            with pytest.raises(WindowError) as got:
+                actions._point_systole(act, x, ceiling)
+            assert str(got.value) == str(want[x])
+            continue
+        sp = actions._point_systole(act, x, ceiling)
+        assert (sp.systole, sp.torsion_free_systole) == want[x][:2]
+        assert sp.stabilized == (want[x][0] == 0)
+        # one doubling sequence of probes, as long as the longer search
+        top = None if ceiling is None else Fraction(ceiling)
+        assert radii == [Fraction(2) ** i if top is None
+                         else min(Fraction(2) ** i, top)
+                         for i in range(want[x][2])]
+
+
+def _count_probes(act, monkeypatch):
+    """The radii of every orbit enumeration `act` makes from now on."""
+    radii = []
+    enumerate_orbit = act.elements_moving_near
+
+    def counted(base, center, radius):
+        radii.append(radius)
+        return enumerate_orbit(base, center, radius)
+
+    monkeypatch.setattr(act, "elements_moving_near", counted)
+    return radii
+
+
+def test_systole_calls_one_probe_sequence_per_point(monkeypatch):
+    act = presets.Instance(presets.spec("torus5")).build()[1]
+    radii = _count_probes(act, monkeypatch)
+    rep = systole(act, [(0, 0), (1, 1)])
+    assert (rep.systole, rep.torsion_free_systole) == (5, 5)
+    # probes 1, 2, 4 and 8 per point, where two searches made 16 calls
+    assert radii == [1, 2, 4, 8] * 2
+
+
+def test_systole_refuses_a_point_nothing_moves():
+    act = presets.Instance(presets.spec("atom")).build()[1]
+    with pytest.raises(WindowError, match="no nontrivial displacement of"):
+        systole(act, [()])
+    with pytest.raises(WindowError, match="no nontrivial displacement of"):
+        systole(act, [()], ceiling=3)
 
 
 # -- thin sets -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from bgkit import cli, presets
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.cli import run
+from bgkit.exact import DomainError, rational
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -82,6 +84,24 @@ def test_float_flags_read_p_over_q_and_refuse_non_finite(argv, capsys,
         assert f"{bad!r} is not a finite decimal or p/q" in err, bad
 
 
+def test_rational_refuses_huge_decimal_exponents(capsys):
+    # CPython's int string limit bounds the exponent, before any power of
+    # ten is built: 10**100000000 alone would take minutes
+    limit = sys.int_info.default_max_str_digits
+    assert rational(f"1e{limit}") == 10 ** limit
+    assert rational(f"-2.5e-{limit}") == Fraction(-5, 2 * 10 ** limit)
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e100000000",
+                 "7E" + "9" * (limit + 1)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="cannot interpret .* as a rat"):
+            rational(text)
+        assert time.perf_counter() - start < 0.05
+    code = run(["balls", "--preset", "free2", "--r", "1e100000000"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: cannot interpret '1e100000000' as a rational\n"
+
+
 def test_unknown_subcommand(capsys):
     code = run(["frobnicate"])
     capsys.readouterr()
@@ -94,12 +114,20 @@ def test_certify_preset_lattice(capsys):
          "--K", "1", "--rmax", "12"], capsys)
     assert code == 0
     assert report["status"] == "verified"
-    # a center list on the free group is scanned centre by centre
-    code, report, err = invoke(
-        ["certify-bg", "--preset", "free2", "--r0", "1", "--C", "4",
-         "--K", "1.2", "--rmax", "6", "--all-centers", "[1];[2,1]"], capsys)
+    # a center list on the free group is scanned in one pass, and its JSON
+    # and CSV list every center's rows
+    argv = ["certify-bg", "--preset", "free2", "--r0", "1", "--C", "4",
+            "--K", "1.2", "--rmax", "6", "--all-centers", "[1];[2,1]"]
+    code, report, err = invoke(argv, capsys)
     assert code == 0
-    assert report["result"]["center"] == "all sampled"
+    result = report["result"]
+    assert result["center"] == "all sampled"
+    assert len(result["ratio_scan"]) == result["critical_radii_checked"] > 0
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.split("\r\n")
+    assert lines[0] == "r,lhs_exact,rhs,slack" and lines[-1] == ""
+    assert [line.split(",")[:2] for line in lines[1:-1]] == \
+        [row[:2] for row in result["ratio_scan"]]
 
 
 def test_synthetic_preset(capsys):

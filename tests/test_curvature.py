@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from test_pair_checks import _tally
 
-from bgkit import curvature, entropy
+from bgkit import curvature, entropy, presets
 from bgkit.actions import GluedLineShiftAction, LeftTranslationAction
 from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
                              Violation, check_bg_synthetic,
@@ -17,7 +17,7 @@ from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
                              min_exponent, synthetic_to_weak,
                              weak_to_synthetic)
 from bgkit.exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
-                         fmt_rational, log_of_rational, verdict)
+                         WindowError, fmt_rational, log_of_rational, verdict)
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import DistanceProfile, VertexMeasure, counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -427,6 +427,11 @@ def _lattice2():
     return space, mu, (0, 0)
 
 
+def _line():
+    act = LeftTranslationAction(FreeAbelianFamily(1))
+    return act.space, counting_measure(act, (0,)), (0,)
+
+
 SCAN_CASES = [
     # hair tips sit at odd tenths such as 21/10, whose halves need S = 2 lcm
     ("glued-tip", glued_setup, Fraction(1), Fraction(3)),
@@ -441,6 +446,9 @@ SCAN_CASES = [
     # the one lhs is 85/25, and ln 85 - ln 25 differs from ln 17 - ln 5 in
     # the last bit: min_exponent must take the logs of the reduced ratio
     ("lattice2-shared-factor", _lattice2, Fraction(7, 2), Fraction(7, 2)),
+    # no critical radius in [lo, hi]: the two rows at lo have one lhs, and
+    # the worst violation is the earlier, "at", row
+    ("line-no-critical-radius", _line, Fraction(3, 5), Fraction(9, 10)),
 ]
 
 scan_cases = pytest.mark.parametrize(
@@ -501,29 +509,33 @@ def test_one_profile_serves_many_scans(setup, top):
     assert profile.critical_table(top) is table
 
 
-def _fraction_scan(dists, cum, lo, hi, factor, exponent):
+def _fraction_scan(raws, lo, hi, factor, exponent):
     """The certificate scan on Fraction radii and lhs, with Fraction
-    compares for the worst violation: the oracle for `curvature._scan`."""
+    compares for the worst violation, over the raw (dists, cum) profile of
+    each center in turn: the oracle for `curvature._scan`."""
     out = {"status": VERIFIED, "witness": None, "first_violation": None,
            "critical_radii_checked": 0, "violations": 0, "notes": [],
            "scan_rows": []}
     worst = None
-    for radius, lhs, form in _fraction_critical_checks(dists, cum, lo, hi):
-        out["critical_radii_checked"] += 1
-        rhs = factor * math.exp(exponent * float(radius))
-        out["scan_rows"].append((radius, lhs, rhs))
-        status = verdict(lhs, rhs)
-        if status == VIOLATED:
-            out["violations"] += 1
-            v = Violation(radius=radius, lhs=lhs, rhs=rhs, form=form)
-            if out["first_violation"] is None:
-                out["first_violation"] = v
-            if worst is None or (lhs, radius) > (worst.lhs, worst.radius):
-                worst = v
-        elif status == INCONCLUSIVE and out["status"] == VERIFIED:
-            out["status"] = INCONCLUSIVE
-            out["notes"].append(f"ratio at {fmt_rational(radius)} inside "
-                                "the float margin band")
+    for dists, cum in raws:
+        noted = False
+        for radius, lhs, form in _fraction_critical_checks(dists, cum, lo, hi):
+            out["critical_radii_checked"] += 1
+            rhs = factor * math.exp(exponent * float(radius))
+            out["scan_rows"].append((radius, lhs, rhs))
+            status = verdict(lhs, rhs)
+            if status == VIOLATED:
+                out["violations"] += 1
+                v = Violation(radius=radius, lhs=lhs, rhs=rhs, form=form)
+                if out["first_violation"] is None:
+                    out["first_violation"] = v
+                if worst is None or (lhs, radius) > (worst.lhs, worst.radius):
+                    worst = v
+            elif status == INCONCLUSIVE and not noted:
+                noted = True
+                out["status"] = INCONCLUSIVE
+                out["notes"].append(f"ratio at {fmt_rational(radius)} inside "
+                                    "the float margin band")
     if worst is not None:
         out["status"] = VIOLATED
         out["witness"] = worst
@@ -552,16 +564,127 @@ def test_scan_matches_fraction_scan(setup, lo, hi):
     statuses = []
     for C, K in ((4.0, 1.0), (float(sup), 0.0), ((1 + float(sup)) / 2, 0.0)):
         cert = check_weak_bg(space, mu, x, BGParams(lo, C, K), hi)
-        assert _certificate_fields(cert) == _fraction_scan(dists, cum, lo, hi,
-                                                           C, K)
+        assert _certificate_fields(cert) == _fraction_scan([(dists, cum)], lo,
+                                                           hi, C, K)
         statuses.append(cert.status)
     assert statuses[1:] == [INCONCLUSIVE, VIOLATED]
     # N/K is lo exactly: both are lo's terms over a power of two
     N, K = lo.numerator / 64, lo.denominator / 64
     cert = check_bg_synthetic(space, mu, x, SyntheticParams(N, K), hi)
     assert cert.r_min == lo
-    assert _certificate_fields(cert) == _fraction_scan(dists, cum, lo, hi,
+    assert _certificate_fields(cert) == _fraction_scan([(dists, cum)], lo, hi,
                                                        2.0 ** N, K)
+
+
+CENTER_LIST_CASES = [
+    ("glued-tip", glued_setup, lambda gl: [gl.tip(0), gl.base(0), gl.tip(1),
+                                           gl.base(Fraction(1, 20))],
+     Fraction(1), Fraction(5, 2)),
+    ("torus5-weighted", _torus5_weighted,
+     lambda _space: [(0, 0), (1, 0), (-1, 2)], Fraction(1), Fraction(3)),
+    ("lattice2", _lattice2, lambda _space: [(0, 0), (2, -1)],
+     Fraction(137, 100), Fraction(6)),
+]
+
+
+@pytest.mark.parametrize("setup,centers,lo,hi",
+                         [c[1:] for c in CENTER_LIST_CASES],
+                         ids=[c[0] for c in CENTER_LIST_CASES])
+def test_center_list_scan_matches_fraction_scan(setup, centers, lo, hi):
+    space, mu, _x = setup()
+    centers = centers(space)
+    raws = [_raw_profile(space, mu, c, 2 * hi) for c in centers]
+    sup = max(lhs for dists, cum in raws for _r, lhs, _form
+              in _fraction_critical_checks(dists, cum, lo, hi))
+    statuses = []
+    for C, K in ((2 * float(sup), 1.0), (float(sup), 0.0),
+                 ((1 + float(sup)) / 2, 0.0)):
+        cert = check_weak_bg(space, mu, centers, BGParams(lo, C, K), hi)
+        assert cert.center == "all sampled"
+        assert _certificate_fields(cert) == _fraction_scan(raws, lo, hi, C, K)
+        statuses.append(cert.status)
+    assert statuses == [VERIFIED, INCONCLUSIVE, VIOLATED]
+
+
+def _merged_fields(certs):
+    """The fields of a certificate over several centers, combined from their
+    single-center certificates: counters summed, notes and rows in center
+    order, the first violation of the first violating center, and the worst
+    of the worst witnesses, the earlier center winning ties."""
+    out = {"status": VERIFIED, "witness": None, "first_violation": None,
+           "critical_radii_checked": 0, "violations": 0, "notes": [],
+           "scan_rows": []}
+    for c in certs:
+        fields = _certificate_fields(c)
+        for key in ("critical_radii_checked", "violations", "notes",
+                    "scan_rows"):
+            out[key] += fields[key]
+        if out["first_violation"] is None:
+            out["first_violation"] = c.first_violation
+        if c.status == VIOLATED:
+            out["status"] = VIOLATED
+            w = out["witness"]
+            if w is None or (c.witness.lhs, c.witness.radius) > (w.lhs,
+                                                                 w.radius):
+                out["witness"] = c.witness
+        elif c.status == INCONCLUSIVE and out["status"] == VERIFIED:
+            out["status"] = INCONCLUSIVE
+    return out
+
+
+def _preset_center_lists():
+    gl = presets.Instance(presets.spec("glued-line")).build()[0]
+    return [
+        ("lattice2", [(0, 0), (1, 0), (2, 2)], 1, 4),
+        ("free2", [(), (1,), (2, -1)], 1, 3),
+        ("torus5", [(0, 0), (1, 3), (4, 4)], 4, 9),
+        ("line10", [(0,), (4,), (7,)], 5, 17),
+        # profile scales 10, 200 and 30: the rows meet on one finer step
+        ("glued-line", [gl.tip(0), gl.base(0), gl.tip(2),
+                        gl.base(Fraction(1, 20)), gl.base(Fraction(-4, 3))],
+         1, 2),
+    ]
+
+
+@pytest.mark.parametrize("outcome", [VERIFIED, VIOLATED, INCONCLUSIVE])
+@pytest.mark.parametrize("name,centers,r0,r_max", _preset_center_lists(),
+                         ids=[c[0] for c in _preset_center_lists()])
+def test_center_list_certificate_combines_single_centers(name, centers, r0,
+                                                        r_max, outcome):
+    space, _act, mu = presets.Instance(presets.spec(name)).build()
+    sup = max(lhs for c in centers for _r, lhs, _rhs in check_weak_bg(
+        space, mu, c, BGParams(r0, 2.0, 0.0), r_max).scan_rows)
+    # with K = 0 every rhs is C: the sup row sits 1e-10 below it, inside
+    # the margin band, or above it
+    C, K = {VERIFIED: (2 * float(sup), 1.0),
+            VIOLATED: ((1 + float(sup)) / 2, 0.0),
+            INCONCLUSIVE: (float(sup) * (1 + 1e-10), 0.0)}[outcome]
+    params = BGParams(r0, C, K)
+    singles = [check_weak_bg(space, mu, c, params, r_max) for c in centers]
+    cert = check_weak_bg(space, mu, centers, params, r_max)
+    assert cert.status == outcome
+    assert (cert.center, cert.params, cert.r_min, cert.r_max) == (
+        "all sampled", params, r0, r_max)
+    assert _certificate_fields(cert) == _merged_fields(singles)
+    # the int rows are the single-center rows rescaled to one tick scale
+    assert cert.step == math.lcm(*(c.step for c in singles))
+    assert cert.rows == [(a * (cert.step // c.step), num, den, rhs)
+                         for c in singles for a, num, den, rhs in c.rows]
+    assert check_weak_bg(space, mu, tuple(centers), params, r_max) == cert
+
+
+def test_center_list_refusals():
+    space, mu = lattice_setup()
+    with pytest.raises(DomainError, match="no centers to scan"):
+        check_weak_bg(space, mu, [], BGParams(1, 8.0, 1.0), 4)
+    # every profile is built before the scan: a refused profile at a later
+    # center is reported before an empty ball at an earlier one
+    gl, gmu, _tip = glued_setup()
+    params = BGParams(Fraction(1, 2), 4.0, 1.0)
+    with pytest.raises(DomainError, match="zero mass ball at radius 1/2"):
+        check_weak_bg(gl, gmu, [gl.base(0), gl.tip(0)], params, 1)
+    with pytest.raises(WindowError, match="safe window 1/2"):
+        check_weak_bg(gl, gmu, [gl.base(0), gl.tip(60)], params, 1)
 
 
 def test_scans_refuse_an_empty_denominator_ball():
@@ -603,7 +726,8 @@ def _fraction_search_weak_params(dists, cum, K, r_max):
                                                             r_max):
             needed = max(needed, float(lhs) / math.exp(K * float(radius)))
         C = needed * (1 + 1e-6) + 1e-9
-        if _fraction_scan(dists, cum, r0, r_max, C, K)["status"] == VERIFIED:
+        scan = _fraction_scan([(dists, cum)], r0, r_max, C, K)
+        if scan["status"] == VERIFIED:
             return (r0, C)
     return None
 

@@ -170,11 +170,18 @@ def test_exact_cap_refuses_cayley_balls_before_enumerating(monkeypatch):
         packing_count(free, (1, -1), 3, 4, mode="exact")
 
 
-def test_bipartite_koenig_path_on_unit_conflicts():
+def test_bipartite_koenig_path_on_unit_conflicts(monkeypatch):
     # r = 1 on the lattice: conflict graph is the grid adjacency (bipartite)
     space = lattice_space()
+    parts = []
+    bipartition = packing._bipartition
+    monkeypatch.setattr(packing, "_bipartition",
+                        lambda masks, comp: parts.append(comp) or
+                        bipartition(masks, comp))
     res = packing_count(space, (0, 0), 1, 8, mode="exact", cap=300)
     assert "koenig" in res.method
+    # one connected conflict graph, two-coloured once
+    assert len(parts) == 1
     # parity argument: the odd class 4+12+20+28 = 64 is independent and
     # maximum (distinct odd-parity points sit at even l1 distance >= 2)
     assert res.count == 64

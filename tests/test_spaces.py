@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import spaces
+from bgkit import hyperbolicity, spaces
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily)
@@ -204,6 +204,18 @@ def test_lex_geodesic_and_point_along():
     assert grid.distance((0, 0), quarter) == Fraction(1, 2)
     # deterministic: repeated materialization gives the same path
     assert path == grid.lex_geodesic((0, 0), (2, 2))
+    # parallel edges: a path runs along the lightest, the lowest id among
+    # equally light ones, whichever way the edge is stored
+    multi = WeightedGraph([0, 1, 2], [(0, 1, 3), (1, 0, 1), (1, 2, 1),
+                                      (1, 2, 1)])
+    assert multi.lightest_edge(0, 1) == (1, 1)
+    assert multi.lightest_edge(2, 1) == (1, 2)
+    assert multi.path_length([0, 1, 2]) == 2
+    assert hyperbolicity._prefix_lengths(multi, [0, 1, 2]) == [0, 1, 2]
+    assert multi.point_along([0, 1, 2], Fraction(1, 4)) == \
+        multi.edge_point(1, Fraction(3, 4))
+    assert multi.point_along([0, 1, 2], Fraction(3, 2)) == \
+        multi.edge_point(2, Fraction(1, 2))
 
 
 # -- model profiles ----------------------------------------------------------
