@@ -160,8 +160,12 @@ def _certificate_outcome(cert, params, label):
 def _certify_bg(args, inp):
     from . import curvature
     params = curvature.BGParams(rational(args.r0), args.C, args.K)
-    centers = inp.point(args.center)
-    if args.all_centers:
+    if args.all_centers is None:
+        centers = inp.point(args.center)
+    elif args.center is not None:
+        raise DomainError("--center and --all-centers both name the centers "
+                          "to scan; give one of them")
+    else:
         centers = [inp.point(raw) for raw in args.all_centers.split(";")]
     cert = curvature.check_weak_bg(inp.space, inp.measure, centers, params,
                                    rational(args.rmax))

@@ -50,6 +50,12 @@ class GroupFamily:
         """Word length of a^-1 b: the Cayley-graph distance from a to b."""
         return self.word_length(self.multiply(self.inverse(a), b))
 
+    def distances_to(self, points, x) -> list:
+        """[word_distance(p, x) for p in points]: one row of Cayley-graph
+        distances to x, from which a Cayley space reads every int row."""
+        word_distance = self.word_distance
+        return [word_distance(p, x) for p in points]
+
     def is_element(self, a) -> bool:
         """True when `a` is an element written in its canonical form."""
         raise NotImplementedError
@@ -216,6 +222,15 @@ class FreeAbelianFamily(GroupFamily):
 
     def word_distance(self, a, b):
         return sum(map(abs, map(operator.sub, a, b)))
+
+    def distances_to(self, points, x):
+        # the l1 norm built one coordinate column at a time, at C speed
+        total = None
+        for column, c in zip(zip(*points), x):
+            dist = map(abs, map(operator.sub, column, itertools.repeat(c)))
+            total = list(dist) if total is None else list(map(operator.add,
+                                                              total, dist))
+        return [0] * len(points) if total is None else total
 
     def is_element(self, a):
         return (isinstance(a, tuple) and len(a) == self.rank

@@ -12,16 +12,20 @@ components go through Koenig's theorem (max matching), the rest through a
 branch-and-bound on bitset adjacency, pruned by a degree-ordered greedy
 clique cover (Tomita and Kameda's MCQ order on the complement graph).
 
-Packing reads distances as ints on one scale and builds no Fraction
-distance: candidates keep the ball's (distance, key) order, explicit
-candidates are read through one `scaled_distances_to` row, and the
-conflict graph, first fit and the post-hoc audit compare int rows.
+Packing reads distances as ints and builds no Fraction distance, all
+through the one row primitive `scaled_distances_to`: candidates keep the
+ball's (distance, key) order and explicit candidates are read through one
+row; the conflict graph reads one row per candidate, to the candidates
+after it, and sets bits per conflict, not per pair; first fit and the
+post-hoc audit compare int rows too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import lt
 
 from .exact import DomainError, WindowError, rational
 from . import spaces
@@ -64,16 +68,20 @@ def _separation(r, scale):
 
 
 def _conflict_masks(space, points, r):
-    """Bitset adjacency of the 'centers closer than 2r' conflict graph."""
-    scale, rows = space.scaled_distances(points)
-    threshold = _separation(r, scale)
+    """Bitset adjacency of the 'centers closer than 2r' conflict graph.
+
+    Each point reads one `scaled_distances_to` row, to the points after it,
+    and `compress` picks the conflicting ones at C speed: Python sets bits
+    per conflict, not per pair."""
     n = len(points)
     masks = [0] * n
-    for i, row in enumerate(rows):
-        for j in range(i + 1, n):
-            if row[j] < threshold:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    for i, p in enumerate(points):
+        scale, row = space.scaled_distances_to(points[i + 1:], p)
+        near = map(lt, row, repeat(_separation(r, scale)))
+        bit = 1 << i
+        for j in compress(range(i + 1, n), near):
+            masks[i] |= 1 << j
+            masks[j] |= bit
     return masks
 
 
@@ -91,27 +99,31 @@ def _first_fit(space, points, r):
 
 
 def _components(masks):
-    n = len(masks)
-    seen = [False] * n
+    """Connected components as sorted index lists, by lowest index.  A
+    component grows by OR-ing in the whole mask of each vertex it reaches:
+    one step per vertex, not per edge."""
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            m = masks[u]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
+    left = (1 << len(masks)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = masks[v] & ~comp
+            comp |= new
+            frontier |= new
+        left &= ~comp
+        comps.append(_bits(comp))
     return comps
+
+
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def _bipartition(masks, comp):
@@ -270,13 +282,7 @@ def _bb_mis(masks, comp):
     seed = _greedy_mis_mask(masks, avail0)
     best = [seed.bit_count(), seed]
     _bb_branch(masks, best, avail0, 0, 0)
-    chosen = best[1]
-    out = []
-    while chosen:
-        u = (chosen & -chosen).bit_length() - 1
-        chosen &= chosen - 1
-        out.append(u)
-    return sorted(out)
+    return _bits(best[1])
 
 
 def _exact_mis(space, points, r):

@@ -3,11 +3,12 @@
 Five variants: explicit finite metrics, weighted graphs (loops and multi
 edges allowed), Cayley graphs of the built-in group families, the glued
 line (a line with an interval hair attached at every eps*k), and metric
-tripods.  Distance queries return `Fraction`s.  `scaled_distances` gives
-all pairwise distances of a finite point set as exact ints on one common
-scale, for the consumers that compare every pair (packing conflict graphs,
-the four-point scan); `scaled_distances_to` gives one such row, from a
-point set to one point (greedy packing).  Ball enumeration is lazy and
+tripods.  Distance queries return `Fraction`s.  `scaled_distances_to` is
+the one row primitive: the distances of a point set to one point as exact
+ints on one scale (on a Cayley space, the family's `distances_to` row).
+The packing conflict graph, first fit and the packing audit read it, and
+`scaled_distances`, all pairwise distances for the four-point scan, is
+built from its rows of the upper triangle.  Ball enumeration is lazy and
 refuses to run past the declared safe window instead of silently
 truncating.
 """
@@ -38,14 +39,31 @@ class Space:
 
     def scaled_distances(self, points):
         """(scale, rows): int rows with rows[i][j] / scale == d(points[i],
-        points[j]) exactly, one distance computed per unordered pair."""
-        return _on_one_scale(_pairwise(points, self.distance))
+        points[j]) exactly, one distance computed per unordered pair.
+
+        The upper triangle is read as one `scaled_distances_to` row per
+        point, to the points after it; the rows are put on the lcm of their
+        scales and mirrored."""
+        upper = [self.scaled_distances_to(points[i + 1:], p)
+                 for i, p in enumerate(points)]
+        scale = math.lcm(*(s for s, _row in upper))
+        rows = [[0] * (i + 1)
+                + (row if s == scale else [d * (scale // s) for d in row])
+                for i, (s, row) in enumerate(upper)]
+        # the lower triangle of row i is column i of the rows above it
+        for i, column in enumerate(list(zip(*rows))):
+            rows[i][:i] = column[:i]
+        return scale, rows
 
     def scaled_distances_to(self, points, x):
         """(scale, row): an int row with row[j] / scale == d(points[j], x)
-        exactly, one distance per point."""
-        scale, (row,) = _on_one_scale([[self.distance(p, x) for p in points]])
-        return scale, row
+        exactly, one distance per point, on the lcm of their denominators.
+        The one row primitive: pairwise distances, the packing conflict
+        graph, first fit and the packing audit all read it."""
+        # d(x, p): a graph then runs one shortest-path search, from x
+        row = [self.distance(x, p) for p in points]
+        scale = math.lcm(*{d.denominator for d in row})
+        return scale, [d.numerator * (scale // d.denominator) for d in row]
 
     def support(self):
         """Iterable of the canonical countable support (may need a window)."""
@@ -85,26 +103,6 @@ class Space:
     def validate(self) -> dict:
         """Diagnostics; never raises."""
         return {"kind": self.kind, "ok": True, "issues": []}
-
-
-def _pairwise(points, metric):
-    """Square matrix of metric(a, b), one call per unordered pair, mirrored,
-    with int 0 on the diagonal."""
-    n = len(points)
-    rows = [[0] * n for _ in range(n)]
-    for i, a in enumerate(points):
-        row = rows[i]
-        for j in range(i + 1, n):
-            row[j] = rows[j][i] = metric(a, points[j])
-    return rows
-
-
-def _on_one_scale(rows):
-    """(scale, int rows) of rows of rationals: the scale is the lcm of their
-    denominators, so that each int is the rational times the scale."""
-    scale = math.lcm(*{d.denominator for row in rows for d in row})
-    return scale, [[d.numerator * (scale // d.denominator) for d in row]
-                   for row in rows]
 
 
 def _tuplify(value):
@@ -489,12 +487,8 @@ class CayleySpace(Space):
     def distance(self, x, y):
         return Fraction(self.family.word_distance(x, y))
 
-    def scaled_distances(self, points):
-        return 1, _pairwise(points, self.family.word_distance)
-
     def scaled_distances_to(self, points, x):
-        word_distance = self.family.word_distance
-        return 1, [word_distance(p, x) for p in points]
+        return 1, self.family.distances_to(points, x)
 
     def support(self):
         raise WindowError("Cayley support is infinite; enumerate balls instead")

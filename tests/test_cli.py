@@ -130,6 +130,21 @@ def test_certify_preset_lattice(capsys):
         [row[:2] for row in result["ratio_scan"]]
 
 
+@pytest.mark.parametrize("center, listed", [
+    ("[1,1]", "[0,0];[1,0]"), ("[9,9,9]", "[0,0];[1,0]"),
+    ("[0,0]", "[0,0];[1,0]"), ("[1,1]", "")])
+def test_certify_refuses_center_with_all_centers(center, listed, capsys):
+    # a --center that is a point, one that is not, one in the list, and an
+    # empty list, which is given too
+    assert run(["certify-bg", "--preset", "lattice2", "--r0", "1", "--C", "8",
+                "--K", "1", "--rmax", "4", "--all-centers", listed,
+                "--center", center]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --center and --all-centers both name the centers "
+                   "to scan; give one of them\n")
+
+
 def test_synthetic_preset(capsys):
     code, report, err = invoke(
         ["synthetic", "--preset", "lattice2", "--N", "2", "--K", "1",

@@ -8,7 +8,8 @@ from bgkit import packing, presets, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
+                          FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
                             VertexMeasure)
 from bgkit.packing import (gamma_packing_count, packing_condition,
@@ -504,6 +505,76 @@ def _random_masks(rng, n, density):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
+
+
+def _components_by_dfs(masks):
+    """Connected components by a per-edge depth-first search, sorted, in
+    order of their lowest vertex."""
+    n = len(masks)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp, stack = [], [start]
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in range(n):
+                if (masks[u] >> v) & 1 and not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_components_match_per_edge_dfs():
+    rng = random.Random(29)
+    assert packing._components([]) == []
+    for density in (0, 0.02, 0.05, 0.1, 0.3, 0.7):
+        for n in (1, 2, 7, 20, 45, 70):
+            masks = _random_masks(rng, n, density)
+            assert packing._components(masks) == _components_by_dfs(masks)
+
+
+def _conflict_spaces():
+    """(space, candidate points) pairs: Cayley presets, a product with
+    torsion, the glued line and a weighted-graph vertex subset."""
+    def preset(name, x, radius):
+        space = presets.Instance(presets.spec(name)).space
+        return space, [p for p, _d in space.ball(x, radius, closed=True)]
+
+    product = CayleySpace(ProductFamily([FreeAbelianFamily(1),
+                                         FinitePermutationFamily([(1, 2, 0)])]))
+    gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 44)
+    rng = random.Random(31)
+    verts = list(range(30))
+    edges = [(rng.randrange(i), i, Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+             for i in range(1, 30)]
+    edges += [tuple(rng.sample(verts, 2)) + (Fraction(rng.randint(1, 6), 2),)
+              for _ in range(12)]
+    graph = spaces.WeightedGraph(verts, edges)
+    return [preset("lattice2", (0, 0), 4), preset("torus5", (3, -2), 4),
+            preset("line10", (7,), 12), preset("free2", (1, -2), 3),
+            (product, [p for p, _d in product.ball(((0,), (0, 1, 2)), 4,
+                                                   closed=True)]),
+            (gl, [p for p, _d in gl.ball(gl.tip(0), 2, closed=True)]
+             + [("line", Fraction(k, 7)) for k in range(-5, 6)]),
+            (graph, verts[3:27])]
+
+
+def test_conflict_masks_match_fraction_comparisons():
+    rng = random.Random(37)
+    for space, points in _conflict_spaces():
+        for size in (0, 1, 2, 40):
+            subset = rng.sample(points, min(size, len(points)))
+            for r in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+                want = [sum(1 << j for j, b in enumerate(subset)
+                            if j != i and space.distance(a, b) < 2 * r)
+                        for i, a in enumerate(subset)]
+                assert packing._conflict_masks(space, subset, Fraction(r)) \
+                    == want
 
 
 def _alpha_by_subsets(masks, avail):

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from bgkit import hyperbolicity, spaces
+from bgkit.covers import DeckFamily, universal_cover
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily)
+                          FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
                           ModelProfile, TripodSpace, WeightedGraph, distance,
                           enumerate_ball, model_ball_volume)
@@ -391,6 +392,14 @@ def test_scaled_distances_graph_subset_and_edge_points():
     assert_scaled_matches_loop(graph, graph.vertices + edge_points[:1])
 
 
+def test_graph_row_runs_one_shortest_path_search():
+    graph = random_weighted_graph(6, n=40)
+    row = graph.scaled_distances_to(graph.vertices, 7)
+    assert list(graph._dist_cache) == [7]
+    assert [Fraction(d, row[0]) for d in row[1]] == \
+        [graph.distance(p, 7) for p in graph.vertices]
+
+
 def test_scaled_distances_disconnected_graph():
     graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (2, 3, Fraction(1, 2))])
     with pytest.raises(DomainError, match="no path between"):
@@ -413,15 +422,45 @@ def test_scaled_distances_weight_overflow_falls_back_to_dijkstra():
 
 
 @pytest.mark.parametrize("family", [
-    FreeFamily(2), FreeAbelianFamily(1), FreeAbelianFamily(3),
+    FreeFamily(2), FreeAbelianFamily(0), FreeAbelianFamily(1),
+    FreeAbelianFamily(2), FreeAbelianFamily(3), TrivialFamily(),
     ProductFamily([FreeAbelianFamily(1), FreeFamily(2)]),
+    ProductFamily([FreeAbelianFamily(2), FinitePermutationFamily([(1, 2, 0)])]),
     FinitePermutationFamily([(1, 0, 2, 3), (1, 2, 3, 0)]),
 ], ids=lambda f: f.name)
 def test_scaled_distances_cayley(family):
     space = CayleySpace(family)
     ball = [p for p, _d in space.ball(family.identity(), 3, closed=True)]
     points = random.Random(2).sample(ball, min(len(ball), 30))
-    assert assert_scaled_matches_loop(space, points) == 1
+    for subset in (points, [], points[:1]):
+        assert assert_scaled_matches_loop(space, subset) == 1
+    # the row primitive is the word_distance loop, point for point: the
+    # packing audit reads its distances from it too
+    for x in points[:5] + [family.identity()]:
+        for subset in (points, [], points[:1]):
+            row = family.distances_to(subset, x)
+            assert all(type(d) is int for d in row)
+            assert row == [family.word_distance(p, x) for p in subset]
+
+
+def test_deck_distances_to_is_the_word_distance_loop():
+    # deck elements have no word length of their own: the row refuses a
+    # point as word_distance does, and an empty row is empty
+    cover = universal_cover(
+        WeightedGraph(["v"], [("v", "v", 1), ("v", "v", 1)]), "v", 5)
+    family = DeckFamily(cover)
+    gens = [g for _label, g in family.generators()]
+    assert family.distances_to([], gens[0]) == []
+    with pytest.raises(DomainError) as looped:
+        family.word_distance(gens[1], gens[0])
+    with pytest.raises(DomainError) as row:
+        family.distances_to(gens[1:], gens[0])
+    assert str(row.value) == str(looped.value)
+    # the cover tree is the space the deck group acts on, and reads the
+    # same row primitive
+    vertices = random.Random(5).sample(cover.vertices, 25)
+    for subset in (vertices, [], vertices[:1]):
+        assert assert_scaled_matches_loop(cover.space, subset) == 1
 
 
 def test_scaled_distances_glued_line_and_tripod():
