@@ -25,6 +25,7 @@ from .exact import (DomainError, INCONCLUSIVE, VERIFIED, WindowError,
 from .measures import CountingOrbitMeasure, DistanceProfile, sphere_profile
 
 ORBIT_BUDGET = 2_000_000
+STRENGTHENED_PACK_CAP = 4000    # candidates of each exact packing(iii) count
 COSET_BOUND = 20000
 
 
@@ -678,7 +679,7 @@ def diastole_consistency(action: GroupAction, sample, params, nu):
 
 
 def strengthened_bg_check(action: GroupAction, x, cert, D, pairs,
-                          measure=None, pack_cap=4000) -> list:
+                          measure=None) -> list:
     """Check the three strengthened bounds for the orbit counting measure.
 
     `cert` is a verified weak certificate (scale r0, factor C, exponent K)
@@ -726,7 +727,7 @@ def strengthened_bg_check(action: GroupAction, x, cert, D, pairs,
                                       profile.ratio(R, r, closed=True), rhs))
         if r <= r0 and r < R:
             pack = packing.packing_count(action.space, x, r, R, mode="exact",
-                                         cap=pack_cap)
+                                         cap=STRENGTHENED_PACK_CAP)
             rhs = (C * ((1.0 + float(D) / float(r0)) * ratio_R) ** expo
                    * math.exp(K * float(D + r0) * ratio_R))
             results.append(pair_check(r, R, "packing(iii)", pack.count, rhs))

@@ -3,15 +3,14 @@ edge-paths, with their free deck-transformation actions.
 
 A cover vertex is a tuple of darts (edge id, direction) describing a
 non-backtracking path from the basepoint lift; loops contribute two darts.
-The spanning tree comes from a deterministic breadth-first traversal, and
-each non-tree edge yields one deck generator (so the deck group is free of
-rank E - V + 1).  Distances in the cover are exact tree distances computed
-from weighted depths and longest common prefixes.
+The spanning tree is the base graph's shortest-path tree from the
+basepoint, and each non-tree edge yields one deck generator (so the deck
+group is free of rank E - V + 1).  Distances in the cover are exact tree
+distances computed from weighted depths and longest common prefixes.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +18,8 @@ from fractions import Fraction
 from . import groups, spaces
 from .actions import GroupAction
 from .exact import DomainError, WindowError, fmt_rational, rational
+
+COVER_BUDGET = 200_000
 
 
 def _reduce(path):
@@ -174,14 +175,14 @@ class DeckAction(GroupAction):
         return self.cover.base.diameter()
 
 
-def universal_cover(graph: spaces.WeightedGraph, basepoint, window,
-                    max_vertices=200_000) -> CoverData:
+def universal_cover(graph: spaces.WeightedGraph, basepoint,
+                    window) -> CoverData:
     """Materialize the universal cover tree out to the given radius.
 
-    The spanning tree is the deterministic shortest-path tree from the
-    basepoint (ties broken by point order), non-tree edges give the deck
-    generators; the cover is the set of reduced dart paths of weighted
-    length <= window.
+    The spanning tree is the base graph's deterministic shortest-path tree
+    from the basepoint (`WeightedGraph.shortest_path_tree`), non-tree edges
+    give the deck generators; the cover is the set of reduced dart paths of
+    weighted length <= window, refused past `COVER_BUDGET` vertices.
     """
     if not graph.is_connected():
         raise DomainError("universal cover of a disconnected graph")
@@ -196,41 +197,23 @@ def universal_cover(graph: spaces.WeightedGraph, basepoint, window,
     for v in darts_out:
         darts_out[v].sort(key=lambda row: row[0])
 
-    # deterministic shortest-path tree on the base (smallest dart on ties)
-    dist = {basepoint: Fraction(0)}
-    parent_dart = {basepoint: None}
-    heap = [(Fraction(0), spaces.point_key(basepoint), basepoint)]
-    done = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for dart, v, w in darts_out[u]:
-            if v in done:
-                continue
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent_dart[v] = dart
-                heapq.heappush(heap, (nd, spaces.point_key(v), v))
-
-    tree_darts = {parent_dart[v][0] for v in graph.vertices
-                  if parent_dart[v] is not None}
+    # the base's shortest-path tree from the basepoint; tree edges are
+    # never loops, so an edge's direction is read from its first endpoint
+    parent = graph.shortest_path_tree(basepoint)
     tree_paths = {}
     for v in graph.vertices:
         path = []
         cur = v
-        while parent_dart[cur] is not None:
-            eid, direction = parent_dart[cur]
-            path.append((eid, direction))
-            edge = graph.edges[eid]
-            cur = edge[0] if direction == 1 else edge[1]
+        while parent[cur] is not None:
+            eid, cur = parent[cur]
+            path.append((eid, int(graph.edges[eid][0] == cur)))
         tree_paths[v] = tuple(reversed(path))
+    tree_edges = {parent[v][0] for v in graph.vertices
+                  if parent[v] is not None}
 
     generator_words = []
     for eid, (u, v, _w) in enumerate(graph.edges):
-        if eid in tree_darts:
+        if eid in tree_edges:
             continue
         word = _reduce(tree_paths[u] + ((eid, 1),) + _inverse(tree_paths[v]))
         generator_words.append(word)
@@ -253,11 +236,11 @@ def universal_cover(graph: spaces.WeightedGraph, basepoint, window,
                 depths[new_path] = nd
                 vertices.append(new_path)
                 nxt.append((new_path, dst))
-                if len(vertices) > max_vertices:
+                if len(vertices) > COVER_BUDGET:
                     raise WindowError(
                         f"cover window {fmt_rational(window)} materializes "
-                        f"over {max_vertices} vertices",
-                        required=len(vertices), available=max_vertices)
+                        f"over {COVER_BUDGET} vertices",
+                        required=len(vertices), available=COVER_BUDGET)
         frontier = nxt
     cover = CoverData(base=graph, basepoint=basepoint, window=window,
                       vertices=vertices, vertex_set=set(vertices),

@@ -16,11 +16,12 @@ Fractions only where a certificate reports them; right-hand sides are
 floats guarded by the verdict margin from `exact`, one `math.exp` per
 radius.
 
-A profile builds the table of its critical radii up to a scan end hi once
-(`DistanceProfile.critical_table`), and a scan on [lo, hi] is one bisect
-into it, plus lo when lo is no critical radius.  With the measure's
-one-profile memo, every scan of one (measure, center, radius) — the weak
-and synthetic scans, `min_exponent`, `doubling_constant` and the
+A profile builds the table of its critical radii up to half its radius
+once (`DistanceProfile.critical_table`), and a scan on [lo, hi] is two
+bisects into it, plus lo when lo is no critical radius; a scan whose 2 hi
+passes the profile's radius is refused, never read past it.  With the
+measure's one-profile memo, every scan of one (measure, center, radius) —
+the weak and synthetic scans, `min_exponent`, `doubling_constant` and the
 parameter search in `entropy` — reads one profile and one table, with the
 same rows, radii and report bytes as a scan that derived them afresh.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -162,28 +163,33 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
     right of the radius, whose binding comparison point is the radius.
 
     The radii are lo and the profile's critical radii in [lo, hi], read from
-    its `critical_table(hi)` by one bisect and rescaled to ticks of 1/step,
-    by default S = 2 lcm(profile scale, lo and hi denominators), on which
-    lo, hi and every critical radius are whole ticks; a given step is a
-    multiple of S.  num and den are masses on the profile's one mass scale;
-    callers build a Fraction only for what they report.
+    its one `critical_table()` by two bisects, one at each end, and
+    rescaled to ticks of 1/step, by default S = 2 lcm(profile scale, lo and
+    hi denominators), on which lo, hi and every critical radius are whole
+    ticks; a given step is a multiple of S.  num and den are masses on the
+    profile's one mass scale; callers build a Fraction only for what they
+    report.  WindowError, the profile's own, when 2 hi passes its radius.
     """
-    tick, radii, table = profile.critical_table(hi)
     if step is None:
         step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
-    k = step // tick
     low = lo.numerator * (step // lo.denominator)
     high = hi.numerator * (step // hi.denominator)
+    upto = profile.upto
+    if 2 * high * upto.denominator > upto.numerator * step:
+        profile._check(2 * hi)
+    tick, radii, table = profile.critical_table()
+    k = step // tick
     i = bisect_left(radii, -(-low // k))
+    j = bisect_right(radii, high // k)
     rows = []
-    if i == len(radii) or radii[i] * k != low:
+    if i >= j or radii[i] * k != low:
         # lo is no critical radius, so its open and closed balls agree
         num = profile._total(profile._count_lt(2 * lo))
         den = profile._total(profile._count_lt(lo))
         rows.append((low, num, den, "at"))
         if low < high:
             rows.append((low, num, den, "above"))
-    for a, lt_2a, lt_a, le_2a, le_a in table[i:]:
+    for a, lt_2a, lt_a, le_2a, le_a in table[i:j]:
         a *= k
         rows.append((a, lt_2a, lt_a, "at"))
         if a < high:

@@ -18,16 +18,15 @@ balls stay exact far beyond anything enumerable.  A ratio of two ball
 masses divides two int totals on the one mass scale, which cancels, into
 one Fraction.
 
-A measure keeps the last profile it built, and its memo in
-`Measure.profile` is the one place that decides when a profile is shared:
-the scans of one (measure, center, radius), like the certificate round
-trip, share one, and so do all the centers of a sandwich sup when the
-measure is the same at every center.  A profile never changes after it is
-built (its ticks and totals are tuples), so it keeps, per scan end hi,
-the table of its critical radii with their ball masses
-(`DistanceProfile.critical_table`) that every scan up to hi reads; the
-table holds exactly the ints a scan would derive afresh, so a shared table
-changes no report by a byte.
+`Measure.profile` is the one gate of this layer: `spaces.check_ball`
+makes every ball refusal there, once, for every measure kind.  Its memo of
+the last profile built is the one place that decides sharing: the scans
+of one (measure, center, radius) share one, and so do all the centers of
+a sandwich sup when the measure is the same at every center.  A profile
+never changes (its ticks and totals are tuples), so it keeps one table of
+its critical radii up to half its radius (`DistanceProfile.critical_table`)
+that every scan reads; the table holds exactly the ints a scan would
+derive afresh, so sharing it changes no report by a byte.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class DistanceProfile:
         self.ticks = tuple(ticks)
         self.totals = tuple(totals)
         self.upto = rational(upto)
-        self._tables = {}        # hi -> critical_table(hi)
+        self._table = None       # critical_table(), built on first use
 
     @property
     def distances(self) -> list:
@@ -148,37 +147,31 @@ class DistanceProfile:
         return [Fraction(t, self.scale)
                 for t in self.ticks[self._count_lt(lo):self._count_le(hi)]]
 
-    def critical_table(self, hi) -> tuple:
-        """(step, radii, rows) for every critical radius a <= hi of the
+    def critical_table(self) -> tuple:
+        """(step, radii, rows) for every critical radius a <= upto/2 of the
         concentric ratio: the breakpoints and the halves of breakpoints.
 
-        Radii are int ticks of 1/step with step = 2 lcm(scale, hi's
-        denominator), so hi and every half of a breakpoint are whole ticks.
-        The row of radius a is (a, open 2a, open a, closed 2a, closed a):
-        the masses of those four balls, as ints on the mass scale.  Built
-        once per hi and kept: a profile never changes, so neither do its
-        rows, and `curvature._critical_checks` only bisects them.
+        Radii are int ticks of 1/step with step = 2 scale, so every
+        breakpoint and every half of one is a whole tick.  The row of
+        radius a is (a, open 2a, open a, closed 2a, closed a): the masses of
+        those four balls, as ints on the mass scale.  Built once and kept: a
+        profile never changes, so neither do its rows, and
+        `curvature._critical_checks` only bisects them.
         """
-        table = self._tables.get(hi)
-        if table is None:
-            table = self._tables[hi] = self._critical_table(rational(hi))
-        return table
-
-    def _critical_table(self, hi: Fraction) -> tuple:
-        step = 2 * math.lcm(self.scale, hi.denominator)
-        k = step // self.scale
-        ticks = [t * k for t in self.ticks]
-        high = hi.numerator * (step // hi.denominator)
-        # k is even, so half of every tick is a whole tick
+        if self._table is not None:
+            return self._table
+        # a breakpoint tick t is the radius 2t on this step, its half is t
+        high = self.upto.numerator * self.scale // self.upto.denominator
+        ticks = [2 * t for t in self.ticks]
         radii = sorted({*ticks[:bisect.bisect_right(ticks, high)],
-                        *(t // 2 for t in
-                          ticks[:bisect.bisect_right(ticks, 2 * high)])})
+                        *self.ticks[:bisect.bisect_right(self.ticks, high)]})
         mass = (0, *self.totals)     # mass[i]: the mass of the first i ticks
         lt, le = bisect.bisect_left, bisect.bisect_right
         rows = tuple((a, mass[lt(ticks, 2 * a)], mass[lt(ticks, a)],
                       mass[le(ticks, 2 * a)], mass[le(ticks, a)])
                      for a in radii)
-        return step, tuple(radii), rows
+        self._table = 2 * self.scale, tuple(radii), rows
+        return self._table
 
 
 def sphere_profile(spheres, step, upto) -> DistanceProfile:
@@ -205,24 +198,26 @@ class Measure:
     _last = None         # (space, center, upto, profile) of the last build
 
     def profile(self, space, center, upto) -> DistanceProfile:
-        """Exact profile of masses within `upto` of `center`; WindowError
-        beyond the safe window.  The last profile built is kept and returned
-        again for the same space object and an equal upto, when the center
-        is equal or when the measure is center-free on the space and the
-        ball at the new center passes its checks.  Any other call builds a
-        fresh one in its place; a refusal keeps nothing."""
+        """Exact profile of masses within `upto` of `center`, behind the one
+        gate of every ball refusal, `spaces.check_ball`.  The last profile
+        built is returned again for the same space object and an equal upto
+        when the center is equal (it passed the gate when it was built), or
+        when the measure is center-free on the space and the new center
+        passes the gate.  Any other call builds a fresh one in its place; a
+        refusal keeps nothing."""
         last = self._last
-        if last is not None and last[0] is space and last[2] == upto:
-            if last[1] == center:
-                return last[3]
-            if self._center_free(space):
-                spaces.check_ball(space, center, upto)
-                return last[3]
+        same = last is not None and last[0] is space and last[2] == upto
+        if same and last[1] == center:
+            return last[3]
+        upto = spaces.check_ball(space, center, upto)
+        if same and self._center_free(space):
+            return last[3]
         profile = self._build_profile(space, center, upto)
         self._last = (space, center, upto, profile)
         return profile
 
     def _build_profile(self, space, center, upto) -> DistanceProfile:
+        """`profile`'s build, for a center and rational upto past its gate."""
         raise NotImplementedError
 
     def _center_free(self, space) -> bool:
@@ -253,12 +248,11 @@ class VertexMeasure(Measure):
 
     def _build_profile(self, space, center, upto) -> DistanceProfile:
         if self._center_free(space):
-            upto = spaces.check_ball(space, center, upto)
             return sphere_profile(space.ball_spheres(upto, closed=True), 1,
                                   upto)
         return DistanceProfile(
             ((d, self.mass(p)) for p, d in
-             spaces.enumerate_ball(space, center, upto, closed=True)), upto)
+             space.ball(center, upto, closed=True)), upto)
 
     def _center_free(self, space) -> bool:
         """The uniform measure on a Cayley space is left-invariant: its
@@ -319,8 +313,8 @@ def check_radius(r) -> Fraction:
 
 
 def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:
-    """Exact mass of the (open or closed) ball; errors beyond the safe window."""
-    r = check_radius(r)
+    """Exact mass of the open (closed) ball; refusals as `Measure.profile`."""
+    r = rational(r)
     profile = measure.profile(space, x, r)
     return profile.mass_le(r) if closed else profile.mass_lt(r)
 

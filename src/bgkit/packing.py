@@ -440,8 +440,10 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
     Pack(x, r, R) <= Pack_orbit(x, r - D, R).  The sup runs over the finite
     `sup_sample` (a fundamental domain), recorded as a limitation.
     """
-    r, R = packing_radii(r, R)
     sup_sample = list(sup_sample)
+    if not sup_sample:
+        raise DomainError("the sandwich sup needs a nonempty sup sample")
+    r, R = packing_radii(r, R)
     space = action.space
     # One profile per (measure, center), built to the largest radius read
     # from it.  The refusals of the first query, the closed R - r ball,

@@ -245,13 +245,17 @@ class WeightedGraph(Space):
                 # a loop can be traversed both ways; same endpoint
                 self.adj[u].append((v, w, eid))
         self._dist_cache = {}
+        self._parent_cache = {}
 
     # -- shortest paths ------------------------------------------------
 
     def _dijkstra(self, source):
+        """{vertex: distance} from source; the one shortest-path search,
+        which also records each vertex's parent for `shortest_path_tree`."""
         if source in self._dist_cache:
             return self._dist_cache[source]
         dist = {source: Fraction(0)}
+        parent = {source: None}
         heap = [(Fraction(0), point_key(source), source)]
         done = set()
         while heap:
@@ -259,13 +263,21 @@ class WeightedGraph(Space):
             if u in done:
                 continue
             done.add(u)
-            for v, w, _eid in self.adj[u]:
+            for v, w, eid in self.adj[u]:
                 nd = d + w
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
+                    parent[v] = (eid, u)
                     heapq.heappush(heap, (nd, point_key(v), v))
         self._dist_cache[source] = dist
+        self._parent_cache[source] = parent
         return dist
+
+    def shortest_path_tree(self, source):
+        """{vertex: (edge id, previous vertex)}, None at source: the tree of
+        `_dijkstra`, which relaxes edges in id order and pops ties by key."""
+        self._dijkstra(source)
+        return self._parent_cache[source]
 
     def vertex_distance(self, u, v):
         dist = self._dijkstra(u)

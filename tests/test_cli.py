@@ -468,8 +468,8 @@ HELP_CASES = json.loads(
                          ids=[case["argv"][0] for case in HELP_CASES])
 def test_help_text_unchanged(case, monkeypatch, capsys):
     # the sha256 of every --help text at 80 columns (argparse wraps to the
-    # terminal width), as Python 3.11's argparse formats it; help must not
-    # depend on the modules a subcommand imports when it runs
+    # terminal width), as argparse formats it on Python 3.10 to 3.12; help
+    # must not depend on the modules a subcommand imports when it runs
     monkeypatch.setenv("COLUMNS", "80")
     code = run(list(case["argv"]))
     out = capsys.readouterr().out
@@ -578,6 +578,7 @@ def test_space_only_commands_build_no_action(tmp_path, monkeypatch, capsys):
     # only the space, so they run as they do on the same space without it
     write_space_files(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")   # fixes the timestamp
     (tmp_path / "free.json").write_text(json.dumps(
         {"kind": "cayley", "group": {"family": "free", "params": 2}}))
     for argv in (["delta", "--radius", "2", "--exhaustive"],

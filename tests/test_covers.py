@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +144,90 @@ def test_pullback_deck_invariance_sampled():
         for r in (1, 2, 3):
             assert (ball_mass(mu, cover.space, moved, r, closed=True)
                     == ball_mass(mu, cover.space, root, r, closed=True))
+
+
+def _reference_tree(graph, basepoint):
+    """(tree_paths, generator_words) from a Dijkstra of its own over the
+    dart lists, in dart order with ties popped by point key: the oracle for
+    the cover's reading of `WeightedGraph.shortest_path_tree`."""
+    import heapq
+    from bgkit.covers import _inverse, _reduce
+    from bgkit.spaces import point_key
+    darts_out = {v: [] for v in graph.vertices}
+    for eid, (a, b, w) in enumerate(graph.edges):
+        darts_out[a].append(((eid, 1), b, w))
+        darts_out[b].append(((eid, 0), a, w))
+    for v in darts_out:
+        darts_out[v].sort(key=lambda row: row[0])
+    dist = {basepoint: Fraction(0)}
+    parent_dart = {basepoint: None}
+    heap = [(Fraction(0), point_key(basepoint), basepoint)]
+    done = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for dart, v, w in darts_out[u]:
+            if v in done:
+                continue
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent_dart[v] = dart
+                heapq.heappush(heap, (nd, point_key(v), v))
+    tree = {parent_dart[v][0] for v in graph.vertices
+            if parent_dart[v] is not None}
+    paths = {}
+    for v in graph.vertices:
+        path, cur = [], v
+        while parent_dart[cur] is not None:
+            eid, direction = parent_dart[cur]
+            path.append((eid, direction))
+            edge = graph.edges[eid]
+            cur = edge[0] if direction == 1 else edge[1]
+        paths[v] = tuple(reversed(path))
+    words = [_reduce(paths[u] + ((eid, 1),) + _inverse(paths[v]))
+             for eid, (u, v, _w) in enumerate(graph.edges) if eid not in tree]
+    return paths, words
+
+
+def _random_multigraph(rng):
+    """A connected multigraph with loops, parallel and reversed edges and
+    tied path lengths, on int or string vertices."""
+    n = rng.randint(1, 9)
+    names = (list(range(n)) if rng.random() < 0.5
+             else [f"v{i}" for i in rng.sample(range(20), n)])
+    weights = [1, 1, 2, Fraction(1, 2), Fraction(3, 2)]
+    edges = []
+    for i in range(1, n):
+        u, v = names[rng.randrange(i)], names[i]
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.randint(0, 6)):
+        u, v = rng.choice(names), rng.choice(names)
+        edges.append((u, v))
+        if rng.random() < 0.3:
+            edges.append((v, u))
+    rng.shuffle(edges)
+    return WeightedGraph(names, [(u, v, rng.choice(weights))
+                                 for u, v in edges])
+
+
+def test_cover_tree_matches_its_own_dijkstra():
+    rng = random.Random(2024)
+    for _ in range(400):
+        graph = _random_multigraph(rng)
+        basepoint = rng.choice(graph.vertices)
+        paths, words = _reference_tree(graph, basepoint)
+        cover = universal_cover(graph, basepoint, 1)
+        assert cover.tree_paths == paths
+        assert cover.generator_words == words
+        assert cover.betti() == len(graph.edges) - len(graph.vertices) + 1
+        assert all(cover.project(path) == v for v, path in paths.items())
+
+
+def test_cover_vertex_budget_refuses(monkeypatch):
+    import bgkit.covers
+    monkeypatch.setattr(bgkit.covers, "COVER_BUDGET", 100)
+    with pytest.raises(WindowError, match="materializes over 100 vertices"):
+        universal_cover(figure_eight(), "v", 4)

@@ -499,14 +499,53 @@ def test_one_profile_serves_many_scans(setup, top):
         assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
     # min_exponent and doubling_constant hit the measure's memo, so they
     # read the same profile and its table for hi = top
-    table = profile.critical_table(top)
+    table = profile.critical_table()
     for C in (1.5, 4.0):
         assert (min_exponent(space, mu, x, dists[1], C, top)
                 == _fraction_min_exponent(dists, cum, dists[1], C, top))
     assert (doubling_constant(space, mu, x, 2 * top / 5)
             == _fraction_doubling_constant(dists, cum, 2 * top / 5))
     assert mu.profile(space, x, 2 * top) is profile
-    assert profile.critical_table(top) is table
+    assert profile.critical_table() is table
+
+
+@pytest.mark.parametrize("setup", [_lattice2, _torus5_weighted, glued_setup])
+def test_scan_past_half_the_profile_radius_is_refused(setup):
+    # one table per profile, to half its radius: a scan ending inside it is
+    # cut there, one ending past it is refused with the profile's error
+    space, mu, x = setup()
+    upto = Fraction(5)
+    profile = mu.profile(space, x, upto)
+    table = profile.critical_table()
+    dists, cum = _raw_profile(space, mu, x, upto)
+    half = upto / 2
+    # lo above hi, lo a critical radius among them, and hi on and off one
+    for lo, hi in [(Fraction(1), half), (half, half), (Fraction(1, 3), 2),
+                   (Fraction(2), Fraction(3, 2)), (Fraction(1), Fraction(1)),
+                   (Fraction(1, 2), Fraction(7, 3))]:
+        step, rows = curvature._critical_checks(profile, lo, hi)
+        got = [(Fraction(a, step), Fraction(num, den) if den else None, form)
+               for a, num, den, form in rows]
+        assert got == list(_fraction_critical_checks(dists, cum, lo, hi))
+    for hi in (half + Fraction(1, 7), Fraction(3), Fraction(5)):
+        with pytest.raises(WindowError, match=(
+                rf"^profile only exhaustive to 5, asked for "
+                rf"{fmt_rational(2 * hi)}$")):
+            curvature._critical_checks(profile, Fraction(1), hi)
+    assert profile.critical_table() is table
+
+
+def test_lattice_scan_past_the_table_reads_no_wrong_ratio():
+    # a profile to 8 once answered a scan to 5 with 145/41 at radius 5, the
+    # closed 8-ball over the open 5-ball; the open 10-ball holds 181 points
+    space, mu, x = _lattice2()
+    profile = mu.profile(space, x, 8)
+    with pytest.raises(WindowError, match="exhaustive to 8, asked for 10"):
+        curvature._critical_checks(profile, Fraction(5), Fraction(5))
+    step, rows = curvature._critical_checks(mu.profile(space, x, 10),
+                                            Fraction(5), Fraction(5))
+    assert [(Fraction(a, step), Fraction(num, den), form)
+            for a, num, den, form in rows] == [(5, Fraction(181, 41), "at")]
 
 
 def _fraction_scan(raws, lo, hi, factor, exponent):

@@ -464,3 +464,100 @@ def test_round_trip_builds_one_profile(name, monkeypatch):
                             curvature.synthetic_to_weak(syn), r_max)
     curvature.min_exponent(space, mu, x, params.r0, params.C, r_max)
     assert builds == [(x, 2 * r_max)]
+
+
+# -- the one refusal gate ----------------------------------------------------------
+
+def _gate_cases():
+    """(id, measure, space, a center it accepts, non-points) for every
+    measure kind."""
+    from bgkit.covers import universal_cover
+    from bgkit.measures import PullbackMeasure
+    free2 = CayleySpace(FreeFamily(2))
+    lattice = CayleySpace(FreeAbelianFamily(2))
+    graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                         (3, 0, Fraction(1, 2))])
+    glued = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 20)
+    eight = WeightedGraph(["v"], [("v", "v", 1), ("v", "v", 1)])
+    cover = universal_cover(eight, "v", 4)
+    torus = LatticeTranslationAction(lattice, [[5, 0], [0, 5]])
+    return [
+        ("uniform-cayley", VertexMeasure(), free2, (1, 2), ["junk", (1, -1)]),
+        ("vertex-graph", VertexMeasure(), graph, 1, ["junk", 4]),
+        ("weighted-vertex", VertexMeasure(weights={0: 2, 1: Fraction(1, 3)}),
+         graph, 0, ["junk", (0, 1)]),
+        ("weighted-glued", VertexMeasure(weight_fn=lambda _p: 2), glued,
+         glued.tip(0), ["junk", ("hair", 0, 5)]),
+        ("pullback", PullbackMeasure(cover, VertexMeasure()), cover.space,
+         ((0, 1),), ["junk", ((0, 1), (0, 0))]),
+        ("left-translation", counting_measure(LeftTranslationAction(
+            free2.family, free2), ()), free2, (1,), ["junk", (1, -1)]),
+        ("lattice-mI", counting_measure(torus, (0, 0)), lattice, (0, 0),
+         ["junk", (1, 2, 3)]),
+        ("lattice-mI-off-base", counting_measure(torus, (0, 0)), lattice,
+         (1, 2), ["junk", (1, 2, 3)]),
+        ("glued-line-shift", counting_measure(GluedLineShiftAction(glued),
+                                              glued.tip(0)),
+         glued, glued.tip(0), ["junk", ("line", 7)]),
+    ]
+
+
+def _refusal(call):
+    with pytest.raises((DomainError, WindowError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case", _gate_cases(), ids=lambda case: case[0])
+def test_every_measure_refuses_what_check_ball_refuses(case):
+    # a non-point center, a negative radius and a radius past the window,
+    # through ball_mass and Measure.profile, for every measure kind, each
+    # after a good profile is kept
+    _id, mu, space, good, bad_points = case
+    calls = [(c, 2) for c in bad_points] + [(good, -1), (good, Fraction(-1, 3))]
+    safe = space.safe_radius(good)
+    if safe is not None:
+        calls.append((good, safe + Fraction(1, 3)))
+    kept = mu.profile(space, good, 2)
+    for center, r in calls:
+        want = _refusal(lambda: spaces.check_ball(space, center, r))
+        assert _refusal(lambda: mu.profile(space, center, r)) == want
+        for closed in (False, True):
+            assert _refusal(lambda: ball_mass(mu, space, center, r,
+                                              closed=closed)) == want
+        assert mu.profile(space, good, 2) is kept
+
+
+def test_counting_measures_refuse_non_points_at_the_gate():
+    # the lattice's orbit scan once zipped a 3-vector down to two
+    # coordinates, and a string center once counted as a point
+    for name in ("lattice2", "torus5"):
+        inst = _preset_instance(name, "counting_orbit")
+        space, mu = inst.space, inst.measure
+        for center in ("junk", (1, 2, 3)):
+            with pytest.raises(DomainError, match=(
+                    rf"^{re.escape(repr(center))} is not a point of this "
+                    r"cayley space$")):
+                ball_mass(mu, space, center, 2)
+
+
+@pytest.mark.parametrize("case", _gate_cases(), ids=lambda case: case[0])
+def test_gate_runs_once_per_call_and_never_on_a_memo_hit(case, monkeypatch):
+    _id, mu, space, good, _bad = case
+    calls = []
+    check = spaces.check_ball
+
+    def counted(*args):
+        calls.append(args[1:])
+        return check(*args)
+
+    monkeypatch.setattr(spaces, "check_ball", counted)
+    profile = mu.profile(space, good, 2)
+    assert calls == [(good, 2)]
+    for _ in range(3):
+        assert mu.profile(space, good, 2) is profile
+        assert mu.profile(space, good, Fraction(2)) is profile
+    assert calls == [(good, 2)]
+    # another radius is a new build, through the gate once more
+    mu.profile(space, good, 1)
+    assert calls == [(good, 2), (good, 1)]

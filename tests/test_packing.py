@@ -454,6 +454,23 @@ def test_sandwich_refuses_bad_radii_before_profiles(monkeypatch):
                            sup_sample=[(0, 0)])
 
 
+def test_sandwich_refuses_an_empty_sup_sample(monkeypatch):
+    # refused before any profile or packing, for a list and a generator
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("no work before the sup sample is checked")
+
+    for cls in (VertexMeasure, CountingOrbitMeasure):
+        monkeypatch.setattr(cls, "profile", refuse)
+    monkeypatch.setattr(packing, "packing_count", refuse)
+    monkeypatch.setattr(packing, "gamma_packing_count", refuse)
+    space = lattice_space()
+    act = LatticeTranslationAction(space, [[5, 0], [0, 5]])
+    for sample in ([], (), (y for y in [])):
+        with pytest.raises(DomainError, match="nonempty sup sample"):
+            sandwich_check(act, VertexMeasure(), (0, 0), 1, 4,
+                           sup_sample=sample)
+
+
 def test_packing_condition_atom_and_lattice():
     from bgkit.presets import atom_instance
     space = atom_instance()[0]
