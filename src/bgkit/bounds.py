@@ -1,7 +1,8 @@
 """Explicit bound formulas of the comparison theory, and instance
 cross-checks of a measured quantity against one of them.
 
-Each formula is evaluated in double precision from its named parameters;
+Each formula is evaluated in double precision from its named parameters,
+and a value past the double range is refused, never printed as infinity;
 kinds that need the non-explicit function C -> nu(C) read it from a
 user-supplied `NuOracle` step table.  A cross-check applies the one margin
 rule of `exact.verdict`.  This module needs only `math` and `exact`, so the
@@ -47,10 +48,20 @@ def evaluate_bound(kind: str, params: dict, nu: NuOracle | None = None) -> float
 
     Floors are applied exactly where the source statements bracket the
     quantity.  Kinds needing the non-explicit nu function raise unless an
-    oracle is configured.
+    oracle is configured.  A value past the double range, whether a power
+    or `exp` raised OverflowError or a product rounded to infinity, raises
+    DomainError naming the bound.
     """
-    p = dict(params)
+    try:
+        value = _formula(kind, dict(params), nu)
+    except OverflowError:
+        value = math.inf
+    if value in (math.inf, -math.inf):
+        raise DomainError(f"bound {kind!r} overflows double precision")
+    return value
 
+
+def _formula(kind: str, p: dict, nu: NuOracle | None) -> float:
     def need(*names):
         missing = [n for n in names if n not in p]
         if missing:

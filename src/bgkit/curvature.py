@@ -13,8 +13,10 @@ ratio just after a (closed masses, still compared against the right-hand
 side at a); together these decide the inequality on the whole continuum.
 Left-hand sides stay exact, as int (num, den) mass pairs that become
 Fractions only where a certificate reports them; right-hand sides are
-floats guarded by the verdict margin from `exact`, one `math.exp` per
-radius.
+floats guarded by the verdict margin from `exact`, one `math.exp` and one
+`exact.band` per radius, whose two edges decide both rows of the radius.
+The scan keeps no rows: it decides status, counts, witnesses and notes in
+its one loop, and a certificate rebuilds its rows on first read.
 
 A profile builds the table of its critical radii up to half its radius
 once (`DistanceProfile.critical_table`), and a scan on [lo, hi] is two
@@ -34,10 +36,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
+from .exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED, band,
                     fmt_rational, rational, verdict)
-from . import spaces
-from .measures import CountingOrbitMeasure, DistanceProfile, Measure
+from .measures import DistanceProfile, Measure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
 
 
@@ -112,11 +113,33 @@ class Certificate:
     violations: int = 0
     notes: list = field(default_factory=list)
     step: int = 1                                # tick scale of `rows`
-    rows: list = field(default_factory=list)     # (a, num, den, rhs)
+    # what `rows` is rebuilt from, set by the scan; not fields, so `==`,
+    # `repr` and `asdict` do not see them
+    _profiles = ()
+    _factor = _exponent = 0.0
 
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """(a, num, den, rhs) for every checked critical radius, profile by
+        profile, built on first read: the scan that decided the certificate
+        keeps no rows.  They come from the same `_critical_checks` and the
+        same `math.exp` of the same a / step as the scan's, so every int and
+        float is the one the scan compared."""
+        step, factor, exponent = self.step, self._factor, self._exponent
+        rows = []
+        last = None
+        for profile in self._profiles:
+            for a, num, den, _form in _critical_checks(
+                    profile, self.r_min, self.r_max, step)[1]:
+                if a != last:
+                    rhs = factor * math.exp(exponent * (a / step))
+                    last = a
+                rows.append((a, num, den, rhs))
+        return rows
 
     @property
     def scan_rows(self) -> list:
@@ -205,10 +228,13 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     keeps the step and rows of its `_critical_checks`.  Each center notes
     its first row inside the margin band.
 
-    Verdicts read the lhs as num / den and the radius as a / step: int true
-    division is correctly rounded, as `Fraction.__float__` is, so they are
-    the floats of the exact rationals.  Fractions are built only for what
-    the certificate reports: witnesses, notes and errors.
+    The loop keeps no rows; `Certificate.rows` rebuilds them on first read.
+    Each radius takes its rhs and the two edges of `exact.band(rhs)` once,
+    for its 'at' and 'above' rows, and each lhs num / den is compared with
+    them by `exact.verdict`'s rule.  Int true division is correctly
+    rounded, as `Fraction.__float__` is, and so is a / step, so the floats
+    compared are those of the exact rationals.  Fractions are built only
+    for what the certificate reports: witnesses, notes and errors.
     """
     if hi < lo:
         raise DomainError(
@@ -219,12 +245,15 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     step *= 2
     cert = Certificate(params=params, center=center, r_min=lo, r_max=hi,
                        status=VERIFIED, step=step)
-    rows = cert.rows
+    cert._profiles, cert._factor, cert._exponent = profiles, factor, exponent
     first = worst = None
     last = None
+    checked = violations = 0
     for profile in profiles:
         noted = False
-        for a, num, den, form in _critical_checks(profile, lo, hi, step)[1]:
+        checks = _critical_checks(profile, lo, hi, step)[1]
+        checked += len(checks)
+        for a, num, den, form in checks:
             if not den:
                 radius = fmt_rational(Fraction(a, step))
                 raise DomainError(
@@ -232,22 +261,23 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
                     "the 0 < mass hypothesis fails on this range")
             if a != last:    # the 'at' and 'above' rows share their rhs
                 rhs = factor * math.exp(exponent * (a / step))
+                verified, violated = band(rhs)
                 last = a
-            rows.append((a, num, den, rhs))
-            status = verdict(num / den, rhs)
-            if status == VIOLATED:
-                cert.violations += 1
+            lhs = num / den
+            if lhs >= violated:
+                violations += 1
                 if first is None:
                     first = worst = (a, num, den, rhs, form)
                 # the largest lhs wins, and the larger radius among equal ones
                 elif (num * worst[2], a) > (worst[1] * den, worst[0]):
                     worst = (a, num, den, rhs, form)
-            elif status == INCONCLUSIVE and not noted:
+            elif lhs > verified and not noted:
                 noted = True
                 cert.status = INCONCLUSIVE
                 cert.notes.append(f"ratio at {fmt_rational(Fraction(a, step))}"
                                   " inside the float margin band")
-    cert.critical_radii_checked = len(rows)
+    cert.critical_radii_checked = checked
+    cert.violations = violations
     if worst is not None:
         cert.status = VIOLATED
         cert.first_violation = _violation(step, *first)
@@ -418,40 +448,3 @@ def diameter_shift(params: BGParams, D) -> BGParams:
         raise DomainError("diameter must be nonnegative")
     return BGParams(r0=params.r0 + Fraction(5, 2) * D,
                     C=params.C ** 2, K=2.0 * params.K)
-
-
-def brute_force_recheck(space, measure: Measure, x, factor, exponent,
-                        lo, hi, samples=200):
-    """Independent certificate audit from raw ball enumerations.
-
-    Enumerates once to 2*hi: support points with their masses, or the orbit
-    points of a counting measure.  Recomputes mass ratios at the critical
-    radii and at `samples` random rationals in [lo, hi] by summing those
-    rows (no profile machinery).  Returns the list of (radius, lhs, rhs)
-    violations.
-    """
-    import random
-    rng = random.Random(123)
-    lo, hi = rational(lo), rational(hi)
-    if isinstance(measure, CountingOrbitMeasure):
-        rows = [(d, 1) for _g, _p, d in measure.action.elements_moving_near(
-            measure.basepoint, x, 2 * hi)]
-    else:
-        rows = [(d, measure.mass(p)) for p, d in
-                spaces.enumerate_ball(space, x, 2 * hi, closed=True)]
-    radii = {cand for d, _m in rows for cand in (d, d / 2) if lo <= cand <= hi}
-    radii.add(lo)
-    for _ in range(samples):
-        num = rng.randint(0, 10 ** 6)
-        radii.add(lo + (hi - lo) * Fraction(num, 10 ** 6))
-    bad = []
-    for r in sorted(radii):
-        num = sum(m for d, m in rows if d < 2 * r)
-        den = sum(m for d, m in rows if d < r)
-        if den == 0:
-            continue
-        lhs = Fraction(num) / den
-        rhs = factor * math.exp(exponent * float(r))
-        if float(lhs) > rhs * (1 + 1e-12):
-            bad.append((r, lhs, rhs))
-    return bad

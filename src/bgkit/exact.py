@@ -10,9 +10,11 @@ only for what a report prints.
 Comparing an exact left-hand side against a float right-hand side
 therefore needs an explicit safety margin: we only certify "verified"
 when lhs <= rhs*(1-MARGIN) and only certify "violated" when
-lhs >= rhs*(1+MARGIN); anything in between is "inconclusive".  `verdict`
-is the one place that rule is applied: certificate scans, concentric pair
-checks and bound cross-checks all call it.
+lhs >= rhs*(1+MARGIN); anything in between is "inconclusive".  `band`
+computes the two edges and `verdict` applies that rule: concentric pair
+checks and bound cross-checks call `verdict`, and certificate scans, which
+compare the two rows of each critical radius with one rhs, take the edges
+from `band` once per radius and compare by the same rule.
 """
 
 from __future__ import annotations
@@ -45,18 +47,29 @@ class WindowError(RuntimeError):
         self.available = available
 
 
+def band(rhs: float) -> tuple[float, float]:
+    """The edges (rhs*(1-MARGIN), rhs*(1+MARGIN)) of the margin band around
+    rhs: `verdict` calls an lhs VERIFIED at or below the first, VIOLATED at
+    or above the second, and INCONCLUSIVE strictly between them.
+
+    A caller comparing many lhs against one rhs computes the edges once and
+    compares each float lhs with the same `<=` / `>=` rule.
+    """
+    return rhs * (1.0 - MARGIN), rhs * (1.0 + MARGIN)
+
+
 def verdict(lhs, rhs: float) -> str:
-    """Three-way verdict on lhs <= rhs: VERIFIED at or below rhs*(1-MARGIN),
-    VIOLATED at or above rhs*(1+MARGIN), INCONCLUSIVE strictly between.
+    """Three-way verdict on lhs <= rhs against the edges of `band(rhs)`.
 
     `lhs` is read as its nearest double, so an exact rational and its float
     get the same verdict; so does num / den of two ints, which Python
     rounds correctly, as it does `float(Fraction(num, den))`.
     """
     lhs = float(lhs)
-    if lhs >= rhs * (1.0 + MARGIN):
+    verified, violated = band(rhs)
+    if lhs >= violated:
         return VIOLATED
-    if lhs > rhs * (1.0 - MARGIN):
+    if lhs > verified:
         return INCONCLUSIVE
     return VERIFIED
 

@@ -408,6 +408,20 @@ def test_bounds_refuse_non_finite_values(bad):
         bound_cross_check("generators", bad, {"N": 2, "K": 0, "D": 5})
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("generators", {"N": 300, "K": 0, "D": 5}),            # 121.0 ** N
+    ("doubling_to_bg", {"C0": 11, "r0": 0.02, "r": 10}),   # math.exp
+    # no call raises, the product rounds to infinity
+    ("generator_count", {"C": 1e300, "D": 0.25, "K": 0, "eps0": 1}),
+])
+def test_bounds_refuse_a_value_past_the_double_range(kind, params):
+    message = rf"^bound '{kind}' overflows double precision$"
+    with pytest.raises(DomainError, match=message):
+        evaluate_bound(kind, params)
+    with pytest.raises(DomainError, match=message):
+        bound_cross_check(kind, 1, params)
+
+
 # -- strengthened bounds -------------------------------------------------------------
 
 

@@ -16,8 +16,9 @@ from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
                              doubling_constant, doubling_to_bg_bound,
                              min_exponent, synthetic_to_weak,
                              weak_to_synthetic)
-from bgkit.exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED,
-                         WindowError, fmt_rational, log_of_rational, verdict)
+from bgkit.exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED,
+                         VIOLATED, WindowError, fmt_rational, log_of_rational,
+                         verdict)
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import DistanceProfile, VertexMeasure, counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -341,6 +342,37 @@ def test_diameter_shift_all_centers_on_torus():
 # -- soundness audit ----------------------------------------------------------
 
 
+def _brute_force_recheck(space, measure, x, factor, exponent, lo, hi,
+                         samples=200):
+    """Independent certificate audit from raw ball enumerations.
+
+    Enumerates once to 2*hi: support points with their masses, or the orbit
+    points of a counting measure.  Recomputes mass ratios at the critical
+    radii and at `samples` random rationals in [lo, hi] by summing those
+    rows (no profile machinery).  Returns the list of (radius, lhs, rhs)
+    violations.
+    """
+    rng = random.Random(123)
+    lo, hi = Fraction(lo), Fraction(hi)
+    rows = list(_tally(measure, space, x, 2 * hi).items())
+    radii = {cand for d, _m in rows for cand in (d, d / 2) if lo <= cand <= hi}
+    radii.add(lo)
+    for _ in range(samples):
+        num = rng.randint(0, 10 ** 6)
+        radii.add(lo + (hi - lo) * Fraction(num, 10 ** 6))
+    bad = []
+    for r in sorted(radii):
+        num = sum(m for d, m in rows if d < 2 * r)
+        den = sum(m for d, m in rows if d < r)
+        if den == 0:
+            continue
+        lhs = Fraction(num) / den
+        rhs = factor * math.exp(exponent * float(r))
+        if float(lhs) > rhs * (1 + 1e-12):
+            bad.append((r, lhs, rhs))
+    return bad
+
+
 def test_brute_force_recheck_agrees(monkeypatch):
     space, mu, tip = glued_setup()
     cert = check_weak_bg(space, mu, tip, BGParams(1, 4.0, 1.0), Fraction(3, 2))
@@ -349,18 +381,18 @@ def test_brute_force_recheck_agrees(monkeypatch):
 
     # the audit is independent of the profile code it checks
     def refuse(_self, _r):
-        raise AssertionError("brute_force_recheck queried a profile")
+        raise AssertionError("_brute_force_recheck queried a profile")
 
     monkeypatch.setattr(DistanceProfile, "mass_lt", refuse)
     monkeypatch.setattr(DistanceProfile, "mass_le", refuse)
-    bad = curvature.brute_force_recheck(space, mu, tip, 4.0, 1.0, 1,
-                                        Fraction(3, 2), samples=80)
+    bad = _brute_force_recheck(space, mu, tip, 4.0, 1.0, 1, Fraction(3, 2),
+                               samples=80)
     assert bad, "the glued-line instance must show raw violations"
     # verified certificates survive the raw audit, counted or vertex measure
-    assert curvature.brute_force_recheck(space2, mu2, (0, 0), 8.0, 1.0, 1, 6,
-                                         samples=60) == []
-    assert curvature.brute_force_recheck(space2, VertexMeasure(), (0, 0), 8.0,
-                                         1.0, 1, 6, samples=60) == []
+    assert _brute_force_recheck(space2, mu2, (0, 0), 8.0, 1.0, 1, 6,
+                                samples=60) == []
+    assert _brute_force_recheck(space2, VertexMeasure(), (0, 0), 8.0, 1.0, 1,
+                                6, samples=60) == []
 
 
 def test_scan_at_single_radius():
@@ -643,6 +675,80 @@ def test_center_list_scan_matches_fraction_scan(setup, centers, lo, hi):
         assert _certificate_fields(cert) == _fraction_scan(raws, lo, hi, C, K)
         statuses.append(cert.status)
     assert statuses == [VERIFIED, INCONCLUSIVE, VIOLATED]
+
+
+def _free2():
+    space, mu = free_setup()
+    return space, mu, ()
+
+
+NEAR_BAND_CASES = [("lattice2", _lattice2, Fraction(137, 100), Fraction(6)),
+                   ("free2", _free2, Fraction(1), Fraction(3)),
+                   ("glued-tip", glued_setup, Fraction(1), Fraction(3))]
+
+
+@pytest.mark.parametrize("setup,lo,hi", [c[1:] for c in NEAR_BAND_CASES],
+                         ids=[c[0] for c in NEAR_BAND_CASES])
+def test_scan_decides_the_band_edges_as_verdict(setup, lo, hi):
+    # with K = 0 every rhs is C: for the smallest and the largest lhs > 1,
+    # C walks the floats around lhs/(1+MARGIN) and lhs/(1-MARGIN), where
+    # the scan's inline compares against the edges of band(C) switch, and
+    # relative offsets 1e-6 .. 1e-13 from them; the oracle takes
+    # exact.verdict row by row
+    space, mu, x = setup()
+    dists, cum = _raw_profile(space, mu, x, 2 * hi)
+    lhss = sorted(float(lhs) for _r, lhs, _form
+                  in _fraction_critical_checks(dists, cum, lo, hi) if lhs > 1)
+    statuses = set()
+    for lhs in (lhss[0], lhss[-1]):
+        for edge in (lhs / (1 + MARGIN), lhs / (1 - MARGIN)):
+            walk = [edge]
+            for _ in range(4):
+                walk = [math.nextafter(walk[0], 0.0), *walk,
+                        math.nextafter(walk[-1], math.inf)]
+            # the walk crosses the edge: the verdict of lhs switches on it
+            assert len({verdict(lhs, C) for C in walk}) == 2
+            offsets = [edge * (1 + sign * 10.0 ** -e)
+                       for e in range(6, 14) for sign in (1, -1)]
+            for C in walk + offsets:
+                cert = check_weak_bg(space, mu, x, BGParams(lo, C, 0.0), hi)
+                assert _certificate_fields(cert) == _fraction_scan(
+                    [(dists, cum)], lo, hi, C, 0.0), C
+                statuses.add(cert.status)
+    assert statuses == {VERIFIED, INCONCLUSIVE, VIOLATED}
+
+
+def test_rows_are_built_on_first_read(monkeypatch):
+    # the scan decides without rows: a certificate nobody reads runs only
+    # the deciding pass, one `_critical_checks` per profile, and its first
+    # read of `rows` runs one more, which later reads do not repeat
+    calls = []
+    checks = curvature._critical_checks
+
+    def counted(profile, *args):
+        calls.append(profile)
+        return checks(profile, *args)
+
+    monkeypatch.setattr(curvature, "_critical_checks", counted)
+    space, mu = lattice_setup()
+    params = BGParams(Fraction(137, 100), 8.0, 1.0)
+    for centers, n in (((0, 0), 1), ([(0, 0), (2, -1), (1, 3)], 3)):
+        calls.clear()
+        cert = check_weak_bg(space, mu, centers, params, 6)
+        assert len(calls) == n
+        again = check_weak_bg(space, mu, centers, params, 6)
+        assert len(calls) == 2 * n
+        assert "rows" not in vars(cert) and "rows" not in vars(again)
+        rows = cert.rows
+        assert len(calls) == 3 * n
+        assert cert.rows is rows and len(calls) == 3 * n
+        assert again.rows == rows and len(calls) == 4 * n
+        assert len(rows) == cert.critical_radii_checked
+        assert cert.scan_rows == again.scan_rows
+        # rows are no field: certificates compare, print and encode alike
+        # whether or not they were read
+        assert cert == again and repr(cert) == repr(again)
+        assert "rows" not in dataclasses.asdict(cert)
 
 
 def _merged_fields(certs):

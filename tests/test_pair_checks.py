@@ -24,7 +24,7 @@ from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
                              check_bg_synthetic, check_classic_bound,
                              check_weak_bg)
 from bgkit.exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED,
-                         VIOLATED, verdict)
+                         VIOLATED, band, verdict)
 from bgkit.hyperbolicity import cocompact_bg_check
 from bgkit.measures import CountingOrbitMeasure, VertexMeasure
 from bgkit.spaces import enumerate_ball
@@ -246,6 +246,7 @@ def test_strengthened_builds_one_profile(profile_builds):
 @pytest.mark.parametrize("rhs", [1.0, 3.0, 14641.0, 2.5e-7])
 def test_verdict_band_edges(rhs):
     upper, lower = rhs * (1.0 + MARGIN), rhs * (1.0 - MARGIN)
+    assert band(rhs) == (lower, upper)
     assert verdict(upper, rhs) == VIOLATED
     assert verdict(math.nextafter(upper, math.inf), rhs) == VIOLATED
     assert verdict(math.nextafter(upper, 0.0), rhs) == INCONCLUSIVE
@@ -256,6 +257,16 @@ def test_verdict_band_edges(rhs):
     # an exact lhs is read as its nearest double
     assert verdict(Fraction(upper), rhs) == VIOLATED
     assert verdict(Fraction(lower), rhs) == VERIFIED
+    # the scan's inline compares against the edges of band(rhs), at or
+    # above the upper edge violated and above the lower one inconclusive,
+    # give verdict's answer at each edge float and its neighbours
+    verified, violated = band(rhs)
+    for edge in (lower, rhs, upper):
+        for lhs in (math.nextafter(edge, 0.0), edge,
+                    math.nextafter(edge, math.inf)):
+            inline = (VIOLATED if lhs >= violated else
+                      INCONCLUSIVE if lhs > verified else VERIFIED)
+            assert inline == verdict(lhs, rhs), (lhs, rhs)
 
 
 def test_cross_checks_report_the_band():
@@ -283,22 +294,14 @@ def test_check_command_reports_the_band(capsys):
 
 
 def test_margin_rule_lives_in_exact():
-    # exact.verdict applies the one margin; no other module compares
-    # against MARGIN or keeps a tolerance of its own, save the
-    # independent brute-force oracle
+    # exact.verdict and exact.band apply the one margin; no other module
+    # compares against MARGIN or keeps a tolerance of its own
     for path in sorted(Path(bgkit.__file__).parent.glob("*.py")):
         if path.name == "exact.py":
             continue
-        tree = ast.parse(path.read_text())
-        oracle = set()
-        if path.name == "curvature.py":
-            (fn,) = [node for node in tree.body
-                     if isinstance(node, ast.FunctionDef)
-                     and node.name == "brute_force_recheck"]
-            oracle.update(map(id, ast.walk(fn)))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             names = {getattr(node, attr, None)
                      for attr in ("id", "attr", "name")}
             assert "MARGIN" not in names, (path.name, node.lineno)
-            if isinstance(node, ast.Constant) and id(node) not in oracle:
+            if isinstance(node, ast.Constant):
                 assert node.value != 1e-12, (path.name, node.lineno)
