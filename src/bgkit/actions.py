@@ -7,9 +7,8 @@ displacements come out as a `measures.DistanceProfile`, from sphere sizes
 where the word metric gives them and from enumeration otherwise.  On top
 of the exhaustive orbit machinery this module implements displacement sets
 Sigma_r(x), systole/diastole statistics, thin sets, Margulis-constant
-scans, short generating families, the diastole against its Margulis-scale
-bound, and the strengthened concentric-ball checks.  The bound formulas
-themselves live in `bounds`.
+scans, short generating families and the strengthened concentric-ball
+checks.  The bound formulas themselves live in `bounds`.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groups, spaces
-from .exact import (DomainError, INCONCLUSIVE, VERIFIED, WindowError,
-                    rational, verdict)
+from .exact import DomainError, VERIFIED, WindowError, rational
 from .measures import CountingOrbitMeasure, DistanceProfile, sphere_profile
 
 ORBIT_BUDGET = 2_000_000
@@ -72,32 +70,6 @@ class GroupAction:
         """
         rows = self.elements_moving_near(base, center, upto)
         return DistanceProfile(((d, 1) for _g, _p, d in rows), upto)
-
-    def is_free_on(self, x) -> bool:
-        """No nontrivial stabilizer at x among enumerated elements."""
-        for g, d in self.orbit_within(x, Fraction(0)):
-            if d == 0 and g != self.family.identity():
-                return False
-        return True
-
-    def validate_isometry(self, sample_points):
-        """Spot-check that the rule preserves distances on 60 sampled pairs."""
-        import random
-        rng = random.Random(7)
-        pts = list(sample_points)
-        gens = [g for _, g in self.family.generators()] or [self.family.identity()]
-        issues = []
-        for _ in range(60):
-            a, b = rng.choice(pts), rng.choice(pts)
-            g = rng.choice(gens)
-            try:
-                lhs = self.space.distance(self.apply(g, a), self.apply(g, b))
-            except WindowError:
-                continue
-            rhs = self.space.distance(a, b)
-            if lhs != rhs:
-                issues.append((g, a, b, lhs, rhs))
-        return issues
 
     def quotient_diameter(self) -> Fraction:
         """diam of the quotient, exact for each rule that has one."""
@@ -639,38 +611,6 @@ def _in_integer_span(basis, vec):
         elif vec[pivot] != 0:
             return False
     return not any(vec)
-
-
-# ---------------------------------------------------------------------------
-# Diastole against the Margulis-scale bound
-# ---------------------------------------------------------------------------
-
-
-def diastole_consistency(action: GroupAction, sample, params, nu):
-    """Torsion-free diastole over the sample against the r0/N0 lower bound.
-
-    Runs only when a nu oracle (a `bounds.NuOracle`) is configured, since
-    N0 = nu(C^3 e^{15 K r0} + 1)/2 has no explicit form; the sampled
-    diastole is a lower bound for the true one, so a pass here is genuine
-    evidence.
-    """
-    from .bounds import evaluate_bound
-    if nu is None:
-        raise DomainError("diastole consistency needs a nu oracle")
-    n0 = evaluate_bound("margulis_scale",
-                        {"C": params.C, "K": params.K, "r0": params.r0}, nu=nu)
-    bound = float(params.r0) / n0
-    rep = systole(action, sample)
-    if rep.torsion_free_diastole is None:
-        return {"holds": None, "bound": bound,
-                "note": "no torsion-free elements in the family"}
-    measured = float(rep.torsion_free_diastole)
-    status = verdict(bound, measured)
-    out = {"holds": None if status == INCONCLUSIVE else status == VERIFIED,
-           "bound": bound, "diastole": measured, "N0": n0}
-    if out["holds"] is None:
-        out["note"] = "inside the float margin band"
-    return out
 
 
 # ---------------------------------------------------------------------------

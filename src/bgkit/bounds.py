@@ -2,10 +2,11 @@
 cross-checks of a measured quantity against one of them.
 
 Each formula is evaluated in double precision from its named parameters,
-and a value past the double range is refused, never printed as infinity;
-kinds that need the non-explicit function C -> nu(C) read it from a
-user-supplied `NuOracle` step table.  A cross-check applies the one margin
-rule of `exact.verdict`.  This module needs only `math` and `exact`, so the
+and a value past the double range or outside the formula's domain is
+refused, never printed as infinity or as a complex number; kinds that
+need the non-explicit function C -> nu(C) read it from a user-supplied
+`NuOracle` step table.  A cross-check applies the one margin rule of
+`exact.verdict`.  This module needs only `math` and `exact`, so the
 `bounds` and `check` subcommands load nothing else of the package.
 """
 
@@ -50,12 +51,20 @@ def evaluate_bound(kind: str, params: dict, nu: NuOracle | None = None) -> float
     quantity.  Kinds needing the non-explicit nu function raise unless an
     oracle is configured.  A value past the double range, whether a power
     or `exp` raised OverflowError or a product rounded to infinity, raises
-    DomainError naming the bound.
+    DomainError naming the bound.  So does a formula that is undefined at
+    the parameters: a math domain error, a division by zero, or a negative
+    base under a fractional power, which Python answers with a complex.
     """
     try:
         value = _formula(kind, dict(params), nu)
     except OverflowError:
         value = math.inf
+    except DomainError:
+        raise
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or isinstance(value, complex):
+        raise DomainError(f"bound {kind!r} is undefined at these parameters")
     if value in (math.inf, -math.inf):
         raise DomainError(f"bound {kind!r} overflows double precision")
     return value
@@ -111,6 +120,12 @@ def _formula(kind: str, p: dict, nu: NuOracle | None) -> float:
                 * math.exp(-3.0 * K * (D + r0) * blow))
     if kind == "doubling_to_bg":
         C0, r0, r = need("C0", "r0", "r")
+        if not C0 > 1:
+            raise DomainError("doubling constant must be finite and > 1")
+        if not r0 > 0:
+            raise DomainError("doubling scale must be positive")
+        if r < r0 / 2:
+            raise DomainError("bound valid only for r >= r0/2")
         return C0 ** 5 * math.exp(4.5 * (r / r0) * math.log(C0))
     raise DomainError(f"unknown bound kind {kind!r}")
 

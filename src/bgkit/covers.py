@@ -137,9 +137,6 @@ class CoverData:
             vertex = w if direction == 1 else u
         return vertex
 
-    def lift_of_basepoint(self):
-        return ()
-
     def betti(self) -> int:
         return len(self.generator_words)
 

@@ -23,9 +23,9 @@ once (`DistanceProfile.critical_table`), and a scan on [lo, hi] is two
 bisects into it, plus lo when lo is no critical radius; a scan whose 2 hi
 passes the profile's radius is refused, never read past it.  With the
 measure's one-profile memo, every scan of one (measure, center, radius) —
-the weak and synthetic scans, `min_exponent`, `doubling_constant` and the
-parameter search in `entropy` — reads one profile and one table, with the
-same rows, radii and report bytes as a scan that derived them afresh.
+the weak and synthetic scans, `min_exponent` and `doubling_constant` —
+reads one profile and one table, with the same rows, radii and report
+bytes as a scan that derived them afresh.
 """
 
 from __future__ import annotations
@@ -77,19 +77,6 @@ class SyntheticParams:
         """N/K, computed once per instance; not a field, so equality, hashing
         and `asdict` see only N and K."""
         return rational(self.N) / rational(self.K)
-
-
-@dataclass(frozen=True)
-class DoublingParams:
-    C0: float
-    r0: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r0", rational(self.r0))
-        if not (self.C0 > 1 and math.isfinite(self.C0)):
-            raise DomainError("doubling constant must be finite and > 1")
-        if self.r0 <= 0:
-            raise DomainError("doubling scale must be positive")
 
 
 @dataclass
@@ -431,20 +418,3 @@ def doubling_constant(space, measure: Measure, x, r0) -> tuple:
     a, num, den = best
     return Fraction(num, den), Fraction(a, step)
 
-
-def doubling_to_bg_bound(params: DoublingParams, r) -> float:
-    """Growth bound implied by a doubling constant, for r >= r0/2."""
-    r = rational(r)
-    if r < params.r0 / 2:
-        raise DomainError("bound valid only for r >= r0/2")
-    return (params.C0 ** 5
-            * math.exp(4.5 * float(r / params.r0) * math.log(params.C0)))
-
-
-def diameter_shift(params: BGParams, D) -> BGParams:
-    """One-center to every-center: scale r0 + 5D/2, factor C^2, exponent 2K."""
-    D = rational(D)
-    if D < 0:
-        raise DomainError("diameter must be nonnegative")
-    return BGParams(r0=params.r0 + Fraction(5, 2) * D,
-                    C=params.C ** 2, K=2.0 * params.K)

@@ -22,7 +22,6 @@ from .exact import DomainError, log_of_rational, rational
 from .measures import Measure
 
 MIN_SAMPLES = 10
-_TOLERANCE = 0.05
 
 
 @dataclass
@@ -36,12 +35,6 @@ class GrowthSample:
 class GrowthProfile:
     center: object
     samples: list
-
-    def radii(self):
-        return [s.R for s in self.samples]
-
-    def masses(self):
-        return [s.mass for s in self.samples]
 
     def slopes(self):
         """Per-step log-derivative of the mass curve."""
@@ -110,78 +103,3 @@ def entropy_estimate(profile: GrowthProfile,
                            r_max=profile.samples[-1].R,
                            tail_samples=tail_len, converged=converged,
                            notes=notes)
-
-
-@dataclass
-class ConsistencyReport:
-    entropy: float
-    bound: float
-    holds: bool
-    tolerance: float
-    converse: tuple | None    # (r0, C) found for the target exponent, or None
-    notes: list = field(default_factory=list)
-
-
-def entropy_bg_consistency(space, measure: Measure, center, certificate,
-                           profile: GrowthProfile, converse_target=None,
-                           r_max=None) -> ConsistencyReport:
-    """Entropy estimate against a verified certificate's exponent.
-
-    Asserts estimate <= K + 0.05, the estimate taken with the default tail
-    of `entropy_estimate`.  When `converse_target` K' above the estimate is
-    given, searches scales r0 (over the profile radii) and the matching
-    factor C for which the weak inequality verifies up to r_max, returning
-    the first hit.
-    """
-    if certificate is not None:
-        if not certificate.verified:
-            raise DomainError("consistency check needs a verified certificate")
-        if certificate.center != center and certificate.center != "all sampled":
-            raise DomainError("certificate centered elsewhere")
-        if profile.samples[-1].R < certificate.r_max:
-            raise DomainError("profile shorter than the certificate range")
-    est = entropy_estimate(profile)
-    bound = certificate.params.K if certificate is not None else float("inf")
-    holds = est.estimate <= bound + _TOLERANCE
-    converse = None
-    notes = list(est.notes)
-    if converse_target is not None:
-        if r_max is None:
-            r_max = profile.samples[-1].R
-        if converse_target <= est.estimate:
-            notes.append("converse target below the estimate; search skipped")
-        else:
-            converse = _search_weak_params(space, measure, center,
-                                           converse_target, r_max)
-            if converse is None:
-                notes.append("no (r0, C) certificate found up to r_max")
-    return ConsistencyReport(entropy=est.estimate, bound=bound, holds=holds,
-                             tolerance=_TOLERANCE, converse=converse,
-                             notes=notes)
-
-
-def _search_weak_params(space, measure, center, K, r_max):
-    from . import curvature
-    r_max = rational(r_max)
-    scales = [r0 for r0 in (Fraction(1, 2), Fraction(1), Fraction(2),
-                            Fraction(3)) if r0 <= r_max]
-    if not scales:
-        return None
-    profile = measure.profile(space, center, 2 * r_max)
-    for r0 in scales:
-        needed = 1.0
-        feasible = True
-        step, rows = curvature._critical_checks(profile, r0, r_max)
-        for a, num, den, _form in rows:
-            if not den:
-                feasible = False
-                break
-            needed = max(needed, num / den / math.exp(K * (a / step)))
-        if not feasible:
-            continue
-        C = needed * (1 + 1e-6) + 1e-9
-        cert = curvature.check_weak_bg(space, measure, center,
-                                       curvature.BGParams(r0, C, K), r_max)
-        if cert.verified:
-            return (r0, C)
-    return None

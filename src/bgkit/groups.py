@@ -64,10 +64,6 @@ class GroupFamily:
         """[#{g : |g| = i} for i in 0..radius], exact, in closed form."""
         raise NotImplementedError
 
-    def ball_size(self, radius: int) -> int:
-        """#{g : |g| <= radius}; exact integers from `sphere_sizes`."""
-        return sum(self.sphere_sizes(radius))
-
     def is_infinite_order(self, a) -> bool:
         raise NotImplementedError
 
@@ -315,9 +311,6 @@ class FinitePermutationFamily(GroupFamily):
 
     def elements(self):
         return list(self._closure())
-
-    def order(self):
-        return len(self._closure())
 
     def word_length(self, a):
         lengths = self._closure()

@@ -29,10 +29,6 @@ class TripodDecomposition:
     beta: Fraction
     gamma: Fraction
 
-    def sides(self):
-        return (self.alpha + self.beta, self.alpha + self.gamma,
-                self.beta + self.gamma)
-
 
 def gromov_tripod(space, x, y, z) -> TripodDecomposition:
     """Branch lengths of the comparison tripod for the triangle (x, y, z)."""

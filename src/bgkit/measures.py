@@ -141,12 +141,6 @@ class DistanceProfile:
                 f"asked for {fmt_rational(r)}",
                 required=r, available=self.upto)
 
-    def breakpoints_in(self, lo, hi):
-        """Profile distances d with lo <= d <= hi."""
-        lo, hi = rational(lo), rational(hi)
-        return [Fraction(t, self.scale)
-                for t in self.ticks[self._count_lt(lo):self._count_le(hi)]]
-
     def critical_table(self) -> tuple:
         """(step, radii, rows) for every critical radius a <= upto/2 of the
         concentric ratio: the breakpoints and the halves of breakpoints.

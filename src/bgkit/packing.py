@@ -379,33 +379,6 @@ def gamma_packing_count(action, x, r, R, mode="exact", cap=EXACT_CAP) -> Packing
 
 
 @dataclass
-class PackingConditionReport:
-    r0: Fraction
-    N0: int
-    per_center: list      # (center, count, holds)
-    holds: bool
-    caveat: str = ""
-
-
-def packing_condition(space, centers, r0, N0, mode="exact",
-                      cap=EXACT_CAP) -> PackingConditionReport:
-    """Pack(x, r0/2, 11 r0) <= N0 at every sampled center."""
-    r0 = rational(r0)
-    per_center = []
-    ok = True
-    caveat = ""
-    for x in centers:
-        res = packing_count(space, x, r0 / 2, 11 * r0, mode=mode, cap=cap)
-        if res.method == "greedy":
-            caveat = "greedy counts are lower bounds; condition check is advisory"
-        holds = res.count <= N0
-        ok = ok and holds
-        per_center.append((x, res.count, holds))
-    return PackingConditionReport(r0=r0, N0=N0, per_center=per_center,
-                                  holds=ok, caveat=caveat)
-
-
-@dataclass
 class SandwichReport:
     r: Fraction
     R: Fraction

@@ -558,13 +558,6 @@ class CayleySpace(Space):
             frontier = nxt
         return hits
 
-    def ball_count(self, r, closed=False) -> int:
-        """Exact number of elements within distance r of any point (analytic)."""
-        int_r = _word_radius(rational(r), closed)
-        if int_r < 0:
-            return 0
-        return self.family.ball_size(int_r)
-
     def validate(self):
         return {"kind": self.kind, "ok": True, "issues": [],
                 "family": self.family.name}
@@ -660,19 +653,6 @@ class GluedLineSpace(Space):
                 "window": self.window, "eps": fmt_rational(self.eps),
                 "hair_length": fmt_rational(self.hair)}
 
-    def discretized_graph(self) -> WeightedGraph:
-        """Graph model (attachment points chained, hairs pendant) for cross-checks."""
-        vertices = []
-        edges = []
-        for k in range(-self.window, self.window + 1):
-            vertices.append(("b", k))
-            vertices.append(("t", k))
-            edges.append((("b", k), ("t", k), self.hair))
-            if k > -self.window:
-                edges.append((("b", k - 1), ("b", k), self.eps))
-        return WeightedGraph(vertices, edges)
-
-
 class TripodSpace(Space):
     """Metric tripod: three branches of lengths (a, b, c) joined at a center."""
 
@@ -705,56 +685,6 @@ class TripodSpace(Space):
             if length == 0:
                 issues.append(f"degenerate branch {name} (endpoint coincides with center)")
         return {"kind": self.kind, "ok": True, "issues": issues}
-
-
-class ModelProfile:
-    """Constant-curvature comparison profile (curvature kappa, dimension n > 1)."""
-
-    def __init__(self, kappa, n):
-        self.kappa = float(kappa)
-        self.n = float(n)
-        if self.n <= 1:
-            raise DomainError("model dimension must be > 1")
-
-    def s(self, t: float) -> float:
-        k = self.kappa
-        if k == 0:
-            return t
-        if k < 0:
-            return math.sinh(math.sqrt(-k) * t)
-        root = math.sqrt(k)
-        return math.sin(root * t) if root * t <= math.pi else 0.0
-
-
-def model_ball_volume(profile: ModelProfile, r) -> float:
-    """Ratio-ready model volume: integral of s_kappa(t)^(n-1) over [0, r].
-
-    A fixed tanh-sinh rule (Takahasi & Mori 1974): 257 nodes
-    x = tanh(pi/2 sinh(k/32)), |k/32| <= 4, mapped onto the interval.  They
-    cluster at both ends, which is where t^(n-1) and, for kappa > 0,
-    (pi/sqrt(kappa) - t)^(n-1) lose smoothness.  Quotients of two values
-    give the comparison bounds for concentric balls in the model space.
-    """
-    r = float(rational(r))
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    if r == 0:
-        return 0.0
-    exponent = profile.n - 1.0
-    upper = r
-    if profile.kappa > 0:
-        upper = min(r, math.pi / math.sqrt(profile.kappa))
-    h = 1 / 32
-    half = upper / 2
-    total = 0.0
-    for k in range(-128, 129):
-        u = k * h
-        # gap = 1 - |x| without the cancellation that would round a node
-        # onto an end; the weight dx/du is pi/2 cosh(u) (1 - x^2)
-        gap = 2 / (math.exp(math.pi * math.sinh(abs(u))) + 1)
-        t = half * gap if k < 0 else upper - half * gap
-        total += math.cosh(u) * gap * (2 - gap) * profile.s(t) ** exponent
-    return total * half * h * math.pi / 2
 
 
 def space_from_spec(spec: dict) -> Space:

@@ -422,6 +422,25 @@ def test_bounds_refuse_a_value_past_the_double_range(kind, params):
         bound_cross_check(kind, 1, params)
 
 
+@pytest.mark.parametrize("kind,params", [
+    # a negative base under a fractional power: Python returns a complex
+    ("systole_lower", {"D": -10, "C": 3, "K": 0, "r0": 1}),
+    ("systole_busemann", {"D": -0.5, "C": 3, "K": 0, "r0": 1}),
+    # math.log of a negative factor
+    ("generator_count", {"C": -2, "D": 1, "K": 0, "eps0": 1}),
+    # division by a zero scale
+    ("systole_lower", {"D": 1, "C": 3, "K": 0, "r0": 0}),
+    ("generator_count", {"C": 2, "D": 1, "K": 0, "eps0": 0}),
+])
+def test_bounds_refuse_parameters_outside_the_formula_domain(kind, params):
+    nu = NuOracle([[1e300, 2]])
+    message = rf"^bound '{kind}' is undefined at these parameters$"
+    with pytest.raises(DomainError, match=message):
+        evaluate_bound(kind, params, nu=nu)
+    with pytest.raises(DomainError, match=message):
+        bound_cross_check(kind, 1, params, nu=nu)
+
+
 # -- strengthened bounds -------------------------------------------------------------
 
 
@@ -457,23 +476,19 @@ def test_torsion_free_systole_dominates():
 
 
 def test_diastole_consistency_with_nu():
-    from bgkit.actions import diastole_consistency
     nu = NuOracle([[1e3, 4], [1e9, 8]])
-    act = torus_action(5)
-    params = BGParams(1, 5.0, 0.1)
-    rep = diastole_consistency(act, [(0, 0), (2, 1)], params, nu)
-    # bound = r0 / (nu(...)/2) = 1/2 <= measured diastole 5
-    assert rep["holds"]
-    assert rep["diastole"] == 5.0
-    with pytest.raises(DomainError):
-        diastole_consistency(act, [(0, 0)], params, None)
-    # N0 = nu(C^3 e^{15 K r0} + 1) / 2 and the bound r0 / N0, to the bit
+    rep = systole(torus_action(5), [(0, 0), (2, 1)])
+    assert rep.torsion_free_diastole == 5
+    # r0 / N0 = 1 / (nu(5^3 e^{1.5} + 1) / 2) = 1/2 <= the diastole 5
+    n0 = evaluate_bound("margulis_scale", {"C": 5.0, "K": 0.1, "r0": 1}, nu=nu)
+    assert 1 / n0 == 0.5
+    # N0 = nu(C^3 e^{15 K r0} + 1) / 2, to the bit
     nu = NuOracle([[10, 2], [1e3, 4], [1e9, 8], [1e300, 16]])
     for r0, C, K in [(1, 5.0, 0.1), (Fraction(3, 7), 2.5, 0.0),
                      (Fraction(1, 3), 9.0, 0.7)]:
-        rep = diastole_consistency(act, [(0, 0)], BGParams(r0, C, K), nu)
         n0 = 0.5 * nu(C ** 3 * math.exp(15.0 * K * float(r0)) + 1.0)
-        assert rep["N0"] == n0 and rep["bound"] == float(r0) / n0
+        assert evaluate_bound("margulis_scale",
+                              {"C": C, "K": K, "r0": r0}, nu=nu) == n0
 
 
 def test_weak_certificate_monotone_in_parameters():

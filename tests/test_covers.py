@@ -68,7 +68,7 @@ def test_pullback_measure_balls():
     # unit masses on C3 pull back to unit masses on the line
     cover = universal_cover(cycle_graph(3), 0, 10)
     mu = PullbackMeasure(cover, VertexMeasure())
-    root = cover.lift_of_basepoint()
+    root = ()
     assert ball_mass(mu, cover.space, root, Fraction(5, 2), closed=False) == 5
     # figure-eight: closed unit ball in the 4-regular tree has mass 5
     cover8 = universal_cover(figure_eight(), "v", 4)
@@ -85,7 +85,7 @@ def test_pullback_measure_balls():
     mu_signed = PullbackMeasure(signed,
                                 VertexMeasure(weights={"a": -1, "b": 2}))
     with pytest.raises(DomainError, match="negative mass at 'a'"):
-        ball_mass(mu_signed, signed.space, signed.lift_of_basepoint(), 2,
+        ball_mass(mu_signed, signed.space, (), 2,
                   closed=True)
 
 
@@ -93,7 +93,7 @@ def test_cover_distances_match_loop_lengths():
     graph = cycle_graph(4)
     cover = universal_cover(graph, 0, 12)
     act = DeckAction(cover)
-    root = cover.lift_of_basepoint()
+    root = ()
     rows = act.elements_moving_near(root, root, 12)
     for g, v, d in rows:
         # displacement equals the base length of the reduced loop

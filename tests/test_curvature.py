@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 from test_pair_checks import _tally
 
-from bgkit import curvature, entropy, presets
+from bgkit import curvature, presets
 from bgkit.actions import GluedLineShiftAction, LeftTranslationAction
-from bgkit.curvature import (BGParams, DoublingParams, SyntheticParams,
-                             Violation, check_bg_synthetic,
-                             check_classic_bound, check_weak_bg,
-                             classic_ratio_bound, diameter_shift,
-                             doubling_constant, doubling_to_bg_bound,
-                             min_exponent, synthetic_to_weak,
-                             weak_to_synthetic)
+from bgkit.bounds import evaluate_bound
+from bgkit.curvature import (BGParams, SyntheticParams, Violation,
+                             check_bg_synthetic, check_classic_bound,
+                             check_weak_bg, classic_ratio_bound,
+                             doubling_constant, min_exponent,
+                             synthetic_to_weak, weak_to_synthetic)
 from bgkit.exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED,
                          VIOLATED, WindowError, fmt_rational, log_of_rational,
                          verdict)
@@ -251,25 +250,39 @@ def test_doubling_free_group_oracle():
     assert where in (Fraction(9, 2), Fraction(5))
 
 
+def doubling_to_bg(C0, r0, r):
+    return evaluate_bound("doubling_to_bg", {"C0": C0, "r0": r0, "r": r})
+
+
 def test_doubling_lattice_consistency_with_bound():
     space, mu = lattice_setup()
     sup, _ = doubling_constant(space, mu, (0, 0), 4)
-    params = DoublingParams(float(sup) * (1 + 1e-9), 4)
+    C0 = float(sup) * (1 + 1e-9)
     profile = mu.profile(space, (0, 0), 40)
     for r in (2, 3, 5, 8, 10):
         lhs = Fraction(profile.mass_lt(2 * r)) / profile.mass_lt(r)
-        assert float(lhs) <= doubling_to_bg_bound(params, r) * (1 + 1e-9)
+        assert float(lhs) <= doubling_to_bg(C0, 4, r) * (1 + 1e-9)
 
 
 def test_doubling_to_bg_bound_values():
-    assert math.isclose(doubling_to_bg_bound(DoublingParams(2.0, 1), 1),
-                        2 ** 9.5, rel_tol=1e-12)
-    assert math.isclose(doubling_to_bg_bound(DoublingParams(2.0, 2), 1),
-                        2 ** 7.25, rel_tol=1e-12)
+    assert math.isclose(doubling_to_bg(2.0, 1, 1), 2 ** 9.5, rel_tol=1e-12)
+    assert math.isclose(doubling_to_bg(2.0, 2, 1), 2 ** 7.25, rel_tol=1e-12)
     # C0 -> 1+ sends the bound to 1
-    assert doubling_to_bg_bound(DoublingParams(1.0 + 1e-12, 1), 3) < 1.001
-    with pytest.raises(DomainError):
-        doubling_to_bg_bound(DoublingParams(2.0, 4), 1)
+    assert doubling_to_bg(1.0 + 1e-12, 1, 3) < 1.001
+    # r = r0/2 is the smallest radius the bound covers
+    assert math.isclose(doubling_to_bg(2.0, 4, 2), 2 ** 7.25, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="valid only for r >= r0/2"):
+        doubling_to_bg(2.0, 4, 1)
+    with pytest.raises(DomainError, match="valid only for r >= r0/2"):
+        doubling_to_bg(2.0, 4, math.nextafter(2.0, 0.0))
+    for C0 in (1.0, 0.5, 0.0, -2.0):
+        with pytest.raises(DomainError,
+                           match="doubling constant must be finite and > 1"):
+            doubling_to_bg(C0, 1, 1)
+    for r0 in (0.0, -1.0):
+        with pytest.raises(DomainError,
+                           match="doubling scale must be positive"):
+            doubling_to_bg(2.0, r0, 1)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -303,20 +316,10 @@ def test_synthetic_params_refuse_non_finite_values(bad):
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_doubling_params_refuse_non_finite_values(bad):
-    with pytest.raises(DomainError,
-                       match="doubling constant must be finite and > 1"):
-        DoublingParams(bad, 1)
-    with pytest.raises(DomainError, match="cannot interpret"):
-        DoublingParams(2.0, bad)
-
-
-def test_diameter_shift():
-    out = diameter_shift(BGParams(1, 2.0, 1.0), 2)
-    assert (out.r0, out.C, out.K) == (6, 4.0, 2.0)
-    out = diameter_shift(BGParams(2, 3.0, 0.0), 4)
-    assert (out.r0, out.C, out.K) == (12, 9.0, 0.0)
-    out = diameter_shift(BGParams(2, 3.0, 1.0), 0)
-    assert (out.r0, out.C, out.K) == (2, 9.0, 2.0)
+    with pytest.raises(DomainError, match="needs finite parameters"):
+        doubling_to_bg(bad, 1, 1)
+    with pytest.raises(DomainError, match="needs finite parameters"):
+        doubling_to_bg(2.0, bad, 1)
 
 
 def test_diameter_shift_all_centers_on_torus():
@@ -333,7 +336,10 @@ def test_diameter_shift_all_centers_on_torus():
     params = BGParams(1, 16.0, 0.5)
     base = check_weak_bg(space, mu, (0, 0), params, 18)
     assert base.status == VERIFIED
-    shifted = diameter_shift(params, 4)      # codiameter of the 5-torus
+    # scale r0 + 5D/2, factor C^2, exponent 2K, with D = 4 the codiameter
+    # of the 5-torus
+    shifted = BGParams(params.r0 + Fraction(5, 2) * 4, params.C ** 2,
+                       2 * params.K)
     centers = [(i, j) for i in range(5) for j in range(5)]
     cert = check_weak_bg(space, mu, centers, shifted, 18)
     assert cert.status == VERIFIED
@@ -862,21 +868,6 @@ def _fraction_doubling_constant(dists, cum, r0):
     return best, best_r
 
 
-def _fraction_search_weak_params(dists, cum, K, r_max):
-    for r0 in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
-        if r0 > r_max:
-            break
-        needed = 1.0
-        for radius, lhs, _form in _fraction_critical_checks(dists, cum, r0,
-                                                            r_max):
-            needed = max(needed, float(lhs) / math.exp(K * float(radius)))
-        C = needed * (1 + 1e-6) + 1e-9
-        scan = _fraction_scan([(dists, cum)], r0, r_max, C, K)
-        if scan["status"] == VERIFIED:
-            return (r0, C)
-    return None
-
-
 @scan_cases
 def test_scan_callers_match_fraction_formulas(setup, lo, hi):
     space, mu, x = setup()
@@ -887,6 +878,3 @@ def test_scan_callers_match_fraction_formulas(setup, lo, hi):
     sup, where = doubling_constant(space, mu, x, 2 * hi / 5)
     assert type(sup) is Fraction and type(where) is Fraction
     assert (sup, where) == _fraction_doubling_constant(dists, cum, 2 * hi / 5)
-    for K in (0.0, 0.5, 1.0):
-        assert (entropy._search_weak_params(space, mu, x, K, hi)
-                == _fraction_search_weak_params(dists, cum, K, hi))

@@ -6,8 +6,8 @@ import pytest
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.curvature import BGParams, check_weak_bg
-from bgkit.entropy import (GrowthProfile, GrowthSample, entropy_bg_consistency,
-                           entropy_estimate, growth_profile)
+from bgkit.entropy import (GrowthProfile, GrowthSample, entropy_estimate,
+                           growth_profile)
 from bgkit.exact import DomainError
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import counting_measure
@@ -27,13 +27,13 @@ def lattice_setup():
 def test_growth_profile_free_group_masses():
     space, mu = free_setup()
     prof = growth_profile(space, mu, (), 10, 1)
-    assert prof.masses() == [2 * 3 ** r - 1 for r in range(1, 11)]
+    assert [s.mass for s in prof.samples] == [2 * 3 ** r - 1 for r in range(1, 11)]
 
 
 def test_growth_profile_lattice_masses():
     space, mu = lattice_setup()
     prof = growth_profile(space, mu, (0, 0), 50, 1)
-    assert prof.masses() == [2 * r * r + 2 * r + 1 for r in range(1, 51)]
+    assert [s.mass for s in prof.samples] == [2 * r * r + 2 * r + 1 for r in range(1, 51)]
 
 
 def test_growth_profile_atom():
@@ -115,25 +115,5 @@ def test_consistency_with_certificate():
     params = BGParams(1, 81.0, 1.2)
     cert = check_weak_bg(space, mu, (), params, 12)
     prof = growth_profile(space, mu, (), 12, 1)
-    report = entropy_bg_consistency(space, mu, (), cert, prof)
-    assert report.holds
-    assert report.entropy <= 1.2 + 0.05
-
-
-def test_consistency_converse_search():
-    space, mu = free_setup()
-    prof = growth_profile(space, mu, (), 12, 1)
-    report = entropy_bg_consistency(space, mu, (), None, prof,
-                                    converse_target=1.2, r_max=12)
-    assert report.converse is not None
-    r0, C = report.converse
-    cert = check_weak_bg(space, mu, (), BGParams(r0, C, 1.2), 12)
     assert cert.verified
-
-
-def test_consistency_center_mismatch():
-    space, mu = free_setup()
-    cert = check_weak_bg(space, mu, (), BGParams(1, 81.0, 1.2), 10)
-    prof = growth_profile(space, mu, (1,), 12, 1)
-    with pytest.raises(DomainError):
-        entropy_bg_consistency(space, mu, (1,), cert, prof)
+    assert entropy_estimate(prof).estimate <= cert.params.K + 0.05

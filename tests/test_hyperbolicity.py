@@ -47,7 +47,7 @@ def test_gromov_tripod_values():
     metric = FiniteMetricSpace([[0, 5, 4], [5, 0, 3], [4, 3, 0]], labels="xyz")
     t = gromov_tripod(metric, "x", "y", "z")
     assert (t.alpha, t.beta, t.gamma) == (3, 2, 1)
-    assert t.sides() == (5, 4, 3)
+    assert (t.alpha + t.beta, t.alpha + t.gamma, t.beta + t.gamma) == (5, 4, 3)
     equi = FiniteMetricSpace([[0, 2, 2], [2, 0, 2], [2, 2, 0]], labels="xyz")
     t = gromov_tripod(equi, "x", "y", "z")
     assert (t.alpha, t.beta, t.gamma) == (1, 1, 1)

@@ -67,11 +67,6 @@ def test_profile_queries_off_the_tick_grid():
         assert le == sum(m for d, m in tally.items() if d <= r), r
         # reports print a Fraction as "p/q" and an int as a JSON number
         assert type(lt) is Fraction and type(le) is Fraction
-    for lo in sorted(radii):
-        for hi in sorted(radii):
-            got = profile.breakpoints_in(lo, hi)
-            assert got == [d for d in ticks if lo <= d <= hi], (lo, hi)
-            assert all(type(d) is Fraction for d in got)
     assert all(type(q) is Fraction
                for q in profile.distances + profile.cumulative)
     with pytest.raises(WindowError):

@@ -12,8 +12,7 @@ from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
                             VertexMeasure)
-from bgkit.packing import (gamma_packing_count, packing_condition,
-                           packing_count, sandwich_check)
+from bgkit.packing import gamma_packing_count, packing_count, sandwich_check
 from bgkit.spaces import CayleySpace, GluedLineSpace
 
 
@@ -262,14 +261,17 @@ def _mis_bruteforce(space, pts, min_dist):
     return best
 
 
+def condition_count(space, x, r0, cap=packing.EXACT_CAP):
+    """Pack(x, r0/2, 11 r0), the count the packing condition bounds by N0."""
+    r0 = Fraction(r0)
+    return packing_count(space, x, r0 / 2, 11 * r0, mode="exact",
+                         cap=cap).count
+
+
 def test_packing_condition():
-    space = line_space()
-    report = packing_condition(space, [(0,)], 1, 50, mode="exact", cap=100)
-    assert report.holds
-    # the scan is Pack(x, 1/2, 11): every integer in [-21/2, 21/2] fits
-    assert report.per_center[0][1] == 21
-    tight = packing_condition(space, [(0,)], 1, 20, mode="exact", cap=100)
-    assert not tight.holds
+    # Pack(x, 1/2, 11) on the line: every integer in [-21/2, 21/2] fits,
+    # so the condition holds for N0 = 50 and fails for N0 = 20
+    assert condition_count(line_space(), (0,), 1, cap=100) == 21
 
 
 def test_sandwich_line_translation():
@@ -474,23 +476,16 @@ def test_sandwich_refuses_an_empty_sup_sample(monkeypatch):
 def test_packing_condition_atom_and_lattice():
     from bgkit.presets import atom_instance
     space = atom_instance()[0]
-    rep = packing_condition(space, [()], 1, 1, mode="exact")
-    assert rep.holds and rep.per_center[0][1] == 1
-    # the lattice packs the whole closed 10-diamond at half scale: 221 balls
-    lat = lattice_space()
-    rep = packing_condition(lat, [(0, 0)], 1, 250, mode="exact", cap=600)
-    assert rep.per_center[0][1] == 221
-    assert rep.holds
-    tight = packing_condition(lat, [(0, 0)], 1, 200, mode="exact", cap=600)
-    assert not tight.holds
+    assert condition_count(space, (), 1) == 1
+    # the lattice packs the whole closed 10-diamond at half scale: 221 balls,
+    # within N0 = 250 and past N0 = 200
+    assert condition_count(lattice_space(), (0, 0), 1, cap=600) == 221
 
 
 def test_packing_condition_glued_line_fails_small_bound():
     from bgkit.spaces import GluedLineSpace
     gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 115)
-    rep = packing_condition(gl, [gl.tip(0)], 1, 50, mode="exact", cap=500)
-    assert not rep.holds
-    assert rep.per_center[0][1] > 50
+    assert condition_count(gl, gl.tip(0), 1, cap=500) > 50
 
 
 def test_orbit_packing_below_unrestricted():

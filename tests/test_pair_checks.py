@@ -17,8 +17,8 @@ from test_packing import oracle_pack
 
 import bgkit
 from bgkit import measures, presets
-from bgkit.actions import diastole_consistency, strengthened_bg_check
-from bgkit.bounds import NuOracle, bound_cross_check
+from bgkit.actions import strengthened_bg_check
+from bgkit.bounds import bound_cross_check
 from bgkit.cli import run
 from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
                              check_bg_synthetic, check_classic_bound,
@@ -276,12 +276,6 @@ def test_cross_checks_report_the_band():
     bound = rep.bound * (1 + 2 * MARGIN)
     assert bound_cross_check("generators", bound,
                              {"N": 2, "K": 0, "D": 6}).holds is False
-    _space, act, _mu = presets.torus_instance(5)
-    # r0 / (nu(C^3 + 1) / 2) = 10 / 2 = 5, the measured diastole
-    rep = diastole_consistency(act, [(0, 0)], BGParams(10, 5.0, 0.0),
-                               NuOracle([[1e3, 4]]))
-    assert rep["bound"] == rep["diastole"] == 5.0
-    assert rep["holds"] is None and "margin band" in rep["note"]
 
 
 def test_check_command_reports_the_band(capsys):
