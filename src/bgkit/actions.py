@@ -2,7 +2,8 @@
 
 An action binds a built-in group family to one of the space variants by an
 explicit rule (left translation on a Cayley graph, lattice translation,
-glued-line shift, vertex permutation, deck transformation).  Orbit
+glued-line shift, vertex permutation, deck transformation).  Every orbit
+scan passes `spaces.check_ball`, the gate of every measure.  Orbit
 displacements come out as a `measures.DistanceProfile`, from sphere sizes
 where the word metric gives them and from enumeration otherwise.  On top
 of the exhaustive orbit machinery this module implements displacement sets
@@ -42,17 +43,19 @@ class GroupAction:
     def elements_moving_near(self, base, center, radius):
         """Exhaustive [(g, g*base, d(center, g*base))] with distance <= radius.
 
-        Properness of the bundled rules makes this finite.  Raises
-        WindowError when the radius passes the space's safe window at
-        `center`, checked here for every rule, or when the rule's
-        enumeration would exceed the orbit budget.
+        Properness of the bundled rules makes this finite.  Every rule
+        passes one gate first: `base` must be a point, and
+        `spaces.check_ball` makes the refusals of every measure at
+        `center`.  WindowError also when the rule's enumeration would
+        exceed the orbit budget.
         """
+        self.space.check_point(base)
         return self._moving_near(
-            base, center, spaces.check_window(self.space, center, radius))
+            base, center, spaces.check_ball(self.space, center, radius))
 
     def _moving_near(self, base, center, radius):
-        """The rule's enumeration behind `elements_moving_near`; `radius` is
-        a rational within the safe window at `center`."""
+        """The rule's enumeration behind `elements_moving_near`, for points
+        `base` and `center` and a rational radius past its gate."""
         raise NotImplementedError
 
     def orbit_within(self, x, radius):
@@ -65,10 +68,13 @@ class GroupAction:
     def displacement_profile(self, base, center, upto) -> DistanceProfile:
         """Returns a `DistanceProfile` of d(center, g*base) up to `upto`.
 
-        Exact; the default builds it from enumeration, subclasses override
-        with closed forms where the word metric gives them.
+        The counting measure's build, for a rational `upto` past the gate
+        of `counting_measure(action, base).profile(space, center, upto)`,
+        the gated library entry.  Exact; the default builds it from
+        enumeration, subclasses override with closed forms where the word
+        metric gives them.
         """
-        rows = self.elements_moving_near(base, center, upto)
+        rows = self._moving_near(base, center, upto)
         return DistanceProfile(((d, 1) for _g, _p, d in rows), upto)
 
     def quotient_diameter(self) -> Fraction:
@@ -101,8 +107,7 @@ class LeftTranslationAction(GroupAction):
         return rows
 
     def displacement_profile(self, base, center, upto):
-        upto = rational(upto)
-        spheres = self.family.sphere_sizes(max(math.floor(upto), 0))
+        spheres = self.family.sphere_sizes(math.floor(upto))
         return sphere_profile(spheres, 1, upto)
 
     def quotient_diameter(self):
@@ -185,10 +190,8 @@ class LatticeTranslationAction(GroupAction):
         return rows
 
     def displacement_profile(self, base, center, upto):
-        upto = rational(upto)
         if self._scale is not None and base == center:
-            spheres = self.family.sphere_sizes(
-                max(math.floor(upto / self._scale), 0))
+            spheres = self.family.sphere_sizes(math.floor(upto / self._scale))
             return sphere_profile(spheres, self._scale, upto)
         return super().displacement_profile(base, center, upto)
 
@@ -216,7 +219,7 @@ class GluedLineShiftAction(GroupAction):
 
     def _moving_near(self, base, center, radius):
         # Every image inside the window is one of these shifts, and the
-        # window check keeps each image within `radius` of `center` inside it.
+        # gate keeps each image within `radius` of `center` inside it.
         window = self.space.window
         rows = []
         for shift in range(-2 * window, 2 * window + 1):
@@ -305,8 +308,6 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
 @dataclass
 class SigmaResult:
     elements: list
-    displacements: list
-    generating_set: list
     virtually_nilpotent: bool | None
 
 
@@ -317,10 +318,7 @@ def sigma_r(action: GroupAction, x, r) -> SigmaResult:
     identity = action.family.identity()
     gens = [g for g in elements if g != identity]
     verdict = action.family.subgroup_virtually_nilpotent(gens)
-    return SigmaResult(elements=elements,
-                       displacements=[d for _g, d in rows],
-                       generating_set=gens,
-                       virtually_nilpotent=verdict)
+    return SigmaResult(elements=elements, virtually_nilpotent=verdict)
 
 
 @dataclass
@@ -338,7 +336,6 @@ class SystoleReport:
     torsion_free_diastole: Fraction | None
     systole: Fraction | None
     torsion_free_systole: Fraction | None
-    sample_based: bool = True
     warnings: list = field(default_factory=list)
 
 
@@ -408,7 +405,6 @@ def systole(action: GroupAction, sample, ceiling=None) -> SystoleReport:
 class ThinSetReport:
     r: Fraction
     membership: dict
-    torsion_free_membership: dict
     verdict: str
     torsion_free_verdict: str
 
@@ -445,9 +441,8 @@ def thin_set(action: GroupAction, r, sample, adjacency, ceiling=None) -> ThinSet
     verdict = _connectivity_verdict([x for x, m in membership.items() if m], adjacency)
     free_verdict = _connectivity_verdict(
         [x for x, m in free_membership.items() if m], adjacency)
-    return ThinSetReport(r=r, membership=membership,
-                         torsion_free_membership=free_membership,
-                         verdict=verdict, torsion_free_verdict=free_verdict)
+    return ThinSetReport(r=r, membership=membership, verdict=verdict,
+                         torsion_free_verdict=free_verdict)
 
 
 @dataclass
@@ -512,8 +507,12 @@ def short_generators(action: GroupAction, x0, R) -> ShortGeneratorsResult:
     Distances (i) d(x0, g x0) <= 2D+R and (ii) pairwise >= R are re-verified
     exactly on the output; finite-index evidence comes from coset closure up
     to `COSET_BOUND` cosets when a membership oracle exists for the family.
+    DomainError for R <= 0, where R-separation means nothing, before any
+    orbit scan.
     """
     R = rational(R)
+    if R <= 0:
+        raise DomainError("short generators need a separation R > 0")
     D = action.quotient_diameter()
     radius = 2 * D + R
     rows = action.orbit_within(x0, radius)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .exact import DomainError, INCONCLUSIVE, VERIFIED, verdict
+from .exact import DomainError, INCONCLUSIVE, VERIFIED, rational, verdict
 
 
 class NuOracle:
@@ -75,7 +75,9 @@ def _formula(kind: str, p: dict, nu: NuOracle | None) -> float:
         missing = [n for n in names if n not in p]
         if missing:
             raise DomainError(f"bound {kind!r} needs parameters {missing}")
-        values = [float(p[n]) for n in names]
+        # a "p/q" string is read as every other input reads it
+        values = [float(rational(p[n]) if isinstance(p[n], str) else p[n])
+                  for n in names]
         if not all(map(math.isfinite, values)):
             raise DomainError(f"bound {kind!r} needs finite parameters {values}")
         return values

@@ -51,7 +51,6 @@ class EntropyEstimate:
     window_low: float
     window_high: float
     r_max: Fraction
-    tail_samples: int
     converged: bool
     notes: list = field(default_factory=list)
 
@@ -101,5 +100,4 @@ def entropy_estimate(profile: GrowthProfile,
         f"tail spread {high - low:.4g} exceeds 0.1: estimate not settled"]
     return EntropyEstimate(estimate=low, window_low=low, window_high=high,
                            r_max=profile.samples[-1].R,
-                           tail_samples=tail_len, converged=converged,
-                           notes=notes)
+                           converged=converged, notes=notes)

@@ -18,11 +18,12 @@ balls stay exact far beyond anything enumerable.  A ratio of two ball
 masses divides two int totals on the one mass scale, which cancels, into
 one Fraction.
 
-`Measure.profile` is the one gate of this layer: `spaces.check_ball`
-makes every ball refusal there, once, for every measure kind.  Its memo of
-the last profile built is the one place that decides sharing: the scans
-of one (measure, center, radius) share one, and so do all the centers of
-a sandwich sup when the measure is the same at every center.  A profile
+Every measure kind passes `spaces.check_ball`, the one gate of every ball
+and orbit scan, in `Measure.profile`, once per build; a counting build
+reaches the action's displacement profile only past it.  Its memo of the
+last profile built is the one place that decides sharing: the scans of
+one (measure, center, radius) share one, and so do all the centers of a
+sandwich sup when the measure is the same at every center.  A profile
 never changes (its ticks and totals are tuples), so it keeps one table of
 its critical radii up to half its radius (`DistanceProfile.critical_table`)
 that every scan reads; the table holds exactly the ints a scan would
@@ -273,6 +274,12 @@ class CountingOrbitMeasure(Measure):
             raise DomainError("counting measure queried on a different space")
         return self.action.displacement_profile(self.basepoint, center, upto)
 
+    def _center_free(self, space) -> bool:
+        """Left translation is transitive on its own Cayley graph, so the
+        orbit is every point and its profile is the sphere profile at
+        every center."""
+        return self.action.rule == "left_translation"
+
 
 class PullbackMeasure(VertexMeasure):
     """Pull-back of a base-graph measure to a windowed universal cover.
@@ -296,14 +303,6 @@ class PullbackMeasure(VertexMeasure):
 
 def counting_measure(action, basepoint) -> CountingOrbitMeasure:
     return CountingOrbitMeasure(action, basepoint)
-
-
-def check_radius(r) -> Fraction:
-    """`r` as a rational; DomainError when it is negative."""
-    r = rational(r)
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    return r
 
 
 def ball_mass(measure: Measure, space, x, r, closed=False) -> Fraction:

@@ -29,7 +29,7 @@ from operator import lt
 
 from .exact import DomainError, WindowError, rational
 from . import spaces
-from .measures import CountingOrbitMeasure, check_radius
+from .measures import CountingOrbitMeasure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
 
 EXACT_CAP = 60
@@ -395,7 +395,7 @@ class SandwichReport:
 def _fits(space, x, r) -> bool:
     """Whether a ball of radius r at x stays inside the safe window."""
     try:
-        spaces.check_window(space, x, r)
+        spaces.check_ball(space, x, r)
     except WindowError:
         return False
     return True
@@ -422,8 +422,8 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
     # from it.  The refusals of the first query, the closed R - r ball,
     # come first, as they would from ball_mass.
     counting = CountingOrbitMeasure(action, x)
-    spaces.check_window(space, x, check_radius(R - r))
-    at_x = counting.profile(space, x, max(R - r, check_radius(2 * r)))
+    spaces.check_ball(space, x, R - r)
+    at_x = counting.profile(space, x, max(R - r, 2 * r))
     lower = at_x.ratio(R - r, 2 * r, closed=True)
     pack_orbit = gamma_packing_count(action, x, r, R, mode="exact", cap=cap)
     # When x is in the sup sample, its invariant profile is built once, to

@@ -36,8 +36,6 @@ def encode(value):
         return value
     if isinstance(value, (int, float, str)):
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: encode(v) for k, v in dataclasses.asdict(value).items()}
     if isinstance(value, dict):
         return {str(encode(k)): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

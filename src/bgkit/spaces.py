@@ -8,9 +8,10 @@ the one row primitive: the distances of a point set to one point as exact
 ints on one scale (on a Cayley space, the family's `distances_to` row).
 The packing conflict graph, first fit and the packing audit read it, and
 `scaled_distances`, all pairwise distances for the four-point scan, is
-built from its rows of the upper triangle.  Ball enumeration is lazy and
-refuses to run past the declared safe window instead of silently
-truncating.
+built from its rows of the upper triangle.  `check_ball` is the one gate
+of every ball, measure profile and orbit scan: it refuses a centre that is
+no point of the space, a radius past the declared safe window and a
+negative radius, so nothing silently truncates.
 """
 
 from __future__ import annotations
@@ -128,18 +129,15 @@ def read_point(value, space: Space):
     return point
 
 
-def distance(space: Space, x, y) -> Fraction:
-    space.check_point(x)
-    space.check_point(y)
-    return space.distance(x, y)
+def check_ball(space: Space, x, r) -> Fraction:
+    """`r` as a rational, after the refusals of every ball at x: a point
+    outside the space, a radius past the safe window, a negative radius.
 
-
-def check_window(space: Space, x, r) -> Fraction:
-    """`r` as a rational; WindowError when it passes the safe window at x.
-
-    The one place a radius meets `safe_radius`: every ball enumeration and
-    every orbit scan goes through it, so none of them can truncate.
+    The one place a radius meets `safe_radius`: every ball enumeration,
+    measure profile and orbit scan goes through it, so none of them can
+    truncate.
     """
+    space.check_point(x)
     r = rational(r)
     safe = space.safe_radius(x)
     if safe is not None and r > safe:
@@ -147,14 +145,6 @@ def check_window(space: Space, x, r) -> Fraction:
             f"radius {fmt_rational(r)} exceeds the safe window "
             f"{fmt_rational(safe)} of this {space.kind} space",
             required=r, available=safe)
-    return r
-
-
-def check_ball(space: Space, x, r) -> Fraction:
-    """`r` as a rational, after the refusals of every ball at x: a point
-    outside the space, a radius past the safe window, a negative radius."""
-    space.check_point(x)
-    r = check_window(space, x, r)
     if r < 0:
         raise DomainError("ball radius must be nonnegative")
     return r

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import actions, covers
+from bgkit import actions, covers, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
                            action_from_spec, sigma_r)
@@ -197,9 +197,85 @@ def test_action_from_spec():
 
 
 def test_window_check_covers_every_rule():
-    # the one window check lives on GroupAction; no rule can bypass it
+    # the one gate lives on GroupAction; no rule can bypass it
     for module in (actions, covers):
         for obj in vars(module).values():
             if (isinstance(obj, type) and issubclass(obj, actions.GroupAction)
                     and obj is not actions.GroupAction):
                 assert "elements_moving_near" not in obj.__dict__, obj
+
+
+def _orbit_gate_cases():
+    """(id, action, a base and a center it accepts, non-points) for every
+    action kind."""
+    free2 = CayleySpace(FreeFamily(2))
+    lattice = CayleySpace(FreeAbelianFamily(2))
+    glued = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 20)
+    cycle = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                         (3, 0, 1)])
+    cover = covers.universal_cover(
+        WeightedGraph(["v"], [("v", "v", 1), ("v", "v", 1)]), "v", 4)
+    torus = LatticeTranslationAction(lattice, [[5, 0], [0, 5]])
+    return [
+        ("left-translation", LeftTranslationAction(free2.family, free2),
+         (), (1,), [(9,), "junk", (1, -1)]),
+        ("lattice-mI", torus, (0, 0), (0, 0), ["junk", (1, 2, 3)]),
+        ("lattice-mI-off-base", torus, (0, 0), (1, 2), ["junk", (1, 2, 3)]),
+        ("lattice-general",
+         LatticeTranslationAction(lattice, [[2, 1], [0, 3]]), (0, 0), (1, 1),
+         ["junk", (1, 2, 3)]),
+        ("glued-line-shift", GluedLineShiftAction(glued), glued.tip(0),
+         glued.tip(1), ["x", ("line", 7)]),
+        ("permutation",
+         PermutationAction(FinitePermutationFamily([(1, 2, 3, 0)]), cycle,
+                           labels=[0, 1, 2, 3]), 0, 1, ["junk", 4]),
+        ("deck", covers.DeckAction(cover), (), ((0, 1),),
+         ["junk", ((0, 1), (0, 0))]),
+    ]
+
+
+def _refusal(call):
+    with pytest.raises((DomainError, WindowError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case", _orbit_gate_cases(), ids=lambda c: c[0])
+def test_every_action_refuses_what_check_ball_refuses(case):
+    # a non-point center or base, a negative radius and a radius past the
+    # window, through both orbit scans: each refusal is the gate's own
+    _id, act, base, center, bad_points = case
+    space = act.space
+    for bad in bad_points:
+        want = _refusal(lambda: space.check_point(bad))
+        assert want == _refusal(lambda: spaces.check_ball(space, bad, 2))
+        assert _refusal(lambda: act.elements_moving_near(base, bad, 2)) == want
+        assert _refusal(lambda: act.elements_moving_near(bad, center, 2)) == want
+        assert _refusal(lambda: act.orbit_within(bad, 2)) == want
+    radii = [-1, Fraction(-1, 3)]
+    for x in (base, center):
+        safe = space.safe_radius(x)
+        if safe is not None:
+            radii.append(safe + Fraction(1, 3))
+        for r in radii:
+            want = _refusal(lambda: spaces.check_ball(space, x, r))
+            assert _refusal(lambda: act.elements_moving_near(base, x, r)) == want
+            assert _refusal(lambda: act.orbit_within(x, r)) == want
+
+
+@pytest.mark.parametrize("case", _orbit_gate_cases(), ids=lambda c: c[0])
+def test_each_orbit_scan_passes_the_gate_once(case, monkeypatch):
+    _id, act, base, center, _bad = case
+    calls = []
+    check = spaces.check_ball
+
+    def counted(*args):
+        calls.append(args[1:])
+        return check(*args)
+
+    monkeypatch.setattr(spaces, "check_ball", counted)
+    rows = act.elements_moving_near(base, center, 2)
+    assert calls == [(center, 2)]
+    assert rows == act._moving_near(base, center, Fraction(2))
+    act.orbit_within(center, 1)
+    assert calls == [(center, 2), (center, 1)]

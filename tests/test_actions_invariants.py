@@ -354,6 +354,20 @@ def test_short_generators_general_lattice_refused():
         short_generators(act, (0, 0), 2)
 
 
+@pytest.mark.parametrize("R", [0, -3, Fraction(-1, 2)])
+def test_short_generators_refuse_a_nonpositive_separation(R, monkeypatch):
+    # R-separation means nothing for R <= 0: refused before any orbit scan
+    act = LeftTranslationAction(FreeAbelianFamily(2))
+
+    def scan(*_args):
+        raise AssertionError("orbit scanned")
+
+    monkeypatch.setattr(act, "elements_moving_near", scan)
+    with pytest.raises(DomainError,
+                       match=r"^short generators need a separation R > 0$"):
+        short_generators(act, (0, 0), R)
+
+
 def test_short_generators_free_group_membership():
     act = LeftTranslationAction(FreeFamily(2))
     res = short_generators(act, (), 1)

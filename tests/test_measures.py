@@ -12,9 +12,9 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
 from bgkit.exact import DomainError, WindowError, fmt_rational
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
-from bgkit.measures import (DistanceProfile, VertexMeasure, ball_mass,
-                            counting_measure, measure_from_spec,
-                            sphere_profile)
+from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
+                            VertexMeasure, ball_mass, counting_measure,
+                            measure_from_spec, sphere_profile)
 from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
 
 
@@ -430,6 +430,24 @@ def test_profile_memo_checks_a_new_center(monkeypatch):
                            match=r"\(1, -1\) is not a point of this cayley"):
             mu.profile(space, (1, -1), 2)
         assert mu.profile(space, (-2,), 2) is kept
+
+
+def test_left_translation_counting_profile_serves_every_center(monkeypatch):
+    # left translation is transitive on its own Cayley graph, so the
+    # counting measure's profile is the same at every center: one build
+    inst = _preset_instance("lattice2", "counting_orbit")
+    space, mu = inst.space, inst.measure
+    build = CountingOrbitMeasure._build_profile
+    builds = []
+
+    def counted(self, space, center, upto):
+        builds.append(center)
+        return build(self, space, center, upto)
+
+    monkeypatch.setattr(CountingOrbitMeasure, "_build_profile", counted)
+    got = [mu.profile(space, c, 12) for c in ((0, 0), (2, -1), (1, 3))]
+    assert got[0] is got[1] is got[2]
+    assert builds == [(0, 0)]
 
 
 @pytest.mark.parametrize("name", PRESETS)

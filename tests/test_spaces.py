@@ -13,7 +13,7 @@ from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
-                          TripodSpace, WeightedGraph, distance, enumerate_ball)
+                          TripodSpace, WeightedGraph, enumerate_ball)
 
 
 def lattice(k=2):
@@ -50,15 +50,15 @@ def test_distance_identity_everywhere():
     grid = grid_graph(4)
     for space, pt in [(gl, gl.tip(3)), (tri, "y"), (grid, (2, 1)),
                       (lattice(), (0, 0)), (free_cayley(), (1, 2))]:
-        assert distance(space, pt, pt) == 0
+        assert space.distance(pt, pt) == 0
 
 
 def test_glued_line_tip_distances():
     gl = GluedLineSpace("1/10", "1/2", 30)
     # tip to tip crosses both hairs and the base segment
-    assert distance(gl, gl.tip(0), gl.tip(3)) == Fraction(13, 10)
-    assert distance(gl, gl.tip(0), gl.tip(1)) == Fraction(11, 10)
-    assert distance(gl, gl.tip(0), gl.base(0)) == Fraction(1, 2)
+    assert gl.distance(gl.tip(0), gl.tip(3)) == Fraction(13, 10)
+    assert gl.distance(gl.tip(0), gl.tip(1)) == Fraction(11, 10)
+    assert gl.distance(gl.tip(0), gl.base(0)) == Fraction(1, 2)
 
 
 def discretized_graph(gl):
@@ -85,12 +85,12 @@ def test_glued_line_matches_discretized_graph():
 
 def test_tripod_distances():
     tri = TripodSpace(3, 2, 1)
-    assert distance(tri, "x", "y") == 5
-    assert distance(tri, "c", "x") == 3
+    assert tri.distance("x", "y") == 5
+    assert tri.distance("c", "x") == 3
     equi = TripodSpace(1, 1, 1)
-    assert {distance(equi, a, b) for a, b in [("x", "y"), ("y", "z"), ("x", "z")]} == {2}
+    assert {equi.distance(a, b) for a, b in [("x", "y"), ("y", "z"), ("x", "z")]} == {2}
     degenerate = TripodSpace(0, 0, 0)
-    assert distance(degenerate, "x", "z") == 0
+    assert degenerate.distance("x", "z") == 0
     assert degenerate.validate()["issues"]   # degeneracy is reported
 
 

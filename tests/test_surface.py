@@ -47,19 +47,27 @@ def _public_surface():
 
 
 def _references():
-    """(attributes, imported names, bare loads per file) over CALLERS.
+    """(attributes, module attributes, imported names, bare loads per file)
+    over CALLERS.
 
     A method is reached only as an attribute; `perfbench/trace.py` names
     the attributes it wraps as strings, so an identifier string there
     counts as an attribute.  A top-level name is reached as an attribute of
-    its module, by a `from ... import`, or by a bare load in its own module.
+    its own module (`spaces.check_ball`, or `bgkit.spaces.check_ball`), by
+    a `from ... import`, or by a bare load in its own module: an attribute
+    of the same name on anything else (`space.distance`) does not count.
     """
-    attributes, imported, loads = set(), set(), {}
+    attributes, qualified, imported, loads = set(), set(), set(), {}
     for path in CALLERS:
         bare = loads.setdefault(path, set())
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                owner = node.value
+                if isinstance(owner, ast.Attribute):
+                    qualified.add((owner.attr, node.attr))
+                elif isinstance(owner, ast.Name):
+                    qualified.add((owner.id, node.attr))
             elif isinstance(node, ast.ImportFrom):
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -69,18 +77,18 @@ def _references():
                   and isinstance(node.value, str)
                   and node.value.isidentifier()):
                 attributes.add(node.value)
-    return attributes, imported, loads
+    return attributes, qualified, imported, loads
 
 
 def test_every_public_name_has_a_caller():
-    attributes, imported, loads = _references()
+    attributes, qualified, imported, loads = _references()
     uncalled = []
     for path, name in _public_surface():
         owner, _, method = name.rpartition(".")
         if method and owner:
             used = method in attributes
         else:
-            used = (name in attributes or name in imported
+            used = ((path.stem, name) in qualified or name in imported
                     or name in loads[path])
         if not used and name not in LIBRARY_API:
             uncalled.append(f"{path.stem}.{name}")
