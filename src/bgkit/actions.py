@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import groups, spaces
-from .exact import DomainError, VERIFIED, WindowError, rational
+from .exact import (DomainError, VERIFIED, WindowError, field, rational,
+                    record)
 from .measures import CountingOrbitMeasure, DistanceProfile, sphere_profile
 
 ORBIT_BUDGET = 2_000_000
@@ -305,7 +305,7 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SigmaResult:
     elements: list
     virtually_nilpotent: bool | None
@@ -321,7 +321,7 @@ def sigma_r(action: GroupAction, x, r) -> SigmaResult:
     return SigmaResult(elements=elements, virtually_nilpotent=verdict)
 
 
-@dataclass
+@record
 class SystolePoint:
     point: object
     systole: Fraction | None
@@ -329,7 +329,7 @@ class SystolePoint:
     stabilized: bool
 
 
-@dataclass
+@record
 class SystoleReport:
     per_point: list
     diastole: Fraction | None
@@ -401,7 +401,7 @@ def systole(action: GroupAction, sample, ceiling=None) -> SystoleReport:
         warnings=warnings)
 
 
-@dataclass
+@record
 class ThinSetReport:
     r: Fraction
     membership: dict
@@ -445,7 +445,7 @@ def thin_set(action: GroupAction, r, sample, adjacency, ceiling=None) -> ThinSet
                          torsion_free_verdict=free_verdict)
 
 
-@dataclass
+@record
 class MargulisPoint:
     point: object
     estimate: Fraction
@@ -490,7 +490,7 @@ def margulis_estimate(action: GroupAction, sample, ceiling) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ShortGeneratorsResult:
     elements: list
     orbit_points: list

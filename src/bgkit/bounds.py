@@ -13,9 +13,9 @@ need the non-explicit function C -> nu(C) read it from a user-supplied
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .exact import DomainError, INCONCLUSIVE, VERIFIED, rational, verdict
+from .exact import (DomainError, INCONCLUSIVE, VERIFIED, field, rational,
+                    record, verdict)
 
 
 class NuOracle:
@@ -132,7 +132,7 @@ def _formula(kind: str, p: dict, nu: NuOracle | None) -> float:
     raise DomainError(f"unknown bound kind {kind!r}")
 
 
-@dataclass
+@record
 class CrossCheckReport:
     kind: str
     measured: float

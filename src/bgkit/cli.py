@@ -7,20 +7,22 @@ violation was found (so harnesses can assert expected violations), 1
 operational errors.  --dry-run validates inputs and prints the plan only.
 
 Each subcommand imports the modules it runs when it runs them, so a process
-loads only what its one subcommand needs; at import this module loads only
-`exact` and `reports`.
+loads only what its one subcommand needs.  At import this module loads
+`bgkit.exact` and `bgkit.reports`, and from the standard library
+`argparse`, `json` and `fractions` (which loads `decimal` and `numbers`)
+beyond what the interpreter has loaded at start; not `dataclasses`,
+`inspect` or `datetime`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
 from . import reports
-from .exact import DomainError, WindowError, rational
+from .exact import DomainError, WindowError, field, rational, record
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,14 +87,14 @@ def _status_exit(status: str) -> int:
 # Each computes one subcommand's report content; run() does the shared steps.
 
 
-@dataclasses.dataclass
+@record
 class _Outcome:
     params: dict
     result: object
     summary: str
     status: str = "computed"
-    witnesses: list = dataclasses.field(default_factory=list)
-    assumptions: list = dataclasses.field(default_factory=list)
+    witnesses: list = field(default_factory=list)
+    assumptions: list = field(default_factory=list)
 
 
 _OPERATIONS = {}

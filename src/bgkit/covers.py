@@ -12,12 +12,11 @@ distances computed from weighted depths and longest common prefixes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups, spaces
 from .actions import GroupAction
-from .exact import DomainError, WindowError, fmt_rational, rational
+from .exact import DomainError, WindowError, fmt_rational, rational, record
 
 COVER_BUDGET = 200_000
 
@@ -109,7 +108,7 @@ class CoverTreeSpace(spaces.Space):
                 "vertices": len(self.cover.vertices)}
 
 
-@dataclass
+@record
 class CoverData:
     base: spaces.WeightedGraph
     basepoint: object

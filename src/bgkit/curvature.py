@@ -33,16 +33,15 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (DomainError, INCONCLUSIVE, VERIFIED, VIOLATED, band,
-                    fmt_rational, rational, verdict)
+                    field, fmt_rational, rational, record, verdict)
 from .measures import DistanceProfile, Measure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BGParams:
     """Weak inequality parameters: scale r0, factor C > 1, exponent K >= 0."""
     r0: Fraction
@@ -59,7 +58,7 @@ class BGParams:
             raise DomainError("exponent K must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyntheticParams:
     """Dimension-style parameters (N, K), both positive; scale is N/K."""
     N: float
@@ -75,11 +74,11 @@ class SyntheticParams:
     @functools.cached_property
     def scale(self) -> Fraction:
         """N/K, computed once per instance; not a field, so equality, hashing
-        and `asdict` see only N and K."""
+        and `_fields` see only N and K."""
         return rational(self.N) / rational(self.K)
 
 
-@dataclass
+@record
 class Violation:
     radius: Fraction
     lhs: Fraction
@@ -87,7 +86,7 @@ class Violation:
     form: str               # "at" for the exact radius, "above" for the limit
 
 
-@dataclass
+@record
 class Certificate:
     params: object
     center: object
@@ -101,7 +100,7 @@ class Certificate:
     notes: list = field(default_factory=list)
     step: int = 1                                # tick scale of `rows`
     # what `rows` is rebuilt from, set by the scan; not fields, so `==`,
-    # `repr` and `asdict` do not see them
+    # `repr` and `_fields` do not see them
     _profiles = ()
     _factor = _exponent = 0.0
 
@@ -137,7 +136,7 @@ class Certificate:
                 for a, num, den, rhs in self.rows]
 
 
-@dataclass
+@record
 class PairCheck:
     """One concentric ratio (or count) at radii (r, R) against a float bound.
 

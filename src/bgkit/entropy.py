@@ -15,23 +15,22 @@ tail window so a finite-range figure is never presented as a limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import DomainError, log_of_rational, rational
+from .exact import DomainError, field, log_of_rational, rational, record
 from .measures import Measure
 
 MIN_SAMPLES = 10
 
 
-@dataclass
+@record
 class GrowthSample:
     R: Fraction
     mass: Fraction
     h: float          # level statistic ln(mass)/R, kept for reporting
 
 
-@dataclass
+@record
 class GrowthProfile:
     center: object
     samples: list
@@ -45,7 +44,7 @@ class GrowthProfile:
         return out
 
 
-@dataclass
+@record
 class EntropyEstimate:
     estimate: float
     window_low: float

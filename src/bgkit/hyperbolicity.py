@@ -14,16 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spaces
-from .exact import DomainError, rational
+from .exact import DomainError, rational, record
 
 FOUR_POINT_CAP = 150
 
 
-@dataclass
+@record
 class TripodDecomposition:
     alpha: Fraction
     beta: Fraction
@@ -43,7 +42,7 @@ def gromov_tripod(space, x, y, z) -> TripodDecomposition:
     return TripodDecomposition(alpha=alpha, beta=beta, gamma=gamma)
 
 
-@dataclass
+@record
 class HyperbolicityReport:
     delta: Fraction
     method: str
@@ -203,7 +202,7 @@ def thin_triangle_delta(graph, count=60, seed=0):
 # -- convexity defect ---------------------------------------------------------
 
 
-@dataclass
+@record
 class ConvexityReport:
     defect: Fraction
     witness: tuple

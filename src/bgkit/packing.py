@@ -22,12 +22,11 @@ post-hoc audit compare int rows too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import lt
 
-from .exact import DomainError, WindowError, rational
+from .exact import DomainError, WindowError, field, rational, record
 from . import spaces
 from .measures import CountingOrbitMeasure
 from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here)
@@ -35,7 +34,7 @@ from .measures import ball_mass  # noqa: F401  (perfbench/trace.py wraps it here
 EXACT_CAP = 60
 
 
-@dataclass
+@record
 class PackingResult:
     count: int
     centers: list
@@ -378,7 +377,7 @@ def gamma_packing_count(action, x, r, R, mode="exact", cap=EXACT_CAP) -> Packing
     return result
 
 
-@dataclass
+@record
 class SandwichReport:
     r: Fraction
     R: Fraction

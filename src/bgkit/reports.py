@@ -8,24 +8,36 @@ convention) so pinned environments produce pinned bytes.
 
 from __future__ import annotations
 
-import dataclasses
-import datetime
 import json
 import os
+import time
 from fractions import Fraction
 
 from . import __version__
-from .exact import DomainError, decimal12, fmt_rational
+from .exact import DomainError, decimal12, field, fmt_rational, record
+
+
+# the epochs of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, which
+# `time.gmtime` does not bound
+_FIRST_EPOCH, _LAST_EPOCH = -62135596800, 253402300799
 
 
 def _timestamp() -> str:
+    """UTC now, or at SOURCE_DATE_EPOCH when that is set; DomainError for an
+    epoch that is no integer or falls outside the years 1..9999."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.datetime.fromtimestamp(int(epoch),
-                                                 datetime.timezone.utc)
+    if epoch is None:
+        moment = time.gmtime()
     else:
-        moment = datetime.datetime.now(datetime.timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+        try:
+            seconds = int(epoch)
+        except ValueError:
+            seconds = None
+        if seconds is None or not _FIRST_EPOCH <= seconds <= _LAST_EPOCH:
+            raise DomainError(f"SOURCE_DATE_EPOCH={epoch!r} is no integer "
+                              "epoch in the years 1 to 9999")
+        moment = time.gmtime(seconds)
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
 
 
 def encode(value):
@@ -46,17 +58,17 @@ def encode(value):
     return repr(value)
 
 
-@dataclasses.dataclass
+@record
 class Report:
     operation: str
     params: dict
     status: str
     result: object = None
-    witnesses: list = dataclasses.field(default_factory=list)
-    assumptions: list = dataclasses.field(default_factory=list)
+    witnesses: list = field(default_factory=list)
+    assumptions: list = field(default_factory=list)
     seed: int | None = None
     tool_version: str = __version__
-    timestamp: str = dataclasses.field(default_factory=_timestamp)
+    timestamp: str = field(default_factory=_timestamp)
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,5 @@
 import argparse
+import datetime
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from test_report_bytes import CASES, SPACE_FILES, write_space_files
 
-from bgkit import cli, presets
+from bgkit import cli, presets, reports
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.cli import run
@@ -438,7 +439,9 @@ LOADED_MODULES = [
 def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
     # each subcommand imports its modules when it runs them, numpy is paid
     # for only when a kernel runs, and csv only when a report is written as
-    # CSV: a fresh process ends with exactly these bgkit modules loaded
+    # CSV: a fresh process ends with exactly these bgkit modules loaded.
+    # Records and timestamps load neither dataclasses (which imports
+    # inspect) nor datetime; numpy imports inspect and datetime itself
     write_space_files(tmp_path)
     if argv is not None:
         argv = [str(tmp_path / a) if a in SPACE_FILES else a for a in argv]
@@ -452,12 +455,18 @@ def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
               "        assert cli.run(argv) in (0, 2)\n"
               "print(json.dumps([sorted(m for m in sys.modules"
               " if m.split('.')[0] == 'bgkit'), 'numpy' in sys.modules,"
-              " 'csv' in sys.modules]))\n")
+              " 'csv' in sys.modules, [m for m in"
+              " ('dataclasses', 'datetime', 'inspect') if m in sys.modules]]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     csv = argv is not None and "csv" in argv
-    assert json.loads(proc.stdout) == [sorted(modules), numpy, csv]
+    bgkit_modules, loads_numpy, loads_csv, stdlib = json.loads(proc.stdout)
+    assert [bgkit_modules, loads_numpy, loads_csv] == [sorted(modules), numpy,
+                                                       csv]
+    assert "dataclasses" not in stdlib
+    if not numpy:
+        assert stdlib == []
 
 
 HELP_CASES = json.loads(
@@ -475,6 +484,41 @@ def test_help_text_unchanged(case, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert {"argv": case["argv"], "exit": code,
             "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} == case
+
+
+STAMP = "%Y-%m-%dT%H:%M:%SZ"
+
+
+@pytest.mark.parametrize("epoch", [0, -1, 2 ** 31, 253402300799,
+                                   -62135596800])
+def test_timestamp_matches_datetime(epoch, monkeypatch):
+    # the stamp is built with time.gmtime; datetime is the oracle, from the
+    # first second of year 1 to the last of year 9999
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(epoch))
+    want = datetime.datetime.fromtimestamp(
+        epoch, datetime.timezone.utc).strftime(STAMP)
+    assert reports._timestamp() == want
+
+
+def test_timestamp_without_epoch_is_utc_now(monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    stamp = reports._timestamp()
+    moment = datetime.datetime.strptime(stamp, STAMP)
+    assert moment.strftime(STAMP) == stamp
+    now = datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None)
+    assert abs((now - moment).total_seconds()) < 60
+
+
+@pytest.mark.parametrize("epoch", ["abc", "100000000000000", "-62135596801",
+                                   "253402300800"])
+def test_malformed_source_date_epoch_is_refused(epoch, monkeypatch, capsys):
+    # no integer, or a UTC year outside 1..9999: exit 1 with one error line
+    # naming the variable, not a traceback
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    code, report, err = invoke(["validate", "--preset", "lattice2"], capsys)
+    assert (code, report) == (1, None)
+    assert err == (f"error: SOURCE_DATE_EPOCH={epoch!r} is no integer epoch "
+                   "in the years 1 to 9999\n")
 
 
 def test_pack_default_cap_is_the_exact_cap(capsys):
