@@ -5,23 +5,14 @@ hyperbolicity scan over a distance matrix and all-pairs shortest paths for
 dense graph distance matrices.  Both run on integer matrices obtained by
 exact common-denominator scaling, so they lose no exactness.
 
-The four-point scan first tries a one-basepoint certificate.  With
-G[x, y] = d(0, x) + d(0, y) - d(x, y), the doubled Gromov products at
-point 0, the largest four-point difference hi - mid over the quadruples
-through point 0 is
-
-    V0 = max over x, y of (max over z of min(G[x, z], G[z, y])) - G[x, y],
-
-an O(n^3) (max, min) product.  By the basepoint lemma (Gromov, "Hyperbolic
-groups", 1987, 1.1; Ghys and de la Harpe 1990, ch. 2, prop. 2), a metric
-whose quadruples through one point all have hi - mid <= c has
-hi - mid <= 2c on every quadruple, so the maximum lies in [V0, 2 V0].  V0 = 0
-therefore certifies that every quadruple scores 0, as on trees and free
-group balls, and the scan is skipped.  Otherwise the Theta(n^4) scan runs
-in the narrowest integer dtype that holds its sums exactly.  For each j
-and a block of rows i < j it scores the full (k, l) square over k, l > j.
-Adding the same amount to all three pair sums leaves hi - mid as it is, so
-the scan takes them less d(j,l), as broadcasts of contiguous slices:
+The four-point scan is the Theta(n^4) half of the exhaustive four-point
+constant: `hyperbolicity.basepoint_certificate` settles delta = 0 in pure
+Python first, so the scan runs only when a quadruple through point 0
+scores above 0.  The scan works in the narrowest integer dtype that holds
+its sums exactly.  For each j and a block of rows i < j it scores the full
+(k, l) square over k, l > j.  Adding the same amount to all three pair
+sums leaves hi - mid as it is, so the scan takes them less d(j,l), as
+broadcasts of contiguous slices:
 
     d(i,j) + d(k,l) - d(j,l) = dist[i, j] + (dist[j+1:, j+1:] - dist[j, j+1:])
     d(i,k)                   = dist[i, j+1:, None]
@@ -48,9 +39,9 @@ import math
 
 import numpy as np
 
+from .exact import check_range
+
 INF = np.int64(2 ** 60)
-# elements of one (max, min) block of the basepoint certificate
-CERTIFICATE_BLOCK = 2 ** 21
 # cells per buffer of one block of the four-point scan; a block holds at
 # least one row i, whose (k, l) square may be larger
 SCAN_BLOCK = 2 ** 17
@@ -67,31 +58,13 @@ def scan_dtype(top):
     return np.int64
 
 
-def basepoint_excess(dist):
-    """V0: the largest hi - mid over the quadruples through point 0.
-
-    `dist` is a square integer array in a dtype from `scan_dtype`.  Rows of
-    the (max, min) product go in blocks of about CERTIFICATE_BLOCK elements.
-    """
-    g = dist[0, :, None] + dist[0, None, :] - dist
-    n = g.shape[0]
-    step = max(1, CERTIFICATE_BLOCK // (n * n))
-    best = []
-    for a in range(0, n, step):
-        rows = g[a:a + step]
-        reach = np.minimum(rows[:, :, None], g[None, :, :]).max(axis=1)
-        best.append(int((reach - rows).max()))
-    return max(best)
-
-
 def four_point_scan(dist):
     """(2*delta, i, j, k, l) maximizing the four-point difference, exact.
 
     `dist` is a symmetric n x n integer metric (array or nested lists).  The
     witness is the lexicographically first maximizing quadruple
-    i < j < k < l, so the reports that print it are reproducible.  When the
-    basepoint certificate is 0 every quadruple scores 0 and that quadruple
-    is (0, 1, 2, 3).
+    i < j < k < l, so the reports that print it are reproducible.  On a
+    tree metric every quadruple scores 0 and that quadruple is (0, 1, 2, 3).
 
     Each j scores the full square of (k, l), k, l > j, for a block of rows
     i < j at a time, from contiguous broadcasts into four buffers allocated
@@ -105,8 +78,6 @@ def four_point_scan(dist):
     if n < 4:
         return -1, 0, 0, 0, 0
     dist = np.ascontiguousarray(dist, dtype=scan_dtype(int(np.abs(dist).max())))
-    if basepoint_excess(dist) == 0:
-        return 0, 0, 1, 2, 3
     # rows i < j per block: about SCAN_BLOCK cells, at least one row
     steps = [min(j, max(1, SCAN_BLOCK // (n - j - 1) ** 2))
              for j in range(n - 2)]
@@ -170,13 +141,6 @@ def graph_distances(n, edges):
     inf = int(INF)
     return [[None if cell >= inf else cell for cell in row]
             for row in floyd_warshall(mat).tolist()]
-
-
-def check_range(ints):
-    """OverflowError when an int's magnitude passes 2**40, beyond which the
-    kernels' integer arithmetic could overflow: the one home of that bound."""
-    if max(map(abs, ints), default=0) > 2 ** 40:
-        raise OverflowError("scaled distances too large for the int64 kernels")
 
 
 def scale_to_int(values):

@@ -125,6 +125,14 @@ def log_of_rational(q: Rational) -> float:
     return log(q.numerator) - log(q.denominator)
 
 
+def check_range(ints):
+    """OverflowError when an int's magnitude passes 2**40, beyond which the
+    int64 kernels of `_kernels` could overflow: the one home of that bound,
+    kept here so that a caller refuses a matrix without importing numpy."""
+    if max(map(abs, ints), default=0) > 2 ** 40:
+        raise OverflowError("scaled distances too large for the int64 kernels")
+
+
 # -- records -------------------------------------------------------------------
 
 

@@ -7,6 +7,22 @@ Two different deltas are computed and never conflated: the four-point
 constant is cheap and path-free; the thin-triangle constant follows the
 actual tripod approximation along lexicographically chosen shortest paths.
 Reports carry the method name and a witness that reproduces the value.
+
+The exhaustive four-point constant first tries a one-basepoint
+certificate.  With G[x][y] = d(0,x) + d(0,y) - d(x,y), the doubled Gromov
+products at point 0, the largest four-point difference hi - mid over the
+quadruples through point 0 is
+
+    V0 = max over x, y of (max over z of min(G[x][z], G[z][y])) - G[x][y].
+
+By the basepoint lemma (Gromov, "Hyperbolic groups", 1987, 1.1; Ghys and
+de la Harpe 1990, ch. 2, prop. 2), a metric whose quadruples through one
+point all have hi - mid <= c has hi - mid <= 2c on every quadruple, so the
+maximum lies in [V0, 2 V0].  V0 = 0 therefore certifies that every
+quadruple scores 0, as on trees and free group balls.
+`basepoint_certificate` decides V0 = 0 exactly in O(n^2) pure Python, and
+only when it fails does `four_point_delta` import `_kernels`, and with it
+numpy, for the Theta(n^4) scan.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ import random
 from fractions import Fraction
 
 from . import spaces
-from .exact import DomainError, rational, record
+from .exact import DomainError, check_range, rational, record
 
 FOUR_POINT_CAP = 150
 
@@ -50,25 +66,62 @@ class HyperbolicityReport:
     points_used: int
 
 
+def basepoint_certificate(rows) -> bool:
+    """Whether V0 = 0, which by the basepoint lemma gives delta = 0: exact
+    on any symmetric integer matrix `rows`, in O(n^2) steps.
+
+    With G[x][y] = d(0,x) + d(0,y) - d(x,y), V0 = 0 holds exactly when
+    G[x][y] >= min(G[x][z], G[z][y]) for all x, y, z; for y = x that reads
+    G[x][x] >= G[x][z].  Take the points in order, and for each v > 0 the
+    first point p < v that maximizes k = G[v][p].  If V0 = 0, then
+    G[v][v] >= k and G[v][u] = min(k, G[p][u]) for every u < v: v branches
+    off p at level k from the tree of the points before it.  Conversely,
+    these two checks give V0 = 0 on the points up to v, by induction on v
+    (the identity at u = p reads k <= G[p][p]).  So each point's row of G
+    up to itself is built and checked in turn, a whole row only for a
+    point that is some p, and the check stops at the first failure.
+    """
+    d0 = rows[0]
+    parents = {}
+    for v in range(1, len(rows)):
+        row = rows[v]
+        top = d0[v]
+        head = [top + a - b for a, b in zip(d0[:v], row)]
+        k = max(head)
+        p = head.index(k)
+        if p not in parents:
+            parents[p] = [d0[p] + a - b for a, b in zip(d0, rows[p])]
+        if k > 2 * top - row[v] or head != [
+                y if y < k else k for y in parents[p][:v]]:
+            return False
+    return True
+
+
 def four_point_delta(space, points=None, mode="exhaustive", count=2000,
                      seed=0, cap=FOUR_POINT_CAP) -> HyperbolicityReport:
     """Four-point constant over a finite point set.
 
     delta = max over quadruples of (L1 - L2)/2 where L1 >= L2 >= L3 are the
     three pairings d(a,b)+d(c,d), d(a,c)+d(b,d), d(a,d)+d(b,c).  Exhaustive
-    mode runs the exact integer kernel, whose basepoint certificate settles
-    delta = 0 in O(n^3) and whose scan covers all quadruples otherwise
-    (point sets above `cap` are refused); sampled mode draws seeded
-    quadruples and is a lower bound.
+    mode settles delta = 0 by `basepoint_certificate` in O(n^2) and
+    otherwise runs the exact integer scan of `_kernels` over all
+    quadruples (point sets above `cap` are refused); sampled mode draws
+    seeded quadruples and is a lower bound.  Fewer than four points give
+    delta = 0 in either mode.
     """
+    if mode == "exhaustive":
+        method = "four_point_exhaustive"
+    elif mode == "sampled":
+        method = f"four_point_sampled(seed={seed},count={count})"
+    else:
+        raise DomainError(f"unknown four-point mode {mode!r}")
     pts = list(points) if points is not None else list(space.support())
     pts.sort(key=spaces.point_key)
     n = len(pts)
     if n < 4:
-        return HyperbolicityReport(delta=Fraction(0), method=mode,
+        return HyperbolicityReport(delta=Fraction(0), method=method,
                                    witness=(), points_used=n)
     if mode == "exhaustive":
-        from . import _kernels
         if n > cap:
             raise DomainError(
                 f"{n} points exceed the exhaustive cap {cap}; use sampled mode")
@@ -79,31 +132,32 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
                 raise DomainError(
                     "four-point scan over a disconnected graph") from None
             raise
-        _kernels.check_range(itertools.chain.from_iterable(rows))
-        two_delta, i, j, k, l = _kernels.four_point_scan(rows)
-        delta = Fraction(max(int(two_delta), 0), 2 * scale)
+        check_range(itertools.chain.from_iterable(rows))
+        if basepoint_certificate(rows):
+            two_delta, i, j, k, l = 0, 0, 1, 2, 3
+        else:
+            from . import _kernels
+            two_delta, i, j, k, l = _kernels.four_point_scan(rows)
+        delta = Fraction(two_delta, 2 * scale)
         witness = (pts[i], pts[j], pts[k], pts[l])
-        return HyperbolicityReport(delta=delta, method="four_point_exhaustive",
+        return HyperbolicityReport(delta=delta, method=method,
                                    witness=witness, points_used=n)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        best = Fraction(0)
-        witness = ()
-        for _ in range(count):
-            quad = rng.sample(range(n), 4)
-            a, b, c, d = (pts[q] for q in quad)
-            s1 = space.distance(a, b) + space.distance(c, d)
-            s2 = space.distance(a, c) + space.distance(b, d)
-            s3 = space.distance(a, d) + space.distance(b, c)
-            hi, _, lo = sorted((s1, s2, s3), reverse=True)
-            mid = s1 + s2 + s3 - hi - lo
-            val = (hi - mid) / 2
-            if val > best:
-                best, witness = val, (a, b, c, d)
-        return HyperbolicityReport(
-            delta=best, method=f"four_point_sampled(seed={seed},count={count})",
-            witness=witness, points_used=n)
-    raise DomainError(f"unknown four-point mode {mode!r}")
+    rng = random.Random(seed)
+    best = Fraction(0)
+    witness = ()
+    for _ in range(count):
+        quad = rng.sample(range(n), 4)
+        a, b, c, d = (pts[q] for q in quad)
+        s1 = space.distance(a, b) + space.distance(c, d)
+        s2 = space.distance(a, c) + space.distance(b, d)
+        s3 = space.distance(a, d) + space.distance(b, c)
+        hi, _, lo = sorted((s1, s2, s3), reverse=True)
+        mid = s1 + s2 + s3 - hi - lo
+        val = (hi - mid) / 2
+        if val > best:
+            best, witness = val, (a, b, c, d)
+    return HyperbolicityReport(delta=best, method=method, witness=witness,
+                               points_used=n)
 
 
 # -- thin triangles -----------------------------------------------------------

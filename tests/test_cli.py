@@ -419,8 +419,10 @@ LOADED_MODULES = [
      SPACE_MODULES | {"bgkit.measures", "bgkit.packing"}, False),
     (["pack", "--preset", "torus5", "--r", "1", "--R", "12", "--orbit"],
      PRESET_MODULES | {"bgkit.packing"}, False),
+    # a free-group ball is settled by the basepoint certificate, without
+    # numpy; the 4-cycle of c4.json runs the scan
     (["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
-     SPACE_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+     SPACE_MODULES | {"bgkit.hyperbolicity"}, False),
     # a space file goes through the same builder as a preset; c4.json
     # declares no action, so none is built
     (["validate", "--space", "c4.json"], SPACE_MODULES | {"bgkit.measures"},

@@ -74,7 +74,7 @@ def test_four_point_trees_are_zero():
 
 
 def test_four_point_free2_radius5_past_the_cap():
-    # 485 points: the basepoint certificate proves delta = 0 in O(n^3), so
+    # 485 points: the basepoint certificate proves delta = 0 in O(n^2), so
     # the witness is the first four points in sorted order
     free = LeftTranslationAction(FreeFamily(2)).space
     ball = [p for p, _ in free.ball((), 5, closed=True)]
@@ -140,6 +140,24 @@ def test_four_point_sampled_lower_bound():
     # determinism of the sampled mode
     again = four_point_delta(c6, mode="sampled", count=200, seed=3).delta
     assert sampled == again
+
+
+def test_four_point_small_sets_read_the_mode_first():
+    # fewer than four points: delta 0 under the method name of the mode, and
+    # an unknown mode is refused as it is for four points or more
+    free = LeftTranslationAction(FreeFamily(2)).space
+    three = [(), (1,), (2,)]
+    for points in ([], [()], three):
+        rep = four_point_delta(free, points=points)
+        assert (rep.delta, rep.method, rep.witness, rep.points_used) == (
+            0, "four_point_exhaustive", (), len(points))
+        rep = four_point_delta(free, points=points, mode="sampled", count=7,
+                               seed=2)
+        assert rep.method == "four_point_sampled(seed=2,count=7)"
+        assert (rep.delta, rep.witness) == (0, ())
+    for points in (three, three + [(-1,)]):
+        with pytest.raises(DomainError, match="unknown four-point mode 'junk'"):
+            four_point_delta(free, points=points, mode="junk")
 
 
 def test_four_point_cap():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bgkit import _kernels
+from bgkit.hyperbolicity import basepoint_certificate
 
 
 def _four_point_py(dist):
@@ -31,6 +32,19 @@ def _four_point_py(dist):
                         best = two_delta
                         wi, wj, wk, wl = i, j, k, l
     return best, wi, wj, wk, wl
+
+
+def _basepoint_excess_py(dist):
+    """V0, the largest hi - mid over the quadruples through point 0, by the
+    plain O(n^3) (max, min) loop: the oracle for basepoint_certificate.
+    With G[x][y] = d(0,x) + d(0,y) - d(x,y), V0 is the max over x, y of
+    (max over z of min(G[x][z], G[z][y])) - G[x][y]."""
+    d = np.asarray(dist).tolist()
+    n = len(d)
+    g = [[d[0][x] + d[0][y] - d[x][y] for y in range(n)] for x in range(n)]
+    columns = list(zip(*g))
+    return max(max(map(min, g[x], columns[y])) - g[x][y]
+               for x in range(n) for y in range(n))
 
 
 def _floyd_warshall_py(w):
@@ -120,12 +134,14 @@ def test_four_point_backends_agree():
 
 
 def test_four_point_tree_metrics_take_the_certificate():
-    # every quadruple of a tree metric scores 0: the certificate settles it
+    # every quadruple of a tree metric scores 0: the certificate settles it,
+    # and the scan alone finds the same lex-first quadruple
     for n in (4, 5, 6, 7, 9, 12, 16, 21, 27, 33, 40):
         for seed in range(2):
             rng = random.Random(100 * n + seed)
             d = path_metric(n, random_tree(n, rng))
-            assert _kernels.basepoint_excess(d) == 0
+            assert _basepoint_excess_py(d) == 0
+            assert basepoint_certificate(d.tolist())
             assert as_ints(_kernels.four_point_scan(d)) == \
                 as_ints(_four_point_py(d)) == (0, 0, 1, 2, 3)
 
@@ -135,9 +151,10 @@ def test_four_point_cycle_off_the_basepoint():
     # yet the best quadruple elsewhere scores more, at most 2 V0
     for seed in (3, 11, 29, 55, 137, 140, 180, 282):
         d = tree_plus_edge(seed)
-        v0 = _kernels.basepoint_excess(d)
+        v0 = _basepoint_excess_py(d)
         want = as_ints(_four_point_py(d))
         assert 0 < v0 < want[0] <= 2 * v0
+        assert not basepoint_certificate(d.tolist())
         assert as_ints(_kernels.four_point_scan(d)) == want
 
 
@@ -158,9 +175,8 @@ def test_four_point_at_dtype_switch_points(top, dtype):
 @pytest.mark.parametrize("block", [1, 7, 300])
 def test_four_point_split_blocks(monkeypatch, block):
     # at the default sizes every tested n fits one block; these split the
-    # rows i < j of the scan and of the certificate into many
+    # rows i < j of the scan into many
     monkeypatch.setattr(_kernels, "SCAN_BLOCK", block)
-    monkeypatch.setattr(_kernels, "CERTIFICATE_BLOCK", block)
     metrics = [random_metric_ints(n, n) for n in (13, 21, 30)]
     metrics += [tree_plus_edge(seed)
                 for seed in (3, 11, 29, 55, 137, 140, 180, 282)]
@@ -182,7 +198,7 @@ def test_four_point_tied_maxima():
                for n in range(6, 14)]
     metrics.append(grid_l1_metric(4))
     for d in metrics:
-        assert _kernels.basepoint_excess(d) > 0
+        assert _basepoint_excess_py(d) > 0
         assert as_ints(_kernels.four_point_scan(d)) == \
             as_ints(_four_point_py(d))
     # on a metric the diagonal scores 0; off the triangle inequality, with
@@ -196,14 +212,11 @@ def test_four_point_tied_maxima():
         as_ints(_four_point_py(d)) == (8, 0, 1, 2, 3)
 
 
-def test_four_point_scan_memory_is_flat(monkeypatch):
-    # one certificate row per block, so the certificate holds O(n^2) cells
-    # and the peak is the scan's
-    monkeypatch.setattr(_kernels, "CERTIFICATE_BLOCK", 1)
+def test_four_point_scan_memory_is_flat():
     n = 140
     d = random_metric_ints(n, 3)
     itemsize = np.dtype(_kernels.scan_dtype(int(d.max()))).itemsize
-    assert _kernels.basepoint_excess(d) > 0
+    assert _basepoint_excess_py(d) > 0
     assert _kernels.SCAN_BLOCK >= (n - 2) ** 2
     _kernels.four_point_scan(d)
     tracemalloc.start()
@@ -219,6 +232,61 @@ def test_four_point_scan_memory_is_flat(monkeypatch):
              + n * n * (2 * itemsize + 8) + 3 * np.getbufsize() * itemsize
              + 2 ** 14)
     assert peak < bound
+
+
+def one_entry_changed(d, rng):
+    """d with one off-diagonal distance, and its mirror, moved by +-1."""
+    d = d.copy()
+    i, j = rng.sample(range(len(d)), 2)
+    step = rng.choice((-1, 1))
+    d[i, j] += step
+    d[j, i] += step
+    return d
+
+
+def diagonal_raised(d, rng):
+    """d with one d(x, x), x != 0, raised past 2 d(0, x).  That moves only
+    G[x][x], below G[x][0] = 0, and no term with x != y of V0 reads G[x][x]
+    except as min(G[x][x], G[x][y]) - G[x][y] <= 0: a symmetric non-metric
+    whose only positive terms of V0 are the G[x][z] - G[x][x] ones."""
+    d = d.copy()
+    x = rng.randrange(1, len(d))
+    d[x, x] = 2 * d[0, x] + rng.randint(1, 3)
+    return d
+
+
+def test_basepoint_certificate_matches_the_loop():
+    # the O(n^2) decision against the O(n^3) loop, on inputs with V0 = 0 and
+    # V0 > 0; each family also pins which outcomes it reaches
+    rng = random.Random(7)
+    trees = [path_metric(n, random_tree(n, rng))
+             for n in (1, 2, 3, 4, 5, 8, 13, 21, 34) for _ in range(3)]
+    lines = [np.abs(np.subtract.outer(xs, xs))
+             for xs in (np.array([rng.randint(0, 40) for _ in range(n)])
+                        for n in (4, 9, 17))]
+    families = {
+        "tree": (trees + lines, {True}),
+        "tree plus edge": ([tree_plus_edge(seed) for seed in (3, 11, 29, 55)],
+                           {False}),
+        "l1": ([random_metric_ints(n, seed) for n in (4, 6, 12, 25)
+                for seed in range(3)], {True, False}),
+        "one entry changed": ([one_entry_changed(d, rng) for d in trees
+                               if len(d) > 1 for _ in range(4)],
+                              {True, False}),
+        "diagonal raised": ([diagonal_raised(d, rng) for d in trees
+                             if len(d) > 1], {False}),
+    }
+    for name, (metrics, outcomes) in families.items():
+        decided = set()
+        for d in metrics:
+            got = basepoint_certificate(d.tolist())
+            assert got == (_basepoint_excess_py(d) == 0), (name, d)
+            decided.add(got)
+        assert decided == outcomes, name
+    # with the raised diagonal back at 0 each of those is a tree metric
+    for d in families["diagonal raised"][0]:
+        np.fill_diagonal(d, 0)
+        assert basepoint_certificate(d.tolist())
 
 
 def test_four_point_witness_reproduces_value():
