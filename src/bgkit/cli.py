@@ -6,8 +6,10 @@ human summary on stderr.  Exit codes: 0 success/verified, 2 a mathematical
 violation was found (so harnesses can assert expected violations), 1
 operational errors.  --dry-run validates inputs and prints the plan only.
 
-Each subcommand imports the modules it runs when it runs them, so a process
-loads only what its one subcommand needs.  At import this module loads
+Each subcommand imports the modules it runs when it runs them, and `run`
+adds the arguments of the subcommand named by argv[0] alone (of all 18 only
+for top-level --help, no subcommand or an unknown one), so a process loads
+and builds only what its one subcommand needs.  At import this module loads
 `bgkit.exact` and `bgkit.reports`, and from the standard library
 `argparse`, `json` and `fractions` (which loads `decimal` and `numbers`)
 beyond what the interpreter has loaded at start; not `dataclasses`,
@@ -83,6 +85,48 @@ def _status_exit(status: str) -> int:
     return EXIT_ERROR
 
 
+# -- options ------------------------------------------------------------------
+# Each subcommand's options are (flags, add_argument keywords) pairs, in the
+# order its --help lists them.
+
+
+def _real(text) -> float:
+    """The type of every float flag: a finite decimal or p/q, as the nearest
+    double.  A decimal goes straight to `float`, which rounds it as its
+    rational would round, without building a power of ten for its exponent."""
+    try:
+        value = float(rational(text) if "/" in text else text)
+    except (ValueError, OverflowError):      # DomainError is a ValueError
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite decimal or p/q")
+    return value
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_SEED_DRY_RUN = (_arg("--seed", type=int, default=0),
+                 _arg("--dry-run", action="store_true"))
+# the options of every subcommand that reads a space
+_SPACE = (_arg("--space", help="space description JSON file"),
+          _arg("--action", help="action description JSON file"),
+          _arg("--measure", help="override: counting_orbit or vertex_uniform"),
+          _arg("--preset", help="bundled instance "
+               "(lattice2, free2, atom, torusM, lineM, glued-line)"),
+          *_SEED_DRY_RUN)
+_CENTER = _SPACE + (_arg("--center", help="center point (JSON)"),)
+# the output flags of a subcommand whose report has a tabular payload
+_TABULAR = (_arg("--format", choices=["json", "csv"], default="json"),
+            _arg("--csv", help="also write the tabular payload to CSV"))
+# systole and diastole
+_SAMPLED = _SPACE + (_arg("--sample", help="semicolon-separated point list"),
+                     _arg("--ceiling"))
+_BOUND_PARAMS = ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r")
+
+
 # -- operations ---------------------------------------------------------------
 # Each computes one subcommand's report content; run() does the shared steps.
 
@@ -100,20 +144,25 @@ class _Outcome:
 _OPERATIONS = {}
 
 
-def _operation(name, plan, inputs=True, action=False, whole=False):
-    """Register the compute function of subcommand `name`.  `plan` is the
-    --dry-run text, formatted with the parsed arguments; `inputs` says
-    whether the subcommand reads a space (--space/--preset), `action`
+def _operation(name, summary, plan, options, inputs=True, action=False,
+               whole=False):
+    """Register subcommand `name` and its compute function in
+    `_OPERATIONS`, the one table of subcommands, in the order --help lists
+    them.  `summary` is its line in --help, `plan` the --dry-run text,
+    formatted with the parsed arguments, and `options` its arguments;
+    `inputs` says whether it reads a space (--space/--preset), `action`
     whether it also needs a group action on it, and `whole` whether it
     builds the action and measure of every input, read or not."""
     def register(compute):
-        _OPERATIONS[name] = (plan, inputs, action, whole, compute)
+        _OPERATIONS[name] = (summary, options, plan, inputs, action, whole,
+                             compute)
         return compute
     return register
 
 
 # validate refuses every input that the builder refuses
-@_operation("validate", "validate the space description", whole=True)
+@_operation("validate", "metric diagnostics for a space",
+            "validate the space description", _SPACE, whole=True)
 def _validate(args, inp):
     diag = inp.space.validate()
     status = "ok" if diag.get("ok") else "violated"
@@ -121,7 +170,10 @@ def _validate(args, inp):
                     status=status)
 
 
-@_operation("balls", "enumerate ball of radius {r}")
+@_operation("balls", "enumerate a ball and its mass",
+            "enumerate ball of radius {r}",
+            _CENTER + (_arg("--r", required=True),
+                       _arg("--closed", action="store_true")))
 def _balls(args, inp):
     from . import measures, spaces
     x = inp.point(args.center)
@@ -158,7 +210,15 @@ def _certificate_outcome(cert, params, label):
                     witnesses=witnesses)
 
 
-@_operation("certify-bg", "scan the weak concentric-ball inequality")
+@_operation("certify-bg", "weak concentric-ball certificate",
+            "scan the weak concentric-ball inequality",
+            _CENTER + _TABULAR + (
+                _arg("--r0", required=True),
+                _arg("--C", type=_real, required=True),
+                _arg("--K", type=_real, required=True),
+                _arg("--rmax", required=True),
+                _arg("--all-centers", dest="all_centers",
+                     help="semicolon-separated center list")))
 def _certify_bg(args, inp):
     from . import curvature
     params = curvature.BGParams(rational(args.r0), args.C, args.K)
@@ -176,7 +236,11 @@ def _certify_bg(args, inp):
                "rmax": rational(args.rmax)}, "certify-bg")
 
 
-@_operation("synthetic", "scan the dimension-style growth condition")
+@_operation("synthetic", "dimension-style growth certificate",
+            "scan the dimension-style growth condition",
+            _CENTER + _TABULAR + (_arg("--N", type=_real, required=True),
+                                  _arg("--K", type=_real, required=True),
+                                  _arg("--rmax", required=True)))
 def _synthetic(args, inp):
     from . import curvature
     params = curvature.SyntheticParams(args.N, args.K)
@@ -188,7 +252,9 @@ def _synthetic(args, inp):
         "synthetic")
 
 
-@_operation("doubling", "compute the doubling constant on [r0/2, 5r0/2]")
+@_operation("doubling", "doubling constant on [r0/2, 5r0/2]",
+            "compute the doubling constant on [r0/2, 5r0/2]",
+            _CENTER + (_arg("--r0", required=True),))
 def _doubling(args, inp):
     from . import curvature
     sup, where = curvature.doubling_constant(inp.space, inp.measure,
@@ -200,7 +266,11 @@ def _doubling(args, inp):
                     summary=f"doubling: C0 = {float(sup):.6g} at r = {where}")
 
 
-@_operation("entropy", "sample the growth profile and estimate entropy")
+@_operation("entropy", "growth profile and entropy estimate",
+            "sample the growth profile and estimate entropy",
+            _CENTER + _TABULAR + (_arg("--rmax", required=True),
+                                  _arg("--step", default="1"),
+                                  _arg("--tail", type=_real, default=0.3)))
 def _entropy(args, inp):
     from . import entropy
     x = inp.point(args.center)
@@ -218,7 +288,15 @@ def _entropy(args, inp):
         assumptions=est.notes)
 
 
-@_operation("delta", "estimate the hyperbolicity constant")
+@_operation("delta", "hyperbolicity constants",
+            "estimate the hyperbolicity constant",
+            _CENTER + (
+                _arg("--exhaustive", action="store_true"),
+                _arg("--samples", type=int),
+                _arg("--thin", action="store_true",
+                     help="thin-triangle constant along graph geodesics"),
+                _arg("--radius", default="3",
+                     help="ball radius supplying points on infinite spaces")))
 def _delta(args, inp):
     from . import hyperbolicity, spaces
     # the points are the whole support of a finite space, and a ball around
@@ -253,7 +331,9 @@ def _delta(args, inp):
                     witnesses=[rep_h.witness])
 
 
-@_operation("convexity", "scan the geodesic convexity defect")
+@_operation("convexity", "geodesic convexity defect",
+            "scan the geodesic convexity defect",
+            _CENTER + (_arg("--grid", type=int, default=8),))
 def _convexity(args, inp):
     from . import hyperbolicity
     # without --center the origin is the repr-first vertex, not inp.point's
@@ -269,7 +349,13 @@ def _convexity(args, inp):
                     witnesses=[rep_c.witness])
 
 
-@_operation("pack", "compute a packing count")
+@_operation("pack", "packing counts", "compute a packing count",
+            _CENTER + (
+                _arg("--r", required=True), _arg("--R", required=True),
+                _arg("--exact", action="store_true"),
+                _arg("--orbit", action="store_true",
+                     help="restrict centers to the orbit of the center point"),
+                _arg("--cap", type=int)))
 def _pack(args, inp):
     from . import packing
     x = inp.point(args.center)
@@ -292,14 +378,17 @@ def _pack(args, inp):
                     summary=f"pack: {res.count} ({res.method})")
 
 
-@_operation("systole", "compute systole over the sampled domain", action=True)
-@_operation("diastole", "compute diastole over the sampled domain", action=True)
+# registered bottom-up: systole first, as --help lists them
+@_operation("diastole", "diastole over a sampled domain",
+            "compute diastole over the sampled domain", _SAMPLED, action=True)
+@_operation("systole", "systole over a sampled domain",
+            "compute systole over the sampled domain", _SAMPLED, action=True)
 def _systole(args, inp):
-    from . import actions
+    from . import probes
     want = args.command
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
-    rep_s = actions.systole(inp.action, sample, ceiling=args.ceiling)
+    rep_s = probes.systole(inp.action, sample, ceiling=args.ceiling)
     headline = rep_s.systole if want == "systole" else rep_s.diastole
     return _Outcome(
         params={"sample_size": len(sample)},
@@ -313,9 +402,15 @@ def _systole(args, inp):
                      + rep_s.warnings))
 
 
-@_operation("thin-set", "classify the sampled thin set", action=True)
+@_operation("thin-set", "thin-set membership and connectivity",
+            "classify the sampled thin set",
+            _SPACE + (
+                _arg("--r", required=True), _arg("--sample", required=True),
+                _arg("--adjacency", default="1",
+                     help="sample points within this distance are adjacent"),
+                _arg("--ceiling")), action=True)
 def _thin_set(args, inp):
-    from . import actions
+    from . import probes
     sample = [inp.point(raw) for raw in args.sample.split(";")]
     adjacency = {p: [] for p in sample}
     for i, p in enumerate(sample):
@@ -323,7 +418,7 @@ def _thin_set(args, inp):
             if inp.space.distance(p, q) <= rational(args.adjacency):
                 adjacency[p].append(q)
                 adjacency[q].append(p)
-    rep_t = actions.thin_set(inp.action, rational(args.r), sample, adjacency,
+    rep_t = probes.thin_set(inp.action, rational(args.r), sample, adjacency,
                              ceiling=args.ceiling)
     return _Outcome(
         params={"r": rational(args.r), "adjacency": rational(args.adjacency)},
@@ -333,12 +428,15 @@ def _thin_set(args, inp):
         summary=f"thin-set: {rep_t.verdict}")
 
 
-@_operation("margulis", "scan displacement radii for nilpotency flips", action=True)
+@_operation("margulis", "nilpotency flip radii",
+            "scan displacement radii for nilpotency flips",
+            _SPACE + (_arg("--sample"), _arg("--ceiling", required=True)),
+            action=True)
 def _margulis(args, inp):
-    from . import actions
+    from . import probes
     sample = [inp.point(raw) for raw in (args.sample.split(";")
                                          if args.sample else [None])]
-    pts = actions.margulis_estimate(inp.action, sample,
+    pts = probes.margulis_estimate(inp.action, sample,
                                     ceiling=rational(args.ceiling))
     return _Outcome(
         params={"ceiling": rational(args.ceiling)},
@@ -351,10 +449,12 @@ def _margulis(args, inp):
                      "published value and is reported symbolically only"])
 
 
-@_operation("short-gens", "greedy short generating family", action=True)
+@_operation("short-gens", "short generating family",
+            "greedy short generating family",
+            _CENTER + (_arg("--R", required=True),), action=True)
 def _short_gens(args, inp):
-    from . import actions
-    res = actions.short_generators(inp.action, inp.point(args.center),
+    from . import probes
+    res = probes.short_generators(inp.action, inp.point(args.center),
                                    rational(args.R))
     status = "ok" if (res.reach_ok and res.separation_ok) else "violated"
     return _Outcome(
@@ -382,11 +482,17 @@ def _nu_oracle(args):
     return bounds.NuOracle(table)
 
 
-@_operation("bounds", "evaluate bound formula {kind}", inputs=False)
+@_operation("bounds", "evaluate an explicit bound formula",
+            "evaluate bound formula {kind}",
+            (_arg("kind"),
+             *(_arg(f"--{name}", type=_real) for name in _BOUND_PARAMS),
+             _arg("--nu-table", dest="nu_table",
+                  help='step table as JSON, e.g. "[[10,3],[1e6,7]]"'),
+             *_SEED_DRY_RUN), inputs=False)
 def _bounds(args, _inp):
     from . import bounds
     params = {}
-    for name in ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r"):
+    for name in _BOUND_PARAMS:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
@@ -396,7 +502,13 @@ def _bounds(args, _inp):
                     summary=f"bounds {args.kind}: {value:.9g}")
 
 
-@_operation("check", "cross-check measured value against {kind}", inputs=False)
+@_operation("check", "measured quantity vs bound formula",
+            "cross-check measured value against {kind}",
+            (_arg("kind"), _arg("--measured", type=_real, required=True),
+             _arg("--params", required=True, help="bound parameters as JSON"),
+             _arg("--assume", action="append"),
+             _arg("--nu-table", dest="nu_table"), *_SEED_DRY_RUN),
+            inputs=False)
 def _check(args, _inp):
     from . import bounds
     params = json.loads(args.params)
@@ -414,7 +526,13 @@ def _check(args, _inp):
                     status=status, assumptions=rep_c.assumptions)
 
 
-@_operation("reproduce", "reproduce scenario {scenario}", inputs=False)
+@_operation("reproduce", "rebuild a bundled counterexample scenario",
+            "reproduce scenario {scenario}",
+            (_arg("scenario", help="glued-line"), _arg("--r0", default="1"),
+             _arg("--eps", default="1/10"),
+             _arg("--C", type=_real, default=4.0),
+             _arg("--K", type=_real, default=1.0), *_SEED_DRY_RUN,
+             _arg("--csv")), inputs=False)
 def _reproduce(args, _inp):
     from . import curvature, presets
     if args.scenario != "glued-line":
@@ -435,7 +553,9 @@ def _reproduce(args, _inp):
     return out
 
 
-@_operation("cover", "materialize the universal cover window")
+@_operation("cover", "universal cover window summary",
+            "materialize the universal cover window",
+            _CENTER + (_arg("--window", required=True),))
 def _cover(args, inp):
     from . import covers, spaces
     if not isinstance(inp.space, spaces.WeightedGraph):
@@ -454,162 +574,40 @@ def _cover(args, inp):
 # -- parser -------------------------------------------------------------------
 
 
-def _real(text) -> float:
-    """The type of every float flag: a finite decimal or p/q, as the nearest
-    double.  A decimal goes straight to `float`, which rounds it as its
-    rational would round, without building a power of ten for its exponent."""
-    try:
-        value = float(rational(text) if "/" in text else text)
-    except (ValueError, OverflowError):      # DomainError is a ValueError
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite decimal or p/q")
-    return value
-
-
-def _subcommand(subs, name, summary, center=True):
-    """A subparser with the options every space-reading subcommand takes."""
-    sub = subs.add_parser(name, help=summary)
-    sub.add_argument("--space", help="space description JSON file")
-    sub.add_argument("--action", help="action description JSON file")
-    sub.add_argument("--measure",
-                     help="override: counting_orbit or vertex_uniform")
-    sub.add_argument("--preset", help="bundled instance "
-                     "(lattice2, free2, atom, torusM, lineM, glued-line)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--dry-run", action="store_true")
-    if center:
-        sub.add_argument("--center", help="center point (JSON)")
-    return sub
-
-
-def _tabular(sub):
-    """The output flags of a subcommand whose report has a tabular payload."""
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--csv", help="also write the tabular payload to CSV")
-    return sub
-
-
-def build_parser():
+def build_parser(command=None):
+    """The `bgkit` parser.  When `command` names a subcommand it holds that
+    subparser alone; otherwise (top-level --help, no subcommand or an
+    unknown one) it holds all of them, so that --help and the error list
+    every subcommand."""
     parser = argparse.ArgumentParser(
         prog="bgkit",
         description="exact growth/curvature/packing checks on discrete "
                     "metric measure spaces")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(subs, "validate", "metric diagnostics for a space", center=False)
-
-    p = _subcommand(subs, "balls", "enumerate a ball and its mass")
-    p.add_argument("--r", required=True)
-    p.add_argument("--closed", action="store_true")
-
-    p = _tabular(_subcommand(subs, "certify-bg",
-                             "weak concentric-ball certificate"))
-    p.add_argument("--r0", required=True)
-    p.add_argument("--C", type=_real, required=True)
-    p.add_argument("--K", type=_real, required=True)
-    p.add_argument("--rmax", required=True)
-    p.add_argument("--all-centers", dest="all_centers",
-                   help="semicolon-separated center list")
-
-    p = _tabular(_subcommand(subs, "synthetic",
-                             "dimension-style growth certificate"))
-    p.add_argument("--N", type=_real, required=True)
-    p.add_argument("--K", type=_real, required=True)
-    p.add_argument("--rmax", required=True)
-
-    p = _subcommand(subs, "doubling", "doubling constant on [r0/2, 5r0/2]")
-    p.add_argument("--r0", required=True)
-
-    p = _tabular(_subcommand(subs, "entropy",
-                             "growth profile and entropy estimate"))
-    p.add_argument("--rmax", required=True)
-    p.add_argument("--step", default="1")
-    p.add_argument("--tail", type=_real, default=0.3)
-
-    p = _subcommand(subs, "delta", "hyperbolicity constants")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--thin", action="store_true",
-                   help="thin-triangle constant along graph geodesics")
-    p.add_argument("--radius", default="3",
-                   help="ball radius supplying points on infinite spaces")
-
-    p = _subcommand(subs, "convexity", "geodesic convexity defect")
-    p.add_argument("--grid", type=int, default=8)
-
-    p = _subcommand(subs, "pack", "packing counts")
-    p.add_argument("--r", required=True)
-    p.add_argument("--R", required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--orbit", action="store_true",
-                   help="restrict centers to the orbit of the center point")
-    p.add_argument("--cap", type=int)
-
-    for name in ("systole", "diastole"):
-        p = _subcommand(subs, name, f"{name} over a sampled domain", center=False)
-        p.add_argument("--sample", help="semicolon-separated point list")
-        p.add_argument("--ceiling")
-
-    p = _subcommand(subs, "thin-set", "thin-set membership and connectivity",
-                    center=False)
-    p.add_argument("--r", required=True)
-    p.add_argument("--sample", required=True)
-    p.add_argument("--adjacency", default="1",
-                   help="sample points within this distance are adjacent")
-    p.add_argument("--ceiling")
-
-    p = _subcommand(subs, "margulis", "nilpotency flip radii", center=False)
-    p.add_argument("--sample")
-    p.add_argument("--ceiling", required=True)
-
-    p = _subcommand(subs, "short-gens", "short generating family")
-    p.add_argument("--R", required=True)
-
-    p = subs.add_parser("bounds", help="evaluate an explicit bound formula")
-    p.add_argument("kind")
-    for flag in ("--N", "--K", "--D", "--C", "--r0", "--delta", "--eps0",
-                 "--C0", "--r"):
-        p.add_argument(flag, type=_real, dest=flag.lstrip("-"))
-    p.add_argument("--nu-table", dest="nu_table",
-                   help='step table as JSON, e.g. "[[10,3],[1e6,7]]"')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dry-run", action="store_true")
-
-    p = subs.add_parser("check", help="measured quantity vs bound formula")
-    p.add_argument("kind")
-    p.add_argument("--measured", type=_real, required=True)
-    p.add_argument("--params", required=True, help="bound parameters as JSON")
-    p.add_argument("--assume", action="append")
-    p.add_argument("--nu-table", dest="nu_table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dry-run", action="store_true")
-
-    p = subs.add_parser("reproduce",
-                        help="rebuild a bundled counterexample scenario")
-    p.add_argument("scenario", help="glued-line")
-    p.add_argument("--r0", default="1")
-    p.add_argument("--eps", default="1/10")
-    p.add_argument("--C", type=_real, default=4.0)
-    p.add_argument("--K", type=_real, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--csv")
-
-    p = _subcommand(subs, "cover", "universal cover window summary")
-    p.add_argument("--window", required=True)
-
+    every = command not in _OPERATIONS
+    # a lone subparser still shows every choice in the top-level usage;
+    # the full build keeps the default, as an "invalid choice" error names
+    # the metavar in place of the dest
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(_OPERATIONS) + "}")
+    for name, (summary, options, *_run) in _OPERATIONS.items():
+        if every or name == command:
+            sub = subs.add_parser(name, help=summary)
+            for flags, kwargs in options:
+                sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    plan, takes_inputs, needs_action, whole, compute = _OPERATIONS[args.command]
+    (_summary, _options, plan, takes_inputs, needs_action, whole,
+     compute) = _OPERATIONS[args.command]
     try:
         # a dry run validates every input, as validate does
         inp = (_inputs(args, whole=whole or args.dry_run) if takes_inputs

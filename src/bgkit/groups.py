@@ -430,78 +430,3 @@ def family_from_spec(spec) -> GroupFamily:
         return ProductFamily([family_from_spec(sub) for sub in params])
     raise DomainError(f"unknown group family {kind!r}")
 
-
-class StallingsGraph:
-    """Folded subgroup graph of a finitely generated subgroup of free(k).
-
-    Supports exact membership tests, which back coset-closure index
-    estimates for free-group subgroups.
-    """
-
-    def __init__(self, family: FreeFamily, gens):
-        self.family = family
-        # nodes are ints; edges[node][letter] = node (letter in +-1..+-k)
-        self.edges = [dict()]
-        for word in gens:
-            self._add_loop(word)
-        self._fold()
-
-    def _add_loop(self, word):
-        node = 0
-        for letter in word[:-1]:
-            nxt = len(self.edges)
-            self.edges.append({})
-            self.edges[node][letter] = nxt
-            self.edges[nxt][-letter] = node
-            node = nxt
-        if word:
-            last = word[-1]
-            self.edges[node][last] = 0
-            self.edges[0][-last] = node
-
-    def _fold(self):
-        parent = list(range(len(self.edges)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        changed = True
-        while changed:
-            changed = False
-            merged = {}
-            for node in range(len(self.edges)):
-                if find(node) != node:
-                    continue
-                targets = {}
-                for letter, dst in list(self.edges[node].items()):
-                    dst = find(dst)
-                    if letter in targets and targets[letter] != dst:
-                        a, b = targets[letter], dst
-                        parent[find(a)] = find(b)
-                        changed = True
-                    else:
-                        targets[letter] = dst
-                merged[node] = targets
-            # Rebuild adjacency on representatives.
-            new_edges = [dict() for _ in range(len(self.edges))]
-            for node, targets in merged.items():
-                rep = find(node)
-                for letter, dst in targets.items():
-                    new_edges[rep][letter] = find(dst)
-            for node in range(len(self.edges)):
-                if find(node) != node:
-                    for letter, dst in self.edges[node].items():
-                        new_edges[find(node)][letter] = find(dst)
-            self.edges = new_edges
-            self._root = find(0)
-
-    def contains(self, word) -> bool:
-        node = getattr(self, "_root", 0)
-        for letter in word:
-            node = self.edges[node].get(letter)
-            if node is None:
-                return False
-        return node == getattr(self, "_root", 0)

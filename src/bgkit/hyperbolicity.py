@@ -1,7 +1,7 @@
 """Hyperbolicity estimators: tripod decompositions, the four-point constant,
-thin-triangle constants along materialized graph geodesics, geodesic
-convexity defects, and the concentric-ball bounds available for group
-actions on hyperbolic-like spaces.
+thin-triangle constants along materialized graph geodesics and geodesic
+convexity defects.  The concentric-ball bounds for group actions on
+hyperbolic-like spaces are `probes.cocompact_bg_check`.
 
 Two different deltas are computed and never conflated: the four-point
 constant is cheap and path-free; the thin-triangle constant follows the
@@ -28,12 +28,11 @@ numpy, for the Theta(n^4) scan.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 from . import spaces
-from .exact import DomainError, check_range, rational, record
+from .exact import DomainError, check_range, record
 
 FOUR_POINT_CAP = 150
 
@@ -303,70 +302,3 @@ def convexity_defect(graph, triples=None, grid=8,
                 witness = (o, y0, y1, t)
     return ConvexityReport(defect=best, witness=witness, grid=grid,
                            samples=samples)
-
-
-# -- concentric-ball bounds for actions on hyperbolic-like spaces -------------
-
-
-def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
-    """Concentric-ball ratio bounds under (delta, D, K) inputs.
-
-    For each sampled (r, R):
-      * invariant-measure form, needs r >= (5/2)(7D + 4 delta):
-          ratio(R vs r) <= 3 e^{KD} (R/r)^{25/4 + 6KD} e^{6K(R - 4r/5)}
-      * orbit-counting doubling form, needs r >= 10(D + delta):
-          ratio(2r vs r) <= 81 e^{(13/2) K r}
-        and for R >= r the tail form 3 (R/r)^{25/4} e^{6K(R - 4r/5)}.
-    Conservative ratio convention: closed numerator over open denominator.
-    Pairs below the scale threshold, and invariant pairs with R <= r, are
-    skipped with a notice.
-    """
-    # imported here, so that the four-point and convexity paths do not load
-    # curvature and measures; only this check builds pair checks
-    from .curvature import PairCheck, pair_check
-    from .measures import CountingOrbitMeasure
-    delta, D = rational(delta), rational(D)
-    D_f = float(D)
-    K = float(K)
-    if not math.isfinite(K):
-        raise DomainError("exponent K must be finite")
-    scale_i = Fraction(5, 2) * (7 * D + 4 * delta)
-    scale_ii = 10 * (D + delta)
-    pairs = [(rational(r), rational(R)) for r, R in pairs]
-    # one profile per measure at x, to the largest radius a checked pair reads
-    counting = CountingOrbitMeasure(action, x)
-    space = action.space
-    tops = [R for r, R in pairs if R > r >= scale_i]
-    if measure is not None and tops:
-        invariant = measure.profile(space, x, max(tops))
-    tops = [max(2 * r, R) for r, R in pairs if r >= scale_ii]
-    if tops:
-        orbit = counting.profile(space, x, max(tops))
-    out = []
-    for r, R in pairs:
-        if measure is not None:
-            if R > r >= scale_i:
-                rhs = (3.0 * math.exp(K * D_f)
-                       * float(R / r) ** (25.0 / 4.0 + 6.0 * K * D_f)
-                       * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(pair_check(r, R, "invariant(i)",
-                                      invariant.ratio(R, r, closed=True), rhs))
-            else:
-                note = ("skipped: r below (5/2)(7D+4delta)" if r < scale_i
-                        else "skipped: R <= r")
-                out.append(PairCheck(r, R, "invariant(i)", None, None, None,
-                                     note=note))
-        if r >= scale_ii:
-            rhs = 3.0 ** 4 * math.exp(6.5 * K * float(r))
-            out.append(pair_check(r, 2 * r, "counting-doubling(ii)",
-                                  orbit.ratio(2 * r, r, closed=True), rhs))
-            if R >= r:
-                rhs = (3.0 * float(R / r) ** (25.0 / 4.0)
-                       * math.exp(6.0 * K * (float(R) - 0.8 * float(r))))
-                out.append(pair_check(r, R, "counting-tail(ii)",
-                                      orbit.ratio(R, r, closed=True), rhs))
-        else:
-            out.append(PairCheck(r, 2 * r, "counting-doubling(ii)", None,
-                                 None, None,
-                                 note="skipped: r below 10(D+delta)"))
-    return out

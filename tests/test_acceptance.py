@@ -17,9 +17,9 @@ import sys
 import time
 from fractions import Fraction
 
-from bgkit import cli, covers, curvature, entropy, hyperbolicity, packing, presets
-from bgkit.actions import (LeftTranslationAction, sigma_r,
-                           strengthened_bg_check, systole)
+from bgkit import (cli, covers, curvature, entropy, hyperbolicity, packing,
+                   presets, probes)
+from bgkit.actions import LeftTranslationAction
 from bgkit.bounds import bound_cross_check
 from bgkit.curvature import (BGParams, SyntheticParams, check_bg_synthetic,
                              check_weak_bg, check_classic_bound, min_exponent,
@@ -203,8 +203,8 @@ def test_criterion_07_cocompact_bound_free_group():
     with budget(10.0):
         _space, act, _mu = presets.free_instance()
         pairs = [(r, 2 * r) for r in range(1, 11)]
-        rows = hyperbolicity.cocompact_bg_check(act, (), delta=0, D=0,
-                                                K=math.log(3), pairs=pairs)
+        rows = probes.cocompact_bg_check(act, (), delta=0, D=0,
+                                         K=math.log(3), pairs=pairs)
         doubling = [row for row in rows
                     if row.formula == "counting-doubling(ii)"]
         assert len(doubling) == 10
@@ -228,7 +228,7 @@ def test_criterion_08_generator_bound_torus6():
         cert = check_weak_bg(space, mu, (0, 0), params, 14)
         assert cert.verified
         syn = weak_to_synthetic(params)
-        sigma = sigma_r(act, (0, 0), 2 * D)
+        sigma = probes.sigma_r(act, (0, 0), 2 * D)
         measured = len(sigma.elements)
         assert measured == 13
         rep = bound_cross_check(
@@ -282,7 +282,7 @@ def test_criterion_10_systole_lower_bound():
             space, act, _mu = presets.torus_instance(m)
             mu = counting_measure(LeftTranslationAction(space.family, space),
                                   (0, 0))
-            rep_sys = systole(act, [(0, 0), (1, 2)])
+            rep_sys = probes.systole(act, [(0, 0), (1, 2)])
             assert rep_sys.systole == m
             D = act.quotient_diameter()
             r0 = Fraction(m)
@@ -319,7 +319,8 @@ def test_criterion_11_strengthened_bounds_torus5():
         assert cert.verified
         pairs = [(1, 4), (1, 6), (1, 8), (Fraction(3, 2), 6), (2, 6), (2, 8),
                  (2, 12), (3, 8), (3, 12), (4, 10), (4, 12), (4, 16)]
-        rows = strengthened_bg_check(act, (0, 0), cert, D=4, pairs=pairs)
+        rows = probes.strengthened_bg_check(act, (0, 0), cert, D=4,
+                                            pairs=pairs)
         bad = [row for row in rows if row.holds is False]
         assert bad == []
         assert sum(1 for row in rows if row.holds) >= 12

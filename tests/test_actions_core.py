@@ -6,10 +6,11 @@ import pytest
 from bgkit import actions, covers, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
-                           action_from_spec, sigma_r)
+                           action_from_spec)
 from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
+from bgkit.probes import sigma_r
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
                           WeightedGraph)
 

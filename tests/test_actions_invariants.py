@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import actions, presets
+from bgkit import presets, probes
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
-                           LeftTranslationAction, PermutationAction,
-                           margulis_estimate, short_generators, sigma_r,
-                           strengthened_bg_check, systole, thin_set)
+                           LeftTranslationAction, PermutationAction)
 from bgkit.bounds import NuOracle, bound_cross_check, evaluate_bound
 from bgkit.covers import DeckAction, universal_cover
 from bgkit.curvature import BGParams, check_weak_bg
@@ -15,6 +13,8 @@ from bgkit.exact import DomainError, WindowError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
                           FreeFamily, ProductFamily, TrivialFamily)
 from bgkit.measures import VertexMeasure
+from bgkit.probes import (margulis_estimate, short_generators, sigma_r,
+                          strengthened_bg_check, systole, thin_set)
 from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
                           WeightedGraph)
 
@@ -69,7 +69,7 @@ def test_systole_glued_line():
 def _two_loop_systole(action, x, ceiling):
     """(systole, torsion-free systole, probes) at x from two doubling
     searches, one per systole, each enumerating the orbit afresh: the
-    oracle for `actions._point_systole`.  `probes` counts the probes of the
+    oracle for `probes._point_systole`.  `probes` counts the probes of the
     longer search."""
     family = action.family
     identity = family.identity()
@@ -148,10 +148,10 @@ def test_point_systole_matches_two_searches(name, act, sample, ceiling,
         radii.clear()
         if isinstance(want[x], WindowError):
             with pytest.raises(WindowError) as got:
-                actions._point_systole(act, x, ceiling)
+                probes._point_systole(act, x, ceiling)
             assert str(got.value) == str(want[x])
             continue
-        sp = actions._point_systole(act, x, ceiling)
+        sp = probes._point_systole(act, x, ceiling)
         assert (sp.systole, sp.torsion_free_systole) == want[x][:2]
         assert sp.stabilized == (want[x][0] == 0)
         # one doubling sequence of probes, as long as the longer search

@@ -429,6 +429,10 @@ LOADED_MODULES = [
      False),
     (["delta", "--space", "c4.json", "--exhaustive"],
      SPACE_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+    # only the probe subcommands load bgkit.probes; the module sets above
+    # are exact, so no other subcommand does
+    (["systole", "--preset", "torus5", "--sample", "[0,0];[1,1]"],
+     PRESET_MODULES | {"bgkit.probes"}, False),
 ]
 
 
@@ -747,6 +751,60 @@ def test_convexity_center(tmp_path, capsys):
         "error: convexity origin ('edge', 0, '1/2') is not a vertex\n")
 
 
+def _subparsers(parser):
+    (subs,) = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+ACTION_FIELDS = ("option_strings", "dest", "default", "type", "nargs",
+                 "required", "choices", "metavar", "help")
+
+
+def _fields(parser):
+    return [(type(a),) + tuple(getattr(a, f) for f in ACTION_FIELDS)
+            for a in parser._actions]
+
+
+def test_named_subparser_matches_the_full_build(monkeypatch):
+    # the parser built for one subcommand holds that subparser alone, and
+    # it is the subparser of the full build, action by action; the
+    # top-level usage still lists every choice
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    assert len(_subparsers(full)) == 18
+    for name, want in _subparsers(full).items():
+        lone = cli.build_parser(name)
+        (got,) = _subparsers(lone).values()
+        assert list(_subparsers(lone)) == [name]
+        assert _fields(got) == _fields(want), name
+        assert got.prog == want.prog == f"bgkit {name}"
+        assert got.format_help() == want.format_help(), name
+        assert lone.format_usage() == full.format_usage(), name
+    # top-level --help, no subcommand and an unknown name build them all
+    for other in (None, "nosuch", "--help", "-h", "--seed"):
+        parser = cli.build_parser(other)
+        assert list(_subparsers(parser)) == list(_subparsers(full))
+        assert parser.format_help() == full.format_help()
+
+
+def test_run_builds_the_named_subparser_alone(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def recording_parser(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    assert run(["bounds", "generators", "--N", "2", "--K", "0",
+                "--D", "5"]) == 0
+    assert run(["nosuch"]) == 1
+    assert run([]) == 1
+    capsys.readouterr()
+    assert [len(_subparsers(p)) for p in built] == [1, 18, 18]
+
+
 def test_every_option_is_read(tmp_path, monkeypatch, capsys):
     # a flag that no call of its subcommand reads does nothing: every golden
     # call that runs to a report parses into a namespace that records the
@@ -760,8 +818,8 @@ def test_every_option_is_read(tmp_path, monkeypatch, capsys):
 
     build = cli.build_parser
 
-    def recording_parser():
-        parser = build()
+    def recording_parser(command=None):
+        parser = build(command)
         parse = parser.parse_args
 
         def parse_args(argv):
@@ -781,10 +839,8 @@ def test_every_option_is_read(tmp_path, monkeypatch, capsys):
         assert run(list(case["argv"])) == case["exit"], case["argv"]
         capsys.readouterr()
         read_by.setdefault(case["argv"][0], set()).update(reads)
-    (subparsers,) = [a for a in build()._actions
-                     if isinstance(a, argparse._SubParsersAction)]
     unread = {}
-    for name, sub in subparsers.choices.items():
+    for name, sub in _subparsers(build()).items():
         dests = {a.dest for a in sub._actions if a.dest != "help"}
         missing = dests - read_by.get(name, set())
         if missing:

@@ -1,11 +1,14 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from bgkit.exact import DomainError
 from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, StallingsGraph,
-                          TrivialFamily, family_from_spec)
+                          FreeFamily, ProductFamily, TrivialFamily,
+                          family_from_spec)
+from bgkit import probes
+from bgkit.probes import StallingsGraph
 
 
 def test_free_reduction_and_inverse():
@@ -148,6 +151,146 @@ def test_stallings_membership():
     word = f.multiply(f.multiply(b, f.multiply(a, a)), f.inverse(b))
     assert graph.contains(word)
 
+
+
+def _multigraph_fold(gens):
+    """Oracle for `StallingsGraph`: the generators as loops at vertex 0 of
+    an edge list, with each edge's inverse, folded with union-find until
+    no vertex has two edges with one letter.  Returns the folded moves
+    {(vertex, letter): vertex}, the vertex of 0 and the vertex set."""
+    edges, size = [], 1
+    for word in gens:
+        if word:
+            path = [0, *range(size, size + len(word) - 1), 0]
+            size += len(word) - 1
+            for a, letter, b in zip(path, word, path[1:]):
+                edges += [(a, letter, b), (b, -letter, a)]
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merged = True
+    while merged:
+        merged, moves = False, {}
+        for a, letter, b in edges:
+            seen = find(moves.setdefault((find(a), letter), find(b)))
+            if seen != find(b):
+                parent[find(b)] = seen
+                merged = True
+    return moves, find(0), {find(v) for v in range(size)}
+
+
+def _oracle_contains(moves, root, word):
+    node = root
+    for letter in word:
+        node = moves.get((node, letter))
+        if node is None:
+            return False
+    return node == root
+
+
+def _reduced_words(rank, length):
+    words, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (x,) for w in frontier
+                    for x in range(-rank, rank + 1)
+                    if x and not (w and w[-1] == -x)]
+        words += frontier
+    return words
+
+
+def _random_gens(rank, rng):
+    letters = [x for x in range(-rank, rank + 1) if x]
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        word = ()
+        for _ in range(rng.randint(1, 3)):
+            word = FreeFamily(rank).multiply(word, (rng.choice(letters),))
+        gens.append(word)
+    return gens
+
+
+def test_stallings_keeps_loops_that_share_a_letter():
+    # the 12 reduced words of length 2 in free2 leave vertex 0 by shared
+    # letters; they generate the even-length words, of index 2
+    f = FreeFamily(2)
+    words = [w for w in _reduced_words(2, 2) if len(w) == 2]
+    graph = StallingsGraph(f, words)
+    assert len(words) == 12 and all(graph.contains(w) for w in words)
+    assert not graph.contains((1,)) and graph.contains((1, 2, -1, -2))
+    assert probes._finite_index_evidence(SimpleNamespace(family=f),
+                                         words) == ("verified up to bound", 2)
+
+
+@pytest.mark.parametrize("rank, length, seed", [(2, 4, 0), (3, 3, 1)])
+def test_stallings_membership_matches_a_multigraph_fold(rank, length, seed):
+    rng = random.Random(seed)
+    f = FreeFamily(rank)
+    words = _reduced_words(rank, length)
+    for _ in range(150):
+        gens = _random_gens(rank, rng)
+        graph = StallingsGraph(f, gens)
+        moves, root, _vertices = _multigraph_fold(gens)
+        assert [graph.contains(w) for w in words] == [
+            _oracle_contains(moves, root, w) for w in words], gens
+        assert all(graph.contains(g) for g in gens), gens
+
+
+def _stabilizer(rank, m, rng):
+    """A random action of free(rank) on 0..m-1, each letter a permutation:
+    (the image of 0 under a word, the size of the orbit of 0, and the
+    generators of the stabilizer of 0 by Schreier's lemma, t s t'^-1 for
+    each orbit point t, letter s and orbit point t' = t s, with t and t'
+    read as the words that reach them on a breadth-first tree)."""
+    f = FreeFamily(rank)
+    perms = {}
+    for i in range(1, rank + 1):
+        image = list(range(m))
+        rng.shuffle(image)
+        perms[i] = image
+        perms[-i] = [image.index(v) for v in range(m)]
+
+    def act(word, v=0):
+        for letter in word:
+            v = perms[letter][v]
+        return v
+
+    reach = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for x, image in perms.items():
+                if image[v] not in reach:
+                    reach[image[v]] = reach[v] + (x,)
+                    nxt.append(image[v])
+        frontier = nxt
+    gens = [f.multiply(f.multiply(reach[v], (x,)),
+                       f.inverse(reach[perms[x][v]]))
+            for v in reach for x in range(1, rank + 1)]
+    return act, len(reach), [g for g in gens if g]
+
+
+@pytest.mark.parametrize("rank, length, seed", [(2, 4, 2), (3, 3, 3)])
+def test_stallings_decides_a_stabilizer(rank, length, seed, monkeypatch):
+    # the stabilizer of a point under a permutation action: a word is in it
+    # exactly when it fixes 0, and its index is the size of the orbit of 0,
+    # which the coset closure over the folded graph's membership finds
+    monkeypatch.setattr(probes, "COSET_BOUND", 40)
+    rng = random.Random(seed)
+    f = FreeFamily(rank)
+    words = _reduced_words(rank, length)
+    for m in list(range(1, 9)) * 4:
+        act, orbit, gens = _stabilizer(rank, m, rng)
+        graph = StallingsGraph(f, gens)
+        assert [graph.contains(w) for w in words] == [
+            act(w) == 0 for w in words], gens
+        assert probes._finite_index_evidence(
+            SimpleNamespace(family=f), gens) == ("verified up to bound",
+                                                 orbit), gens
 
 def test_is_element_accepts_canonical_forms_only():
     free = FreeFamily(2)

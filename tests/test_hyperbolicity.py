@@ -11,9 +11,9 @@ from bgkit import _kernels
 from bgkit.actions import LeftTranslationAction
 from bgkit.exact import DomainError
 from bgkit.groups import FreeFamily
-from bgkit.hyperbolicity import (cocompact_bg_check, convexity_defect,
-                                 four_point_delta, gromov_tripod,
-                                 thin_triangle_delta)
+from bgkit.hyperbolicity import (convexity_defect, four_point_delta,
+                                 gromov_tripod, thin_triangle_delta)
+from bgkit.probes import cocompact_bg_check
 from bgkit.spaces import (FiniteMetricSpace, TripodSpace, WeightedGraph,
                           point_key)
 
@@ -276,7 +276,7 @@ def test_convexity_defect_grid_validation():
 
 def test_cocompact_bg_check_free_group():
     import math
-    from bgkit.hyperbolicity import cocompact_bg_check
+    from bgkit.probes import cocompact_bg_check
     act = LeftTranslationAction(FreeFamily(2))
     pairs = [(r, 2 * r) for r in range(1, 11)]
     rows = cocompact_bg_check(act, (), delta=0, D=0, K=math.log(3), pairs=pairs)
@@ -292,7 +292,7 @@ def test_cocompact_bg_check_free_group():
 
 def test_cocompact_bg_check_skips_below_scale():
     import math
-    from bgkit.hyperbolicity import cocompact_bg_check
+    from bgkit.probes import cocompact_bg_check
     act = LeftTranslationAction(FreeFamily(2))
     rows = cocompact_bg_check(act, (), delta=Fraction(1, 2), D=0,
                               K=math.log(3), pairs=[(2, 4), (5, 10)])
@@ -306,7 +306,7 @@ def test_cocompact_bg_check_torus_cover_pairs():
     # sublattice setup: measured four-point delta on a sample, analytic D
     from bgkit.actions import LatticeTranslationAction
     from bgkit.groups import FreeAbelianFamily
-    from bgkit.hyperbolicity import cocompact_bg_check
+    from bgkit.probes import cocompact_bg_check
     from bgkit.measures import VertexMeasure
     from bgkit.spaces import CayleySpace
     space = CayleySpace(FreeAbelianFamily(2))

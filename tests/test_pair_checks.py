@@ -17,7 +17,6 @@ from test_packing import oracle_pack
 
 import bgkit
 from bgkit import measures, presets
-from bgkit.actions import strengthened_bg_check
 from bgkit.bounds import bound_cross_check
 from bgkit.cli import run
 from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
@@ -25,8 +24,8 @@ from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
                              check_weak_bg)
 from bgkit.exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED,
                          VIOLATED, band, verdict)
-from bgkit.hyperbolicity import cocompact_bg_check
 from bgkit.measures import CountingOrbitMeasure, VertexMeasure
+from bgkit.probes import cocompact_bg_check, strengthened_bg_check
 from bgkit.spaces import enumerate_ball
 
 # formula label -> whether its numerator ball is closed (denominators are

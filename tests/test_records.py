@@ -72,9 +72,9 @@ def test_every_record_is_found():
     # 23 records in 9 modules; none of them imports dataclasses any more
     assert len(RECORDS) == 23
     assert {cls.__module__ for cls, _f in RECORDS} == {
-        f"bgkit.{name}" for name in ("actions", "bounds", "cli", "covers",
-                                     "curvature", "entropy", "hyperbolicity",
-                                     "packing", "reports")}
+        f"bgkit.{name}" for name in ("bounds", "cli", "covers", "curvature",
+                                     "entropy", "hyperbolicity", "packing",
+                                     "probes", "reports")}
     assert sum(frozen for _cls, frozen in RECORDS) == 2
 
 
