@@ -464,7 +464,7 @@ def _short_gens(args, inp):
                 "index_verdict": res.index_verdict, "index": res.index,
                 "orbit_points": res.orbit_points[:100]},
         summary=(f"short-gens: {len(res.elements)} generators, "
-                 f"index {res.index} ({res.index_verdict})"),
+                 f"index {res.index or res.index_verdict}"),
         status=status)
 
 

@@ -1,13 +1,13 @@
 """Invariants probed through a group action, beyond its orbit counts.
 
 Displacement sets Sigma_r(x), systole/diastole statistics, thin sets,
-Margulis-constant scans, short generating families with their
-finite-index evidence (Stallings folds for free groups), and the
-strengthened and cocompact concentric-ball checks.  Every orbit scan goes
-through `actions.GroupAction.orbit_within`; the bound formulas live in
-`bounds`.  Only the probe subcommands (systole, diastole, thin-set,
-margulis, short-gens) import this module, so no other subcommand compiles
-it.
+Margulis-constant scans, short generating families with the exact index
+of the subgroup they generate (Stallings folds for free groups, an echelon
+form for free-abelian groups), and the strengthened and cocompact
+concentric-ball checks.  Every orbit scan goes through
+`actions.GroupAction.orbit_within`; the bound formulas live in `bounds`.
+Only the probe subcommands (systole, diastole, thin-set, margulis,
+short-gens) import this module, so no other subcommand compiles it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .exact import DomainError, VERIFIED, WindowError, field, rational, record
 from .measures import CountingOrbitMeasure
 
 STRENGTHENED_PACK_CAP = 4000    # candidates of each exact packing(iii) count
-COSET_BOUND = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +229,9 @@ def short_generators(action: GroupAction, x0, R) -> ShortGeneratorsResult:
     """Greedy maximal R-separated orbit subset within 2D+R, as group elements.
 
     Distances (i) d(x0, g x0) <= 2D+R and (ii) pairwise >= R are re-verified
-    exactly on the output; finite-index evidence comes from coset closure up
-    to `COSET_BOUND` cosets when a membership oracle exists for the family.
+    exactly on the output; the index of the subgroup the elements generate
+    is decided exactly by `_subgroup_index`, or left inconclusive for a
+    family it has no procedure for.
     DomainError for R <= 0, where R-separation means nothing, before any
     orbit scan.
     """
@@ -254,56 +254,40 @@ def short_generators(action: GroupAction, x0, R) -> ShortGeneratorsResult:
         for p, q in itertools.combinations(chosen_points, 2))
     identity = action.family.identity()
     elements = [g for g in chosen if g != identity]
-    verdict, index = _finite_index_evidence(action, elements)
+    verdict, index = _subgroup_index(action.family, elements)
     return ShortGeneratorsResult(elements=elements, orbit_points=chosen_points,
                                  separation_ok=separation_ok, reach_ok=reach_ok,
                                  index_verdict=verdict, index=index,
                                  codiameter=D)
 
 
-def _subgroup_membership_oracle(family, gens):
+def _subgroup_index(family, gens):
+    """("finite", n) when the subgroup generated by `gens` has index n in
+    the family's group, ("infinite", None) when its index is infinite, and
+    ("inconclusive", None) for a family with no decision procedure here
+    (products and deck groups)."""
     gens = [g for g in gens if g != family.identity()]
     if isinstance(family, groups.TrivialFamily):
-        return lambda g: g == family.identity()
+        return "finite", 1
     if isinstance(family, groups.FreeAbelianFamily):
-        basis = _integer_row_basis([list(g) for g in gens], family.rank)
-        return lambda g: _in_integer_span(basis, list(g))
+        basis = _integer_row_basis(gens)
+        if len(basis) < family.rank:
+            return "infinite", None
+        # pivots strictly increase, so the full-rank basis is upper
+        # triangular and the index is |det|, the product of its diagonal
+        return "finite", abs(math.prod(row[i] for i, row in enumerate(basis)))
     if isinstance(family, groups.FinitePermutationFamily):
         sub = groups.FinitePermutationFamily(gens or [family.identity()])
-        members = set(sub.elements())
-        return lambda g: g in members
+        return "finite", len(family.elements()) // len(sub.elements())
     if isinstance(family, groups.FreeFamily):
-        graph = StallingsGraph(family, gens)
-        return graph.contains
-    return None
+        index = StallingsGraph(family, gens).index()
+        return ("infinite", None) if index is None else ("finite", index)
+    return "inconclusive", None
 
 
-def _finite_index_evidence(action, gens):
-    family = action.family
-    member = _subgroup_membership_oracle(family, gens)
-    if member is None:
-        return "inconclusive", None
-    reps = [family.identity()]
-    frontier = [family.identity()]
-    ambient = [g for _, g in family.generators()]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for s in ambient:
-                cand = family.multiply(rep, s)
-                if any(member(family.multiply(cand, family.inverse(r)))
-                       for r in reps):
-                    continue
-                reps.append(cand)
-                nxt.append(cand)
-                if len(reps) > COSET_BOUND:
-                    return "inconclusive", None
-        frontier = nxt
-    return "verified up to bound", len(reps)
-
-
-def _integer_row_basis(rows, rank):
-    # fraction-free row echelon over Z (enough for desk-scale membership)
+def _integer_row_basis(rows):
+    # fraction-free row echelon over Z: the nonzero rows, with strictly
+    # increasing pivots, of a basis of the lattice the rows span
     basis = [list(r) for r in rows if any(r)]
     changed = True
     while changed:
@@ -325,28 +309,16 @@ def _integer_row_basis(rows, rank):
     return [b for b in basis if any(b)]
 
 
-def _in_integer_span(basis, vec):
-    vec = list(vec)
-    for b in basis:
-        pivot = next(i for i, x in enumerate(b) if x)
-        if vec[pivot] % b[pivot] == 0:
-            q = vec[pivot] // b[pivot]
-            vec = [x - q * y for x, y in zip(vec, b)]
-        elif vec[pivot] != 0:
-            return False
-    return not any(vec)
-
-
 class StallingsGraph:
     """Folded subgroup graph of a finitely generated subgroup of free(k).
 
     Each generator is a loop of edges at vertex 0.  The fold merges the
     targets of any two edges that leave one vertex by one letter, and so
     the sources of their inverses, until every vertex has at most one edge
-    per letter (Stallings, "Topology of finite graphs", 1983).  A reduced
-    word is in the subgroup exactly when it reads a loop at vertex 0 of the
-    folded graph, which backs the coset-closure index estimates of
-    free-group subgroups.
+    per letter (Stallings, "Topology of finite graphs", 1983).  The
+    subgroup has finite index exactly when the folded graph covers the rose
+    of k petals, and the index is then its vertex count (Kapovich and
+    Myasnikov, "Stallings foldings and subgroups of free groups", 2002).
     """
 
     def __init__(self, family: groups.FreeFamily, gens):
@@ -381,14 +353,15 @@ class StallingsGraph:
             x = parent[x]
         return x
 
-    def contains(self, word) -> bool:
-        node = root = self._find(0)
-        for letter in word:
-            node = self._edges[node].get(letter)
-            if node is None:
-                return False
-            node = self._find(node)
-        return node == root
+    def index(self) -> int | None:
+        """The subgroup's index in free(k): the number of vertices when
+        every vertex has an edge for each of the 2k letters, so that the
+        folded graph covers the rose, and None (infinite) otherwise."""
+        roots = [v for v, p in enumerate(self._parent) if v == p]
+        letters = 2 * self.family.rank
+        if all(len(self._edges[v]) == letters for v in roots):
+            return len(roots)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -507,20 +507,32 @@ class CayleySpace(Space):
 
     def ball_spheres(self, r, closed=False):
         """[#{g : |g| = i} for i in 0..n], n the largest word length in the
-        ball of radius r, which is the same at every centre.  WindowError
-        when the ball holds more than ENUMERATION_BUDGET elements: the one
-        budget check of `ball` and of analytic ball profiles."""
+        ball of radius r, which is the same at every centre, or the first
+        length with an empty sphere, past which every sphere is empty too.
+        WindowError when the ball holds more than ENUMERATION_BUDGET
+        elements: the one budget check of `ball` and of analytic ball
+        profiles.  The sizes are read to doubling lengths from the budget's
+        bit length, so the work stops within twice the length at which the
+        budget is passed, and a ball within that first length takes one
+        read; a refusal that stopped short of n names its count as a lower
+        bound."""
         r = rational(r)
         int_r = _word_radius(r, closed)
         if int_r < 0:
             return []
-        counts = self.family.sphere_sizes(int_r)
-        if sum(counts) > ENUMERATION_BUDGET:
-            raise WindowError(
-                f"ball of radius {fmt_rational(r)} holds {sum(counts)} elements, "
-                f"over the enumeration budget {ENUMERATION_BUDGET}",
-                required=sum(counts), available=ENUMERATION_BUDGET)
-        return counts
+        n = min(ENUMERATION_BUDGET.bit_length(), int_r)
+        while True:
+            counts = self.family.sphere_sizes(n)
+            total = sum(counts)
+            if total > ENUMERATION_BUDGET:
+                holds = total if n == int_r else f"at least {total}"
+                raise WindowError(
+                    f"ball of radius {fmt_rational(r)} holds {holds} elements, "
+                    f"over the enumeration budget {ENUMERATION_BUDGET}",
+                    required=total, available=ENUMERATION_BUDGET)
+            if n == int_r or not counts[-1]:
+                return counts
+            n = min(2 * n, int_r)
 
     def ball(self, x, r, closed=False):
         r = rational(r)
@@ -540,6 +552,8 @@ class CayleySpace(Space):
                     if prod not in seen:
                         seen.add(prod)
                         nxt.append(prod)
+            if not nxt:     # every later sphere is empty too
+                break
             # spheres come in distance order: sorting each by key gives the
             # (distance, key) order of `Space.ball`
             nxt.sort(key=point_key)

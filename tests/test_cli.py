@@ -85,6 +85,24 @@ def test_float_flags_read_p_over_q_and_refuse_non_finite(argv, capsys,
         assert f"{bad!r} is not a finite decimal or p/q" in err, bad
 
 
+@pytest.mark.parametrize("argv", [
+    ["balls", "--preset", "free2", "--r", "20000"],
+    ["balls", "--preset", "free2", "--r", "1e30"],
+    ["balls", "--preset", "torus5", "--r", "1e30"],
+    ["pack", "--preset", "free2", "--r", "1", "--R", "1e30"]],
+    ids=["free2-20000", "free2-1e30", "torus5-1e30", "pack-free2-1e30"])
+def test_cayley_balls_past_the_budget_are_refused_at_once(argv, capsys):
+    # the refusal comes at the first doubled length past the budget, with
+    # its count as a lower bound, not after every sphere to the radius
+    start = time.perf_counter()
+    code, report, err = invoke(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and report is None
+    assert err.startswith("error: ball of radius ") and err.endswith(
+        " elements, over the enumeration budget 2000000\n")
+    assert " holds at least " in err
+
+
 def test_rational_refuses_huge_decimal_exponents(capsys):
     # CPython's int string limit bounds the exponent, before any power of
     # ten is built: 10**100000000 alone would take minutes

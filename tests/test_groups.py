@@ -1,5 +1,6 @@
+import itertools
+import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -137,20 +138,31 @@ def test_family_from_spec():
         family_from_spec({"family": "nope"})
 
 
-def test_stallings_membership():
+def test_stallings_index():
     f = FreeFamily(2)
     a, b = (1,), (2,)
-    # subgroup generated by a^2 and b
-    graph = StallingsGraph(f, [f.multiply(a, a), b])
-    assert graph.contains(f.multiply(a, a))
-    assert graph.contains(b)
-    assert graph.contains(f.multiply(f.multiply(a, a), b))
-    assert not graph.contains(a)
-    assert not graph.contains(f.multiply(a, b))
-    # index-2 subgroup: every even-a-exponent word is in
-    word = f.multiply(f.multiply(b, f.multiply(a, a)), f.inverse(b))
-    assert graph.contains(word)
+    aa = f.multiply(a, a)
+    conj = f.multiply(f.multiply(a, b), f.inverse(a))
+    # the kernel of the map onto Z/2 that counts a's has rank 3, by
+    # Schreier's formula 1 + 2(2 - 1): <a^2, b, a b a^-1> is it, of index 2
+    assert StallingsGraph(f, [aa, b, conj]).index() == 2
+    assert StallingsGraph(f, [a, b]).index() == 1
+    # rank 2 < 3, so <a^2, b> has infinite index: its graph's second vertex
+    # has no b edge
+    assert StallingsGraph(f, [aa, b]).index() is None
+    assert StallingsGraph(f, [aa, f.multiply(b, b)]).index() is None
+    assert StallingsGraph(f, [conj]).index() is None
+    assert StallingsGraph(f, []).index() is None
+    assert StallingsGraph(FreeFamily(1), [(1, 1, 1)]).index() == 3
+    assert StallingsGraph(FreeFamily(0), []).index() == 1
 
+
+def test_subgroup_index_of_the_other_families():
+    assert probes._subgroup_index(TrivialFamily(), []) == ("finite", 1)
+    assert probes._subgroup_index(FreeAbelianFamily(0), []) == ("finite", 1)
+    prod = ProductFamily([FreeFamily(1), FreeAbelianFamily(1)])
+    assert probes._subgroup_index(prod, [((1,), (0,))]) == ("inconclusive",
+                                                              None)
 
 
 def _multigraph_fold(gens):
@@ -192,6 +204,42 @@ def _oracle_contains(moves, root, word):
     return node == root
 
 
+def _fold_index(rank, gens):
+    """The index by the multigraph fold: its vertex count when every vertex
+    has all 2k letters, else None (infinite)."""
+    moves, _root, vertices = _multigraph_fold(gens)
+    letters = [x for x in range(-rank, rank + 1) if x]
+    if all((v, x) in moves for v in vertices for x in letters):
+        return len(vertices)
+    return None
+
+
+def _coset_count(family, member, bound):
+    """The index by closure: the right cosets H g reached from H by the
+    family's generators, two of them equal when g r^-1 is in H by
+    `member`.  None once more than `bound` cosets are found."""
+    reps = [family.identity()]
+    frontier = list(reps)
+    ambient = [g for _, g in family.generators()]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for s in ambient:
+                cand = family.multiply(rep, s)
+                if not any(member(family.multiply(cand, family.inverse(r)))
+                           for r in reps):
+                    reps.append(cand)
+                    nxt.append(cand)
+                    if len(reps) > bound:
+                        return None
+        frontier = nxt
+    return len(reps)
+
+
+def _as_verdict(index):
+    return ("infinite", None) if index is None else ("finite", index)
+
+
 def _reduced_words(rank, length):
     words, frontier = [()], [()]
     for _ in range(length):
@@ -218,25 +266,29 @@ def test_stallings_keeps_loops_that_share_a_letter():
     # letters; they generate the even-length words, of index 2
     f = FreeFamily(2)
     words = [w for w in _reduced_words(2, 2) if len(w) == 2]
-    graph = StallingsGraph(f, words)
-    assert len(words) == 12 and all(graph.contains(w) for w in words)
-    assert not graph.contains((1,)) and graph.contains((1, 2, -1, -2))
-    assert probes._finite_index_evidence(SimpleNamespace(family=f),
-                                         words) == ("verified up to bound", 2)
+    assert len(words) == 12 and _fold_index(2, words) == 2
+    assert StallingsGraph(f, words).index() == 2
+    assert probes._subgroup_index(f, words) == ("finite", 2)
 
 
-@pytest.mark.parametrize("rank, length, seed", [(2, 4, 0), (3, 3, 1)])
-def test_stallings_membership_matches_a_multigraph_fold(rank, length, seed):
+@pytest.mark.parametrize("rank, seed", [(2, 0), (3, 1)])
+def test_stallings_index_matches_a_multigraph_fold(rank, seed):
+    # two oracles on the same word sets: the multigraph fold's vertex
+    # count, and a coset closure over the fold's membership, which passes
+    # any bound exactly when the index is infinite
     rng = random.Random(seed)
     f = FreeFamily(rank)
-    words = _reduced_words(rank, length)
+    bound = 12
     for _ in range(150):
         gens = _random_gens(rank, rng)
-        graph = StallingsGraph(f, gens)
+        index = StallingsGraph(f, gens).index()
+        assert index == _fold_index(rank, gens), gens
+        assert probes._subgroup_index(f, gens) == _as_verdict(index), gens
         moves, root, _vertices = _multigraph_fold(gens)
-        assert [graph.contains(w) for w in words] == [
-            _oracle_contains(moves, root, w) for w in words], gens
-        assert all(graph.contains(g) for g in gens), gens
+        closure = _coset_count(
+            f, lambda w: _oracle_contains(moves, root, w), bound)
+        assert closure == (index if index is not None and index <= bound
+                           else None), gens
 
 
 def _stabilizer(rank, m, rng):
@@ -275,22 +327,85 @@ def _stabilizer(rank, m, rng):
 
 
 @pytest.mark.parametrize("rank, length, seed", [(2, 4, 2), (3, 3, 3)])
-def test_stallings_decides_a_stabilizer(rank, length, seed, monkeypatch):
+def test_stallings_decides_a_stabilizer(rank, length, seed):
     # the stabilizer of a point under a permutation action: a word is in it
     # exactly when it fixes 0, and its index is the size of the orbit of 0,
-    # which the coset closure over the folded graph's membership finds
-    monkeypatch.setattr(probes, "COSET_BOUND", 40)
+    # which the coset closure over the multigraph fold's membership finds
     rng = random.Random(seed)
     f = FreeFamily(rank)
     words = _reduced_words(rank, length)
     for m in list(range(1, 9)) * 4:
         act, orbit, gens = _stabilizer(rank, m, rng)
-        graph = StallingsGraph(f, gens)
-        assert [graph.contains(w) for w in words] == [
-            act(w) == 0 for w in words], gens
-        assert probes._finite_index_evidence(
-            SimpleNamespace(family=f), gens) == ("verified up to bound",
-                                                 orbit), gens
+        assert StallingsGraph(f, gens).index() == orbit, gens
+        assert probes._subgroup_index(f, gens) == ("finite", orbit), gens
+        moves, root, _vertices = _multigraph_fold(gens)
+
+        def member(w):
+            return _oracle_contains(moves, root, w)
+
+        assert [member(w) for w in words] == [act(w) == 0 for w in words]
+        assert _coset_count(f, member, m) == orbit, gens
+
+
+def _det(rows):
+    # Laplace expansion along the first row
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _box_index(rows, rank, n):
+    """[Z^rank : L + n Z^rank] for L the lattice the rows span: n^rank over
+    the number of points of the box [0, n)^rank that sums of the rows
+    reach mod n."""
+    reached = {(0,) * rank}
+    frontier = list(reached)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for row in rows:
+                w = tuple((x + y) % n for x, y in zip(v, row))
+                if w not in reached:
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return n ** rank // len(reached)
+
+
+@pytest.mark.parametrize("rank, seed", [(1, 4), (2, 5), (3, 6)])
+def test_lattice_index_matches_its_minors(rank, seed):
+    # the index of the lattice L spanned by integer rows is the gcd of their
+    # rank x rank minors, and infinite when all vanish; a finite index n
+    # puts n Z^rank inside L, so the box of side n holds exactly n^(rank-1)
+    # classes of points of L
+    rng = random.Random(seed)
+    f = FreeAbelianFamily(rank)
+    for _ in range(100):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, rank + 2))]
+        minors = 0
+        for square in itertools.combinations(rows, rank):
+            minors = math.gcd(minors, _det([list(r) for r in square]))
+        verdict = probes._subgroup_index(f, rows)
+        assert verdict == _as_verdict(minors or None), rows
+        if minors and minors ** rank <= 20000:
+            assert _box_index(rows, rank, minors) == minors, rows
+
+
+def test_permutation_index_is_a_ratio_of_orders():
+    rng = random.Random(7)
+    for _ in range(100):
+        m = rng.randint(1, 5)
+        group = FinitePermutationFamily(
+            [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 2))])
+        elements = group.elements()
+        gens = [rng.choice(elements) for _ in range(rng.randint(0, 2))]
+        sub = set(FinitePermutationFamily(gens or [group.identity()])
+                  .elements())
+        index = _coset_count(group, sub.__contains__, len(elements))
+        assert probes._subgroup_index(group, gens) == ("finite", index), gens
+
 
 def test_is_element_accepts_canonical_forms_only():
     free = FreeFamily(2)

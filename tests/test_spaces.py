@@ -175,6 +175,36 @@ def test_cayley_support_is_guarded():
         lattice().support()
 
 
+@pytest.mark.parametrize("family", [
+    FinitePermutationFamily([(1, 2, 3, 0), (1, 0, 2, 3)]), TrivialFamily()],
+    ids=["S4", "trivial"])
+def test_cayley_ball_at_a_huge_radius_is_the_whole_finite_group(family):
+    # the sphere sizes stop at the first empty sphere, as every later one
+    # is empty too, so radius 10**30 costs what the group's diameter does
+    space = CayleySpace(family)
+    whole = [family.identity()]
+    if isinstance(family, FinitePermutationFamily):
+        whole = family.elements()
+    spheres = space.ball_spheres(10 ** 30, closed=True)
+    assert sum(spheres) == len(whole) and spheres[-1] == 0
+    ball = space.ball(family.identity(), 10 ** 30, closed=True)
+    assert sorted(p for p, _d in ball) == sorted(whole)
+
+
+@pytest.mark.parametrize("family", [
+    FreeFamily(2), FreeAbelianFamily(2),
+    ProductFamily([FreeFamily(1), FreeAbelianFamily(2)])],
+    ids=["free2", "lattice2", "product"])
+@pytest.mark.parametrize("r", [20000, 10 ** 30])
+def test_cayley_ball_over_the_budget_is_refused_at_a_lower_bound(family, r):
+    # the sizes are read to doubling lengths and the refusal comes once
+    # their total passes the budget, so its count is a lower bound
+    with pytest.raises(WindowError, match=(
+            rf"^ball of radius {r} holds at least \d+ elements, "
+            rf"over the enumeration budget {spaces.ENUMERATION_BUDGET}$")):
+        CayleySpace(family).ball_spheres(r, closed=True)
+
+
 # -- validate ---------------------------------------------------------------
 
 
