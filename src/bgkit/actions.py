@@ -22,8 +22,6 @@ from . import groups, spaces
 from .exact import DomainError, WindowError, rational
 from .measures import DistanceProfile, sphere_profile
 
-ORBIT_BUDGET = 2_000_000
-
 
 class GroupAction:
     """Base: a family acting by isometries on a space."""
@@ -44,7 +42,7 @@ class GroupAction:
         passes one gate first: `base` must be a point, and
         `spaces.check_ball` makes the refusals of every measure at
         `center`.  WindowError also when the rule's enumeration would
-        exceed the orbit budget.
+        exceed `spaces.ENUMERATION_BUDGET`.
         """
         self.space.check_point(base)
         return self._moving_near(
@@ -181,9 +179,10 @@ class LatticeTranslationAction(GroupAction):
             d = Fraction(sum(abs(v + o) for v, o in zip(vec, offset)))
             if d <= radius:
                 rows.append((g, tuple(b + v for b, v in zip(base, vec)), d))
-                if len(rows) > ORBIT_BUDGET:
-                    raise WindowError("orbit budget exceeded",
-                                      required=len(rows), available=ORBIT_BUDGET)
+                if len(rows) > spaces.ENUMERATION_BUDGET:
+                    raise WindowError(
+                        "orbit budget exceeded", required=len(rows),
+                        available=spaces.ENUMERATION_BUDGET)
         return rows
 
     def displacement_profile(self, base, center, upto):
@@ -273,9 +272,10 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
     """Build an action from the JSON fragment {"group": .., "action": ..}."""
     rule = spec.get("action")
     if rule == "left_translation":
-        family = groups.family_from_spec(spec["group"])
         if not isinstance(space, spaces.CayleySpace):
-            return LeftTranslationAction(family)
+            raise DomainError(f"left_translation acts on a Cayley space, "
+                              f"not on a {space.kind} space")
+        family = groups.family_from_spec(spec["group"])
         if ((family.name, family.generators())
                 != (space.family.name, space.family.generators())):
             other = (" (other generators)" if family.name == space.family.name

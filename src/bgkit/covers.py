@@ -11,7 +11,6 @@ distances computed from weighted depths and longest common prefixes.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import groups, spaces
@@ -64,12 +63,8 @@ class DeckFamily(groups.GroupFamily):
     def is_infinite_order(self, a):
         return len(a) > 0
 
-    def subgroup_virtually_nilpotent(self, gens):
-        nontrivial = [g for g in gens if g]
-        for a, b in itertools.combinations(nontrivial, 2):
-            if _reduce(a + b) != _reduce(b + a):
-                return False
-        return True
+    # `multiply` is the free reduction of `FreeFamily` on darts
+    subgroup_virtually_nilpotent = groups.FreeFamily.subgroup_virtually_nilpotent
 
     def serialize(self, a):
         return ";".join(f"{eid}{'+' if d else '-'}" for eid, d in a) or "e"

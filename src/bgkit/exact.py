@@ -105,11 +105,17 @@ def rational(value) -> Fraction:
 
 
 def fmt_rational(q: Rational) -> str:
-    """Serialize a rational as 'p/q' (or 'p' when integral)."""
+    """Serialize a rational as 'p/q' (or 'p' when integral); DomainError
+    past `sys.int_info.default_max_str_digits`, CPython's int string limit."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return (str(q.numerator) if q.denominator == 1
+                else f"{q.numerator}/{q.denominator}")
+    except ValueError:
+        raise DomainError(
+            "rational too long to print: its numerator or denominator passes "
+            f"CPython's limit of {sys.int_info.default_max_str_digits} digits "
+            "for int strings") from None
 
 
 def decimal12(q: Rational) -> str:

@@ -169,19 +169,14 @@ class FreeFamily(GroupFamily):
     def is_infinite_order(self, a):
         return len(a) > 0
 
-    def commute(self, a, b):
-        return self.multiply(a, b) == self.multiply(b, a)
-
     def subgroup_virtually_nilpotent(self, gens):
         # In a free group two elements either commute (common cyclic root)
         # or generate a rank-2 free subgroup; a finitely generated subgroup
         # is virtually nilpotent iff it is cyclic iff the generators commute
-        # pairwise.
-        nontrivial = [g for g in gens if g]
-        for a, b in itertools.combinations(nontrivial, 2):
-            if not self.commute(a, b):
-                return False
-        return True
+        # pairwise (the identity commutes with every element).  The one home
+        # of the rule: the free deck group of a cover reads it too.
+        return all(self.multiply(a, b) == self.multiply(b, a)
+                   for a, b in itertools.combinations(gens, 2))
 
     def serialize(self, a):
         return "." .join(str(letter) for letter in a) if a else "e"

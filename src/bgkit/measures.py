@@ -189,7 +189,6 @@ def sphere_profile(spheres, step, upto) -> DistanceProfile:
 class Measure:
     """Base class; masses are nonnegative rationals."""
 
-    description = "abstract"
     _last = None         # (space, center, upto, profile) of the last build
 
     def profile(self, space, center, upto) -> DistanceProfile:
@@ -227,8 +226,6 @@ class VertexMeasure(Measure):
         self.weights = dict(weights) if weights is not None else None
         self.weight_fn = weight_fn
         self.uniform = weights is None and weight_fn is None
-        self.description = ("vertex_uniform" if self.uniform
-                            else "vertex_weights")
 
     def mass(self, point) -> Fraction:
         if self.weight_fn is not None:
@@ -267,7 +264,6 @@ class CountingOrbitMeasure(Measure):
         action.space.check_point(basepoint)
         self.action = action
         self.basepoint = basepoint
-        self.description = f"counting_orbit({action.rule})"
 
     def _build_profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.action.space:
@@ -293,7 +289,6 @@ class PullbackMeasure(VertexMeasure):
             cover_data.project(p)))
         self.cover = cover_data
         self.base_measure = base_measure
-        self.description = "pullback"
 
     def _build_profile(self, space, center, upto) -> DistanceProfile:
         if space is not self.cover.space:

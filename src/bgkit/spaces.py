@@ -8,7 +8,10 @@ the one row primitive: the distances of a point set to one point as exact
 ints on one scale (on a Cayley space, the family's `distances_to` row).
 The packing conflict graph, first fit and the packing audit read it, and
 `scaled_distances`, all pairwise distances for the four-point scan, is
-built from its rows of the upper triangle.  `check_ball` is the one gate
+built from its rows of the upper triangle.  A whole weighted graph reads
+the shortest-path kernel instead, in `WeightedGraph.scaled_distances`, the
+one place a graph builds all pairs: `distance_matrix` and `diameter` read
+its rows, so both refuse a disconnected graph.  `check_ball` is the one gate
 of every ball, measure profile and orbit scan: it refuses a centre that is
 no point of the space, a radius past the declared safe window and a
 negative radius, so nothing silently truncates.
@@ -351,44 +354,30 @@ class WeightedGraph(Space):
             remaining -= comp
         return comps
 
-    def _all_pairs_ints(self):
-        """(scale, rows): all-pairs vertex distances in `vertices` order from
-        the shortest-path kernel, as ints on the edge-weight scale, None for
-        unreachable pairs; None when the weights do not scale into the
-        kernel's int64 range."""
+    def distance_matrix(self):
+        """All-pairs vertex distances as Fractions in `vertices` order: the
+        rows of `scaled_distances` over the vertices, so DomainError for a
+        disconnected graph."""
+        scale, rows = self.scaled_distances(self.vertices)
+        return [[Fraction(cell, scale) for cell in row] for row in rows]
+
+    def scaled_distances(self, points):
+        """The one place a graph builds all pairs: when `points` are exactly
+        the vertices, the shortest-path kernel's ints on the edge-weight
+        scale.  A strict subset or an edge point, or weights that do not
+        scale into the kernel's int64 range, take the per-source Dijkstra
+        of `distance` instead."""
+        if len(points) != len(self.vertices) or set(points) != self._vset:
+            return super().scaled_distances(points)
         from . import _kernels
-        idx = {v: i for i, v in enumerate(self.vertices)}
         try:
             ints, scale = _kernels.scale_to_int([w for _u, _v, w in self.edges])
         except OverflowError:
-            return None
-        return scale, _kernels.graph_distances(
-            len(self.vertices),
-            [(idx[u], idx[v], iw) for (u, v, _w), iw in zip(self.edges, ints)])
-
-    def distance_matrix(self):
-        """All-pairs vertex distances as Fractions, None for unreachable
-        pairs: the kernel's ints, or per-source Dijkstra when the weights do
-        not scale into the kernel's int64 range."""
-        pairs = self._all_pairs_ints()
-        if pairs is None:
-            return [[self._dijkstra(u).get(v) for v in self.vertices]
-                    for u in self.vertices]
-        scale, rows = pairs
-        return [[None if cell is None else Fraction(cell, scale) for cell in row]
-                for row in rows]
-
-    def scaled_distances(self, points):
-        """The kernel's ints when `points` are exactly the vertices; a strict
-        subset or an edge point takes the per-source Dijkstra of `distance`
-        instead of building all pairs."""
-        if len(points) != len(self.vertices) or set(points) != self._vset:
             return super().scaled_distances(points)
-        pairs = self._all_pairs_ints()
-        if pairs is None:
-            return super().scaled_distances(points)
-        scale, full = pairs
         pos = {v: i for i, v in enumerate(self.vertices)}
+        full = _kernels.graph_distances(
+            len(self.vertices),
+            [(pos[u], pos[v], iw) for (u, v, _w), iw in zip(self.edges, ints)])
         order = [pos[p] for p in points]
         rows = [[full[a][b] for b in order] for a in order]
         for a, row in zip(points, rows):
@@ -399,13 +388,10 @@ class WeightedGraph(Space):
         return scale, rows
 
     def diameter(self) -> Fraction:
-        best = Fraction(0)
-        for row in self.distance_matrix():
-            for cell in row:
-                if cell is None:
-                    raise DomainError("diameter of a disconnected graph")
-                best = max(best, cell)
-        return best
+        """The largest vertex distance, from the rows of `scaled_distances`;
+        DomainError for a disconnected graph."""
+        scale, rows = self.scaled_distances(self.vertices)
+        return Fraction(max(map(max, rows), default=0), scale)
 
     def validate(self):
         issues = []
@@ -507,8 +493,8 @@ class CayleySpace(Space):
 
     def ball_spheres(self, r, closed=False):
         """[#{g : |g| = i} for i in 0..n], n the largest word length in the
-        ball of radius r, which is the same at every centre, or the first
-        length with an empty sphere, past which every sphere is empty too.
+        ball of radius r, which is the same at every centre, or a length
+        whose sphere is empty, past which every sphere is empty too.
         WindowError when the ball holds more than ENUMERATION_BUDGET
         elements: the one budget check of `ball` and of analytic ball
         profiles.  The sizes are read to doubling lengths from the budget's
@@ -535,31 +521,27 @@ class CayleySpace(Space):
             n = min(2 * n, int_r)
 
     def ball(self, x, r, closed=False):
-        r = rational(r)
-        self.ball_spheres(r, closed)   # refuses balls over the budget
-        int_r = _word_radius(r, closed)
-        if int_r < 0:
-            return []
-        hits = [(x, Fraction(0))]
-        seen = {x}
-        frontier = [x]
+        # breadth first through exactly the spheres `ball_spheres` counts,
+        # which refuses a ball over the budget and stops at an empty sphere
         gens = [g for _, g in self.family.generators()]
-        for depth in range(1, int_r + 1):
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    prod = self.family.multiply(el, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            if not nxt:     # every later sphere is empty too
-                break
-            # spheres come in distance order: sorting each by key gives the
-            # (distance, key) order of `Space.ball`
-            nxt.sort(key=point_key)
+        seen = {x}
+        sphere = [x]
+        hits = []
+        for depth in range(len(self.ball_spheres(r, closed))):
+            if depth:
+                nxt = []
+                for el in sphere:
+                    for g in gens:
+                        prod = self.family.multiply(el, g)
+                        if prod not in seen:
+                            seen.add(prod)
+                            nxt.append(prod)
+                # spheres come in distance order: sorting each by key gives
+                # the (distance, key) order of `Space.ball`
+                nxt.sort(key=point_key)
+                sphere = nxt
             d = Fraction(depth)
-            hits.extend((p, d) for p in nxt)
-            frontier = nxt
+            hits.extend((p, d) for p in sphere)
         return hits
 
     def validate(self):

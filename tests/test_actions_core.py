@@ -109,6 +109,19 @@ def test_sublattice_general_matrix():
         LatticeTranslationAction(space, [[1, 0]])
 
 
+def test_lattice_orbit_box_refuses_past_the_enumeration_budget(monkeypatch):
+    # the box scan of a general matrix counts against the one enumeration
+    # budget of the package; the radius-2 orbit above has 9 rows
+    act = LatticeTranslationAction(CayleySpace(FreeAbelianFamily(2)),
+                                   [[1, 1], [1, -1]])
+    monkeypatch.setattr(spaces, "ENUMERATION_BUDGET", 9)
+    assert len(act.orbit_within((0, 0), 2)) == 9
+    monkeypatch.setattr(spaces, "ENUMERATION_BUDGET", 8)
+    with pytest.raises(WindowError, match="^orbit budget exceeded$") as err:
+        act.orbit_within((0, 0), 2)
+    assert (err.value.required, err.value.available) == (9, 8)
+
+
 def test_glued_line_shift():
     gl = GluedLineSpace(Fraction(1, 10), Fraction(1, 2), 30)
     act = GluedLineShiftAction(gl)
@@ -195,6 +208,16 @@ def test_action_from_spec():
                           "group": {"family": "finite_permutation",
                                     "params": [[1, 0, 2]]}},
                          CayleySpace(FinitePermutationFamily([[0, 2, 1]])))
+    # on any other space it is refused, before its group is compared
+    free2 = {"action": "left_translation",
+             "group": {"family": "free", "params": 2}}
+    for other in (WeightedGraph([0, 1], [(0, 1, 1)]),
+                  FiniteMetricSpace([[0, 1], [1, 0]]),
+                  GluedLineSpace(1, 1, 3)):
+        with pytest.raises(DomainError, match=(
+                "^left_translation acts on a Cayley space, "
+                f"not on a {other.kind} space$")):
+            action_from_spec(free2, other)
 
 
 def test_window_check_covers_every_rule():

@@ -402,6 +402,13 @@ def test_evaluate_bound_nu_kinds():
     assert val > 0
     with pytest.raises(DomainError):
         evaluate_bound("margulis_scale", {"C": 2, "K": 0, "r0": 1})
+    # eps1 = D / nu(C^3 e^{15 K D} + 1) = 1 / nu(9) = 1/3, and C = 2 makes
+    # the exponent log C / log 2 one: (D / C) / (1 + 3 D / eps1) = 1/20
+    eps1 = {"D": 1, "C": 2, "K": 0}
+    assert math.isclose(evaluate_bound("systole_lower_eps1", eps1, nu=nu),
+                        1 / 20, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="^nu oracle required"):
+        evaluate_bound("systole_lower_eps1", eps1)
     with pytest.raises(DomainError):
         NuOracle([[10, 5], [100, 3]])   # not monotone
 

@@ -17,7 +17,7 @@ from bgkit import cli, presets, reports
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.cli import run
-from bgkit.exact import DomainError, rational
+from bgkit.exact import DomainError, fmt_rational, rational
 from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
 from bgkit.measures import counting_measure
 from bgkit.spaces import CayleySpace, GluedLineSpace
@@ -119,6 +119,39 @@ def test_rational_refuses_huge_decimal_exponents(capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         "error: cannot interpret '1e100000000' as a rational\n"
+
+
+def test_rational_too_long_to_print_is_refused(capsys):
+    # CPython's int string limit bounds what fmt_rational prints: a count,
+    # a radius or a mass past it is an input error, not a traceback
+    limit = sys.int_info.default_max_str_digits
+    assert fmt_rational(Fraction(-1, 10 ** (limit - 1))) == \
+        "-1/1" + "0" * (limit - 1)
+    refusal = ("rational too long to print: its numerator or denominator "
+               f"passes CPython's limit of {limit} digits for int strings")
+    for q in (10 ** limit, Fraction(1, 10 ** limit), Fraction(10 ** limit, 3)):
+        with pytest.raises(DomainError, match=f"^{refusal}$"):
+            fmt_rational(q)
+    for argv in (["balls", "--preset", "free2", "--r", f"1e{limit}"],
+                 ["balls", "--preset", "free2", "--r", f"1e-{limit}"],
+                 ["entropy", "--preset", "free2", "--rmax", "9100"]):
+        code, report, err = invoke(argv, capsys)
+        assert (code, report, err) == (1, None, f"error: {refusal}\n"), argv
+
+
+def test_left_translation_file_on_a_graph_is_refused(tmp_path, capsys):
+    # the action file names a free group, the space file a 4-cycle: every
+    # command refuses the pair when it builds the action, validate too
+    write_space_files(tmp_path)
+    action = tmp_path / "free2.json"
+    action.write_text(json.dumps({"action": "left_translation",
+                                  "group": {"family": "free", "params": 2}}))
+    files = ["--space", str(tmp_path / "c4.json"), "--action", str(action)]
+    for argv in (["validate"], ["systole"], ["short-gens", "--R", "1"],
+                 ["margulis", "--ceiling", "3"]):
+        assert invoke(argv + files, capsys) == (
+            1, None, "error: left_translation acts on a Cayley space, "
+                     "not on a graph space\n"), argv
 
 
 def test_unknown_subcommand(capsys):
@@ -342,7 +375,6 @@ def _assert_same_instance(got, action):
     assert space.validate() == action.space.validate()
     assert getattr(got_action, "matrix", None) == getattr(action, "matrix", None)
     assert measure.basepoint == basepoint
-    assert measure.description == want[2].description
     # the window of the glued line ends before radius 6 at the tip
     upto = min(6, space.safe_radius(basepoint) or 6)
     got_profile = measure.profile(space, basepoint, upto)
@@ -680,6 +712,17 @@ def test_nu_table_file(tmp_path, capsys):
          "--nu-table", str(path)], capsys)
     assert code == 0
     assert report["result"]["value"] == 1.5
+    # the same table written inline, and a kind that reads nu through eps1
+    inline = ["--nu-table", "[[10, 3], [1e9, 9]]"]
+    code, report, _ = invoke(
+        ["bounds", "margulis_scale", "--C", "1.5", "--K", "0", "--r0", "1",
+         *inline], capsys)
+    assert code == 0
+    assert report["result"]["value"] == 1.5
+    code, report, _ = invoke(["bounds", "systole_lower_eps1", "--D", "1",
+                              "--C", "2", "--K", "0", *inline], capsys)
+    assert code == 0
+    assert math.isclose(report["result"]["value"], 1 / 20, rel_tol=1e-12)
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

@@ -131,7 +131,29 @@ def test_deck_classification():
     g1, g2 = cover.generator_words
     assert fam.subgroup_virtually_nilpotent([g1]) is True
     assert fam.subgroup_virtually_nilpotent([g1, g2]) is False
+    # the identity and powers of one loop commute with each other
+    assert fam.subgroup_virtually_nilpotent(
+        [(), g1, fam.multiply(g1, g1), fam.inverse(g1)]) is True
+    assert fam.subgroup_virtually_nilpotent([(), g1, (), g2]) is False
     assert fam.is_infinite_order(g1)
+
+
+def test_deck_quotient_diameter_and_cover_validate():
+    # the quotient of the cover by its deck group is the base graph, whose
+    # diameter is the largest Dijkstra distance between two vertices
+    rng = random.Random(7)
+    for _ in range(60):
+        graph = _random_multigraph(rng)
+        cover = universal_cover(graph, graph.vertices[0], 2)
+        assert DeckAction(cover).quotient_diameter() == max(
+            graph.vertex_distance(u, v)
+            for u in graph.vertices for v in graph.vertices)
+    # the cover of a unit triangle is a line: two vertices per depth
+    cover = universal_cover(cycle_graph(3), 0, Fraction(7, 2))
+    assert DeckAction(cover).quotient_diameter() == 1
+    assert cover.space.validate() == {"kind": "cover_tree", "ok": True,
+                                      "issues": [], "window": "7/2",
+                                      "vertices": 7}
 
 
 def test_pullback_deck_invariance_sampled():

@@ -256,6 +256,22 @@ def test_thin_triangle_c6():
     assert rep.delta == 2
 
 
+def test_thin_triangle_samples_past_count():
+    # C8 has 56 vertex triples: past `count` a seeded sample of them is
+    # scanned, the same one per seed, and its value is at most the value
+    # over all triples
+    graph = cycle_graph(8)
+    full = thin_triangle_delta(graph)
+    assert full.method == "thin_triangle(all vertex triples)"
+    triples = list(itertools.combinations(range(8), 3))
+    for seed in (0, 1, 2):
+        rep = thin_triangle_delta(graph, count=10, seed=seed)
+        assert rep.method == f"thin_triangle(sampled,count=10,seed={seed})"
+        assert rep == thin_triangle_delta(graph, count=10, seed=seed)
+        assert rep.points_used == 8 and rep.delta <= full.delta
+        assert rep.witness[0] in random.Random(seed).sample(triples, 10)
+
+
 def test_convexity_defect_path_and_tree():
     assert convexity_defect(path_graph(6)).defect == 0
     assert convexity_defect(star_tree()).defect == 0

@@ -205,6 +205,30 @@ def test_cayley_ball_over_the_budget_is_refused_at_a_lower_bound(family, r):
         CayleySpace(family).ball_spheres(r, closed=True)
 
 
+@pytest.mark.parametrize("family, big", [
+    (FreeFamily(2), 7), (FreeAbelianFamily(2), 30), (TrivialFamily(), 30),
+    (FinitePermutationFamily([(1, 2, 0), (1, 0, 2)]), 30),
+    (ProductFamily([FreeAbelianFamily(1), FinitePermutationFamily([(1, 0)])]),
+     30)],
+    ids=["free2", "lattice2", "trivial", "S3", "product"])
+def test_cayley_ball_walks_the_spheres_it_counts(family, big):
+    # the walk has one sphere per size `ball_spheres` counts, empty ones
+    # past a finite group's diameter included, and each has that size
+    space = CayleySpace(family)
+    e = family.identity()
+    for r in (0, Fraction(1, 2), 1, Fraction(5, 2), 4, big):
+        for closed in (False, True):
+            spheres = space.ball_spheres(r, closed)
+            ball = space.ball(e, r, closed)
+            sizes = [0] * len(spheres)
+            for _p, d in ball:
+                sizes[int(d)] += 1
+            assert sizes == spheres, (r, closed)
+            assert ball == sorted(
+                ball, key=lambda pd: (pd[1], spaces.point_key(pd[0])))
+    assert space.ball(e, 0) == [] and space.ball(e, -3, closed=True) == []
+
+
 # -- validate ---------------------------------------------------------------
 
 
@@ -220,6 +244,23 @@ def test_validate_finite_metric():
         FiniteMetricSpace([[0, 10, 1], [10, 0, 1], [1, 1, 0]])
 
 
+def test_finite_metric_spec_without_validation_lists_each_issue():
+    spec = {"kind": "finite_metric", "labels": ["a", "b", "c"],
+            "matrix": [[1, 2, 1], ["3", 0, -1], [1, -1, 0]]}
+    with pytest.raises(DomainError, match="^invalid metric: nonzero diagonal"):
+        spaces.space_from_spec(spec)
+    space = spaces.space_from_spec({**spec, "validate": False})
+    assert isinstance(space, FiniteMetricSpace)
+    assert space.distance("b", "a") == 3
+    report = space.validate()
+    assert report["kind"] == "finite_metric" and not report["ok"]
+    assert report["issues"][:3] == ["nonzero diagonal at a",
+                                    "asymmetry at (a,b)",
+                                    "negative distance at (b,c)"]
+    assert all(issue.startswith("triangle violation: ")
+               for issue in report["issues"][3:])
+
+
 def test_validate_disconnected_graph():
     graph = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (2, 3, 1)])
     report = graph.validate()
@@ -227,6 +268,10 @@ def test_validate_disconnected_graph():
     assert any("disconnected" in issue for issue in report["issues"])
     with pytest.raises(DomainError):
         graph.vertex_distance(0, 3)
+    # all pairs of a whole graph come from one path, which refuses the gap
+    for whole_graph in (graph.distance_matrix, graph.diameter):
+        with pytest.raises(DomainError, match="no path between 0 and 2"):
+            whole_graph()
 
 
 def test_graph_edge_points():
