@@ -16,11 +16,56 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 from . import groups, spaces
 from .exact import DomainError, WindowError, rational
 from .measures import DistanceProfile, sphere_profile
+
+# the most sphere sizes an analytic displacement profile reads: a profile
+# of 2**24 lengths holds its sizes, ticks and totals in over a gigabyte
+SPHERE_LIMIT = 1 << 24
+# a ball total at which no ball from half its word length on has a count
+# that CPython can print (`exact.fmt_rational`): B(a + b) <= B(a) B(b) in a
+# word metric, so B(n) >= P**2 gives B(m) >= P for every m >= n / 2
+_UNPRINTABLE = 10 ** (2 * sys.int_info.default_max_str_digits)
+
+
+def _sphere_sizes(family, n):
+    """The family's sphere sizes at lengths 0..n, or 0..m for the first
+    length m read whose sphere is empty (every later one is empty too), so
+    a finite family answers at any length.  Reads start at the enumeration
+    budget's bit length, as in `spaces.CayleySpace.ball_spheres`, and grow
+    at least twofold, as far as the last total allows: a ball of j times a
+    length holds at most the j-th power of its total.  No element budget
+    applies, since a profile holds counts.  WindowError past SPHERE_LIMIT
+    lengths (at once for a family with a generator of infinite order), and
+    at a ball total of _UNPRINTABLE or more."""
+    if n > SPHERE_LIMIT and any(family.is_infinite_order(g)
+                                for _label, g in family.generators()):
+        raise WindowError(
+            f"a profile of {family.name} to word length {n} reads more than "
+            f"{SPHERE_LIMIT} sphere sizes", required=n, available=SPHERE_LIMIT)
+    length = min(n, spaces.ENUMERATION_BUDGET.bit_length())
+    while True:
+        sizes = family.sphere_sizes(length)
+        total = sum(sizes)
+        if total >= _UNPRINTABLE:
+            raise WindowError(
+                f"the ball of word length {length} in {family.name} holds "
+                f"10^{2 * sys.int_info.default_max_str_digits} elements or "
+                "more, so no ball mass from half that length on can be "
+                "printed")
+        if length == n or not sizes[-1]:
+            return sizes
+        if length == SPHERE_LIMIT:
+            raise WindowError(
+                f"the spheres of {family.name} are not empty by word length "
+                f"{SPHERE_LIMIT}, the most a profile reads",
+                required=n, available=SPHERE_LIMIT)
+        power = (_UNPRINTABLE.bit_length() - 1) // total.bit_length()
+        length = min(n, SPHERE_LIMIT, max(2, power) * length)
 
 
 class GroupAction:
@@ -102,7 +147,7 @@ class LeftTranslationAction(GroupAction):
         return rows
 
     def displacement_profile(self, base, center, upto):
-        spheres = self.family.sphere_sizes(math.floor(upto))
+        spheres = _sphere_sizes(self.family, math.floor(upto))
         return sphere_profile(spheres, 1, upto)
 
     def quotient_diameter(self):
@@ -187,7 +232,8 @@ class LatticeTranslationAction(GroupAction):
 
     def displacement_profile(self, base, center, upto):
         if self._scale is not None and base == center:
-            spheres = self.family.sphere_sizes(math.floor(upto / self._scale))
+            spheres = _sphere_sizes(self.family,
+                                    math.floor(upto / self._scale))
             return sphere_profile(spheres, self._scale, upto)
         return super().displacement_profile(base, center, upto)
 
@@ -233,12 +279,12 @@ class GluedLineShiftAction(GroupAction):
 
 
 class PermutationAction(GroupAction):
-    """A finite permutation family permuting the points of a finite space."""
+    """A finite permutation family (`permutations.FinitePermutationFamily`)
+    permuting the points of a finite space."""
 
     rule = "permutation"
 
-    def __init__(self, family: groups.FinitePermutationFamily, space,
-                 labels=None):
+    def __init__(self, family, space, labels=None):
         super().__init__(family, space)
         self.labels = list(labels) if labels is not None else list(space.support())
         if len(self.labels) != family.degree:
@@ -285,8 +331,14 @@ def action_from_spec(spec: dict, space: spaces.Space) -> GroupAction:
                 f"{space.family.name} of the Cayley space it acts on{other}")
         return LeftTranslationAction(space.family, space)
     if rule == "lattice_translation":
+        if not isinstance(space, spaces.CayleySpace):
+            raise DomainError(f"lattice_translation acts on a Cayley space, "
+                              f"not on a {space.kind} space")
         return LatticeTranslationAction(space, spec["matrix"])
     if rule == "glued_line_shift":
+        if not isinstance(space, spaces.GluedLineSpace):
+            raise DomainError(f"glued_line_shift acts on a glued_line space, "
+                              f"not on a {space.kind} space")
         return GluedLineShiftAction(space)
     if rule == "permutation":
         family = groups.family_from_spec(spec["group"])

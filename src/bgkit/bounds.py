@@ -12,6 +12,7 @@ need the non-explicit function C -> nu(C) read it from a user-supplied
 
 from __future__ import annotations
 
+import json
 import math
 
 from .exact import (DomainError, INCONCLUSIVE, VERIFIED, field, rational,
@@ -173,3 +174,53 @@ def bound_cross_check(kind: str, measured, bound_params: dict,
     if holds is None:
         rep.details["note"] = "inside the float margin band"
     return rep
+
+
+# -- the bounds and check subcommands -------------------------------------------
+
+# the parameter flags of the bounds subcommand, as `cli._BOUND_PARAMS` adds them
+_PARAMS = ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r")
+
+
+def _nu_oracle(args):
+    raw = getattr(args, "nu_table", None)
+    if not raw:
+        return None
+    if raw.strip().startswith("["):
+        table = json.loads(raw)
+    else:
+        with open(raw) as fh:
+            table = json.load(fh)
+        if isinstance(table, dict):
+            table = table["nu_table"]
+    return NuOracle(table)
+
+
+def _bounds(args, _inp):
+    from .reports import Outcome
+    params = {}
+    for name in _PARAMS:
+        value = getattr(args, name, None)
+        if value is not None:
+            params[name] = value
+    value = evaluate_bound(args.kind, params, nu=_nu_oracle(args))
+    return Outcome(params={"kind": args.kind, **params},
+                   result={"value": value},
+                   summary=f"bounds {args.kind}: {value:.9g}")
+
+
+def _check(args, _inp):
+    from .reports import Outcome
+    params = json.loads(args.params)
+    rep_c = bound_cross_check(args.kind, args.measured, params,
+                              nu=_nu_oracle(args),
+                              assumptions=args.assume or [])
+    status = {True: "holds", False: "violated"}.get(rep_c.holds,
+                                                    "inconclusive")
+    return Outcome(params={"kind": args.kind, "measured": args.measured,
+                           **params},
+                   result={"bound": rep_c.bound, "slack": rep_c.slack,
+                           "direction": rep_c.direction},
+                   summary=(f"check {args.kind}: {status} "
+                            f"(slack {rep_c.slack:.6g})"),
+                   status=status, assumptions=rep_c.assumptions)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import groups, spaces
+from . import finite_spaces, groups, spaces
 from .actions import GroupAction
 from .exact import DomainError, WindowError, fmt_rational, rational, record
 
@@ -105,7 +105,7 @@ class CoverTreeSpace(spaces.Space):
 
 @record
 class CoverData:
-    base: spaces.WeightedGraph
+    base: finite_spaces.WeightedGraph
     basepoint: object
     window: Fraction
     vertices: list
@@ -166,7 +166,7 @@ class DeckAction(GroupAction):
         return self.cover.base.diameter()
 
 
-def universal_cover(graph: spaces.WeightedGraph, basepoint,
+def universal_cover(graph: finite_spaces.WeightedGraph, basepoint,
                     window) -> CoverData:
     """Materialize the universal cover tree out to the given radius.
 
@@ -241,7 +241,7 @@ def universal_cover(graph: spaces.WeightedGraph, basepoint,
     return cover
 
 
-def graph_betti(graph: spaces.WeightedGraph):
+def graph_betti(graph: finite_spaces.WeightedGraph):
     """First Betti number E - V + 1 (per component when disconnected)."""
     comps = graph.components()
     if len(comps) == 1:
@@ -252,3 +252,21 @@ def graph_betti(graph: spaces.WeightedGraph):
         edges = sum(1 for u, v, _w in graph.edges if u in cset and v in cset)
         report[tuple(comp)] = edges - len(comp) + 1
     return report
+
+
+# -- the cover subcommand -------------------------------------------------------
+
+
+def _cover(args, inp):
+    from .reports import Outcome
+    if inp.space.kind != "graph":
+        raise DomainError("cover needs a graph space")
+    base = inp.point(args.center, default=sorted(
+        inp.space.vertices, key=spaces.point_key)[0])
+    cover = universal_cover(inp.space, base, rational(args.window))
+    return Outcome(params={"window": rational(args.window)},
+                   result={"betti": cover.betti(),
+                           "vertices_materialized": len(cover.vertices),
+                           "deck_rank": len(cover.generator_words)},
+                   summary=(f"cover: b1 = {cover.betti()}, "
+                            f"{len(cover.vertices)} vertices in window"))

@@ -417,3 +417,81 @@ def doubling_constant(space, measure: Measure, x, r0) -> tuple:
     a, num, den = best
     return Fraction(num, den), Fraction(a, step)
 
+
+# -- the certify-bg, synthetic, doubling and reproduce subcommands --------------
+
+
+def _certificate_outcome(cert, params, label):
+    from .reports import Outcome
+    payload = {
+        "status": cert.status,
+        "r_min": cert.r_min, "r_max": cert.r_max,
+        "critical_radii_checked": cert.critical_radii_checked,
+        "violations": cert.violations,
+        "center": cert.center,
+        "notes": cert.notes,
+        "ratio_scan": list(cert.scan_rows),
+    }
+    witnesses = [{"kind": kind, "radius": w.radius, "lhs": w.lhs,
+                  "rhs": w.rhs, "form": w.form}
+                 for kind, w in (("worst", cert.witness),
+                                 ("first", cert.first_violation))
+                 if w is not None]
+    return Outcome(params=params, result=payload,
+                   summary=f"{label}: {cert.status}", status=cert.status,
+                   witnesses=witnesses)
+
+
+def _certify_bg(args, inp):
+    params = BGParams(rational(args.r0), args.C, args.K)
+    if args.all_centers is None:
+        centers = inp.point(args.center)
+    elif args.center is not None:
+        raise DomainError("--center and --all-centers both name the centers "
+                          "to scan; give one of them")
+    else:
+        centers = [inp.point(raw) for raw in args.all_centers.split(";")]
+    cert = check_weak_bg(inp.space, inp.measure, centers, params,
+                         rational(args.rmax))
+    return _certificate_outcome(
+        cert, {"r0": params.r0, "C": params.C, "K": params.K,
+               "rmax": rational(args.rmax)}, "certify-bg")
+
+
+def _synthetic(args, inp):
+    params = SyntheticParams(args.N, args.K)
+    cert = check_bg_synthetic(inp.space, inp.measure, inp.point(args.center),
+                              params, rational(args.rmax))
+    return _certificate_outcome(
+        cert, {"N": args.N, "K": args.K, "rmax": rational(args.rmax)},
+        "synthetic")
+
+
+def _doubling(args, inp):
+    from .reports import Outcome
+    sup, where = doubling_constant(inp.space, inp.measure,
+                                   inp.point(args.center), rational(args.r0))
+    return Outcome(params={"r0": rational(args.r0)},
+                   result={"C0": sup, "C0_float": float(sup),
+                           "attained_at": where},
+                   summary=f"doubling: C0 = {float(sup):.6g} at r = {where}")
+
+
+def _reproduce(args, _inp):
+    from . import presets
+    if args.scenario != "glued-line":
+        raise DomainError(f"unknown scenario {args.scenario!r}")
+    space, action, measure = presets.glued_line_instance(args.r0, args.eps)
+    r0 = rational(args.r0)
+    params = BGParams(r0, args.C, args.K)
+    r_max = r0 + 4 * space.eps
+    cert = check_weak_bg(space, measure, space.tip(0), params, r_max)
+    out = _certificate_outcome(
+        cert, {"scenario": args.scenario, "r0": r0, "eps": rational(args.eps),
+               "C": args.C, "K": args.K}, f"reproduce {args.scenario}")
+    # the scan's own profile, to 2 r_max, holds both balls
+    profile = measure.profile(space, space.tip(0), 2 * r_max)
+    radius = r0 + space.eps
+    out.result["ball_at_r0_plus_eps"] = profile.mass_lt(radius)
+    out.result["ball_at_doubled"] = profile.mass_lt(2 * radius)
+    return out

@@ -21,6 +21,9 @@ from .exact import DomainError, field, log_of_rational, rational, record
 from .measures import Measure
 
 MIN_SAMPLES = 10
+# the most samples of one growth profile, as many as the sphere sizes an
+# analytic profile reads (`actions.SPHERE_LIMIT`)
+SAMPLE_LIMIT = 1 << 24
 
 
 @record
@@ -55,7 +58,8 @@ class EntropyEstimate:
 
 
 def growth_profile(space, measure: Measure, center, r_max, step) -> GrowthProfile:
-    """Closed-ball masses at R = step, 2 step, ..., r_max.
+    """Closed-ball masses at R = step, 2 step, ..., r_max; DomainError
+    past SAMPLE_LIMIT samples, before any mass is read.
 
     Closed balls avoid an empty first sample on integer-distance spaces.
     """
@@ -64,17 +68,19 @@ def growth_profile(space, measure: Measure, center, r_max, step) -> GrowthProfil
         raise DomainError("step must be positive")
     if r_max < step:
         raise DomainError("r_max below the first step")
+    count = r_max // step
+    if count > SAMPLE_LIMIT:
+        raise DomainError(f"{count} growth samples, over the limit "
+                          f"{SAMPLE_LIMIT}; enlarge step")
     profile = measure.profile(space, center, r_max)
     samples = []
-    k = 1
-    while step * k <= r_max:
+    for k in range(1, count + 1):
         R = step * k
         mass = profile.mass_le(R)
         if mass <= 0:
             raise DomainError(f"empty ball at R = {R}; enlarge step")
         samples.append(GrowthSample(R=R, mass=mass,
                                     h=log_of_rational(mass) / float(R)))
-        k += 1
     return GrowthProfile(center=center, samples=samples)
 
 
@@ -100,3 +106,22 @@ def entropy_estimate(profile: GrowthProfile,
     return EntropyEstimate(estimate=low, window_low=low, window_high=high,
                            r_max=profile.samples[-1].R,
                            converged=converged, notes=notes)
+
+
+# -- the entropy subcommand -----------------------------------------------------
+
+
+def _entropy(args, inp):
+    from .reports import Outcome
+    prof = growth_profile(inp.space, inp.measure, inp.point(args.center),
+                          rational(args.rmax), rational(args.step))
+    est = entropy_estimate(prof, tail_fraction=args.tail)
+    return Outcome(
+        params={"rmax": rational(args.rmax), "step": rational(args.step),
+                "tail": args.tail},
+        result={"estimate": est.estimate, "window_low": est.window_low,
+                "window_high": est.window_high, "converged": est.converged,
+                "growth_profile": [(s.R, s.mass, s.h) for s in prof.samples]},
+        summary=(f"entropy: {est.estimate:.6g} "
+                 f"window [{est.window_low:.6g}, {est.window_high:.6g}]"),
+        assumptions=est.notes)

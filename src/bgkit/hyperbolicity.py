@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 
 from . import spaces
-from .exact import DomainError, check_range, record
+from .exact import DomainError, check_range, rational, record
 
 FOUR_POINT_CAP = 150
 
@@ -127,7 +127,7 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
         try:
             scale, rows = space.scaled_distances(pts)
         except DomainError:
-            if points is None and isinstance(space, spaces.WeightedGraph):
+            if points is None and space.kind == "graph":
                 raise DomainError(
                     "four-point scan over a disconnected graph") from None
             raise
@@ -200,7 +200,7 @@ def thin_triangle_delta(graph, count=60, seed=0):
     paths; fibers are evaluated at every vertex-crossing parameter, which
     is where the piecewise-linear fiber diameter peaks.
     """
-    if not isinstance(graph, spaces.WeightedGraph):
+    if graph.kind != "graph":
         raise DomainError("thin-triangle scan needs a graph space")
     verts = sorted(graph.vertices, key=spaces.point_key)
     triples = list(itertools.combinations(verts, 3))
@@ -271,7 +271,7 @@ def convexity_defect(graph, triples=None, grid=8,
     t * length along the materialized lexicographic path (mid-edge points
     allowed).  The defect is clamped at zero.
     """
-    if not isinstance(graph, spaces.WeightedGraph):
+    if graph.kind != "graph":
         raise DomainError("convexity defect needs a graph space")
     if grid < 2:
         raise DomainError("grid needs at least 2 parameter samples")
@@ -302,3 +302,52 @@ def convexity_defect(graph, triples=None, grid=8,
                 witness = (o, y0, y1, t)
     return ConvexityReport(defect=best, witness=witness, grid=grid,
                            samples=samples)
+
+
+# -- the delta and convexity subcommands ----------------------------------------
+
+
+def _delta(args, inp):
+    from .reports import Outcome
+    space = inp.space
+    # the points are the whole support of a finite space, and a ball around
+    # --center on any other
+    whole = space.kind in ("graph", "finite_metric", "tripod")
+    if whole and args.center is not None:
+        raise DomainError(f"--center: delta reads every point of this "
+                          f"{space.kind} space, not a ball")
+    if args.thin:
+        if space.kind != "graph":
+            raise DomainError("--thin needs a graph space")
+        count = {} if args.samples is None else {"count": args.samples}
+        rep_h = thin_triangle_delta(space, seed=args.seed or 0, **count)
+    else:
+        mode = "exhaustive" if args.exhaustive or not args.samples else "sampled"
+        points = None
+        if not whole:
+            x = inp.point(args.center)
+            points = [p for p, _ in spaces.enumerate_ball(
+                space, x, rational(args.radius), closed=True)]
+        rep_h = four_point_delta(space, points=points, mode=mode,
+                                 count=args.samples or 2000,
+                                 seed=args.seed or 0)
+    return Outcome(params={"method": rep_h.method},
+                   result={"delta": rep_h.delta,
+                           "delta_float": float(rep_h.delta),
+                           "points_used": rep_h.points_used},
+                   summary=f"delta: {float(rep_h.delta):.6g} by {rep_h.method}",
+                   witnesses=[rep_h.witness])
+
+
+def _convexity(args, inp):
+    from .reports import Outcome
+    # without --center the origin is the repr-first vertex, not inp.point's
+    # first vertex
+    origin = None if args.center is None else inp.point(args.center)
+    rep_c = convexity_defect(inp.space, grid=args.grid, origin=origin)
+    return Outcome(params={"grid": args.grid},
+                   result={"defect": rep_c.defect,
+                           "defect_float": float(rep_c.defect),
+                           "samples": rep_c.samples},
+                   summary=f"convexity defect: {float(rep_c.defect):.6g}",
+                   witnesses=[rep_c.witness])

@@ -333,3 +333,21 @@ def measure_from_spec(spec, space, action=None) -> Measure:
             "lifts the problem), or build one via covers.universal_cover + "
             "PullbackMeasure")
     raise DomainError(f"unknown measure spec {kind!r}")
+
+
+# -- the balls subcommand -------------------------------------------------------
+
+
+def _balls(args, inp):
+    from .reports import Outcome
+    x = inp.point(args.center)
+    r = rational(args.r)
+    ball = spaces.enumerate_ball(inp.space, x, r, closed=args.closed)
+    mass = None
+    if inp.measure is not None:
+        mass = ball_mass(inp.measure, inp.space, x, r, closed=args.closed)
+    return Outcome(
+        params={"center": x, "r": r, "closed": args.closed},
+        result={"count": len(ball), "mass": mass,
+                "points": [p for p, _ in ball[:200]]},
+        summary=f"ball: {len(ball)} support points, mass {mass}")

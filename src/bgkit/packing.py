@@ -456,3 +456,27 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
         sup_ratio=sup_ratio, chain_holds=chain, lemma_pack_vs_orbit=lemma,
         details={"sup_sample_size": len(sup_sample),
                  "codiameter": D})
+
+
+# -- the pack subcommand --------------------------------------------------------
+
+
+def _pack(args, inp):
+    from .reports import Outcome
+    x = inp.point(args.center)
+    mode = "exact" if args.exact else "greedy"
+    cap = EXACT_CAP if args.cap is None else args.cap
+    if args.orbit:
+        if inp.action is None:
+            raise DomainError("--orbit needs an action")
+        res = gamma_packing_count(inp.action, x, rational(args.r),
+                                  rational(args.R), mode=mode, cap=cap)
+    else:
+        res = packing_count(inp.space, x, rational(args.r), rational(args.R),
+                            mode=mode, cap=cap)
+    return Outcome(params={"r": rational(args.r), "R": rational(args.R),
+                           "mode": mode, "orbit": bool(args.orbit)},
+                   result={"count": res.count, "method": res.method,
+                           "candidates": res.candidates,
+                           "centers": res.centers[:100]},
+                   summary=f"pack: {res.count} ({res.method})")

@@ -109,7 +109,7 @@ def instance(spec):
 
 def _lift_to_cover(graph, spec):
     from . import covers, measures
-    if not isinstance(graph, spaces.WeightedGraph):
+    if graph.kind != "graph":
         raise DomainError("pullback/deck specs need a graph space")
     cover_spec = spec.get("cover", {})
     basepoint = cover_spec.get(

@@ -276,12 +276,14 @@ def _subgroup_index(family, gens):
         # pivots strictly increase, so the full-rank basis is upper
         # triangular and the index is |det|, the product of its diagonal
         return "finite", abs(math.prod(row[i] for i, row in enumerate(basis)))
-    if isinstance(family, groups.FinitePermutationFamily):
-        sub = groups.FinitePermutationFamily(gens or [family.identity()])
-        return "finite", len(family.elements()) // len(sub.elements())
     if isinstance(family, groups.FreeFamily):
         index = StallingsGraph(family, gens).index()
         return ("infinite", None) if index is None else ("finite", index)
+    # last, so that the families above never load `permutations`
+    from .permutations import FinitePermutationFamily
+    if isinstance(family, FinitePermutationFamily):
+        sub = FinitePermutationFamily(gens or [family.identity()])
+        return "finite", len(family.elements()) // len(sub.elements())
     return "inconclusive", None
 
 
@@ -489,3 +491,82 @@ def cocompact_bg_check(action, x, delta, D, K, pairs, measure=None) -> list:
                                  None, None,
                                  note="skipped: r below 10(D+delta)"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The systole, diastole, thin-set, margulis and short-gens subcommands
+# ---------------------------------------------------------------------------
+
+
+def _sample(inp, raw):
+    """The points of a semicolon-separated --sample list, or the default
+    point alone when none is given."""
+    return [inp.point(p) for p in (raw.split(";") if raw else [None])]
+
+
+def _systole(args, inp):
+    from .reports import Outcome
+    want = args.command
+    sample = _sample(inp, args.sample)
+    rep_s = systole(inp.action, sample, ceiling=args.ceiling)
+    headline = rep_s.systole if want == "systole" else rep_s.diastole
+    return Outcome(
+        params={"sample_size": len(sample)},
+        result={"systole": rep_s.systole, "diastole": rep_s.diastole,
+                "torsion_free_systole": rep_s.torsion_free_systole,
+                "torsion_free_diastole": rep_s.torsion_free_diastole,
+                "per_point": [(p.point, p.systole, p.torsion_free_systole)
+                              for p in rep_s.per_point]},
+        summary=f"{want}: {headline}",
+        assumptions=(["sample-based statistics over the listed points"]
+                     + rep_s.warnings))
+
+
+def _thin_set(args, inp):
+    from .reports import Outcome
+    sample = [inp.point(raw) for raw in args.sample.split(";")]
+    adjacency = {p: [] for p in sample}
+    for i, p in enumerate(sample):
+        for q in sample[i + 1:]:
+            if inp.space.distance(p, q) <= rational(args.adjacency):
+                adjacency[p].append(q)
+                adjacency[q].append(p)
+    rep_t = thin_set(inp.action, rational(args.r), sample, adjacency,
+                     ceiling=args.ceiling)
+    return Outcome(
+        params={"r": rational(args.r), "adjacency": rational(args.adjacency)},
+        result={"verdict": rep_t.verdict,
+                "torsion_free_verdict": rep_t.torsion_free_verdict,
+                "membership": [(p, m) for p, m in rep_t.membership.items()]},
+        summary=f"thin-set: {rep_t.verdict}")
+
+
+def _margulis(args, inp):
+    from .reports import Outcome
+    pts = margulis_estimate(inp.action, _sample(inp, args.sample),
+                            ceiling=rational(args.ceiling))
+    return Outcome(
+        params={"ceiling": rational(args.ceiling)},
+        result={"per_point": [(p.point, p.estimate, p.attained,
+                               p.provenance) for p in pts],
+                "entropy_margulis_constant": "alpha0(delta0,H0)"},
+        summary=(f"margulis: min estimate "
+                 f"{min(float(p.estimate) for p in pts):.6g}"),
+        assumptions=["the entropy-Margulis constant alpha0(delta0,H0) has no "
+                     "published value and is reported symbolically only"])
+
+
+def _short_gens(args, inp):
+    from .reports import Outcome
+    res = short_generators(inp.action, inp.point(args.center),
+                           rational(args.R))
+    status = "ok" if (res.reach_ok and res.separation_ok) else "violated"
+    return Outcome(
+        params={"R": rational(args.R)},
+        result={"count": len(res.elements),
+                "codiameter": res.codiameter,
+                "index_verdict": res.index_verdict, "index": res.index,
+                "orbit_points": res.orbit_points[:100]},
+        summary=(f"short-gens: {len(res.elements)} generators, "
+                 f"index {res.index or res.index_verdict}"),
+        status=status)

@@ -87,6 +87,19 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+@record
+class Outcome:
+    """What a subcommand's compute function returns: the report's params,
+    result, status, witnesses and assumptions, and the one-line summary
+    printed on stderr."""
+    params: dict
+    result: object
+    summary: str
+    status: str = "computed"
+    witnesses: list = field(default_factory=list)
+    assumptions: list = field(default_factory=list)
+
+
 def _tabular_rows(report: Report):
     payload = report.result
     if isinstance(payload, dict) and "growth_profile" in payload:

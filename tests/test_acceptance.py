@@ -27,8 +27,8 @@ from bgkit.curvature import (BGParams, SyntheticParams, check_bg_synthetic,
 from bgkit.groups import FreeAbelianFamily
 from bgkit.measures import (PullbackMeasure, VertexMeasure, ball_mass,
                             counting_measure)
-from bgkit.spaces import (CayleySpace, TripodSpace, WeightedGraph,
-                          enumerate_ball)
+from bgkit.spaces import CayleySpace, enumerate_ball
+from bgkit.finite_spaces import TripodSpace, WeightedGraph
 
 DET_ENV = {**os.environ, "SOURCE_DATE_EPOCH": "0"}
 

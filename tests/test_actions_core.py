@@ -8,11 +8,11 @@ from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction, PermutationAction,
                            action_from_spec)
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily)
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
 from bgkit.probes import sigma_r
-from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
-                          WeightedGraph)
+from bgkit.spaces import CayleySpace, GluedLineSpace
+from bgkit.finite_spaces import FiniteMetricSpace, WeightedGraph
 
 
 def lattice_action(k=2):
@@ -218,6 +218,25 @@ def test_action_from_spec():
                 "^left_translation acts on a Cayley space, "
                 f"not on a {other.kind} space$")):
             action_from_spec(free2, other)
+    # so are lattice translation off a Cayley space and the glued-line
+    # shift off the glued line, before either reads its space
+    lattice = {"action": "lattice_translation", "matrix": [[2, 0], [0, 2]]}
+    shift = {"action": "glued_line_shift"}
+    for spec, home, others in (
+            (lattice, "Cayley", (WeightedGraph([0, 1], [(0, 1, 1)]),
+                                 FiniteMetricSpace([[0, 1], [1, 0]]),
+                                 GluedLineSpace(1, 1, 3))),
+            (shift, "glued_line", (WeightedGraph([0, 1], [(0, 1, 1)]),
+                                   FiniteMetricSpace([[0, 1], [1, 0]]),
+                                   CayleySpace(FreeFamily(2)),
+                                   CayleySpace(FreeAbelianFamily(1))))):
+        for other in others:
+            with pytest.raises(DomainError, match=(
+                    f"^{spec['action']} acts on a {home} space, "
+                    f"not on a {other.kind} space$")):
+                action_from_spec(spec, other)
+    assert isinstance(action_from_spec(shift, GluedLineSpace(1, 1, 3)),
+                      GluedLineShiftAction)
 
 
 def test_window_check_covers_every_rule():
@@ -303,3 +322,70 @@ def test_each_orbit_scan_passes_the_gate_once(case, monkeypatch):
     assert rows == act._moving_near(base, center, Fraction(2))
     act.orbit_within(center, 1)
     assert calls == [(center, 2), (center, 1)]
+
+
+class _Reads:
+    """A family whose `sphere_sizes` records the lengths it is asked for."""
+
+    def __init__(self, family):
+        self.family, self.lengths = family, []
+        self.name = family.name
+
+    def generators(self):
+        return self.family.generators()
+
+    def is_infinite_order(self, g):
+        return self.family.is_infinite_order(g)
+
+    def sphere_sizes(self, radius):
+        self.lengths.append(radius)
+        return self.family.sphere_sizes(radius)
+
+
+SPHERE_FAMILIES = [FreeFamily(2), FreeFamily(0), FreeAbelianFamily(3),
+                   TrivialFamily(),
+                   FinitePermutationFamily([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+                   ProductFamily([FreeAbelianFamily(1),
+                                  FinitePermutationFamily([(1, 0)])])]
+
+
+@pytest.mark.parametrize("family", SPHERE_FAMILIES,
+                         ids=[f.name for f in SPHERE_FAMILIES])
+def test_profile_sphere_sizes_read_the_closed_form(family):
+    # the sizes a displacement profile reads are the family's own, to n or
+    # to an empty sphere past which all are empty; one read up to length 21
+    for n in (0, 1, 5, 20, 21, 22, 64, 300):
+        reads = _Reads(family)
+        sizes = actions._sphere_sizes(reads, n)
+        full = family.sphere_sizes(n)
+        assert sizes[:n + 1] == full[:len(sizes)]
+        assert len(sizes) == n + 1 or sizes[-1] == 0
+        assert not any(full[len(sizes):])
+        assert len(reads.lengths) == 1 if n <= 21 else reads.lengths[0] == 21
+        assert reads.lengths == sorted(set(reads.lengths))
+    # a finite group answers at any length, as its sphere profile does
+    if not any(family.is_infinite_order(g) for _l, g in family.generators()):
+        sizes = actions._sphere_sizes(family, 10 ** 30)
+        assert sizes[-1] == 0 and sum(sizes) == sum(family.sphere_sizes(64))
+
+
+def test_profile_sphere_sizes_refuse_what_cannot_be_reported():
+    limit = actions.SPHERE_LIMIT
+    for family in (FreeFamily(2), FreeAbelianFamily(2),
+                   ProductFamily([TrivialFamily(), FreeAbelianFamily(1)])):
+        reads = _Reads(family)
+        with pytest.raises(WindowError, match="reads more than") as info:
+            actions._sphere_sizes(reads, limit + 1)
+        assert (info.value.required, info.value.available) == (limit + 1,
+                                                               limit)
+        assert reads.lengths == []
+    # free(2) balls reach 10^8600 elements past length 18 000: the lengths
+    # read grow as the totals allow, and stop at the first one past it
+    reads = _Reads(FreeFamily(2))
+    with pytest.raises(WindowError, match="length 34272 in free.2. holds"):
+        actions._sphere_sizes(reads, 10 ** 6)
+    assert reads.lengths == [21, 17136, 34272]
+    assert 2 * 3 ** 17136 < 10 ** 8600 <= 2 * 3 ** 34272
+    # at the left translation's own build: the gate passes, the read refuses
+    with pytest.raises(WindowError, match="holds 10.8600 elements or more"):
+        free_action().displacement_profile((), (), Fraction(10 ** 5))

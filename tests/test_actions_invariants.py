@@ -10,13 +10,13 @@ from bgkit.bounds import NuOracle, bound_cross_check, evaluate_bound
 from bgkit.covers import DeckAction, universal_cover
 from bgkit.curvature import BGParams, check_weak_bg
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily)
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
 from bgkit.measures import VertexMeasure
 from bgkit.probes import (margulis_estimate, short_generators, sigma_r,
                           strengthened_bg_check, systole, thin_set)
-from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
-                          WeightedGraph)
+from bgkit.spaces import CayleySpace, GluedLineSpace
+from bgkit.finite_spaces import FiniteMetricSpace, WeightedGraph
 
 
 def torus_action(m):

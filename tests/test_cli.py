@@ -154,6 +154,77 @@ def test_left_translation_file_on_a_graph_is_refused(tmp_path, capsys):
                      "not on a graph space\n"), argv
 
 
+def test_lattice_and_glued_line_files_off_their_space_are_refused(tmp_path,
+                                                                  capsys):
+    # a lattice_translation file on a 4-cycle ended in an AttributeError
+    # traceback, and a glued_line_shift file passed validate and failed
+    # at systole; each is refused when the action is built
+    write_space_files(tmp_path)
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"action": "lattice_translation",
+                                   "matrix": [[2, 0], [0, 2]]}))
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"action": "glued_line_shift"}))
+    cayley = tmp_path / "free2.json"
+    cayley.write_text(json.dumps({"kind": "cayley",
+                                  "group": {"family": "free", "params": 2}}))
+    for space, action, message in (
+            ("c4.json", lattice, "lattice_translation acts on a Cayley "
+                                 "space, not on a graph space"),
+            ("c4.json", shift, "glued_line_shift acts on a glued_line "
+                               "space, not on a graph space"),
+            (cayley, shift, "glued_line_shift acts on a glued_line space, "
+                            "not on a cayley space")):
+        files = ["--space", str(tmp_path / space), "--action", str(action)]
+        for argv in (["validate"], ["systole"]):
+            assert invoke(argv + files, capsys) == (
+                1, None, f"error: {message}\n"), (argv, space, action)
+
+
+# each exits at once: an infinite family past the sphere limit, a free
+# group whose ball masses could not be printed, a finite group at any
+# radius, and a growth profile of too many samples
+HUGE_RADII = [
+    (["certify-bg", "--preset", "free2", "--r0", "1", "--C", "2", "--K", "1",
+      "--rmax", "1e30"], 1, "error: a profile of free(2) to word length "
+     f"{2 * 10 ** 30} reads more than 16777216 sphere sizes"),
+    (["entropy", "--preset", "free2", "--rmax", "1e30"], 1,
+     f"error: {10 ** 30} growth samples, over the limit 16777216; "
+     "enlarge step"),
+    (["entropy", "--preset", "free2", "--rmax", "1e30", "--step", "1e29"], 1,
+     f"error: a profile of free(2) to word length {10 ** 30} reads more "
+     "than 16777216 sphere sizes"),
+    (["entropy", "--preset", "lattice2", "--rmax", "1e30", "--step", "1e29"],
+     1, f"error: a profile of free_abelian(2) to word length {10 ** 30} "
+     "reads more than 16777216 sphere sizes"),
+    (["entropy", "--preset", "free2", "--rmax", "40000", "--step", "4000"], 1,
+     "error: the ball of word length 34272 in free(2) holds 10^8600 "
+     "elements or more, so no ball mass from half that length on can be "
+     "printed"),
+    (["balls", "--preset", "atom", "--r", "1e30"], 0,
+     "ball: 1 support points, mass 1"),
+    (["certify-bg", "--preset", "atom", "--r0", "1", "--C", "2", "--K", "1",
+      "--rmax", "1e30"], 0, "certify-bg: verified"),
+    (["entropy", "--preset", "atom", "--rmax", "1e30", "--step", "1e29"], 0,
+     "entropy: 0 window [0, 0]"),
+    (["entropy", "--preset", "atom", "--rmax", "1e30"], 1,
+     f"error: {10 ** 30} growth samples, over the limit 16777216; "
+     "enlarge step"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", HUGE_RADII,
+                         ids=[f"{i}-{a[0]}-{a[2]}"
+                              for i, (a, _c, _e) in enumerate(HUGE_RADII)])
+def test_displacement_profile_at_a_huge_radius(argv, code, err):
+    # these ended in a MemoryError, ran for seconds or printed "cannot fit
+    # 'int' into an index-sized integer"
+    proc = subprocess.run([sys.executable, "-m", "bgkit.cli"] + argv,
+                          capture_output=True, env=ENV, timeout=30)
+    assert (proc.returncode, proc.stderr.decode()) == (code, err + "\n")
+    assert bool(proc.stdout) == (code == 0)
+
+
 def test_unknown_subcommand(capsys):
     code = run(["frobnicate"])
     capsys.readouterr()
@@ -448,6 +519,20 @@ BASE_MODULES = {"bgkit", "bgkit.cli", "bgkit.exact", "bgkit.reports"}
 SPACE_MODULES = BASE_MODULES | {"bgkit.presets", "bgkit.spaces",
                                 "bgkit.groups"}
 PRESET_MODULES = SPACE_MODULES | {"bgkit.actions", "bgkit.measures"}
+GRAPH_MODULES = SPACE_MODULES | {"bgkit.finite_spaces"}
+# a Cayley space of a finite permutation group with its left translation,
+# and one of a product family, for the module cases below
+PERMUTATIONS = {"family": "finite_permutation",
+                "params": [[1, 2, 0], [1, 0, 2]]}
+FAMILY_FILES = {
+    "perm.json": {"kind": "cayley", "group": PERMUTATIONS,
+                  "measure": "counting_orbit",
+                  "action": {"action": "left_translation",
+                             "group": PERMUTATIONS}},
+    "product.json": {"kind": "cayley", "group": {
+        "family": "product",
+        "params": [{"family": "free_abelian", "params": 1}, PERMUTATIONS]}},
+}
 # (argv, bgkit modules the process ends with, whether numpy is loaded);
 # argv None is a bare `import bgkit.cli`
 LOADED_MODULES = [
@@ -474,11 +559,21 @@ LOADED_MODULES = [
     (["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
      SPACE_MODULES | {"bgkit.hyperbolicity"}, False),
     # a space file goes through the same builder as a preset; c4.json
-    # declares no action, so none is built
-    (["validate", "--space", "c4.json"], SPACE_MODULES | {"bgkit.measures"},
-     False),
+    # declares no action, so none is built.  Only a graph, finite-metric or
+    # tripod space loads bgkit.finite_spaces, and only a permutation or
+    # product family bgkit.permutations: the sets above are exact, so no
+    # preset loads either
+    (["validate", "--space", "c4.json"],
+     GRAPH_MODULES | {"bgkit.measures"}, False),
     (["delta", "--space", "c4.json", "--exhaustive"],
-     SPACE_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+     GRAPH_MODULES | {"bgkit.hyperbolicity", "bgkit._kernels"}, True),
+    (["cover", "--space", "c4.json", "--window", "3"],
+     GRAPH_MODULES | {"bgkit.actions", "bgkit.covers", "bgkit.measures"},
+     False),
+    (["validate", "--space", "perm.json"],
+     PRESET_MODULES | {"bgkit.permutations"}, False),
+    (["balls", "--space", "product.json", "--r", "2"],
+     SPACE_MODULES | {"bgkit.measures", "bgkit.permutations"}, False),
     # only the probe subcommands load bgkit.probes; the module sets above
     # are exact, so no other subcommand does
     (["systole", "--preset", "torus5", "--sample", "[0,0];[1,1]"],
@@ -491,6 +586,8 @@ LOADED_MODULES = [
     ids=["import"] + [argv[0] + "-space" * ("--space" in argv)
                       + "-orbit" * ("--orbit" in argv)
                       + "-csv" * ("csv" in argv)
+                      + "".join(f"-{name[:-5]}" for name in FAMILY_FILES
+                                if name in argv)
                       for argv, _m, _n in LOADED_MODULES[1:]])
 def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
     # each subcommand imports its modules when it runs them, numpy is paid
@@ -498,9 +595,7 @@ def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
     # CSV: a fresh process ends with exactly these bgkit modules loaded.
     # Records and timestamps load neither dataclasses (which imports
     # inspect) nor datetime; numpy imports inspect and datetime itself
-    write_space_files(tmp_path)
-    if argv is not None:
-        argv = [str(tmp_path / a) if a in SPACE_FILES else a for a in argv]
+    argv = _with_files(argv, tmp_path)
     script = ("import io, json, sys\n"
               "from contextlib import redirect_stderr, redirect_stdout\n"
               "from bgkit import cli\n"
@@ -523,6 +618,58 @@ def test_subcommand_loads_only_what_it_runs(argv, modules, numpy, tmp_path):
     assert "dataclasses" not in stdlib
     if not numpy:
         assert stdlib == []
+
+
+def _with_files(argv, directory):
+    """argv with each space file it names written to `directory` and named
+    by its path there."""
+    write_space_files(directory)
+    for name, spec in FAMILY_FILES.items():
+        (directory / name).write_text(json.dumps(spec))
+    if argv is None:
+        return None
+    return [str(directory / a) if a in {**SPACE_FILES, **FAMILY_FILES} else a
+            for a in argv]
+
+
+# the seven commands of the benchmark's cli-cold workload
+CLI_COLD = [
+    ["reproduce", "glued-line", "--r0", "1", "--eps", "1/10", "--C", "4",
+     "--K", "1"],
+    ["certify-bg", "--preset", "lattice2", "--r0", "1", "--C", "8", "--K",
+     "1", "--rmax", "10"],
+    ["entropy", "--preset", "free2", "--rmax", "12"],
+    ["pack", "--preset", "lattice2", "--r", "1", "--R", "5", "--exact"],
+    ["bounds", "generators", "--N", "2", "--K", "0", "--D", "5"],
+    ["delta", "--preset", "free2", "--radius", "3", "--exhaustive"],
+    ["validate", "--preset", "lattice2"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_COLD, ids=[a[0] for a in CLI_COLD])
+def test_main_module_loads_only_what_it_runs(argv):
+    # `python -m bgkit.cli` runs cli.py as __main__, so a compute function
+    # that imported bgkit.cli would compile the file a second time; the
+    # process never imports it and ends with the bgkit modules of the
+    # command's LOADED_MODULES case, bgkit.cli aside
+    modules = {tuple(a): m for a, m, _n in LOADED_MODULES[1:]}[tuple(argv)]
+    script = ("import io, json, runpy, sys\n"
+              "from contextlib import redirect_stderr, redirect_stdout\n"
+              f"sys.argv = ['bgkit'] + {argv!r}\n"
+              "with redirect_stdout(io.StringIO()), "
+              "redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              "        runpy.run_module('bgkit.cli', run_name='__main__')\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'bgkit')]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, bgkit_modules = json.loads(proc.stdout)
+    assert code == (2 if argv[0] == "reproduce" else 0)
+    assert bgkit_modules == sorted(modules - {"bgkit.cli"})
 
 
 HELP_CASES = json.loads(
@@ -864,6 +1011,12 @@ def test_run_builds_the_named_subparser_alone(monkeypatch, capsys):
     assert run([]) == 1
     capsys.readouterr()
     assert [len(_subparsers(p)) for p in built] == [1, 18, 18]
+
+
+def test_bounds_reads_every_parameter_flag():
+    # the flags live in the option table, the compute function in bounds
+    from bgkit import bounds
+    assert bounds._PARAMS == cli._BOUND_PARAMS
 
 
 def test_every_option_is_read(tmp_path, monkeypatch, capsys):

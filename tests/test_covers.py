@@ -7,7 +7,7 @@ from bgkit.covers import DeckAction, graph_betti, universal_cover
 from bgkit.exact import DomainError, WindowError
 from bgkit.hyperbolicity import four_point_delta
 from bgkit.measures import PullbackMeasure, VertexMeasure, ball_mass
-from bgkit.spaces import WeightedGraph
+from bgkit.finite_spaces import WeightedGraph
 
 
 def cycle_graph(n):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from bgkit.exact import DomainError
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily,
+from bgkit.groups import (FreeAbelianFamily, FreeFamily, TrivialFamily,
                           family_from_spec)
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
 from bgkit import probes
 from bgkit.probes import StallingsGraph
 

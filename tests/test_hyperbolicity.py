@@ -14,8 +14,8 @@ from bgkit.groups import FreeFamily
 from bgkit.hyperbolicity import (convexity_defect, four_point_delta,
                                  gromov_tripod, thin_triangle_delta)
 from bgkit.probes import cocompact_bg_check
-from bgkit.spaces import (FiniteMetricSpace, TripodSpace, WeightedGraph,
-                          point_key)
+from bgkit.spaces import point_key
+from bgkit.finite_spaces import FiniteMetricSpace, TripodSpace, WeightedGraph
 
 
 def cycle_graph(n):

@@ -10,12 +10,13 @@ from bgkit import curvature, presets, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError, fmt_rational
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily)
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
 from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
                             VertexMeasure, ball_mass, counting_measure,
                             measure_from_spec, sphere_profile)
-from bgkit.spaces import CayleySpace, GluedLineSpace, WeightedGraph
+from bgkit.spaces import CayleySpace, GluedLineSpace
+from bgkit.finite_spaces import WeightedGraph
 
 
 def test_trivial_group_counting():

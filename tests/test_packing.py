@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from bgkit import packing, presets, spaces
+from bgkit import finite_spaces, packing, presets, spaces
 from bgkit.actions import (GluedLineShiftAction, LatticeTranslationAction,
                            LeftTranslationAction)
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily)
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
 from bgkit.measures import (CountingOrbitMeasure, DistanceProfile,
                             VertexMeasure)
 from bgkit.packing import gamma_packing_count, packing_count, sandwich_check
@@ -566,7 +566,7 @@ def _conflict_spaces():
              for i in range(1, 30)]
     edges += [tuple(rng.sample(verts, 2)) + (Fraction(rng.randint(1, 6), 2),)
               for _ in range(12)]
-    graph = spaces.WeightedGraph(verts, edges)
+    graph = finite_spaces.WeightedGraph(verts, edges)
     return [preset("lattice2", (0, 0), 4), preset("torus5", (3, -2), 4),
             preset("line10", (7,), 12), preset("free2", (1, -2), 3),
             (product, [p for p, _d in product.ball(((0,), (0, 1, 2)), 4,

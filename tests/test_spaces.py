@@ -10,10 +10,10 @@ import pytest
 from bgkit import hyperbolicity, spaces
 from bgkit.covers import DeckFamily, universal_cover
 from bgkit.exact import DomainError, WindowError
-from bgkit.groups import (FinitePermutationFamily, FreeAbelianFamily,
-                          FreeFamily, ProductFamily, TrivialFamily)
-from bgkit.spaces import (CayleySpace, FiniteMetricSpace, GluedLineSpace,
-                          TripodSpace, WeightedGraph, enumerate_ball)
+from bgkit.groups import FreeAbelianFamily, FreeFamily, TrivialFamily
+from bgkit.permutations import FinitePermutationFamily, ProductFamily
+from bgkit.spaces import CayleySpace, GluedLineSpace, enumerate_ball
+from bgkit.finite_spaces import FiniteMetricSpace, TripodSpace, WeightedGraph
 
 
 def lattice(k=2):
@@ -498,3 +498,11 @@ def test_scaled_distances_glued_line_and_tripod():
     tri = TripodSpace(Fraction(3, 2), 2, Fraction(1, 3))
     assert assert_scaled_matches_loop(tri, tri.support()) == 6
     assert_scaled_matches_loop(tri, [])
+
+
+def test_graph_class_still_resolves_under_its_old_module():
+    # perfbench reads spaces.WeightedGraph; the class lives in finite_spaces
+    from bgkit import finite_spaces
+    assert spaces.WeightedGraph is finite_spaces.WeightedGraph
+    with pytest.raises(AttributeError, match="no attribute 'TripodSpace'"):
+        spaces.TripodSpace
