@@ -5,7 +5,8 @@ explicit rule (left translation on a Cayley graph, lattice translation,
 glued-line shift, vertex permutation, deck transformation).  Every orbit
 scan passes `spaces.check_ball`, the gate of every measure.  Orbit
 displacements come out as a `measures.DistanceProfile`, from sphere sizes
-where the word metric gives them and from enumeration otherwise.  The
+where the word metric gives them (read by `spaces.read_spheres`) and from
+enumeration otherwise.  The
 invariants probed through an action (displacement sets, systoles, thin
 sets, Margulis scans, short generating families and the strengthened
 concentric-ball checks) live in `probes`, which only their subcommands
@@ -23,9 +24,6 @@ from . import groups, spaces
 from .exact import DomainError, WindowError, rational
 from .measures import DistanceProfile, sphere_profile
 
-# the most sphere sizes an analytic displacement profile reads: a profile
-# of 2**24 lengths holds its sizes, ticks and totals in over a gigabyte
-SPHERE_LIMIT = 1 << 24
 # a ball total at which no ball from half its word length on has a count
 # that CPython can print (`exact.fmt_rational`): B(a + b) <= B(a) B(b) in a
 # word metric, so B(n) >= P**2 gives B(m) >= P for every m >= n / 2
@@ -35,37 +33,27 @@ _UNPRINTABLE = 10 ** (2 * sys.int_info.default_max_str_digits)
 def _sphere_sizes(family, n):
     """The family's sphere sizes at lengths 0..n, or 0..m for the first
     length m read whose sphere is empty (every later one is empty too), so
-    a finite family answers at any length.  Reads start at the enumeration
-    budget's bit length, as in `spaces.CayleySpace.ball_spheres`, and grow
-    at least twofold, as far as the last total allows: a ball of j times a
-    length holds at most the j-th power of its total.  No element budget
-    applies, since a profile holds counts.  WindowError past SPHERE_LIMIT
-    lengths (at once for a family with a generator of infinite order), and
-    at a ball total of _UNPRINTABLE or more."""
-    if n > SPHERE_LIMIT and any(family.is_infinite_order(g)
-                                for _label, g in family.generators()):
+    a finite family answers at any length.  The sizes come from
+    `spaces.read_spheres`, where no element budget applies, since a profile
+    holds counts.  WindowError past `spaces.SPHERE_LIMIT` lengths (at once
+    for a family with a generator of infinite order), and at a ball total
+    of _UNPRINTABLE or more."""
+    limit = spaces.SPHERE_LIMIT
+    if n > limit and spaces.has_infinite_order(family):
         raise WindowError(
             f"a profile of {family.name} to word length {n} reads more than "
-            f"{SPHERE_LIMIT} sphere sizes", required=n, available=SPHERE_LIMIT)
-    length = min(n, spaces.ENUMERATION_BUDGET.bit_length())
-    while True:
-        sizes = family.sphere_sizes(length)
-        total = sum(sizes)
-        if total >= _UNPRINTABLE:
-            raise WindowError(
-                f"the ball of word length {length} in {family.name} holds "
-                f"10^{2 * sys.int_info.default_max_str_digits} elements or "
-                "more, so no ball mass from half that length on can be "
-                "printed")
-        if length == n or not sizes[-1]:
-            return sizes
-        if length == SPHERE_LIMIT:
-            raise WindowError(
-                f"the spheres of {family.name} are not empty by word length "
-                f"{SPHERE_LIMIT}, the most a profile reads",
-                required=n, available=SPHERE_LIMIT)
-        power = (_UNPRINTABLE.bit_length() - 1) // total.bit_length()
-        length = min(n, SPHERE_LIMIT, max(2, power) * length)
+            f"{limit} sphere sizes", required=n, available=limit)
+    sizes = spaces.read_spheres(family, n, _UNPRINTABLE)
+    if sum(sizes) >= _UNPRINTABLE:
+        raise WindowError(
+            f"the ball of word length {len(sizes) - 1} in {family.name} "
+            f"holds 10^{2 * sys.int_info.default_max_str_digits} elements or "
+            "more, so no ball mass from half that length on can be printed")
+    if len(sizes) <= n and sizes[-1]:
+        raise WindowError(
+            f"the spheres of {family.name} are not empty by word length "
+            f"{limit}, the most a profile reads", required=n, available=limit)
+    return sizes
 
 
 class GroupAction:

@@ -197,30 +197,30 @@ def _nu_oracle(args):
 
 
 def _bounds(args, _inp):
-    from .reports import Outcome
+    from .reports import Report
     params = {}
     for name in _PARAMS:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
     value = evaluate_bound(args.kind, params, nu=_nu_oracle(args))
-    return Outcome(params={"kind": args.kind, **params},
-                   result={"value": value},
-                   summary=f"bounds {args.kind}: {value:.9g}")
+    return Report(params={"kind": args.kind, **params},
+                  result={"value": value},
+                  summary=f"bounds {args.kind}: {value:.9g}")
 
 
 def _check(args, _inp):
-    from .reports import Outcome
+    from .reports import Report
     params = json.loads(args.params)
     rep_c = bound_cross_check(args.kind, args.measured, params,
                               nu=_nu_oracle(args),
                               assumptions=args.assume or [])
     status = {True: "holds", False: "violated"}.get(rep_c.holds,
                                                     "inconclusive")
-    return Outcome(params={"kind": args.kind, "measured": args.measured,
-                           **params},
-                   result={"bound": rep_c.bound, "slack": rep_c.slack,
-                           "direction": rep_c.direction},
-                   summary=(f"check {args.kind}: {status} "
-                            f"(slack {rep_c.slack:.6g})"),
-                   status=status, assumptions=rep_c.assumptions)
+    return Report(params={"kind": args.kind, "measured": args.measured,
+                          **params},
+                  result={"bound": rep_c.bound, "slack": rep_c.slack,
+                          "direction": rep_c.direction},
+                  summary=(f"check {args.kind}: {status} "
+                           f"(slack {rep_c.slack:.6g})"),
+                  status=status, assumptions=rep_c.assumptions)

@@ -9,10 +9,11 @@ operational errors.  --dry-run validates inputs and prints the plan only.
 This module holds the option tables, `_OPERATIONS`, `build_parser` and
 `run`, and no compute code: each subcommand's compute function lives in
 the library module it runs, which `_OPERATIONS` names and `run` imports
-when the subcommand runs.  `run` adds the arguments of the subcommand
-named by argv[0] alone (of all 18 only for top-level --help, no subcommand
-or an unknown one), so a process loads, compiles and builds only what its
-one subcommand needs.  No compute function imports this module: under
+when the subcommand runs, and returns the `reports.Report` it builds, to
+which `run` adds the operation and the seed.  `run` adds the arguments of
+the subcommand named by argv[0] alone (of all 18 only for top-level
+--help, no subcommand or an unknown one), so a process loads, compiles and
+builds only what its one subcommand needs.  No compute function imports this module: under
 `python -m bgkit.cli` it runs as `__main__`, and an import of `bgkit.cli`
 would compile it a second time.  At import this module loads
 `bgkit.exact` and `bgkit.reports`, and from the standard library
@@ -73,18 +74,18 @@ def _inputs(args, whole=False):
     return inp
 
 
-def _emit(args, report: reports.Report, summary: str):
+def _emit(args, report: reports.Report):
     if getattr(args, "format", "json") == "csv":
         reports.write_csv(report, sys.stdout)
     else:
         sys.stdout.write(report.to_json())
-    print(summary, file=sys.stderr)
+    print(report.summary, file=sys.stderr)
     if getattr(args, "csv", None):
         reports.export_csv(report, args.csv)
 
 
 def _status_exit(status: str) -> int:
-    if status in ("verified", "ok", "holds", "computed", "success"):
+    if status in ("verified", "ok", "holds", "computed"):
         return EXIT_OK
     if status == "violated":
         return EXIT_VIOLATION
@@ -136,8 +137,8 @@ _BOUND_PARAMS = ("N", "K", "D", "C", "r0", "delta", "eps0", "C0", "r")
 
 # -- operations ---------------------------------------------------------------
 # run() imports the one module a subcommand names, calls its compute
-# function with the parsed arguments and the inputs, and does the shared
-# steps with the `reports.Outcome` it returns.
+# function with the parsed arguments and the inputs, sets the operation and
+# seed of the `reports.Report` it returns and emits it.
 
 
 _OPERATIONS = {}
@@ -312,14 +313,11 @@ def run(argv=None) -> int:
             raise DomainError(f"{args.command} needs an action")
         # never `bgkit.cli` itself: under -m this module is __main__, and
         # importing it would compile it a second time
-        out = getattr(importlib.import_module(f"bgkit.{module}"),
+        rep = getattr(importlib.import_module(f"bgkit.{module}"),
                       function)(args, inp)
-        rep = reports.Report(operation=args.command, params=out.params,
-                             status=out.status, result=out.result,
-                             witnesses=out.witnesses,
-                             assumptions=out.assumptions, seed=args.seed)
-        _emit(args, rep, out.summary)
-        return _status_exit(out.status)
+        rep.operation, rep.seed = args.command, args.seed
+        _emit(args, rep)
+        return _status_exit(rep.status)
     except KeyError as exc:
         print(f"error: missing input field {exc}", file=sys.stderr)
         return EXIT_ERROR

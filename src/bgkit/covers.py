@@ -258,15 +258,15 @@ def graph_betti(graph: finite_spaces.WeightedGraph):
 
 
 def _cover(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     if inp.space.kind != "graph":
         raise DomainError("cover needs a graph space")
     base = inp.point(args.center, default=sorted(
         inp.space.vertices, key=spaces.point_key)[0])
     cover = universal_cover(inp.space, base, rational(args.window))
-    return Outcome(params={"window": rational(args.window)},
-                   result={"betti": cover.betti(),
-                           "vertices_materialized": len(cover.vertices),
-                           "deck_rank": len(cover.generator_words)},
-                   summary=(f"cover: b1 = {cover.betti()}, "
-                            f"{len(cover.vertices)} vertices in window"))
+    return Report(params={"window": rational(args.window)},
+                  result={"betti": cover.betti(),
+                          "vertices_materialized": len(cover.vertices),
+                          "deck_rank": len(cover.generator_words)},
+                  summary=(f"cover: b1 = {cover.betti()}, "
+                           f"{len(cover.vertices)} vertices in window"))

@@ -16,7 +16,9 @@ Fractions only where a certificate reports them; right-hand sides are
 floats guarded by the verdict margin from `exact`, one `math.exp` and one
 `exact.band` per radius, whose two edges decide both rows of the radius.
 The scan keeps no rows: it decides status, counts, witnesses and notes in
-its one loop, and a certificate rebuilds its rows on first read.
+its one loop, and a certificate builds its one row view, `scan_rows`, on
+first read.  A ratio or a right-hand side past the double range is
+refused, never compared or reported as infinity.
 
 A profile builds the table of its critical radii up to half its radius
 once (`DistanceProfile.critical_table`), and a scan on [lo, hi] is two
@@ -67,6 +69,9 @@ class SyntheticParams:
     def __post_init__(self):
         if not (self.N > 0 and math.isfinite(self.N)):
             raise DomainError("dimension N must be finite and positive")
+        if self.N >= 1024:
+            raise DomainError(f"dimension N = {self.N!r} puts the factor 2^N "
+                              "past the double range: N must be below 1024")
         if not (self.K > 0 and math.isfinite(self.K)):
             raise DomainError("exponent K must be finite and positive "
                               "(the N/K threshold degenerates at 0)")
@@ -98,9 +103,9 @@ class Certificate:
     critical_radii_checked: int = 0
     violations: int = 0
     notes: list = field(default_factory=list)
-    step: int = 1                                # tick scale of `rows`
-    # what `rows` is rebuilt from, set by the scan; not fields, so `==`,
-    # `repr` and `_fields` do not see them
+    step: int = 1                           # tick scale of the scan
+    # what `scan_rows` is rebuilt from, set by the scan; not fields, so
+    # `==`, `repr` and `_fields` do not see them
     _profiles = ()
     _factor = _exponent = 0.0
 
@@ -109,12 +114,11 @@ class Certificate:
         return self.status == VERIFIED
 
     @functools.cached_property
-    def rows(self) -> list:
-        """(a, num, den, rhs) for every checked critical radius, profile by
+    def scan_rows(self) -> list:
+        """(radius, lhs, rhs) for every checked critical radius, profile by
         profile, built on first read: the scan that decided the certificate
-        keeps no rows.  They come from the same `_critical_checks` and the
-        same `math.exp` of the same a / step as the scan's, so every int and
-        float is the one the scan compared."""
+        keeps no rows.  a/step, num/den and the rhs come from the same
+        `_critical_checks` and `math.exp` calls as the scan's."""
         step, factor, exponent = self.step, self._factor, self._exponent
         rows = []
         last = None
@@ -124,16 +128,8 @@ class Certificate:
                 if a != last:
                     rhs = factor * math.exp(exponent * (a / step))
                     last = a
-                rows.append((a, num, den, rhs))
+                rows.append((Fraction(a, step), Fraction(num, den), rhs))
         return rows
-
-    @property
-    def scan_rows(self) -> list:
-        """(radius, lhs, rhs) for every checked critical radius, with the
-        radius a/step and the lhs num/den built as Fractions here."""
-        step = self.step
-        return [(Fraction(a, step), Fraction(num, den), rhs)
-                for a, num, den, rhs in self.rows]
 
 
 @record
@@ -161,6 +157,13 @@ def pair_check(r, R, formula, lhs, rhs) -> PairCheck:
     return PairCheck(r, R, formula, lhs, rhs, status == VERIFIED)
 
 
+def _tick_scale(profiles, lo: Fraction, hi: Fraction) -> int:
+    """2 lcm(lo and hi denominators, every profile's scale), on which lo, hi
+    and every profile's critical radii are whole ticks."""
+    return 2 * math.lcm(lo.denominator, hi.denominator,
+                        *(profile.scale for profile in profiles))
+
+
 def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
                      step: int | None = None):
     """The tick scale `step` and the rows (a, num, den, form) deciding the
@@ -173,14 +176,14 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
 
     The radii are lo and the profile's critical radii in [lo, hi], read from
     its one `critical_table()` by two bisects, one at each end, and
-    rescaled to ticks of 1/step, by default S = 2 lcm(profile scale, lo and
-    hi denominators), on which lo, hi and every critical radius are whole
-    ticks; a given step is a multiple of S.  num and den are masses on the
+    rescaled to ticks of 1/step, by default the profile's `_tick_scale` S,
+    on which lo, hi and every critical radius are whole ticks; a given step
+    is a multiple of S.  num and den are masses on the
     profile's one mass scale; callers build a Fraction only for what they
     report.  WindowError, the profile's own, when 2 hi passes its radius.
     """
     if step is None:
-        step = 2 * math.lcm(profile.scale, lo.denominator, hi.denominator)
+        step = _tick_scale([profile], lo, hi)
     low = lo.numerator * (step // lo.denominator)
     high = hi.numerator * (step // hi.denominator)
     upto = profile.upto
@@ -209,26 +212,26 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
 def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
           exponent: float, params, center) -> Certificate:
     """Decide the inequality at every critical radius of [lo, hi] for the
-    profile of each center in turn, in one loop, on the one tick scale
-    2 lcm(every profile's scale, lo and hi denominators): a single profile
-    keeps the step and rows of its `_critical_checks`.  Each center notes
-    its first row inside the margin band.
+    profile of each center in turn, in one loop, on the `_tick_scale` of
+    every profile: a single profile keeps the step and rows of its
+    `_critical_checks`.  Each center notes its first row inside the margin
+    band.
 
-    The loop keeps no rows; `Certificate.rows` rebuilds them on first read.
-    Each radius takes its rhs and the two edges of `exact.band(rhs)` once,
-    for its 'at' and 'above' rows, and each lhs num / den is compared with
-    them by `exact.verdict`'s rule.  Int true division is correctly
+    The loop keeps no rows; `Certificate.scan_rows` rebuilds them on first
+    read.  Each radius takes its rhs and the two edges of `exact.band(rhs)`
+    once, for its 'at' and 'above' rows, and each lhs num / den is compared
+    with them by `exact.verdict`'s rule.  Int true division is correctly
     rounded, as `Fraction.__float__` is, and so is a / step, so the floats
     compared are those of the exact rationals.  Fractions are built only
-    for what the certificate reports: witnesses, notes and errors.
+    for what the certificate reports: witnesses, notes and errors.  A ratio
+    or an rhs past the double range is refused with a DomainError, never
+    compared as infinity: the rhs grows with the radius, as the exponent is
+    never negative, so the last rhs of each profile is the one to check.
     """
     if hi < lo:
         raise DomainError(
             f"r_max {fmt_rational(hi)} below the scale {fmt_rational(lo)}")
-    step = math.lcm(lo.denominator, hi.denominator)
-    for profile in profiles:
-        step = math.lcm(step, profile.scale)
-    step *= 2
+    step = _tick_scale(profiles, lo, hi)
     cert = Certificate(params=params, center=center, r_min=lo, r_max=hi,
                        status=VERIFIED, step=step)
     cert._profiles, cert._factor, cert._exponent = profiles, factor, exponent
@@ -239,29 +242,40 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
         noted = False
         checks = _critical_checks(profile, lo, hi, step)[1]
         checked += len(checks)
-        for a, num, den, form in checks:
-            if not den:
-                radius = fmt_rational(Fraction(a, step))
-                raise DomainError(
-                    f"zero mass ball at radius {radius} with mass above it: "
-                    "the 0 < mass hypothesis fails on this range")
-            if a != last:    # the 'at' and 'above' rows share their rhs
-                rhs = factor * math.exp(exponent * (a / step))
-                verified, violated = band(rhs)
-                last = a
-            lhs = num / den
-            if lhs >= violated:
-                violations += 1
-                if first is None:
-                    first = worst = (a, num, den, rhs, form)
-                # the largest lhs wins, and the larger radius among equal ones
-                elif (num * worst[2], a) > (worst[1] * den, worst[0]):
-                    worst = (a, num, den, rhs, form)
-            elif lhs > verified and not noted:
-                noted = True
-                cert.status = INCONCLUSIVE
-                cert.notes.append(f"ratio at {fmt_rational(Fraction(a, step))}"
-                                  " inside the float margin band")
+        try:
+            for a, num, den, form in checks:
+                if not den:
+                    radius = fmt_rational(Fraction(a, step))
+                    raise DomainError(
+                        f"zero mass ball at radius {radius} with mass above "
+                        "it: the 0 < mass hypothesis fails on this range")
+                if a != last:    # the 'at' and 'above' rows share their rhs
+                    rhs = factor * math.exp(exponent * (a / step))
+                    verified, violated = band(rhs)
+                    last = a
+                lhs = num / den
+                if lhs >= violated:
+                    violations += 1
+                    if first is None:
+                        first = worst = (a, num, den, rhs, form)
+                    # the largest lhs wins, and the larger radius among
+                    # equal ones
+                    elif (num * worst[2], a) > (worst[1] * den, worst[0]):
+                        worst = (a, num, den, rhs, form)
+                elif lhs > verified and not noted:
+                    noted = True
+                    cert.status = INCONCLUSIVE
+                    cert.notes.append(
+                        f"ratio at {fmt_rational(Fraction(a, step))}"
+                        " inside the float margin band")
+        except OverflowError:
+            # `last` becomes a once the rhs at a is computed: math.exp
+            # raised before that, num / den after it
+            raise _past_double_range(a == last, Fraction(a, step), factor,
+                                     exponent) from None
+        if not math.isfinite(rhs):
+            raise _past_double_range(False, Fraction(last, step), factor,
+                                     exponent)
     cert.critical_radii_checked = checked
     cert.violations = violations
     if worst is not None:
@@ -269,6 +283,17 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
         cert.first_violation = _violation(step, *first)
         cert.witness = _violation(step, *worst)
     return cert
+
+
+def _past_double_range(ratio, radius, factor, exponent) -> DomainError:
+    """The refusal of a scan row whose ratio (or else rhs) at `radius` passes
+    the double range, with the bound factor exp(exponent r) it checks."""
+    bound = f"the bound {factor!r} exp({exponent!r} r)"
+    at = f"at radius {fmt_rational(radius)}"
+    return DomainError(
+        f"the ratio {at} passes the double range, so {bound} cannot be "
+        "checked against it" if ratio
+        else f"{bound} cannot be evaluated in double precision {at}")
 
 
 def _violation(step, a, num, den, rhs, form) -> Violation:
@@ -421,8 +446,8 @@ def doubling_constant(space, measure: Measure, x, r0) -> tuple:
 # -- the certify-bg, synthetic, doubling and reproduce subcommands --------------
 
 
-def _certificate_outcome(cert, params, label):
-    from .reports import Outcome
+def _certificate_report(cert, params, label):
+    from .reports import Report
     payload = {
         "status": cert.status,
         "r_min": cert.r_min, "r_max": cert.r_max,
@@ -430,16 +455,16 @@ def _certificate_outcome(cert, params, label):
         "violations": cert.violations,
         "center": cert.center,
         "notes": cert.notes,
-        "ratio_scan": list(cert.scan_rows),
+        "ratio_scan": cert.scan_rows,
     }
     witnesses = [{"kind": kind, "radius": w.radius, "lhs": w.lhs,
                   "rhs": w.rhs, "form": w.form}
                  for kind, w in (("worst", cert.witness),
                                  ("first", cert.first_violation))
                  if w is not None]
-    return Outcome(params=params, result=payload,
-                   summary=f"{label}: {cert.status}", status=cert.status,
-                   witnesses=witnesses)
+    return Report(params=params, result=payload,
+                  summary=f"{label}: {cert.status}", status=cert.status,
+                  witnesses=witnesses)
 
 
 def _certify_bg(args, inp):
@@ -453,7 +478,7 @@ def _certify_bg(args, inp):
         centers = [inp.point(raw) for raw in args.all_centers.split(";")]
     cert = check_weak_bg(inp.space, inp.measure, centers, params,
                          rational(args.rmax))
-    return _certificate_outcome(
+    return _certificate_report(
         cert, {"r0": params.r0, "C": params.C, "K": params.K,
                "rmax": rational(args.rmax)}, "certify-bg")
 
@@ -462,19 +487,24 @@ def _synthetic(args, inp):
     params = SyntheticParams(args.N, args.K)
     cert = check_bg_synthetic(inp.space, inp.measure, inp.point(args.center),
                               params, rational(args.rmax))
-    return _certificate_outcome(
+    return _certificate_report(
         cert, {"N": args.N, "K": args.K, "rmax": rational(args.rmax)},
         "synthetic")
 
 
 def _doubling(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     sup, where = doubling_constant(inp.space, inp.measure,
                                    inp.point(args.center), rational(args.r0))
-    return Outcome(params={"r0": rational(args.r0)},
-                   result={"C0": sup, "C0_float": float(sup),
-                           "attained_at": where},
-                   summary=f"doubling: C0 = {float(sup):.6g} at r = {where}")
+    try:
+        c0 = float(sup)
+    except OverflowError:
+        raise DomainError(f"the doubling constant C0 at radius "
+                          f"{fmt_rational(where)} passes the double range"
+                          ) from None
+    return Report(params={"r0": rational(args.r0)},
+                  result={"C0": sup, "C0_float": c0, "attained_at": where},
+                  summary=f"doubling: C0 = {c0:.6g} at r = {where}")
 
 
 def _reproduce(args, _inp):
@@ -486,7 +516,7 @@ def _reproduce(args, _inp):
     params = BGParams(r0, args.C, args.K)
     r_max = r0 + 4 * space.eps
     cert = check_weak_bg(space, measure, space.tip(0), params, r_max)
-    out = _certificate_outcome(
+    out = _certificate_report(
         cert, {"scenario": args.scenario, "r0": r0, "eps": rational(args.eps),
                "C": args.C, "K": args.K}, f"reproduce {args.scenario}")
     # the scan's own profile, to 2 r_max, holds both balls

@@ -19,11 +19,9 @@ from fractions import Fraction
 
 from .exact import DomainError, field, log_of_rational, rational, record
 from .measures import Measure
+from .spaces import SPHERE_LIMIT
 
 MIN_SAMPLES = 10
-# the most samples of one growth profile, as many as the sphere sizes an
-# analytic profile reads (`actions.SPHERE_LIMIT`)
-SAMPLE_LIMIT = 1 << 24
 
 
 @record
@@ -59,7 +57,8 @@ class EntropyEstimate:
 
 def growth_profile(space, measure: Measure, center, r_max, step) -> GrowthProfile:
     """Closed-ball masses at R = step, 2 step, ..., r_max; DomainError
-    past SAMPLE_LIMIT samples, before any mass is read.
+    past `spaces.SPHERE_LIMIT` samples, as many as the sphere sizes an
+    analytic profile reads, before any mass is read.
 
     Closed balls avoid an empty first sample on integer-distance spaces.
     """
@@ -69,9 +68,9 @@ def growth_profile(space, measure: Measure, center, r_max, step) -> GrowthProfil
     if r_max < step:
         raise DomainError("r_max below the first step")
     count = r_max // step
-    if count > SAMPLE_LIMIT:
+    if count > SPHERE_LIMIT:
         raise DomainError(f"{count} growth samples, over the limit "
-                          f"{SAMPLE_LIMIT}; enlarge step")
+                          f"{SPHERE_LIMIT}; enlarge step")
     profile = measure.profile(space, center, r_max)
     samples = []
     for k in range(1, count + 1):
@@ -112,11 +111,11 @@ def entropy_estimate(profile: GrowthProfile,
 
 
 def _entropy(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     prof = growth_profile(inp.space, inp.measure, inp.point(args.center),
                           rational(args.rmax), rational(args.step))
     est = entropy_estimate(prof, tail_fraction=args.tail)
-    return Outcome(
+    return Report(
         params={"rmax": rational(args.rmax), "step": rational(args.step),
                 "tail": args.tail},
         result={"estimate": est.estimate, "window_low": est.window_low,

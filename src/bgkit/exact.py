@@ -26,9 +26,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import isfinite, log
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 VERIFIED = "verified"
 VIOLATED = "violated"
@@ -104,7 +101,7 @@ def rational(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as a rational")
 
 
-def fmt_rational(q: Rational) -> str:
+def fmt_rational(q: int | Fraction) -> str:
     """Serialize a rational as 'p/q' (or 'p' when integral); DomainError
     past `sys.int_info.default_max_str_digits`, CPython's int string limit."""
     q = Fraction(q)
@@ -118,12 +115,12 @@ def fmt_rational(q: Rational) -> str:
             "for int strings") from None
 
 
-def decimal12(q: Rational) -> str:
+def decimal12(q: int | Fraction) -> str:
     """Decimal rendering with 12 significant digits (CSV convenience column)."""
     return f"{float(Fraction(q)):.12g}"
 
 
-def log_of_rational(q: Rational) -> float:
+def log_of_rational(q: int | Fraction) -> float:
     """ln of a positive rational, safe for numerators beyond float range."""
     q = Fraction(q)
     if q <= 0:

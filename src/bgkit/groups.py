@@ -163,8 +163,6 @@ class FreeFamily(GroupFamily):
     def sphere_sizes(self, radius):
         # 2k(2k-1)^(i-1) reduced words of length i >= 1.
         k = self.rank
-        if k == 0:
-            return [1] + [0] * radius
         sizes = [1]
         for i in range(1, radius + 1):
             sizes.append(2 * k if i == 1 else sizes[-1] * (2 * k - 1))

@@ -308,7 +308,7 @@ def convexity_defect(graph, triples=None, grid=8,
 
 
 def _delta(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     space = inp.space
     # the points are the whole support of a finite space, and a ball around
     # --center on any other
@@ -320,7 +320,7 @@ def _delta(args, inp):
         if space.kind != "graph":
             raise DomainError("--thin needs a graph space")
         count = {} if args.samples is None else {"count": args.samples}
-        rep_h = thin_triangle_delta(space, seed=args.seed or 0, **count)
+        rep_h = thin_triangle_delta(space, seed=args.seed, **count)
     else:
         mode = "exhaustive" if args.exhaustive or not args.samples else "sampled"
         points = None
@@ -328,26 +328,26 @@ def _delta(args, inp):
             x = inp.point(args.center)
             points = [p for p, _ in spaces.enumerate_ball(
                 space, x, rational(args.radius), closed=True)]
+        # sampled mode has samples; exhaustive mode reads no count
         rep_h = four_point_delta(space, points=points, mode=mode,
-                                 count=args.samples or 2000,
-                                 seed=args.seed or 0)
-    return Outcome(params={"method": rep_h.method},
-                   result={"delta": rep_h.delta,
-                           "delta_float": float(rep_h.delta),
-                           "points_used": rep_h.points_used},
-                   summary=f"delta: {float(rep_h.delta):.6g} by {rep_h.method}",
-                   witnesses=[rep_h.witness])
+                                 count=args.samples, seed=args.seed)
+    return Report(params={"method": rep_h.method},
+                  result={"delta": rep_h.delta,
+                          "delta_float": float(rep_h.delta),
+                          "points_used": rep_h.points_used},
+                  summary=f"delta: {float(rep_h.delta):.6g} by {rep_h.method}",
+                  witnesses=[rep_h.witness])
 
 
 def _convexity(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     # without --center the origin is the repr-first vertex, not inp.point's
     # first vertex
     origin = None if args.center is None else inp.point(args.center)
     rep_c = convexity_defect(inp.space, grid=args.grid, origin=origin)
-    return Outcome(params={"grid": args.grid},
-                   result={"defect": rep_c.defect,
-                           "defect_float": float(rep_c.defect),
-                           "samples": rep_c.samples},
-                   summary=f"convexity defect: {float(rep_c.defect):.6g}",
-                   witnesses=[rep_c.witness])
+    return Report(params={"grid": args.grid},
+                  result={"defect": rep_c.defect,
+                          "defect_float": float(rep_c.defect),
+                          "samples": rep_c.samples},
+                  summary=f"convexity defect: {float(rep_c.defect):.6g}",
+                  witnesses=[rep_c.witness])

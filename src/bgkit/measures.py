@@ -339,14 +339,14 @@ def measure_from_spec(spec, space, action=None) -> Measure:
 
 
 def _balls(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     x = inp.point(args.center)
     r = rational(args.r)
     ball = spaces.enumerate_ball(inp.space, x, r, closed=args.closed)
     mass = None
     if inp.measure is not None:
         mass = ball_mass(inp.measure, inp.space, x, r, closed=args.closed)
-    return Outcome(
+    return Report(
         params={"center": x, "r": r, "closed": args.closed},
         result={"count": len(ball), "mass": mass,
                 "points": [p for p, _ in ball[:200]]},

@@ -462,7 +462,7 @@ def sandwich_check(action, measure, x, r, R, sup_sample,
 
 
 def _pack(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     x = inp.point(args.center)
     mode = "exact" if args.exact else "greedy"
     cap = EXACT_CAP if args.cap is None else args.cap
@@ -474,9 +474,9 @@ def _pack(args, inp):
     else:
         res = packing_count(inp.space, x, rational(args.r), rational(args.R),
                             mode=mode, cap=cap)
-    return Outcome(params={"r": rational(args.r), "R": rational(args.R),
-                           "mode": mode, "orbit": bool(args.orbit)},
-                   result={"count": res.count, "method": res.method,
-                           "candidates": res.candidates,
-                           "centers": res.centers[:100]},
-                   summary=f"pack: {res.count} ({res.method})")
+    return Report(params={"r": rational(args.r), "R": rational(args.R),
+                          "mode": mode, "orbit": bool(args.orbit)},
+                  result={"count": res.count, "method": res.method,
+                          "candidates": res.candidates,
+                          "centers": res.centers[:100]},
+                  summary=f"pack: {res.count} ({res.method})")

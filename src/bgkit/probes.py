@@ -505,25 +505,25 @@ def _sample(inp, raw):
 
 
 def _systole(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     want = args.command
     sample = _sample(inp, args.sample)
     rep_s = systole(inp.action, sample, ceiling=args.ceiling)
     headline = rep_s.systole if want == "systole" else rep_s.diastole
-    return Outcome(
+    return Report(
         params={"sample_size": len(sample)},
         result={"systole": rep_s.systole, "diastole": rep_s.diastole,
                 "torsion_free_systole": rep_s.torsion_free_systole,
                 "torsion_free_diastole": rep_s.torsion_free_diastole,
                 "per_point": [(p.point, p.systole, p.torsion_free_systole)
-                              for p in rep_s.per_point]},
+                             for p in rep_s.per_point]},
         summary=f"{want}: {headline}",
         assumptions=(["sample-based statistics over the listed points"]
-                     + rep_s.warnings))
+                    + rep_s.warnings))
 
 
 def _thin_set(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     sample = [inp.point(raw) for raw in args.sample.split(";")]
     adjacency = {p: [] for p in sample}
     for i, p in enumerate(sample):
@@ -533,7 +533,7 @@ def _thin_set(args, inp):
                 adjacency[q].append(p)
     rep_t = thin_set(inp.action, rational(args.r), sample, adjacency,
                      ceiling=args.ceiling)
-    return Outcome(
+    return Report(
         params={"r": rational(args.r), "adjacency": rational(args.adjacency)},
         result={"verdict": rep_t.verdict,
                 "torsion_free_verdict": rep_t.torsion_free_verdict,
@@ -542,26 +542,26 @@ def _thin_set(args, inp):
 
 
 def _margulis(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     pts = margulis_estimate(inp.action, _sample(inp, args.sample),
                             ceiling=rational(args.ceiling))
-    return Outcome(
+    return Report(
         params={"ceiling": rational(args.ceiling)},
         result={"per_point": [(p.point, p.estimate, p.attained,
-                               p.provenance) for p in pts],
+                              p.provenance) for p in pts],
                 "entropy_margulis_constant": "alpha0(delta0,H0)"},
         summary=(f"margulis: min estimate "
                  f"{min(float(p.estimate) for p in pts):.6g}"),
         assumptions=["the entropy-Margulis constant alpha0(delta0,H0) has no "
-                     "published value and is reported symbolically only"])
+                    "published value and is reported symbolically only"])
 
 
 def _short_gens(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     res = short_generators(inp.action, inp.point(args.center),
                            rational(args.R))
     status = "ok" if (res.reach_ok and res.separation_ok) else "violated"
-    return Outcome(
+    return Report(
         params={"R": rational(args.R)},
         result={"count": len(res.elements),
                 "codiameter": res.codiameter,

@@ -60,12 +60,16 @@ def encode(value):
 
 @record
 class Report:
-    operation: str
+    """What a subcommand's compute function returns, with the one-line
+    summary for stderr, which `to_dict` leaves out; `cli.run` sets the
+    operation and the seed."""
     params: dict
-    status: str
-    result: object = None
+    result: object
+    summary: str
+    status: str = "computed"
     witnesses: list = field(default_factory=list)
     assumptions: list = field(default_factory=list)
+    operation: str | None = None
     seed: int | None = None
     tool_version: str = __version__
     timestamp: str = field(default_factory=_timestamp)
@@ -85,19 +89,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-@record
-class Outcome:
-    """What a subcommand's compute function returns: the report's params,
-    result, status, witnesses and assumptions, and the one-line summary
-    printed on stderr."""
-    params: dict
-    result: object
-    summary: str
-    status: str = "computed"
-    witnesses: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
 
 
 def _tabular_rows(report: Report):

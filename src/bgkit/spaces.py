@@ -15,7 +15,9 @@ scan, is built from its rows of the upper triangle; a whole weighted graph
 reads the shortest-path kernel instead.  `check_ball` is the one gate of
 every ball, measure profile and orbit scan: it refuses a centre that is no
 point of the space, a radius past the declared safe window and a negative
-radius, so nothing silently truncates.
+radius, so nothing silently truncates.  `read_spheres` is the one loop that
+reads a family's closed-form sphere sizes, for Cayley balls and for the
+analytic profiles of `actions` alike.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .exact import DomainError, WindowError, rational, fmt_rational
 from . import groups
 
 ENUMERATION_BUDGET = 2_000_000
+# the most sphere sizes one read takes: a profile of 2**24 lengths holds its
+# sizes, ticks and totals in over a gigabyte
+SPHERE_LIMIT = 1 << 24
 
 
 def point_key(p) -> str:
@@ -156,6 +161,31 @@ def enumerate_ball(space: Space, x, r, closed=False):
     return space.ball(x, check_ball(space, x, r), closed=closed)
 
 
+def has_infinite_order(family) -> bool:
+    """Whether a generator has infinite order, so that no sphere is empty:
+    the test by which a ball or a profile past its limit is refused before
+    any read, as word length n gives n + 1 elements and sphere sizes."""
+    return any(family.is_infinite_order(g)
+               for _label, g in family.generators())
+
+
+def read_spheres(family, n, bound):
+    """`family.sphere_sizes(m)` for the first length m read that is n or
+    SPHERE_LIMIT, whose sphere is empty (so is every later one) or whose
+    ball total reaches `bound`: the one read of balls and profiles.  Reads
+    start at the budget's bit length and grow at least twofold, as far as
+    the last total allows below `bound`, since B(a + b) <= B(a) B(b)."""
+    length = min(n, ENUMERATION_BUDGET.bit_length())
+    while True:
+        sizes = family.sphere_sizes(length)
+        total = sum(sizes)
+        if (length == n or not sizes[-1] or total >= bound
+                or length == SPHERE_LIMIT):
+            return sizes
+        power = (bound.bit_length() - 1) // total.bit_length()
+        length = min(n, SPHERE_LIMIT, max(2, power) * length)
+
+
 def _word_radius(r: Fraction, closed) -> int:
     """Largest word length in the open (closed) ball of radius r."""
     return math.floor(r) if closed else math.ceil(r) - 1
@@ -200,28 +230,27 @@ class CayleySpace(Space):
         whose sphere is empty, past which every sphere is empty too.
         WindowError when the ball holds more than ENUMERATION_BUDGET
         elements: the one budget check of `ball` and of analytic ball
-        profiles.  The sizes are read to doubling lengths from the budget's
-        bit length, so the work stops within twice the length at which the
-        budget is passed, and a ball within that first length takes one
-        read; a refusal that stopped short of n names its count as a lower
-        bound."""
+        profiles.  The sizes come from `read_spheres`; a refusal that
+        stopped short of n names its count as a lower bound, and so does
+        one at n of ENUMERATION_BUDGET or more in a family with a generator
+        of infinite order, which comes at once, before any read."""
         r = rational(r)
         int_r = _word_radius(r, closed)
         if int_r < 0:
             return []
-        n = min(ENUMERATION_BUDGET.bit_length(), int_r)
-        while True:
-            counts = self.family.sphere_sizes(n)
+        if int_r >= ENUMERATION_BUDGET and has_infinite_order(self.family):
+            counts, total = [], int_r + 1
+        else:
+            counts = read_spheres(self.family, int_r, ENUMERATION_BUDGET + 1)
             total = sum(counts)
-            if total > ENUMERATION_BUDGET:
-                holds = total if n == int_r else f"at least {total}"
-                raise WindowError(
-                    f"ball of radius {fmt_rational(r)} holds {holds} elements, "
-                    f"over the enumeration budget {ENUMERATION_BUDGET}",
-                    required=total, available=ENUMERATION_BUDGET)
-            if n == int_r or not counts[-1]:
-                return counts
-            n = min(2 * n, int_r)
+        if total > ENUMERATION_BUDGET:
+            holds = (fmt_rational(total) if len(counts) > int_r
+                     else f"at least {fmt_rational(total)}")
+            raise WindowError(
+                f"ball of radius {fmt_rational(r)} holds {holds} elements, "
+                f"over the enumeration budget {ENUMERATION_BUDGET}",
+                required=total, available=ENUMERATION_BUDGET)
+        return counts
 
     def ball(self, x, r, closed=False):
         # breadth first through exactly the spheres `ball_spheres` counts,
@@ -387,8 +416,8 @@ def __getattr__(name):
 
 
 def _validate(args, inp):
-    from .reports import Outcome
+    from .reports import Report
     diag = inp.space.validate()
     status = "ok" if diag.get("ok") else "violated"
-    return Outcome(params={}, result=diag, summary=f"validate: {status}",
-                   status=status)
+    return Report(params={}, result=diag, summary=f"validate: {status}",
+                  status=status)

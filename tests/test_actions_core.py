@@ -188,6 +188,15 @@ def test_product_diagonal_action():
     assert sig.virtually_nilpotent is False
 
 
+def test_deck_action_specs_are_refused():
+    # a deck action needs its cover, which no action file names
+    with pytest.raises(DomainError, match=(
+            r"^deck actions are built from a cover: use universal_cover \+ "
+            "DeckAction$")):
+        action_from_spec({"action": "deck"}, WeightedGraph([0, 1],
+                                                           [(0, 1, 1)]))
+
+
 def test_action_from_spec():
     space = CayleySpace(FreeAbelianFamily(2))
     act = action_from_spec({"action": "lattice_translation",
@@ -370,7 +379,7 @@ def test_profile_sphere_sizes_read_the_closed_form(family):
 
 
 def test_profile_sphere_sizes_refuse_what_cannot_be_reported():
-    limit = actions.SPHERE_LIMIT
+    limit = spaces.SPHERE_LIMIT
     for family in (FreeFamily(2), FreeAbelianFamily(2),
                    ProductFamily([TrivialFamily(), FreeAbelianFamily(1)])):
         reads = _Reads(family)

@@ -89,11 +89,15 @@ def test_float_flags_read_p_over_q_and_refuse_non_finite(argv, capsys,
     ["balls", "--preset", "free2", "--r", "20000"],
     ["balls", "--preset", "free2", "--r", "1e30"],
     ["balls", "--preset", "torus5", "--r", "1e30"],
-    ["pack", "--preset", "free2", "--r", "1", "--R", "1e30"]],
-    ids=["free2-20000", "free2-1e30", "torus5-1e30", "pack-free2-1e30"])
+    ["pack", "--preset", "free2", "--r", "1", "--R", "1e30"],
+    ["balls", "--preset", "line1", "--r", "1e30"]],
+    ids=["free2-20000", "free2-1e30", "torus5-1e30", "pack-free2-1e30",
+         "line1-1e30"])
 def test_cayley_balls_past_the_budget_are_refused_at_once(argv, capsys):
     # the refusal comes at the first doubled length past the budget, with
-    # its count as a lower bound, not after every sphere to the radius
+    # its count as a lower bound, not after every sphere to the radius; a
+    # word radius past the budget in a family with a generator of infinite
+    # order is refused before any read, rank 1's linear growth included
     start = time.perf_counter()
     code, report, err = invoke(argv, capsys)
     assert time.perf_counter() - start < 1
@@ -670,6 +674,27 @@ def test_main_module_loads_only_what_it_runs(argv):
     code, bgkit_modules = json.loads(proc.stdout)
     assert code == (2 if argv[0] == "reproduce" else 0)
     assert bgkit_modules == sorted(modules - {"bgkit.cli"})
+
+
+def test_cold_process_never_loads_typing():
+    # `typing` costs about 5 ms of a cold process, and no bgkit module needs
+    # it; -S keeps out the .pth files of site-packages, which may load it
+    script = ("import io, runpy, sys\n"
+              "from contextlib import redirect_stderr, redirect_stdout\n"
+              "sys.argv = ['bgkit', 'validate', '--preset', 'lattice2']\n"
+              "with redirect_stdout(io.StringIO()), "
+              "redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              "        runpy.run_module('bgkit.cli', run_name='__main__')\n"
+              "    except SystemExit as exc:\n"
+              "        assert exc.code == 0\n"
+              "print('typing' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={**ENV, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 HELP_CASES = json.loads(

@@ -232,6 +232,62 @@ def test_check_classic_bound_free_group():
     assert all(c.holds for c in checks)
 
 
+def test_classic_bounds_refuse_what_they_cannot_bound():
+    with pytest.raises(DomainError, match=r"^need r0 <= r < R$"):
+        classic_ratio_bound(Fraction(1, 2), 2, BGParams(1, 2.0, 0.0))
+    with pytest.raises(DomainError, match="^need N/K <= r < R$"):
+        classic_ratio_bound(1, 4, SyntheticParams(2, 1))
+    with pytest.raises(DomainError, match="^params must be weak or synth"):
+        classic_ratio_bound(1, 2, (1, 2.0, 0.0))
+    space, mu = lattice_setup()
+    params, low = BGParams(1, 8.0, 1.0), BGParams(1, 2.0, 0.0)
+    violated = check_weak_bg(space, mu, (0, 0), low, 4)
+    assert violated.status == VIOLATED
+    for cert, checked in ((None, params), (violated, low)):
+        with pytest.raises(DomainError, match="needs a verified certificate"):
+            check_classic_bound(space, mu, (0, 0), checked, cert, [(1, 2)])
+    cert = check_weak_bg(space, mu, (0, 0), params, 4)
+    with pytest.raises(DomainError, match=(
+            "^certificate verified only to 4, pairs reach 8$")):
+        check_classic_bound(space, mu, (0, 0), params, cert, [(1, 8)])
+    with pytest.raises(DomainError, match=r"^need r < R, got \(2, 2\)$"):
+        check_classic_bound(space, mu, (0, 0), params, cert, [(2, 2)])
+
+
+def test_log_of_rational_refuses_nonpositive_and_reads_huge_terms():
+    for q in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(DomainError, match="^log of nonpositive rational$"):
+            log_of_rational(q)
+    # both terms pass the double range; their logs do not
+    assert math.isclose(log_of_rational(Fraction(3 ** 700, 2 ** 1100)),
+                        700 * math.log(3) - 1100 * math.log(2))
+
+
+def test_scans_refuse_floats_past_the_double_range():
+    # 2^N overflows from N = 1024 on; the largest double below it is fine
+    with pytest.raises(DomainError, match="N must be below 1024"):
+        SyntheticParams(1024, 1)
+    assert SyntheticParams(1023.5, 1).N == 1023.5
+    space, mu = atom_setup()
+    # one row: C e^K at r = 1 passes the double range though neither does
+    with pytest.raises(DomainError, match=(
+            r"^the bound 1e\+308 exp\(1.0 r\) cannot be evaluated in double "
+            "precision at radius 1$")):
+        check_weak_bg(space, mu, (), BGParams(1, 1e308, 1.0), 1)
+    assert check_weak_bg(space, mu, (), BGParams(1, 1e307, 1.0),
+                         1).status == VERIFIED
+    space, mu = lattice_setup()
+    with pytest.raises(DomainError, match=(
+            r"^the bound 8.0 exp\(1.0 r\) cannot be evaluated in double "
+            "precision at radius 710$")):
+        check_weak_bg(space, mu, (0, 0), BGParams(1, 8.0, 1.0), 800)
+    space, mu = free_setup()
+    with pytest.raises(DomainError, match=(
+            r"^the ratio at radius 1293/2 passes the double range, so the "
+            r"bound 2.0 exp\(0.0 r\) cannot be checked against it$")):
+        check_weak_bg(space, mu, (), BGParams(1, 2.0, 0.0), 700)
+
+
 # -- doubling -----------------------------------------------------------------
 
 
@@ -727,7 +783,7 @@ def test_scan_decides_the_band_edges_as_verdict(setup, lo, hi):
 def test_rows_are_built_on_first_read(monkeypatch):
     # the scan decides without rows: a certificate nobody reads runs only
     # the deciding pass, one `_critical_checks` per profile, and its first
-    # read of `rows` runs one more, which later reads do not repeat
+    # read of `scan_rows` runs one more, which later reads do not repeat
     calls = []
     checks = curvature._critical_checks
 
@@ -744,17 +800,17 @@ def test_rows_are_built_on_first_read(monkeypatch):
         assert len(calls) == n
         again = check_weak_bg(space, mu, centers, params, 6)
         assert len(calls) == 2 * n
-        assert "rows" not in vars(cert) and "rows" not in vars(again)
-        rows = cert.rows
+        assert "scan_rows" not in vars(cert)
+        assert "scan_rows" not in vars(again)
+        rows = cert.scan_rows
         assert len(calls) == 3 * n
-        assert cert.rows is rows and len(calls) == 3 * n
-        assert again.rows == rows and len(calls) == 4 * n
+        assert cert.scan_rows is rows and len(calls) == 3 * n
+        assert again.scan_rows == rows and len(calls) == 4 * n
         assert len(rows) == cert.critical_radii_checked
-        assert cert.scan_rows == again.scan_rows
         # rows are no field: certificates compare, print and encode alike
         # whether or not they were read
         assert cert == again and repr(cert) == repr(again)
-        assert "rows" not in cert._fields
+        assert "scan_rows" not in cert._fields
 
 
 def _merged_fields(certs):
@@ -817,10 +873,9 @@ def test_center_list_certificate_combines_single_centers(name, centers, r0,
     assert (cert.center, cert.params, cert.r_min, cert.r_max) == (
         "all sampled", params, r0, r_max)
     assert _certificate_fields(cert) == _merged_fields(singles)
-    # the int rows are the single-center rows rescaled to one tick scale
+    # the rows are the single-center rows, read on one tick scale
     assert cert.step == math.lcm(*(c.step for c in singles))
-    assert cert.rows == [(a * (cert.step // c.step), num, den, rhs)
-                         for c in singles for a, num, den, rhs in c.rows]
+    assert cert.scan_rows == [row for c in singles for row in c.scan_rows]
     assert check_weak_bg(space, mu, tuple(centers), params, r_max) == cert
 
 

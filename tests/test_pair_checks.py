@@ -21,7 +21,7 @@ from bgkit.bounds import bound_cross_check
 from bgkit.cli import run
 from bgkit.curvature import (BGParams, PairCheck, SyntheticParams,
                              check_bg_synthetic, check_classic_bound,
-                             check_weak_bg)
+                             check_weak_bg, pair_check)
 from bgkit.exact import (DomainError, INCONCLUSIVE, MARGIN, VERIFIED,
                          VIOLATED, band, verdict)
 from bgkit.measures import CountingOrbitMeasure, VertexMeasure
@@ -104,6 +104,19 @@ def test_pair_check_lhs_against_enumeration(setup):
                 assert row.lhs == _oracle_ratio(
                     tally, row.R, row.r, CLOSED_NUMERATOR[row.formula]), row
     assert seen == set(CLOSED_NUMERATOR) | {"packing(iii)"}
+
+
+def test_pair_check_inside_the_margin_band():
+    # an lhs strictly inside the band decides nothing and says so; its edges
+    # decide, as `exact.verdict` does
+    rhs = 10.0
+    verified, violated = band(rhs)
+    assert pair_check(1, 2, "classic", Fraction(10), rhs) == PairCheck(
+        1, 2, "classic", Fraction(10), rhs, None,
+        note="inside the float margin band")
+    assert pair_check(1, 2, "classic", Fraction(verified), rhs).holds is True
+    assert pair_check(1, 2, "classic", Fraction(violated), rhs).holds is False
+    assert pair_check(1, 2, "classic", Fraction(violated), rhs).note == ""
 
 
 # -- empty balls -----------------------------------------------------------

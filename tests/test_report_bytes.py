@@ -41,6 +41,15 @@ SPACE_FILES = {
                           "group": {"family": "free_abelian", "params": 2}}},
     "pts.json": {"kind": "graph", "vertices": [[0, 0], [0, 1], [1, 1]],
                  "edges": [[[0, 0], [0, 1], "1"], [[0, 1], [1, 1], "1/2"]]},
+    # files that the builder refuses
+    "rule.json": {"kind": "cayley", "group": {"family": "free", "params": 2},
+                  "action": {"action": "nosuch"}},
+    "dup.json": {"kind": "graph", "vertices": [0, 1, 0],
+                 "edges": [[0, 1, "1"]]},
+    "zero.json": {"kind": "graph", "vertices": [0, 1],
+                  "edges": [[0, 1, "0"]]},
+    "labels.json": {"kind": "finite_metric", "matrix": [[0, 1], [1, 0]],
+                    "labels": ["a", "b", "c"]},
 }
 
 

@@ -197,12 +197,34 @@ def test_cayley_ball_at_a_huge_radius_is_the_whole_finite_group(family):
     ids=["free2", "lattice2", "product"])
 @pytest.mark.parametrize("r", [20000, 10 ** 30])
 def test_cayley_ball_over_the_budget_is_refused_at_a_lower_bound(family, r):
-    # the sizes are read to doubling lengths and the refusal comes once
-    # their total passes the budget, so its count is a lower bound
+    # the sizes are read to growing lengths and the refusal comes once
+    # their total passes the budget, or at once for a word radius past it,
+    # so its count is a lower bound
     with pytest.raises(WindowError, match=(
             rf"^ball of radius {r} holds at least \d+ elements, "
             rf"over the enumeration budget {spaces.ENUMERATION_BUDGET}$")):
         CayleySpace(family).ball_spheres(r, closed=True)
+
+
+@pytest.mark.parametrize("family", [
+    FreeAbelianFamily(1), FreeFamily(2),
+    ProductFamily([FinitePermutationFamily([(1, 0)]), FreeAbelianFamily(1)])],
+    ids=["line1", "free2", "product"])
+def test_cayley_ball_past_the_budget_is_refused_before_any_read(family,
+                                                                monkeypatch):
+    # a generator of infinite order leaves no sphere empty, so word length
+    # n >= the budget gives n + 1 elements: refused with that count, unread
+    budget = spaces.ENUMERATION_BUDGET
+    monkeypatch.setattr(family, "sphere_sizes", None)
+    for r, closed, count in ((budget, True, budget + 1),
+                             (Fraction(2 * budget + 1, 2), False, budget + 1),
+                             (10 ** 30, True, 10 ** 30 + 1)):
+        with pytest.raises(WindowError, match=(
+                rf"^ball of radius {r} holds at least {count} elements, "
+                rf"over the enumeration budget {budget}$")):
+            CayleySpace(family).ball_spheres(r, closed)
+    assert spaces.has_infinite_order(family)
+    assert not spaces.has_infinite_order(FinitePermutationFamily([(1, 0)]))
 
 
 @pytest.mark.parametrize("family, big", [
