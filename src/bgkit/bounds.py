@@ -36,13 +36,18 @@ class NuOracle:
             last = n
         self.rows = rows
 
-    def __call__(self, C: float) -> int:
+    def __call__(self, C: float, formula: str = "C", /, **params) -> int:
+        """nu(C).  A caller that asks at a formula of its own parameters
+        names the formula and the parameters, and a refusal names them."""
         for c, n in self.rows:
             if C <= c:
                 return n
+        at = ", ".join(f"{name} = {value:.6g}"
+                       for name, value in params.items())
         raise DomainError(
-            f"nu oracle table does not cover C = {C:.6g} "
-            f"(max covered {self.rows[-1][0]:.6g})")
+            f"nu oracle table does not cover {formula} = {C:.6g}"
+            + (f" for {at}" if at else "")
+            + f" (max covered {self.rows[-1][0]:.6g})")
 
 
 def evaluate_bound(kind: str, params: dict, nu: NuOracle | None = None) -> float:
@@ -105,18 +110,21 @@ def _formula(kind: str, p: dict, nu: NuOracle | None) -> float:
                 * math.exp(-K * (3.0 * D + r0 / 2.0)))
     if kind == "systole_lower_eps1":
         D, C, K = need("D", "C", "K")
-        eps1 = D / need_nu()(C ** 3 * math.exp(15.0 * K * D) + 1.0)
+        eps1 = D / need_nu()(C ** 3 * math.exp(15.0 * K * D) + 1.0,
+                             "C^3 exp(15 K D) + 1", C=C, K=K, D=D)
         return ((D / C) * (1.0 + 3.0 * D / eps1) ** (-math.log(C) / math.log(2.0))
                 * math.exp(-K * (3.0 * D + eps1)))
     if kind == "margulis_scale":
         if "N" in p and "C" not in p:
             (N,) = need("N")
-            return 0.5 * need_nu()(300.0 ** (3.0 * N))
+            return 0.5 * need_nu()(300.0 ** (3.0 * N), "300^(3 N)", N=N)
         C, K, r0 = need("C", "K", "r0")
-        return 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0)
+        return 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0,
+                               "C^3 exp(15 K r0) + 1", C=C, K=K, r0=r0)
     if kind == "systole_busemann":
         D, C, K, r0 = need("D", "C", "K", "r0")
-        N0 = 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0)
+        N0 = 0.5 * need_nu()(C ** 3 * math.exp(15.0 * K * r0) + 1.0,
+                             "C^3 exp(15 K r0) + 1", C=C, K=K, r0=r0)
         expo = math.log(C) / math.log(2.0)
         blow = 1.0 + 4.0 * N0 * D / r0
         return (C ** (-2.6) * D * ((1.0 + D / r0) * blow) ** (-expo)

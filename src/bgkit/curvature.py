@@ -28,6 +28,18 @@ measure's one-profile memo, every scan of one (measure, center, radius) —
 the weak and synthetic scans, `min_exponent` and `doubling_constant` —
 reads one profile and one table, with the same rows, radii and report
 bytes as a scan that derived them afresh.
+
+A scan decides every row in range but visits only those that can bind:
+the rhs and both band edges grow with r, so a row whose lhs is at most an
+earlier visited row's can make a scan neither inconclusive nor violated.
+Up to a profile's first violation it follows pointers to the next larger
+lhs (`min_exponent` follows its own chain), and it steps row by row from
+there on and wherever a premise fails.  lo's rows prune nothing.  The
+exponent is 0 or at least 2^-40 of the table's tick: table radii are
+1/tick apart or more, and above that bound exp(K r) grows between them
+far more than `math.exp` errs (an error bound is documented, not
+monotonicity).  And factor exp(exponent hi) is a finite double, so an
+overflow refusal names the first radius past the range.
 """
 
 from __future__ import annotations
@@ -164,23 +176,17 @@ def _tick_scale(profiles, lo: Fraction, hi: Fraction) -> int:
                         *(profile.scale for profile in profiles))
 
 
-def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
-                     step: int | None = None):
-    """The tick scale `step` and the rows (a, num, den, form) deciding the
-    inequality on [lo, hi], all ints but the form: the radius is a/step and
-    the lhs num/den, with den == 0 when the denominator ball is empty.
-
-    'at': ratio of strict masses at the radius itself.
-    'above': ratio of closed masses, the constant value on the interval just
-    right of the radius, whose binding comparison point is the radius.
-
-    The radii are lo and the profile's critical radii in [lo, hi], read from
-    its one `critical_table()` by two bisects, one at each end, and
-    rescaled to ticks of 1/step, by default the profile's `_tick_scale` S,
-    on which lo, hi and every critical radius are whole ticks; a given step
-    is a multiple of S.  num and den are masses on the
-    profile's one mass scale; callers build a Fraction only for what they
-    report.  WindowError, the profile's own, when 2 hi passes its radius.
+def _table_range(profile: DistanceProfile, lo: Fraction, hi: Fraction,
+                 step: int | None = None):
+    """(step, low, high, k, i, j, end, lo_row): [lo, hi] in the profile's
+    one `critical_table()`.  lo and hi are low and high ticks of 1/step, by
+    default the profile's `_tick_scale` S, and a given step is a multiple
+    of S; a table radius a is a k ticks; its rows i to j, two bisects, are
+    the critical radii in [lo, hi]; lo_row is the (num, den) of lo when lo
+    is no critical radius, else None.  In the row sequence, 2t is table row
+    t's 'at' row and 2t + 1 its 'above' row, 2i - 2 and 2i - 1 are lo's
+    rows, and `end` leaves out the 'above' row of a last radius equal to
+    hi.  WindowError, the profile's own, when 2 hi passes its radius.
     """
     if step is None:
         step = _tick_scale([profile], lo, hi)
@@ -189,24 +195,79 @@ def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
     upto = profile.upto
     if 2 * high * upto.denominator > upto.numerator * step:
         profile._check(2 * hi)
-    tick, radii, table = profile.critical_table()
+    tick, radii, _table = profile.critical_table()
     k = step // tick
     i = bisect_left(radii, -(-low // k))
     j = bisect_right(radii, high // k)
-    rows = []
+    lo_row = None
     if i >= j or radii[i] * k != low:
         # lo is no critical radius, so its open and closed balls agree
-        num = profile._total(profile._count_lt(2 * lo))
-        den = profile._total(profile._count_lt(lo))
-        rows.append((low, num, den, "at"))
+        lo_row = (profile._total(profile._count_lt(2 * lo)),
+                  profile._total(profile._count_lt(lo)))
+    end = 2 * j - ((radii[j - 1] * k if j > i else low) == high)
+    return step, low, high, k, i, j, end, lo_row
+
+
+def _critical_checks(profile: DistanceProfile, lo: Fraction, hi: Fraction,
+                     step: int | None = None):
+    """The tick scale `step` and the rows (a, num, den, form) deciding the
+    inequality on [lo, hi], all ints but the form: the radius is a/step and
+    the lhs num/den, with den == 0 when the denominator ball is empty.
+    'at' is the ratio of open balls at the radius, 'above' that of closed
+    balls, the ratio just right of the radius, checked at the radius.  The
+    radii are lo and the critical radii of `_table_range`, and num and den
+    masses on the profile's one mass scale.
+    """
+    step, low, high, k, i, j, _end, lo_row = _table_range(profile, lo, hi,
+                                                          step)
+    rows = []
+    if lo_row:
+        rows.append((low, *lo_row, "at"))
         if low < high:
-            rows.append((low, num, den, "above"))
-    for a, lt_2a, lt_a, le_2a, le_a in table[i:j]:
+            rows.append((low, *lo_row, "above"))
+    for a, lt_2a, lt_a, le_2a, le_a in profile.critical_table()[2][i:j]:
         a *= k
         rows.append((a, lt_2a, lt_a, "at"))
         if a < high:
             rows.append((a, le_2a, le_a, "above"))
     return step, rows
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """ln(num/den) from the logs of the reduced terms, as `log_of_rational`
+    takes them, when num > den > 0, and -inf otherwise."""
+    if not 0 < den < num:
+        return -math.inf
+    g = math.gcd(num, den)
+    return math.log(num // g) - math.log(den // g)
+
+
+def _next_greater(keys) -> list:
+    """nxt[s]: the first t > s with keys[t] > keys[s], else len(keys)."""
+    nxt, stack = [len(keys)] * len(keys), []
+    for s in reversed(range(len(keys))):
+        while stack and keys[stack[-1]] <= keys[s]:
+            stack.pop()
+        if stack:
+            nxt[s] = stack[-1]
+        stack.append(s)
+    return nxt
+
+
+def _chains(profile: DistanceProfile) -> tuple:
+    """(nxt, lds, ld_nxt) over the rows of the profile's whole critical
+    table, built once and kept on the profile: the `_next_greater` of the
+    exact lhs, each row's `_log_ratio`, and its `_next_greater`.  Rows with
+    an empty denominator ball come first, and a pointer reads only later
+    rows, so their keys steer no pointer that a scan follows."""
+    if profile._chains is None:
+        pairs = [pair for row in profile.critical_table()[2]
+                 for pair in (row[1:3], row[3:])]
+        lds = [_log_ratio(num, den) for num, den in pairs]
+        profile._chains = (_next_greater([Fraction(num, den) if den else 0
+                                          for num, den in pairs]),
+                           lds, _next_greater(lds))
+    return profile._chains
 
 
 def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
@@ -218,15 +279,21 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     band.
 
     The loop keeps no rows; `Certificate.scan_rows` rebuilds them on first
-    read.  Each radius takes its rhs and the two edges of `exact.band(rhs)`
-    once, for its 'at' and 'above' rows, and each lhs num / den is compared
-    with them by `exact.verdict`'s rule.  Int true division is correctly
+    read.  It visits lo's rows, follows the `_chains` pointers up to the
+    profile's first violation and visits every row from there on, or
+    throughout when a premise of the module docstring fails, so its counts
+    and witnesses are those of every row.  Each radius visited takes its
+    rhs and the two edges of `exact.band(rhs)` once, for its 'at' and
+    'above' rows, and each lhs num / den is compared with them by
+    `exact.verdict`'s rule.  Int true division is correctly
     rounded, as `Fraction.__float__` is, and so is a / step, so the floats
     compared are those of the exact rationals.  Fractions are built only
     for what the certificate reports: witnesses, notes and errors.  A ratio
     or an rhs past the double range is refused with a DomainError, never
     compared as infinity: the rhs grows with the radius, as the exponent is
     never negative, so the last rhs of each profile is the one to check.
+    Denominator masses never decrease along the rows, so only the first
+    can be zero.
     """
     if hi < lo:
         raise DomainError(
@@ -235,39 +302,59 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     cert = Certificate(params=params, center=center, r_min=lo, r_max=hi,
                        status=VERIFIED, step=step)
     cert._profiles, cert._factor, cert._exponent = profiles, factor, exponent
+    try:
+        bounded = math.isfinite(factor * math.exp(exponent * float(hi)))
+    except OverflowError:
+        bounded = False
     first = worst = None
     last = None
     checked = violations = 0
     for profile in profiles:
+        _step, low, _high, k, i, _j, end, lo_row = _table_range(
+            profile, lo, hi, step)
+        tick, _radii, table = profile.critical_table()
+        base = 2 * i
+        s = base - 2 if lo_row else base
+        checked += end - s
+        if not (lo_row or table[i][1:3])[1]:
+            raise DomainError(
+                f"zero mass ball at radius {fmt_rational(lo)} with mass above "
+                "it: the 0 < mass hypothesis fails on this range")
+        nxt = (_chains(profile)[0] if bounded and (
+            exponent == 0 or exponent * 2 ** 40 >= tick) else None)
         noted = False
-        checks = _critical_checks(profile, lo, hi, step)[1]
-        checked += len(checks)
         try:
-            for a, num, den, form in checks:
-                if not den:
-                    radius = fmt_rational(Fraction(a, step))
-                    raise DomainError(
-                        f"zero mass ball at radius {radius} with mass above "
-                        "it: the 0 < mass hypothesis fails on this range")
+            while s < end:
+                if s < base:
+                    a, (num, den) = low, lo_row
+                else:
+                    row = table[s >> 1]
+                    a = row[0] * k
+                    num, den = row[3:] if s & 1 else row[1:3]
                 if a != last:    # the 'at' and 'above' rows share their rhs
                     rhs = factor * math.exp(exponent * (a / step))
                     verified, violated = band(rhs)
                     last = a
                 lhs = num / den
                 if lhs >= violated:
+                    nxt = None
                     violations += 1
+                    bad = (a, num, den, rhs, "above" if s & 1 else "at")
                     if first is None:
-                        first = worst = (a, num, den, rhs, form)
+                        first = worst = bad
                     # the largest lhs wins, and the larger radius among
                     # equal ones
                     elif (num * worst[2], a) > (worst[1] * den, worst[0]):
-                        worst = (a, num, den, rhs, form)
+                        worst = bad
                 elif lhs > verified and not noted:
                     noted = True
                     cert.status = INCONCLUSIVE
                     cert.notes.append(
                         f"ratio at {fmt_rational(Fraction(a, step))}"
                         " inside the float margin band")
+                # lo may lie 1/step below the next critical radius, closer
+                # than the guard's tick, so its rows prune nothing
+                s = nxt[s] if nxt and s >= base else s + 1
         except OverflowError:
             # `last` becomes a once the rhs at a is computed: math.exp
             # raised before that, num / den after it
@@ -344,23 +431,30 @@ def min_exponent(space, measure: Measure, x, r0, C, r_max) -> float:
     Exact up to float rounding: K* is the max over critical radii of
     (ln lhs - ln C) / r, clamped at zero, and 0 when it is at most 1e-6;
     callers should pad by that much before re-certifying to stay clear of
-    the margin band.
+    the margin band.  After lo's rows it follows the `_chains` pointers to
+    the next larger float ln lhs: a row s skipped after row m has ln lhs_s
+    <= ln lhs_m and r_s >= r_m, so, rounding being monotone, its (ln lhs_s
+    - ln C) / r_s is at most row m's when ln lhs_m >= ln C and below the
+    running best of 0 otherwise, and the result keeps every bit.
     """
     r0, r_max = rational(r0), rational(r_max)
     if not (C > 1 and math.isfinite(C)):
         raise DomainError("factor C must be finite and > 1")
     profile = measure.profile(space, x, 2 * r_max)
+    step, low, _high, _k, i, _j, end, lo_row = _table_range(profile, r0,
+                                                            r_max)
+    tick, _radii, table = profile.critical_table()
+    if not (lo_row or table[i][1:3])[1]:
+        raise DomainError("zero-mass ball inside the scan range")
     ln_c = math.log(C)
     best = 0.0
-    step, rows = _critical_checks(profile, r0, r_max)
-    for a, num, den, _form in rows:
-        if not den:
-            raise DomainError("zero-mass ball inside the scan range")
-        if num > den:
-            # the logs of the reduced terms, as `log_of_rational` takes them
-            g = math.gcd(num, den)
-            k = (math.log(num // g) - math.log(den // g) - ln_c) / (a / step)
-            best = max(best, k)
+    if lo_row:
+        best = max(best, (_log_ratio(*lo_row) - ln_c) / (low / step))
+    _nxt, lds, nxt = _chains(profile)
+    s = 2 * i
+    while s < end:
+        best = max(best, (lds[s] - ln_c) / (table[s >> 1][0] / tick))
+        s = nxt[s]
     return best if best > 1e-6 else 0.0
 
 

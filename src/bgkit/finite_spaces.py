@@ -15,7 +15,7 @@ import heapq
 import itertools
 from fractions import Fraction
 
-from .exact import DomainError, rational
+from .exact import DomainError, fmt_rational, rational
 from .spaces import Space, point_key
 
 
@@ -87,10 +87,11 @@ class WeightedGraph(Space):
         for e in edges:
             u, v, w = e
             w = rational(w)
-            if w <= 0:
-                raise DomainError(f"edge weight must be positive: {e}")
-            if u not in self._vset or v not in self._vset:
-                raise DomainError(f"edge endpoint not a vertex: {e}")
+            if w <= 0 or u not in self._vset or v not in self._vset:
+                problem = ("edge weight must be positive" if w <= 0
+                           else "edge endpoint not a vertex")
+                raise DomainError(f"{problem}: edge ({u!r}, {v!r}) of weight "
+                                  f"{fmt_rational(w)}")
             eid = len(self.edges)
             self.edges.append((u, v, w))
             self.adj[u].append((v, w, eid))

@@ -27,7 +27,10 @@ sandwich sup when the measure is the same at every center.  A profile
 never changes (its ticks and totals are tuples), so it keeps one table of
 its critical radii up to half its radius (`DistanceProfile.critical_table`)
 that every scan reads; the table holds exactly the ints a scan would
-derive afresh, so sharing it changes no report by a byte.
+derive afresh, so sharing it changes no report by a byte.  Beside it, a
+profile holds the row pointers the curvature scans follow, which
+`curvature` builds on a profile's first scan; a profile nobody scans, as
+in a sandwich check, never builds them.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class DistanceProfile:
         self.totals = tuple(totals)
         self.upto = rational(upto)
         self._table = None       # critical_table(), built on first use
+        self._chains = None      # the scans' row pointers, built on first use
 
     @property
     def distances(self) -> list:

@@ -413,6 +413,25 @@ def test_evaluate_bound_nu_kinds():
         NuOracle([[10, 5], [100, 3]])   # not monotone
 
 
+def test_nu_refusals_name_the_formula_and_the_parameters():
+    # a refusal names the value nu was asked at, the formula that gave it
+    # and the parameters the user gave
+    small = NuOracle([[10, 3]])
+    for kind, params, asked in [
+            ("margulis_scale", {"N": 1}, r"300\^\(3 N\) = 2.7e\+07 for N = 1"),
+            ("systole_lower_eps1", {"D": 1, "C": 3, "K": 0},
+             r"C\^3 exp\(15 K D\) \+ 1 = 28 for C = 3, K = 0, D = 1"),
+            ("systole_busemann", {"D": 1, "C": 3, "K": 0, "r0": 2},
+             r"C\^3 exp\(15 K r0\) \+ 1 = 28 for C = 3, K = 0, r0 = 2")]:
+        with pytest.raises(DomainError, match=(
+                rf"^nu oracle table does not cover {asked} "
+                r"\(max covered 10\)$")):
+            evaluate_bound(kind, params, nu=small)
+    with pytest.raises(DomainError, match=r"^nu oracle table does not cover "
+                       r"C = 50 \(max covered 10\)$"):
+        small(50)
+
+
 def test_bound_cross_check_directions():
     rep = bound_cross_check("generators", 13, {"N": 2, "K": 0, "D": 5})
     assert rep.holds and rep.direction == "measured<=bound"

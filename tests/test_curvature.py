@@ -782,8 +782,9 @@ def test_scan_decides_the_band_edges_as_verdict(setup, lo, hi):
 
 def test_rows_are_built_on_first_read(monkeypatch):
     # the scan decides without rows: a certificate nobody reads runs only
-    # the deciding pass, one `_critical_checks` per profile, and its first
-    # read of `scan_rows` runs one more, which later reads do not repeat
+    # the deciding pass, which builds no `_critical_checks` rows, and its
+    # first read of `scan_rows` runs one per profile, which later reads do
+    # not repeat
     calls = []
     checks = curvature._critical_checks
 
@@ -797,15 +798,15 @@ def test_rows_are_built_on_first_read(monkeypatch):
     for centers, n in (((0, 0), 1), ([(0, 0), (2, -1), (1, 3)], 3)):
         calls.clear()
         cert = check_weak_bg(space, mu, centers, params, 6)
-        assert len(calls) == n
+        assert len(calls) == 0
         again = check_weak_bg(space, mu, centers, params, 6)
-        assert len(calls) == 2 * n
+        assert len(calls) == 0
         assert "scan_rows" not in vars(cert)
         assert "scan_rows" not in vars(again)
         rows = cert.scan_rows
-        assert len(calls) == 3 * n
-        assert cert.scan_rows is rows and len(calls) == 3 * n
-        assert again.scan_rows == rows and len(calls) == 4 * n
+        assert len(calls) == n
+        assert cert.scan_rows is rows and len(calls) == n
+        assert again.scan_rows == rows and len(calls) == 2 * n
         assert len(rows) == cert.critical_radii_checked
         # rows are no field: certificates compare, print and encode alike
         # whether or not they were read
@@ -933,3 +934,180 @@ def test_scan_callers_match_fraction_formulas(setup, lo, hi):
     sup, where = doubling_constant(space, mu, x, 2 * hi / 5)
     assert type(sup) is Fraction and type(where) is Fraction
     assert (sup, where) == _fraction_doubling_constant(dists, cum, 2 * hi / 5)
+
+
+# -- the pruned scans against the Fraction oracles, on random profiles --------
+
+
+class _Served:
+    """A measure that serves prebuilt profiles by center, so random profiles
+    reach the scans through `check_weak_bg`, `check_bg_synthetic` and
+    `min_exponent` as a measure's would."""
+
+    def __init__(self, profiles):
+        self.profiles = profiles
+
+    def profile(self, _space, center, upto):
+        profile = self.profiles[center]
+        assert profile.upto == upto
+        return profile
+
+
+def _random_raw(rng, upto):
+    """Random (distance, mass) rows within upto, some masses zero and the
+    center's mass sometimes missing, so that the first balls are empty,
+    with the sorted distances and cumulative masses tallied from them by
+    hand."""
+    dens = rng.choice([(1,), (1, 2), (1, 3, 4), (2, 5, 10)])
+    rows = [] if rng.random() < 0.3 else [(Fraction(0), Fraction(
+        rng.randint(1, 3)))]
+    for _ in range(rng.randint(1, 14)):
+        den = rng.choice(dens)
+        rows.append((Fraction(rng.randint(1, int(upto * den)), den),
+                     Fraction(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))))
+    tally = {}
+    for d, m in rows:
+        tally[d] = tally.get(d, 0) + m
+    dists = sorted(d for d, m in tally.items() if m)
+    cum = [sum(tally[e] for e in dists[:n + 1]) for n in range(len(dists))]
+    return rows, dists, cum
+
+
+def _random_lo(rng, dists, hi):
+    """lo in (0, hi]: hi itself, a breakpoint or half of one, or a rational
+    that is neither."""
+    critical = [r for d in dists for r in (d, d / 2) if 0 < r <= hi]
+    pick = rng.random()
+    if pick < 0.15:
+        return hi
+    if pick < 0.55 and critical:
+        return rng.choice(critical)
+    return hi * Fraction(rng.randint(1, 96), 97)
+
+
+def _visited_rhs(raws, checks, lo, hi, factor, exponent):
+    """The rhs of each radius the scan visits, in order, from the Fraction
+    rows `checks` of each raw profile.  Per profile: lo's own rows when lo
+    is no critical radius, then, when the exponent is 0 or at least 2^-40
+    of the profile's tick (twice the lcm of its distance denominators) and
+    the rhs at hi is a finite double, each row whose exact lhs passes every
+    earlier critical row's, up to the first violation, and every row from
+    there on."""
+    try:
+        bounded = math.isfinite(factor * math.exp(exponent * float(hi)))
+    except OverflowError:
+        bounded = False
+    out, last = [], None
+    for (dists, _cum), rows in zip(raws, checks):
+        tick = 2 * math.lcm(*(d.denominator for d in dists))
+        prune = bounded and (exponent == 0 or exponent * 2 ** 40 >= tick)
+        own = 0 if lo in dists or 2 * lo in dists else 1 + (lo < hi)
+        top = None
+        for n, (r, lhs, _form) in enumerate(rows):
+            visit = n < own or not prune or top is None or lhs > top
+            if n >= own and (top is None or lhs > top):
+                top = lhs
+            if visit:
+                rhs = factor * math.exp(exponent * float(r))
+                if r != last:
+                    out.append(rhs)
+                    last = r
+                if verdict(lhs, rhs) == VIOLATED:
+                    prune = False
+    return out
+
+
+def _near_band_factors(rng, checks, exponent):
+    """Factors C > 1 at relative offsets 1e-5 .. 1e-14 from the band edges
+    of the largest and of a random lhs above 1, at their radii."""
+    rows = [(r, lhs) for rows in checks for r, lhs, _form in rows if lhs > 1]
+    if not rows:
+        return [1.5, 3.0]
+    out = []
+    for r, lhs in (max(rows, key=lambda row: row[1]), rng.choice(rows)):
+        for edge in (1 + MARGIN, 1 - MARGIN):
+            at = float(lhs) / edge / math.exp(exponent * float(r))
+            for sign in (1, -1):
+                C = at * (1 + sign * 10.0 ** -rng.randint(5, 14))
+                if C > 1:
+                    out.append(C)
+    return out
+
+
+def test_pruned_scans_match_the_fraction_oracles(monkeypatch):
+    # random profiles, one to three centers, lo on and off the critical
+    # radii, C next to the band edges, K = 0, K at and just below the 2^-40
+    # guard, K far below it and K ordinary: every field of the certificate
+    # and every min_exponent bit is the oracle's, the rows visited are the
+    # ones that can bind, and the pointers are the next larger ones
+    seen = []
+    band = curvature.band
+
+    def recorded(rhs):
+        seen.append(rhs)
+        return band(rhs)
+
+    monkeypatch.setattr(curvature, "band", recorded)
+    rng = random.Random(36)
+    statuses = set()
+    for _ in range(50):
+        hi = Fraction(rng.randint(2, 24), rng.choice((1, 2, 3)))
+        raws, profiles = [], {}
+        for center in range(rng.choice((1, 1, 2, 3))):
+            rows, dists, cum = _random_raw(rng, 2 * hi)
+            raws.append((dists, cum))
+            profiles[center] = DistanceProfile(rows, 2 * hi)
+        served = _Served(profiles)
+        centers = list(profiles) if len(profiles) > 1 else 0
+        lo = _random_lo(rng, raws[0][0], hi)
+        checks = [list(_fraction_critical_checks(dists, cum, lo, hi))
+                  for dists, cum in raws]
+        empty = [rows[0][1] is None for rows in checks]
+        if any(empty):
+            # the first empty ball is refused, whatever the bound
+            with pytest.raises(DomainError, match=(
+                    f"^zero mass ball at radius {fmt_rational(lo)} ")):
+                check_weak_bg(None, served, centers, BGParams(lo, 2.0, 1.0),
+                              hi)
+        else:
+            tick = 2 * math.lcm(*(d.denominator for d in raws[0][0]))
+            guard = tick * 2.0 ** -40
+            for K in (0.0, guard, math.nextafter(guard, 0), 1e-18,
+                      rng.uniform(0.05, 1.5)):
+                for C in _near_band_factors(rng, checks, K):
+                    seen.clear()
+                    cert = check_weak_bg(None, served, centers,
+                                         BGParams(lo, C, K), hi)
+                    assert seen == _visited_rhs(raws, checks, lo, hi, C, K)
+                    assert _certificate_fields(cert) == _fraction_scan(
+                        raws, lo, hi, C, K), (lo, hi, C, K)
+                    statuses.add(cert.status)
+        for center, (dists, cum) in enumerate(raws):
+            if empty[center]:
+                with pytest.raises(DomainError, match="zero-mass ball inside"):
+                    min_exponent(None, served, center, lo, 2.0, hi)
+                continue
+            for C in (1.0001, 1.5, 3.0, rng.uniform(1, 8)):
+                assert (min_exponent(None, served, center, lo, C, hi)
+                        == _fraction_min_exponent(dists, cum, lo, C, hi))
+            # a synthetic scale N/K of two floats has a denominator near 2^52
+            K = rng.uniform(0.3, 2)
+            params = SyntheticParams(K * rng.uniform(0.1, float(hi)), K)
+            if dists[0] < params.scale <= hi:
+                cert = check_bg_synthetic(None, served, center, params, hi)
+                assert _certificate_fields(cert) == _fraction_scan(
+                    [(dists, cum)], params.scale, hi, 2.0 ** params.N, K)
+        for profile in profiles.values():
+            pairs = [pair for row in profile.critical_table()[2]
+                     for pair in (row[1:3], row[3:])]
+            nxt, lds, ld_nxt = curvature._chains(profile)
+            for s, (num, den) in enumerate(pairs):
+                assert lds[s] == (log_of_rational(Fraction(num, den))
+                                  if den and num > den else -math.inf)
+                assert ld_nxt[s] == next((t for t in range(s + 1, len(pairs))
+                                          if lds[t] > lds[s]), len(pairs))
+                if den:
+                    assert nxt[s] == next(
+                        (t for t in range(s + 1, len(pairs))
+                         if pairs[t][0] * den > num * pairs[t][1]), len(pairs))
+    assert statuses == {VERIFIED, INCONCLUSIVE, VIOLATED}

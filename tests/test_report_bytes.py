@@ -70,3 +70,8 @@ def test_report_bytes(case, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert {"argv": case["argv"], "exit": code, "stderr": err,
             "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} == case
+
+
+def test_no_refusal_prints_a_python_repr():
+    # a refusal names what the user wrote, as the reports print it
+    assert not [case["argv"] for case in CASES if "Fraction(" in case["stderr"]]

@@ -296,6 +296,15 @@ def test_validate_disconnected_graph():
             whole_graph()
 
 
+def test_graph_edge_refusals_name_the_edge_and_its_weight():
+    with pytest.raises(DomainError, match=(
+            r"^edge weight must be positive: edge \(0, 1\) of weight -1/2$")):
+        WeightedGraph([0, 1], [(0, 1, "-1/2")])
+    with pytest.raises(DomainError, match=(
+            r"^edge endpoint not a vertex: edge \(0, 'x'\) of weight 3/2$")):
+        WeightedGraph([0, 1], [(0, "x", Fraction(3, 2))])
+
+
 def test_graph_edge_points():
     graph = cycle_graph(4)
     mid = graph.edge_point(0, Fraction(1, 2))
