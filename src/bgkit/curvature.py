@@ -291,7 +291,8 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     for what the certificate reports: witnesses, notes and errors.  A ratio
     or an rhs past the double range is refused with a DomainError, never
     compared as infinity: the rhs grows with the radius, as the exponent is
-    never negative, so the last rhs of each profile is the one to check.
+    never negative, so the last rhs of each profile is the one to check,
+    and a refusal names the first radius whose rhs is not finite.
     Denominator masses never decrease along the rows, so only the first
     can be zero.
     """
@@ -310,9 +311,9 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
     last = None
     checked = violations = 0
     for profile in profiles:
-        _step, low, _high, k, i, _j, end, lo_row = _table_range(
+        _step, low, _high, k, i, j, end, lo_row = _table_range(
             profile, lo, hi, step)
-        tick, _radii, table = profile.critical_table()
+        tick, radii, table = profile.critical_table()
         base = 2 * i
         s = base - 2 if lo_row else base
         checked += end - s
@@ -361,7 +362,12 @@ def _scan(profiles, lo: Fraction, hi: Fraction, factor: float,
             raise _past_double_range(a == last, Fraction(a, step), factor,
                                      exponent) from None
         if not math.isfinite(rhs):
-            raise _past_double_range(False, Fraction(last, step), factor,
+            # factor exp(exponent r) can pass the range well before the
+            # last radius, so the radii are read again, on refusal only
+            visited = ([low] if lo_row else []) + [t * k for t in radii[i:j]]
+            bad = next(a for a in visited if not math.isfinite(
+                factor * math.exp(exponent * (a / step))))
+            raise _past_double_range(False, Fraction(bad, step), factor,
                                      exponent)
     cert.critical_radii_checked = checked
     cert.violations = violations

@@ -22,7 +22,10 @@ maximum lies in [V0, 2 V0].  V0 = 0 therefore certifies that every
 quadruple scores 0, as on trees and free group balls.
 `basepoint_certificate` decides V0 = 0 exactly in O(n^2) pure Python, and
 only when it fails does `four_point_delta` import `_kernels`, and with it
-numpy, for the Theta(n^4) scan.
+numpy, for the exact scan.  That scan takes the same Gromov products at
+each point i in turn, over the points after it, and scores only the pairs
+whose bound from the row maxima of those products beats the best score so
+far: O(n^3) steps for the bounds, and O(n^4) only if no pair is skipped.
 """
 
 from __future__ import annotations
@@ -103,10 +106,10 @@ def four_point_delta(space, points=None, mode="exhaustive", count=2000,
     delta = max over quadruples of (L1 - L2)/2 where L1 >= L2 >= L3 are the
     three pairings d(a,b)+d(c,d), d(a,c)+d(b,d), d(a,d)+d(b,c).  Exhaustive
     mode settles delta = 0 by `basepoint_certificate` in O(n^2) and
-    otherwise runs the exact integer scan of `_kernels` over all
-    quadruples (point sets above `cap` are refused); sampled mode draws
-    seeded quadruples and is a lower bound.  Fewer than four points give
-    delta = 0 in either mode.
+    otherwise runs the exact integer scan `_kernels.four_point_scan`, whose
+    value and witness are those of all quadruples (point sets above `cap`
+    are refused); sampled mode draws seeded quadruples and is a lower
+    bound.  Fewer than four points give delta = 0 in either mode.
     """
     if mode == "exhaustive":
         method = "four_point_exhaustive"

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,14 @@ def test_scans_refuse_floats_past_the_double_range():
             r"^the bound 8.0 exp\(1.0 r\) cannot be evaluated in double "
             "precision at radius 710$")):
         check_weak_bg(space, mu, (0, 0), BGParams(1, 8.0, 1.0), 800)
+    # exp(r) stays finite, but its product with C passes the range at the
+    # first radius, 1, or at 3 of the radii 1, 3/2, ..., 5; the refusal
+    # names that radius, not the last one
+    for C, r_max, first in [(1e308, 3, "1"), (1e307, 5, "3")]:
+        with pytest.raises(DomainError, match=(
+                rf"^the bound {re.escape(repr(C))} exp\(1.0 r\) cannot be "
+                rf"evaluated in double precision at radius {first}$")):
+            check_weak_bg(space, mu, (0, 0), BGParams(1, C, 1.0), r_max)
     space, mu = free_setup()
     with pytest.raises(DomainError, match=(
             r"^the ratio at radius 1293/2 passes the double range, so the "

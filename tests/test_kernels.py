@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -174,8 +175,8 @@ def test_four_point_at_dtype_switch_points(top, dtype):
 
 @pytest.mark.parametrize("block", [1, 7, 300])
 def test_four_point_split_blocks(monkeypatch, block):
-    # at the default sizes every tested n fits one block; these split the
-    # rows i < j of the scan into many
+    # at the default size a base's pairs fit one block; these split them
+    # into many, down to one pair a block
     monkeypatch.setattr(_kernels, "SCAN_BLOCK", block)
     metrics = [random_metric_ints(n, n) for n in (13, 21, 30)]
     metrics += [tree_plus_edge(seed)
@@ -193,7 +194,7 @@ def grid_l1_metric(side):
 
 def test_four_point_tied_maxima():
     # unit cycles and a grid: many quadruples share the maximum, so the
-    # witness pins the lex-first choice and the masked diagonal k = l
+    # witness pins the lex-first choice
     metrics = [path_metric(n, [(v, (v + 1) % n, 1) for v in range(n)])
                for n in range(6, 14)]
     metrics.append(grid_l1_metric(4))
@@ -201,9 +202,8 @@ def test_four_point_tied_maxima():
         assert _basepoint_excess_py(d) > 0
         assert as_ints(_kernels.four_point_scan(d)) == \
             as_ints(_four_point_py(d))
-    # on a metric the diagonal scores 0; off the triangle inequality, with
-    # d(0, 1) = 10 and points 2..5 at distance 0, the cell k = l = 2 ties
-    # the maximum ahead of (k, l) = (2, 3) unless it is masked
+    # off the triangle inequality, with d(0, 1) = 10 and points 2..5 at
+    # distance 0, every quadruple {0, 1, k, l} scores the maximum 8
     d = np.ones((6, 6), dtype=np.int64)
     d[2:, 2:] = 0
     np.fill_diagonal(d, 0)
@@ -212,26 +212,123 @@ def test_four_point_tied_maxima():
         as_ints(_four_point_py(d)) == (8, 0, 1, 2, 3)
 
 
+def weighted_graph_metric(n, seed, distances=path_metric):
+    """Integer shortest-path metric of a seeded spanning tree plus n extra
+    edges, weights k/q for 1 <= k <= 12 and q in 1, 2, 3, 4, 6 taken 12
+    times: random weighted graphs like those of the benchmark's four-point
+    workload."""
+    rng = random.Random(seed)
+
+    def weight():
+        return 12 * rng.randint(1, 12) // rng.choice((1, 2, 3, 4, 6))
+
+    edges = [(rng.randrange(v), v, weight()) for v in range(1, n)]
+    edges += [(*rng.sample(range(n), 2), weight()) for _ in range(n)]
+    return np.asarray(distances(n, edges), dtype=np.int64)
+
+
+def torus_metric(a, b):
+    """Path metric of the unit a x b grid that wraps around both ways."""
+    def vertex(x, y):
+        return x % a * b + y % b
+
+    return path_metric(a * b, [(vertex(x, y), vertex(x + dx, y + dy), 1)
+                               for x in range(a) for y in range(b)
+                               for dx, dy in ((1, 0), (0, 1))])
+
+
+def symmetric_non_metric(n, seed):
+    """A seeded symmetric integer matrix with signed entries and a nonzero
+    diagonal: no triangle inequality holds."""
+    rng = np.random.default_rng(seed)
+    half = rng.integers(-30, 31, size=(n, n))
+    return half + half.T
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 300])
+def test_four_point_scan_matches_the_loop(monkeypatch, block):
+    # graph metrics, non-metrics, whose bound reads no triangle inequality,
+    # and tie-heavy unit cycles and tori; None keeps the default block size
+    if block is not None:
+        monkeypatch.setattr(_kernels, "SCAN_BLOCK", block)
+    metrics = [weighted_graph_metric(n, seed)
+               for n, seed in [(16, 1), (22, 2), (28, 3), (34, 4), (40, 5)]]
+    metrics += [symmetric_non_metric(n, seed)
+                for n, seed in [(9, 1), (17, 2), (26, 3), (33, 4)]]
+    ties = [path_metric(n, [(v, (v + 1) % n, 1) for v in range(n)])
+            for n in (16, 21, 24)]
+    ties += [torus_metric(4, 5), torus_metric(5, 5)]
+    for d in metrics + ties:
+        assert as_ints(_kernels.four_point_scan(d)) == \
+            as_ints(_four_point_py(d))
+    # in each tie-heavy input a later base reaches the maximum too, so the
+    # witness must come from the first
+    for d in ties:
+        best, i, *_ = _four_point_py(d)
+        assert _four_point_py(d[i + 1:, i + 1:])[0] == best
+
+
+def test_four_point_scan_prunes_pairs_that_cannot_bind(monkeypatch):
+    # count the (base, pair) rows each call scores; every base has
+    # (m choose 2) pairs, m the points after it
+    scored = []
+    blocks = _kernels._blocks
+
+    def counting(g, pairs, rows):
+        scored.append(len(pairs))
+        return blocks(g, pairs, rows)
+
+    monkeypatch.setattr(_kernels, "_blocks", counting)
+    n = 140
+    every = sum(math.comb(n - 1 - i, 2) for i in range(n - 3))
+    # random weighted graphs: base 0 scores all its pairs, every later base
+    # a few, about 3% of all pairs in all
+    for seed in (1, 2, 3):
+        d = weighted_graph_metric(n, seed, _kernels.graph_distances)
+        scored.clear()
+        _kernels.four_point_scan(d)
+        assert scored[0] == math.comb(n - 1, 2)
+        assert sum(scored) < every / 20
+    # on a line every quadruple scores 0 and every pair's bound is 0: after
+    # base 0 a base only ties the maximum and scores nothing, and the
+    # witness pass rescores base 0
+    rng = random.Random(5)
+    xs = np.array(sorted(rng.sample(range(1000), n)))
+    scored.clear()
+    assert as_ints(_kernels.four_point_scan(np.abs(np.subtract.outer(xs, xs)))) \
+        == (0, 0, 1, 2, 3)
+    assert sum(scored) == 2 * math.comb(n - 1, 2)
+
+
 def test_four_point_scan_memory_is_flat():
     n = 140
-    d = random_metric_ints(n, 3)
-    itemsize = np.dtype(_kernels.scan_dtype(int(d.max()))).itemsize
-    assert _basepoint_excess_py(d) > 0
-    assert _kernels.SCAN_BLOCK >= (n - 2) ** 2
-    _kernels.four_point_scan(d)
-    tracemalloc.start()
-    try:
+    # a line is a tree metric, so every quadruple scores 0 and the witness
+    # pass rescores every pair of base 0
+    rng = random.Random(3)
+    xs = np.array(sorted(rng.randint(0, 60) for _ in range(n)))
+    line = np.abs(np.subtract.outer(xs, xs))
+    for d in (random_metric_ints(n, 3), line):
+        itemsize = np.dtype(_kernels.scan_dtype(int(d.max()))).itemsize
+        assert _kernels.SCAN_BLOCK >= n - 1
         _kernels.four_point_scan(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the four buffers; the m x m differences, two of one j and one of the
-    # j before; the scan-dtype copy, row_best and the int64 row_arg; numpy's
-    # ufunc iteration buffers, one per operand; small arrays and objects
-    bound = (4 * _kernels.SCAN_BLOCK * itemsize + 3 * (n - 2) ** 2 * itemsize
-             + n * n * (2 * itemsize + 8) + 3 * np.getbufsize() * itemsize
-             + 2 ** 14)
-    assert peak < bound
+        tracemalloc.start()
+        try:
+            _kernels.four_point_scan(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's pairs: at most SCAN_BLOCK // m, m the points after the
+        # base, and at most m^2 / 2, so at most (SCAN_BLOCK^2 / 2)^(1/3)
+        pairs = round((_kernels.SCAN_BLOCK ** 2 / 2) ** (1 / 3))
+        # the two row buffers and the witness pass's bool hit mask; G, its
+        # bound, the pair mask and the upper triangle; a base's int64 pair
+        # indices, at most (n-1)^2 / 2; the scan-dtype copy; a dozen int64
+        # arrays over a block's pairs; numpy's ufunc iteration buffers,
+        # one per operand; small arrays and objects
+        bound = ((2 * itemsize + 1) * _kernels.SCAN_BLOCK
+                 + (n - 1) ** 2 * (2 * itemsize + 2 + 4) + n * n * itemsize
+                 + 12 * 8 * pairs + 3 * np.getbufsize() * itemsize + 2 ** 14)
+        assert peak < bound
 
 
 def one_entry_changed(d, rng):
